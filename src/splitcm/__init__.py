@@ -9,9 +9,11 @@ class of an attached maximal order in the quaternion algebra (D, -N)
 yields the central value L(psi_N, 1) as an explicit finite sum.
 
 Main entry points: `HeckeContext` fixes (D, N, precision, conventions);
-`classify` produces per-form theta integers and per-class table rows;
-`l_value` the central value; `oracle_l_value` an independent smoothed
-Dirichlet-series evaluation; `make_table` whole-table runs.
+`classify` produces per-form theta integers and per-class table rows from
+one pass over the level's theta series; `l_value` the central value, whose
+two internal paths share that pass; `oracle_l_value` an independent
+smoothed Dirichlet-series evaluation; `make_table` the one loop over the
+levels of a table, with a per-level hook for callers that cache rows.
 """
 
 from .central import (

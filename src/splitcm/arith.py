@@ -39,14 +39,6 @@ def jacobi(a, n):
     return result if n == 1 else 0
 
 
-def sqrt_ceil(n):
-    """Smallest integer s with s*s >= n (n >= 0)."""
-    if n <= 0:
-        return 0
-    s = isqrt(n)
-    return s if s * s == n else s + 1
-
-
 def smallest_prime_factors(limit):
     """Sieve of smallest prime factors; spf[n] for 0 <= n <= limit."""
     spf = list(range(limit + 1))

@@ -17,7 +17,6 @@ because N > 4; levels are primes N = 3 mod 4 that split in Q(sqrt(D)).
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
 
 import mpmath
 import numpy as np
@@ -29,14 +28,14 @@ from .errors import (
     IncompleteClassListError,
     InputError,
     InternalError,
+    SplitCMError,
     UnsupportedError,
 )
-from .hecke import HeckeContext, enumerate_ideals, psi_denominator, psi_ideal
+from .hecke import HeckeContext, enumerate_ideals, psi_ideal
 from .numeric import GUARD_DIGITS, BigComplex
 from .quadratic import (
     QuadForm,
     class_number,
-    heegner_point,
     prime_ideal_above,
     reduced_forms,
     smallest_odd_root,
@@ -46,12 +45,12 @@ from .quaternion import (
     Order,
     build_Iz,
     embedding_count,
-    order_discriminant,
+    is_maximal,
     orders_isometric,
     right_order,
     unit_count,
 )
-from .theta import eta_norm_factor, theta_form, theta_hat
+from .theta import level_thetas, theta_hat
 
 OMEGA_N = 2
 DISCOVERY_CAP = 1000
@@ -133,6 +132,14 @@ def _snap(ctx, value):
     return n
 
 
+def _maximal_order(ctx, Q):
+    """The right order of the form's ideal, which must be a maximal order."""
+    order = right_order(build_Iz(ctx, Q))
+    if not is_maximal(order):
+        raise InternalError("right order of %s at N=%d is not maximal" % (Q, ctx.N))
+    return order
+
+
 def discover_classes(D, levels=None, prec=80, tau_ideal="nbar", eta_convention="sec6", max_level=DISCOVERY_CAP):
     """Scan levels until the mass identity certifies every class was seen.
 
@@ -151,9 +158,7 @@ def discover_classes(D, levels=None, prec=80, tau_ideal="nbar", eta_convention="
     for N in scan:
         ctx = HeckeContext(D, N, prec=prec, tau_ideal=tau_ideal, eta_convention=eta_convention)
         for Q in reduced_forms(-N):
-            order = right_order(build_Iz(ctx, Q))
-            if order_discriminant(order) != D * D:
-                raise InternalError("right order of %s at N=%d is not maximal" % (Q, N))
+            order = _maximal_order(ctx, Q)
             if any(orders_isometric(order, info.order) for info in classes):
                 continue
             theta_abs = abs(_snap(ctx, theta_hat(ctx, Q)))
@@ -179,21 +184,23 @@ def discover_classes(D, levels=None, prec=80, tau_ideal="nbar", eta_convention="
     )
 
 
-def classify(ctx, store):
-    """All theta records at ctx's level plus one table row per known class."""
+def classify(ctx, store, thetas=None):
+    """All theta records at ctx's level plus one table row per known class.
+
+    thetas is the level's LevelThetas when the caller has computed it
+    already; otherwise it is computed here, once for all forms.
+    """
     if store.D != ctx.D or store.tau_ideal != ctx.tau_ideal or store.eta_convention != ctx.eta_convention:
         raise InputError("class store was built under different conventions")
+    if thetas is None:
+        thetas = level_thetas(ctx, reduced_forms(-ctx.N))
     records = []
-    for Q in reduced_forms(-ctx.N):
-        order = right_order(build_Iz(ctx, Q))
-        if order_discriminant(order) != ctx.D * ctx.D:
-            raise InternalError("right order of %s is not maximal" % (Q,))
-        cid = store.match(order)
+    for Q, value in zip(thetas.forms, thetas.normalized()):
+        cid = store.match(_maximal_order(ctx, Q))
         if cid is None:
             raise IncompleteClassListError(
                 "order class of %s at N=%d is missing from the store" % (Q, ctx.N)
             )
-        value = theta_hat(ctx, Q)
         snapped = _snap(ctx, value)
         info = store.classes[cid]
         if abs(snapped) != info.theta_abs:
@@ -237,24 +244,26 @@ def l_value_paths(ctx, store):
     direct     = 2 pi / (omega_N sqrt(N)) * sum_Q theta(Q tau) / psi_denom
     structured = 2 pi eta_factor / (omega_N sqrt(N)) * sum_[R] theta * h_eps
 
+    Both use the theta series of one pass over the level's forms, the one
+    that classify snaps to integers.
+
     Both values are complex in general: the conductor of psi_N is one prime
     over N, not Galois-stable, so the functional equation only makes
     L^2 * conj(i*pi/|pi|) real, with pi a generator of ctx.level_ideal.
     """
     if ctx.h > 1:
         raise UnsupportedError("central values are computed only for h(D) = 1")
-    pt = heegner_point(ctx, ctx.class_rep)
-    denom = psi_denominator(ctx)
+    thetas = level_thetas(ctx, reduced_forms(-ctx.N))
     total = BigComplex.make(0, 0, ctx.prec)
-    for Q in reduced_forms(-ctx.N):
-        total = total + theta_form(Q, pt, ctx.prec)
+    for raw in thetas.raw:
+        total = total + raw
     with mp.workdps(ctx.prec + GUARD_DIGITS):
         pref = BigComplex.make(2 * mpmath.pi / (OMEGA_N * mpmath.sqrt(ctx.N)), 0, ctx.prec)
-    direct = pref * total / denom
+    direct = pref * total / thetas.psi
 
-    _, rows = classify(ctx, store)
+    _, rows = classify(ctx, store, thetas)
     weighted = sum(row.abs_theta * row.h_eps for row in rows)
-    structured = pref * eta_norm_factor(ctx) * weighted
+    structured = pref * thetas.eta * weighted
     return direct, structured
 
 
@@ -353,28 +362,32 @@ def _oracle_exact(D, N, X, b1):
 
 @dataclass(frozen=True)
 class TableResult:
-    store: ClassStore
     rows: tuple
     failures: tuple
 
 
-def make_table(D, n_max, prec=80, tau_ideal="nbar", eta_convention="sec6", store=None):
+def make_table(D, n_max, prec=80, tau_ideal="nbar", eta_convention="sec6", store=None, level_rows=None):
     """Rows for every admissible level up to n_max; failures are collected.
 
-    The class store is discovered first (scanning as far as the mass
-    identity requires, independently of n_max).
+    level_rows maps a level's HeckeContext to that level's rows.  By default
+    it classifies against store, which is discovered first when not given
+    (scanning as far as the mass identity requires, independently of n_max).
+    A SplitCMError at one level is recorded as (N, message) in failures and
+    the other levels still run; any other exception propagates.
     """
-    if store is None:
-        store = discover_classes(D, prec=prec, tau_ideal=tau_ideal, eta_convention=eta_convention)
+    if level_rows is None:
+        if store is None:
+            store = discover_classes(D, prec=prec, tau_ideal=tau_ideal, eta_convention=eta_convention)
+
+        def level_rows(ctx):
+            return classify(ctx, store)[1]
+
     rows = []
     failures = []
     for N in admissible_levels(D, n_max):
         try:
-            ctx = HeckeContext(
-                D, N, prec=prec, tau_ideal=tau_ideal, eta_convention=eta_convention
-            )
-            _, level_rows = classify(ctx, store)
-            rows.extend(level_rows)
-        except Exception as exc:  # noqa: BLE001 - per-level isolation is the contract
+            ctx = HeckeContext(D, N, prec=prec, tau_ideal=tau_ideal, eta_convention=eta_convention)
+            rows.extend(level_rows(ctx))
+        except SplitCMError as exc:
             failures.append((N, "%s: %s" % (type(exc).__name__, exc)))
-    return TableResult(store=store, rows=tuple(rows), failures=tuple(failures))
+    return TableResult(rows=tuple(rows), failures=tuple(failures))

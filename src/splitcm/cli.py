@@ -25,10 +25,10 @@ import mpmath
 from .central import (
     ClassRow,
     ThetaRecord,
-    admissible_levels,
     classify,
     discover_classes,
     l_value,
+    make_table,
     oracle_l_value,
 )
 from .errors import (
@@ -60,13 +60,6 @@ class RunConfig:
     b1: int = None
     cutoff: float = 1.0e5
     method: str = "fast"
-
-
-@dataclass(frozen=True)
-class CacheEntry:
-    key: str
-    value: dict
-    version: int = CACHE_SCHEMA
 
 
 def build_parser():
@@ -155,12 +148,6 @@ def cache_write(path, key, value):
             fcntl.flock(lock, fcntl.LOCK_UN)
 
 
-def cache_roundtrip(path, entry):
-    """Write an entry and read it straight back (identity on valid paths)."""
-    cache_write(path, entry.key, entry.value)
-    return CacheEntry(key=entry.key, value=cache_read(path, entry.key), version=CACHE_SCHEMA)
-
-
 def _serialize_result(records, rows, prec, seconds):
     return {
         "records": [
@@ -174,10 +161,7 @@ def _serialize_result(records, rows, prec, seconds):
             }
             for r in records
         ],
-        "rows": [
-            {"N": w.N, "abs_theta": w.abs_theta, "count": w.count, "h_eps": w.h_eps, "h_r": w.h_r}
-            for w in rows
-        ],
+        "rows": [dataclasses.asdict(w) for w in rows],
         "timings": {"seconds": round(seconds, 3)},
     }
 
@@ -218,14 +202,16 @@ def _records_rows(cfg, ctx, store_box):
         if payload is not None:
             return _deserialize_result(payload, ctx.prec)
     if store_box.get("store") is None:
-        store_box["store"] = discover_classes(
-            ctx.D, prec=ctx.prec, tau_ideal=ctx.tau_ideal, eta_convention=ctx.eta_convention
-        )
+        store_box["store"] = _discover(ctx)
     start = time.monotonic()
     records, rows = classify(ctx, store_box["store"])
     if cfg.cache_path:
         cache_write(cfg.cache_path, key, _serialize_result(records, rows, ctx.prec, time.monotonic() - start))
     return records, rows
+
+
+def _discover(ctx):
+    return discover_classes(ctx.D, prec=ctx.prec, tau_ideal=ctx.tau_ideal, eta_convention=ctx.eta_convention)
 
 
 def _csv_rows(rows):
@@ -238,6 +224,13 @@ def _json_text(obj):
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
+def _level_json(cfg, ctx, **fields):
+    """The JSON document of a one-level command (classify, lvalue)."""
+    conventions = {"tau_ideal": ctx.tau_ideal, "eta_convention": ctx.eta_convention, "b1": ctx.b1}
+    return _json_text(dict(schema=CACHE_SCHEMA, command=cfg.command, disc=cfg.disc, level=cfg.level,
+                           precision=cfg.prec, conventions=conventions, **fields))
+
+
 def _row_obj(w):
     return {"N": w.N, "abs_theta": w.abs_theta, "count": w.count, "h_eps": w.h_eps, "h_R": w.h_r}
 
@@ -246,16 +239,11 @@ def _cmd_table(cfg):
     if cfg.nmax is None or cfg.nmax < 11:
         raise InputError("table needs --nmax of at least 11")
     store_box = {}
-    rows = []
-    failures = []
-    for N in admissible_levels(cfg.disc, cfg.nmax):
-        try:
-            ctx = _context(cfg, N)
-            _, level_rows = _records_rows(cfg, ctx, store_box)
-            rows.extend(level_rows)
-        except SplitCMError as exc:
-            failures.append((N, "%s: %s" % (type(exc).__name__, exc)))
-            _warn("level %d failed: %s" % (N, exc))
+    result = make_table(cfg.disc, cfg.nmax, prec=cfg.prec, tau_ideal=cfg.tau_ideal,
+                        eta_convention=cfg.eta_convention,
+                        level_rows=lambda ctx: _records_rows(cfg, ctx, store_box)[1])
+    for N, message in result.failures:
+        _warn("level %d failed: %s" % (N, message))
     if cfg.out_format == "json":
         return _json_text(
             {
@@ -265,69 +253,37 @@ def _cmd_table(cfg):
                 "nmax": cfg.nmax,
                 "precision": cfg.prec,
                 "conventions": {"tau_ideal": cfg.tau_ideal, "eta_convention": cfg.eta_convention},
-                "rows": [_row_obj(w) for w in rows],
-                "failures": [{"N": n, "message": msg} for n, msg in failures],
+                "rows": [_row_obj(w) for w in result.rows],
+                "failures": [{"N": n, "message": msg} for n, msg in result.failures],
             }
         )
-    return _csv_rows(rows)
+    return _csv_rows(result.rows)
 
 
 def _cmd_classify(cfg):
     ctx = _context(cfg, cfg.level)
     records, rows = _records_rows(cfg, ctx, {})
     if cfg.out_format == "json":
-        return _json_text(
-            {
-                "schema": CACHE_SCHEMA,
-                "command": "classify",
-                "disc": cfg.disc,
-                "level": cfg.level,
-                "precision": cfg.prec,
-                "conventions": {
-                    "tau_ideal": ctx.tau_ideal,
-                    "eta_convention": ctx.eta_convention,
-                    "b1": ctx.b1,
-                },
-                "classes": [_row_obj(w) for w in rows],
-                "records": [
-                    {
-                        "form": [r.form.a, r.form.b, r.form.c],
-                        "theta": r.snapped_integer,
-                        "class_id": r.class_id,
-                        "eps": r.eps,
-                    }
-                    for r in records
-                ],
-            }
+        return _level_json(
+            cfg,
+            ctx,
+            classes=[_row_obj(w) for w in rows],
+            records=[
+                {"form": [r.form.a, r.form.b, r.form.c], "theta": r.snapped_integer,
+                 "class_id": r.class_id, "eps": r.eps}
+                for r in records
+            ],
         )
     return _csv_rows(rows)
 
 
 def _cmd_lvalue(cfg):
     ctx = _context(cfg, cfg.level)
-    store = discover_classes(
-        ctx.D, prec=ctx.prec, tau_ideal=ctx.tau_ideal, eta_convention=ctx.eta_convention
-    )
-    value = l_value(ctx, store)
+    value = l_value(ctx, _discover(ctx))
     re_s = mpmath.nstr(value.re, cfg.prec)
     im_s = mpmath.nstr(value.im, cfg.prec)
     if cfg.out_format == "json":
-        return _json_text(
-            {
-                "schema": CACHE_SCHEMA,
-                "command": "lvalue",
-                "disc": cfg.disc,
-                "level": cfg.level,
-                "precision": cfg.prec,
-                "conventions": {
-                    "tau_ideal": ctx.tau_ideal,
-                    "eta_convention": ctx.eta_convention,
-                    "b1": ctx.b1,
-                },
-                "re": re_s,
-                "im": im_s,
-            }
-        )
+        return _level_json(cfg, ctx, re=re_s, im=im_s)
     return "re,im\n%s,%s\n" % (re_s, im_s)
 
 

@@ -23,7 +23,6 @@ from .quadratic import (
     QuadIdeal,
     class_number,
     prime_ideal_above,
-    smallest_odd_root,
     unit_ideal,
     validate_disc,
 )
@@ -44,14 +43,6 @@ class KElem:
         validate_disc(self.D)
         if (self.p - self.q * self.D) % 2 != 0:
             raise InputError("(%d + %d*sqrt(D))/2 is not integral" % (self.p, self.q))
-
-    @classmethod
-    def from_parts(cls, x, y, D):
-        """Build x + y*sqrt(D) from rationals; errors if not in O_K."""
-        p, q = Fraction(x) * 2, Fraction(y) * 2
-        if p.denominator != 1 or q.denominator != 1:
-            raise InputError("%s + %s*sqrt(D) is not an algebraic integer" % (x, y))
-        return cls(int(p), int(q), D)
 
     @property
     def x(self):

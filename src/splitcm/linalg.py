@@ -5,6 +5,7 @@ row-major; lattice bases are given as rows. No floating point anywhere.
 """
 
 from fractions import Fraction
+from math import gcd
 
 
 def hnf_rows(rows):
@@ -106,16 +107,10 @@ def rational_hnf(rows):
     den = 1
     for r in rows:
         for x in r:
-            den = den * x.denominator // _gcd(den, x.denominator)
+            den = den * x.denominator // gcd(den, x.denominator)
     scaled = [[int(x * den) for x in r] for r in rows]
     h = hnf_rows(scaled)
     return [[Fraction(x, den) for x in r] for r in h]
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 def lll_reduce_gram(gram, delta=Fraction(3, 4)):

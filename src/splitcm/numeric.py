@@ -84,12 +84,6 @@ class BigComplex:
     def __rtruediv__(self, other):
         return self._binary(other, lambda a, b: b / a)
 
-    def __neg__(self):
-        return BigComplex(-self.re, -self.im, self.prec)
-
-    def conjugate(self):
-        return BigComplex(self.re, -self.im, self.prec)
-
     def abs_value(self):
         with mp.workdps(self.prec + GUARD_DIGITS):
             return abs(self.to_mpc())

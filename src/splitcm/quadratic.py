@@ -214,18 +214,6 @@ def prime_ideal_above(D, N):
     return QuadIdeal(N, smallest_odd_root(D, N), D)
 
 
-def class_rep_coprime(d, N):
-    """A reduced-form class representative list with norms coprime to N."""
-    reps = []
-    for f in reduced_forms(d):
-        if gcd(f.a, N) == 1:
-            reps.append(ideal_of_form(f))
-        else:
-            # prime N exceeds every reduced a in the supported range
-            raise InternalError("no coprime representative for %s mod %d" % (f, N))
-    return reps
-
-
 @dataclass(frozen=True)
 class HeegnerPoint:
     """The point tau = (-b + sqrt(D))/(2*a1*N) with b^2 = D mod 4*a1*N."""

@@ -278,19 +278,6 @@ def right_order(I):
     return Order(QuatLattice.from_rows(I.alg, cur))
 
 
-def left_order(I):
-    rows = [list(r) for r in I.hnf]
-    pieces = []
-    for g in I.basis():
-        rm = g.inverse().right_matrix()
-        rmt = [[rm[j][i] for j in range(4)] for i in range(4)]
-        pieces.append(mat_mul(rows, rmt))
-    cur = pieces[0]
-    for nxt in pieces[1:]:
-        cur = lattice_intersection(cur, nxt)
-    return Order(QuatLattice.from_rows(I.alg, cur))
-
-
 @dataclass(frozen=True)
 class Order:
     lattice: QuatLattice
@@ -328,13 +315,6 @@ def order_discriminant(O):
 
 def is_maximal(O):
     return order_discriminant(O) == O.alg.D * O.alg.D
-
-
-def conjugate_order(O, x):
-    """x^(-1) O x for an invertible element x."""
-    xin = x.inverse()
-    bas = [xin * b * x for b in O.lattice.basis()]
-    return Order(QuatLattice.from_elems(bas))
 
 
 def _ldl(gram):

@@ -246,6 +246,32 @@ def eta_norm_factor(ctx):
         return BigComplex.from_mpc(value, prec)
 
 
+@dataclass(frozen=True)
+class LevelThetas:
+    """One level's theta series at its class point, and their normalization.
+
+    raw[i] is theta_form of forms[i]; eta = eta_norm_factor and
+    psi = psi_denominator depend only on the level, so they are computed
+    once for all forms.  The normalized value of a form is raw / (eta * psi).
+    """
+
+    forms: tuple
+    raw: tuple
+    eta: BigComplex
+    psi: BigComplex
+
+    def normalized(self):
+        norm = self.eta * self.psi
+        return [value / norm for value in self.raw]
+
+
+def level_thetas(ctx, forms):
+    """LevelThetas of forms of discriminant -N at the context's class point."""
+    pt = heegner_point(ctx, ctx.class_rep)
+    raw = tuple(theta_form(Q, pt, ctx.prec) for Q in forms)
+    return LevelThetas(tuple(forms), raw, eta_norm_factor(ctx), psi_denominator(ctx))
+
+
 def theta_hat(ctx, Q):
     """Normalized theta value of the form Q at the context's class point.
 
@@ -254,6 +280,4 @@ def theta_hat(ctx, Q):
     """
     if Q.disc != -ctx.N:
         raise InputError("form discriminant %d is not -N = %d" % (Q.disc, -ctx.N))
-    pt = heegner_point(ctx, ctx.class_rep)
-    raw = theta_form(Q, pt, ctx.prec)
-    return raw / (eta_norm_factor(ctx) * psi_denominator(ctx))
+    return level_thetas(ctx, (Q,)).normalized()[0]

@@ -1,11 +1,12 @@
 """Session wiring: collect acceptance verdict lines and echo them at the end.
 
 pytest captures stdout of passing tests, which would hide the per-criterion
-PASS lines from test_acceptance.  The tests append their verdicts here and a
-terminal-summary hook prints the whole scoreboard after the run.
+PASS lines from test_acceptance.  The tests append their verdicts to
+scoreboard.CRITERION_LINES and a terminal-summary hook prints the whole
+scoreboard after the run.
 """
 
-CRITERION_LINES = []
+from scoreboard import CRITERION_LINES
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -12,8 +12,8 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from conftest import CRITERION_LINES
 from mpmath import mpf
+from scoreboard import CRITERION_LINES
 
 from splitcm.central import (
     admissible_levels,

@@ -9,7 +9,6 @@ from splitcm.arith import (
     is_prime,
     jacobi,
     smallest_prime_factors,
-    sqrt_ceil,
     sqrts_mod,
 )
 
@@ -45,12 +44,6 @@ def test_jacobi_euler_criterion():
 def test_jacobi_multiplicative(a, b):
     n = 3 * 5 * 7 * 11
     assert jacobi(a * b % n, n) == jacobi(a % n, n) * jacobi(b % n, n)
-
-
-def test_sqrt_ceil():
-    for n in range(0, 2000):
-        s = sqrt_ceil(n)
-        assert s * s >= n and (s == 0 or (s - 1) * (s - 1) < n)
 
 
 def test_smallest_prime_factors():

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mpf
 
+from splitcm import central
 from splitcm.central import (
     ClassRow,
     admissible_levels,
@@ -168,3 +169,23 @@ def test_make_table_small(store7):
         ClassRow(N=23, abs_theta=1, count=3, h_eps=-1, h_r=6),
         ClassRow(N=43, abs_theta=1, count=1, h_eps=1, h_r=2),
     ]
+
+
+def test_make_table_records_split_cm_errors_per_level(store7):
+    def level_rows(ctx):
+        if ctx.N == 23:
+            raise ConventionError("theta is not an integer")
+        return classify(ctx, store7)[1]
+
+    result = make_table(-7, 50, prec=60, level_rows=level_rows)
+    assert result.failures == ((23, "ConventionError: theta is not an integer"),)
+    assert [row.N for row in result.rows] == [11, 43]
+
+
+def test_make_table_propagates_other_errors(store7, monkeypatch):
+    def broken(ctx, store):
+        raise TypeError("broken classify")
+
+    monkeypatch.setattr(central, "classify", broken)
+    with pytest.raises(TypeError):
+        make_table(-7, 50, prec=60, store=store7)

@@ -4,14 +4,12 @@ import json
 
 import pytest
 
+from splitcm import cli
 from splitcm.cli import (
     CACHE_ENV,
     CACHE_SCHEMA,
-    CacheEntry,
     cache_key,
     cache_read,
-    cache_roundtrip,
-    cache_write,
     exit_code_for,
     main,
     run,
@@ -120,6 +118,47 @@ def test_sec7_gets_internal_exit_code(capsys):
     assert err["error"]["type"] == "ConventionError"
 
 
+def test_table_level_failure_is_isolated(monkeypatch, capsys):
+    classify = cli.classify
+
+    def fails_at_23(ctx, store):
+        if ctx.N == 23:
+            raise ConventionError("theta is not an integer")
+        return classify(ctx, store)
+
+    monkeypatch.setattr(cli, "classify", fails_at_23)
+    code, text = run(["table", "--disc", "-7", "--nmax", "50", "--prec", "50", "--out", "json"])
+    assert code == 0
+    obj = json.loads(text)
+    assert [row["N"] for row in obj["rows"]] == [11, 43]
+    assert obj["failures"] == [{"N": 23, "message": "ConventionError: theta is not an integer"}]
+    warnings = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+    assert warnings == [{"warning": "level 23 failed: ConventionError: theta is not an integer"}]
+
+
+def test_table_propagates_programming_errors(monkeypatch):
+    def broken(ctx, store):
+        raise TypeError("broken classify")
+
+    monkeypatch.setattr(cli, "classify", broken)
+    with pytest.raises(TypeError):
+        run(["table", "--disc", "-7", "--nmax", "30", "--prec", "50"])
+
+
+def test_table_warm_cache_skips_discovery(tmp_path, monkeypatch):
+    argv = ["table", "--disc", "-7", "--nmax", "50", "--prec", "50", "--cache", str(tmp_path / "t.json")]
+    code, cold = run(argv)
+
+    def no_discovery(*args, **kwargs):
+        raise AssertionError("the warm run discovered the class store")
+
+    monkeypatch.setattr(cli, "discover_classes", no_discovery)
+    code_warm, warm = run(argv)
+    assert code == code_warm == 0
+    assert warm.encode() == cold.encode()
+    assert cold.splitlines()[1:] == ["11,1,1,-1,2", "23,1,3,-1,6", "43,1,1,1,2"]
+
+
 def test_nmax_guard():
     code, _ = run(["table", "--disc", "-7", "--nmax", "7"])
     assert code == 2
@@ -141,14 +180,6 @@ def test_exit_code_mapping():
     assert exit_code_for(ValueError("x")) == 1
 
 
-def test_cache_roundtrip(tmp_path):
-    path = str(tmp_path / "cache.json")
-    entry = CacheEntry(key=cache_key(-7, 11, 9, 50, "nbar", "sec6"), value={"rows": [1, 2]})
-    back = cache_roundtrip(path, entry)
-    assert back == entry
-    assert cache_read(path, "missing") is None
-
-
 def test_cache_cold_warm_identical(tmp_path):
     path = str(tmp_path / "cache.json")
     argv = ["classify", "--disc", "-7", "--level", "11", "--prec", "50", "--cache", path]
@@ -159,6 +190,7 @@ def test_cache_cold_warm_identical(tmp_path):
     data = json.loads(open(path).read())
     assert data["version"] == CACHE_SCHEMA
     assert list(data["entries"]) == [cache_key(-7, 11, 9, 50, "nbar", "sec6")]
+    assert cache_read(path, "missing") is None
 
 
 def test_cache_keys_isolate_precision_and_conventions(tmp_path):

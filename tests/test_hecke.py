@@ -36,9 +36,6 @@ def test_kelem_integrality():
         KElem(1, 2, -7)
     KElem(1, 1, -7)
     KElem(2, 0, -7)
-    assert KElem.from_parts(1, 1, -7) == KElem(2, 2, -7)
-    with pytest.raises(InputError):
-        KElem.from_parts(1, 0.5, -7)
 
 
 @given(kelem(-7), kelem(-7))
