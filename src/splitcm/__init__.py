@@ -73,7 +73,6 @@ from .theta import (
     siegel_theta,
     symplectic_theta_splitcm,
     theta_form,
-    theta_hat,
 )
 
 __version__ = "0.1.0"
@@ -131,6 +130,5 @@ __all__ = [
     "siegel_theta",
     "symplectic_theta_splitcm",
     "theta_form",
-    "theta_hat",
     "unit_count",
 ]

@@ -50,7 +50,7 @@ from .quaternion import (
     right_order,
     unit_count,
 )
-from .theta import level_thetas, theta_hat
+from .theta import level_thetas
 
 OMEGA_N = 2
 DISCOVERY_CAP = 1000
@@ -157,17 +157,20 @@ def discover_classes(D, levels=None, prec=80, tau_ideal="nbar", eta_convention="
     last = scan[-1] if scan else 0
     for N in scan:
         ctx = HeckeContext(D, N, prec=prec, tau_ideal=tau_ideal, eta_convention=eta_convention)
+        new = []  # (form, order) of each class first seen at this level
         for Q in reduced_forms(-N):
             order = _maximal_order(ctx, Q)
-            if any(orders_isometric(order, info.order) for info in classes):
-                continue
-            theta_abs = abs(_snap(ctx, theta_hat(ctx, Q)))
+            known = [info.order for info in classes] + [o for _, o in new]
+            if not any(orders_isometric(order, other) for other in known):
+                new.append((Q, order))
+        values = level_thetas(ctx, [Q for Q, _ in new]).normalized() if new else []
+        for (Q, order), value in zip(new, values):
             classes.append(
                 ClassInfo(
                     class_id=len(classes),
                     order=order,
                     omega=unit_count(order),
-                    theta_abs=theta_abs,
+                    theta_abs=abs(_snap(ctx, value)),
                     witness_level=N,
                     witness_form=Q,
                 )

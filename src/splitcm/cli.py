@@ -7,8 +7,9 @@ consistency failures.
 
 Expensive per-level results (theta records and class rows) can be cached in
 a JSON file named by --cache or the SPLITCM_CACHE environment variable.
-Entries are keyed by discriminant, level, root b1, precision, and both
-convention flags, so a cached value is never served across conventions.
+Entries are keyed by the package version, discriminant, level, root b1,
+precision, and both convention flags, so a cached value is never served
+across conventions or by a release other than the one that computed it.
 """
 
 import argparse
@@ -22,6 +23,7 @@ from dataclasses import dataclass
 
 import mpmath
 
+from . import __version__
 from .central import (
     ClassRow,
     ThetaRecord,
@@ -109,7 +111,7 @@ def config_from_args(args):
 
 
 def cache_key(disc, level, b1, prec, tau_ideal, eta_convention):
-    return "d%d.n%d.b%d.p%d.%s.%s" % (disc, level, b1, prec, tau_ideal, eta_convention)
+    return "v%s.d%d.n%d.b%d.p%d.%s.%s" % (__version__, disc, level, b1, prec, tau_ideal, eta_convention)
 
 
 def _fresh_cache():

@@ -11,6 +11,7 @@ All complex embeddings use sqrt(D) = +i*sqrt(|D|).
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, isqrt
 
 import mpmath
@@ -22,6 +23,7 @@ from .numeric import GUARD_DIGITS, BigComplex
 from .quadratic import (
     QuadIdeal,
     class_number,
+    heegner_point,
     prime_ideal_above,
     unit_ideal,
     validate_disc,
@@ -147,6 +149,11 @@ class HeckeContext:
     @property
     def level_ideal(self):
         return QuadIdeal(self.N, self.b1, self.D)
+
+    @cached_property
+    def class_point(self):
+        """The level's Heegner point of class_rep: every form is evaluated here."""
+        return heegner_point(self, self.class_rep)
 
     @property
     def char_root(self):

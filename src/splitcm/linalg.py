@@ -118,44 +118,48 @@ def lll_reduce_gram(gram, delta=Fraction(3, 4)):
 
     Returns (reduced_gram, U) with U * gram * U^T = reduced_gram and U
     unimodular.  Sizes here are tiny (rank <= 4), so Gram-Schmidt data is
-    recomputed after every change instead of updated incrementally.
+    recomputed after every change instead of updated incrementally; the
+    Gram matrix itself follows each basis change by row and column
+    operations.
     """
     n = len(gram)
-    g0 = [[Fraction(x) for x in row] for row in gram]
-    U = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    g = [list(row) for row in gram]
+    U = [[int(i == j) for j in range(n)] for i in range(n)]
 
-    def current():
-        return mat_mul(mat_mul(U, g0), [[U[j][i] for j in range(n)] for i in range(n)])
-
-    def gs(g):
+    def gs():
         mu = [[Fraction(0)] * n for _ in range(n)]
         B = [Fraction(0)] * n
         for i in range(n):
             for j in range(i):
-                s = g[i][j] - sum(mu[j][k] * mu[i][k] * B[k] for k in range(j))
+                s = Fraction(g[i][j]) - sum(mu[j][k] * mu[i][k] * B[k] for k in range(j))
                 mu[i][j] = s / B[j]
-            B[i] = g[i][i] - sum(mu[i][k] ** 2 * B[k] for k in range(i))
+            B[i] = Fraction(g[i][i]) - sum(mu[i][k] ** 2 * B[k] for k in range(i))
             if B[i] <= 0:
                 raise ValueError("Gram matrix is not positive definite")
         return mu, B
 
     k = 1
     while k < n:
-        g = current()
-        mu, B = gs(g)
+        mu, B = gs()
         for j in range(k - 1, -1, -1):
             q = (2 * mu[k][j].numerator + mu[k][j].denominator) // (2 * mu[k][j].denominator)
             if q:
+                # b_k -= q b_j
                 U[k] = [a - q * b for a, b in zip(U[k], U[j])]
-                g = current()
-                mu, B = gs(g)
+                for i in range(n):
+                    g[k][i] -= q * g[j][i]
+                for i in range(n):
+                    g[i][k] -= q * g[i][j]
+                mu, B = gs()
         if B[k] >= (delta - mu[k][k - 1] ** 2) * B[k - 1]:
             k += 1
         else:
             U[k], U[k - 1] = U[k - 1], U[k]
+            g[k], g[k - 1] = g[k - 1], g[k]
+            for row in g:
+                row[k], row[k - 1] = row[k - 1], row[k]
             k = max(k - 1, 1)
-    g = current()
-    return [[x for x in row] for row in g], [[int(x) for x in row] for row in U]
+    return g, U
 
 
 def dual_basis(rows):

@@ -10,13 +10,13 @@ basis rows in these coordinates, stored with a Hermite-form canonical
 basis.  The module provides the ideal attached to a split-CM point, right
 orders, discriminants, unit counts, the trace-zero Gross lattice with its
 embedding numbers, and isometry testing of orders via their norm Gram
-matrices.
+matrices and a per-order record of isometry invariants.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
-from math import gcd, isqrt
+from functools import cached_property, lru_cache
+from math import floor, gcd, isqrt, lcm
 
 from .errors import InputError, InternalError, ResourceError
 from .linalg import (
@@ -28,7 +28,8 @@ from .linalg import (
     mat_mul,
     rational_hnf,
 )
-from .quadratic import heegner_point
+
+INVARIANT_DEPTH = 12
 
 
 @dataclass(frozen=True)
@@ -240,7 +241,7 @@ def build_Iz(ctx, Q):
     """
     if Q.disc != -ctx.N:
         raise InputError("form discriminant %d is not -N = %d" % (Q.disc, -ctx.N))
-    pt = heegner_point(ctx, ctx.class_rep)
+    pt = ctx.class_point
     a1, b1p = pt.a1, pt.b
     alg = QuatAlgebra(ctx.D, ctx.N)
     a, b = Q.a, Q.b
@@ -305,6 +306,53 @@ class Order:
     def __hash__(self):
         return hash(self.lattice)
 
+    @cached_property
+    def invariants(self):
+        """This order's OrderInvariants, computed on first use and kept."""
+        gram = _reduced_gram(self.lattice.scaled_gram())
+        gross = gross_lattice(self)
+        return OrderInvariants(
+            disc=order_discriminant(self),
+            norm_counts=_norm_counts(gram),
+            gross_counts=_norm_counts(_reduced_gram(gross.gram)),
+            gram=gram,
+            gross=gross,
+        )
+
+
+@dataclass(frozen=True)
+class OrderInvariants:
+    """Isometry invariants of an order's norm lattice, and what they were read from.
+
+    Records compare on disc and the two histograms only; isometric orders
+    always have equal records.  norm_counts[n-1] is the number of order
+    elements of reduced norm n, gross_counts[n-1] the same for the Gross
+    lattice, n = 1..INVARIANT_DEPTH.  gram is the LLL-reduced integer norm
+    Gram that orders_isometric searches on; gross is the Gross lattice
+    that embedding_count reuses.
+    """
+
+    disc: int
+    norm_counts: tuple
+    gross_counts: tuple
+    gram: tuple = field(compare=False)
+    gross: "GrossLattice" = field(compare=False)
+
+
+def _reduced_gram(gram):
+    g, _ = lll_reduce_gram(gram)
+    return tuple(tuple(_as_int(x, "reduced Gram entry") for x in row) for row in g)
+
+
+def _norm_counts(gram):
+    """Counts of vectors with x G x^T / 2 = n, n = 1..INVARIANT_DEPTH, from one enumeration."""
+    counts = [0] * INVARIANT_DEPTH
+    for x in short_vectors(gram, 2 * INVARIANT_DEPTH):
+        q = _quadval(gram, x)
+        if q % 2 == 0:
+            counts[q // 2 - 1] += 2
+    return tuple(counts)
+
 
 def order_discriminant(O):
     """det of the trd(e_i conj(e_j)) Gram; equals (reduced discriminant)^2."""
@@ -318,7 +366,7 @@ def is_maximal(O):
 
 
 def _ldl(gram):
-    """Q(x) = sum_i diag[i] (x_i + sum_{k<i} L[i][k] x_k)^2, exact Fractions."""
+    """Q(x) = sum_i diag[i] (x_i + sum_{j>i} L[j][i] x_j)^2, exact Fractions."""
     n = len(gram)
     a = [[Fraction(x) for x in row] for row in gram]
     diag = [Fraction(0)] * n
@@ -340,25 +388,31 @@ def _ldl(gram):
 def short_vectors(gram, bound2):
     """All x in Z^n, x != 0, with x G x^T <= bound2, up to sign (one of x, -x).
 
-    Exact enumeration over the LDL cone; coordinates are filled from the
-    last index down, and the kept representative has its first nonzero
-    coordinate positive.
+    Exact enumeration over the LDL cone (Fincke-Pohst); coordinates are
+    filled from the last index down, and the kept representative has its
+    first nonzero coordinate positive.  The LDL data are scaled by the
+    common denominator s of its entries, so the arithmetic is on integers
+    and each level's range is exact: with t = s x_i + s off_i, the term
+    diag_i (x_i + off_i)^2 is (s diag_i) t^2 / s^3, and it fits in what
+    is left of bound2 (scaled by s^3, as rem) exactly when
+    |t| <= isqrt(rem // (s diag_i)).
     """
     n = len(gram)
+    if bound2 < 0:
+        return []
     diag, L = _ldl(gram)
+    s = lcm(*(x.denominator for x in diag), *(x.denominator for row in L for x in row))
+    d = [int(x * s) for x in diag]
+    Ls = [[int(x * s) for x in row] for row in L]
     out = []
     budget = [0]
     coords = [0] * n
 
     def rec(i, rem, partial):
         off = partial[i]
-        root = _frac_sqrt_floor(rem / diag[i])
-        lo = _frac_floor(-off - root) - 1
-        hi = _frac_ceil(-off + root) + 1
-        for xi in range(lo, hi + 1):
-            val = diag[i] * (xi + off) ** 2
-            if val > rem:
-                continue
+        r = isqrt(rem // d[i])
+        for xi in range(-((off + r) // s), (r - off) // s + 1):
+            t = xi * s + off
             budget[0] += 1
             if budget[0] > 4 * 10**6:
                 raise ResourceError("short-vector enumeration budget exceeded")
@@ -368,29 +422,12 @@ def short_vectors(gram, bound2):
                 if first > 0:
                     out.append(tuple(coords))
             else:
-                new_partial = [partial[k] + L[i][k] * xi for k in range(i)]
-                rec(i - 1, rem - val, new_partial)
+                new_partial = [partial[k] + Ls[i][k] * xi for k in range(i)]
+                rec(i - 1, rem - d[i] * t * t, new_partial)
         coords[i] = 0
 
-    rec(n - 1, Fraction(bound2), [Fraction(0)] * n)
+    rec(n - 1, floor(Fraction(bound2) * s**3), [0] * n)
     return out
-
-
-def _frac_sqrt_floor(x):
-    x = Fraction(x)
-    if x < 0:
-        return Fraction(0)
-    return Fraction(isqrt(x.numerator * x.denominator), x.denominator)
-
-
-def _frac_ceil(x):
-    x = Fraction(x)
-    return -((-x.numerator) // x.denominator)
-
-
-def _frac_floor(x):
-    x = Fraction(x)
-    return x.numerator // x.denominator
 
 
 def count_lattice_norm(gram, n):
@@ -410,8 +447,7 @@ def _quadval(gram, x):
 
 def unit_count(O):
     """omega = |O^x| / 2: count of norm-1 vectors over the sign pair."""
-    g = O.lattice.scaled_gram()
-    return count_lattice_norm(g, 1) // 2
+    return O.invariants.norm_counts[0] // 2
 
 
 @dataclass(frozen=True)
@@ -469,7 +505,7 @@ def embedding_count(O, N):
     """
     if N <= 3 or N % 4 != 3:
         raise InputError("level must be a prime 3 mod 4 greater than 3")
-    gl = gross_lattice(O)
+    gl = O.invariants.gross
     raw = count_lattice_norm(gl.gram, N)
     omega = unit_count(O)
     if raw % omega:
@@ -525,38 +561,22 @@ def _root_orbit_count(O, gl, N):
     return orbits
 
 
-def _norm_profile(O, depth=12):
-    g = O.lattice.scaled_gram()
-    return tuple(count_lattice_norm(g, n) for n in range(1, depth + 1))
-
-
-def _gross_profile(O, depth=12):
-    g = gross_lattice(O).gram
-    return tuple(count_lattice_norm(g, n) for n in range(1, depth + 1))
-
-
 def orders_isometric(O1, O2):
     """Whether the norm lattices (O, trd(x conj y)) are isometric over Z.
 
     Conjugate orders are always isometric; at this scale the converse is
     relied on for classification and is cross-checked globally by the mass
-    identity.  Invariant pre-filters (discriminant, unit count, small norm
-    counts of the order and its Gross lattice) cut off almost everything;
-    the remaining candidates get an exact backtracking search for U with
-    U G1 U^T = G2 on the LLL-reduced Gram matrices.
+    identity.  The two orders' cached invariant records are compared first
+    (discriminant and the norm-1..12 vector counts of the order and of its
+    Gross lattice, see OrderInvariants); different records settle the answer
+    as False.  Equal records never settle it alone: they go to an exact
+    backtracking search for U with U G1 U^T = G2 on the records' LLL-reduced
+    Gram matrices.
     """
-    if order_discriminant(O1) != order_discriminant(O2):
+    r1, r2 = O1.invariants, O2.invariants
+    if r1 != r2:
         return False
-    if unit_count(O1) != unit_count(O2):
-        return False
-    if _norm_profile(O1) != _norm_profile(O2):
-        return False
-    if _gross_profile(O1) != _gross_profile(O2):
-        return False
-    g1, _ = lll_reduce_gram(O1.lattice.scaled_gram())
-    g2, _ = lll_reduce_gram(O2.lattice.scaled_gram())
-    g1 = [[int(x) for x in row] for row in g1]
-    g2 = [[int(x) for x in row] for row in g2]
+    g1, g2 = r1.gram, r2.gram
     if g1 == g2:
         return True
     maxd = max(g1[i][i] for i in range(4))

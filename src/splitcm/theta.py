@@ -7,8 +7,8 @@ Two independent evaluation paths are kept on purpose:
 * siegel_theta sums exp(pi*i*x^t z x) over a 2d box using power tables.
 
 They must agree to working precision on every split-CM point; the
-normalized value theta_hat divides by the eta factor and the character of
-the conjugate class representative.
+normalized value (level_thetas) divides by the eta factor and the character
+of the conjugate class representative.
 
 Truncation policy: every series drops only terms whose rigorously bounded
 tail is below 10^(-prec-10).
@@ -23,7 +23,7 @@ from mpmath import mp, mpf
 from .errors import InputError, ResourceError, UnsupportedError
 from .hecke import psi_denominator
 from .numeric import GUARD_DIGITS, BigComplex
-from .quadratic import HeegnerPoint, QuadForm, QuadIdeal, heegner_point
+from .quadratic import HeegnerPoint, QuadForm, QuadIdeal
 
 MAX_TAIL_TERMS = 5 * 10**6
 
@@ -266,18 +266,14 @@ class LevelThetas:
 
 
 def level_thetas(ctx, forms):
-    """LevelThetas of forms of discriminant -N at the context's class point."""
-    pt = heegner_point(ctx, ctx.class_rep)
-    raw = tuple(theta_form(Q, pt, ctx.prec) for Q in forms)
-    return LevelThetas(tuple(forms), raw, eta_norm_factor(ctx), psi_denominator(ctx))
+    """LevelThetas of forms of discriminant -N at the context's class point.
 
-
-def theta_hat(ctx, Q):
-    """Normalized theta value of the form Q at the context's class point.
-
-    theta(Q tau) / (eta_norm_factor * psi_denominator); real and integral
-    when conventions are consistent.
+    The normalized values are real and integral when conventions are
+    consistent.
     """
-    if Q.disc != -ctx.N:
-        raise InputError("form discriminant %d is not -N = %d" % (Q.disc, -ctx.N))
-    return level_thetas(ctx, (Q,)).normalized()[0]
+    forms = tuple(forms)
+    for Q in forms:
+        if Q.disc != -ctx.N:
+            raise InputError("form discriminant %d is not -N = %d" % (Q.disc, -ctx.N))
+    raw = tuple(theta_form(Q, ctx.class_point, ctx.prec) for Q in forms)
+    return LevelThetas(forms, raw, eta_norm_factor(ctx), psi_denominator(ctx))

@@ -193,6 +193,25 @@ def test_cache_cold_warm_identical(tmp_path):
     assert cache_read(path, "missing") is None
 
 
+def test_cache_entry_of_another_version_is_recomputed(tmp_path, monkeypatch):
+    path = tmp_path / "cache.json"
+    argv = ["classify", "--disc", "-7", "--level", "11", "--prec", "50"]
+    _, cold = run(argv)
+    monkeypatch.setattr(cli, "__version__", "0.0.0")
+    run(argv + ["--cache", str(path)])
+    monkeypatch.undo()
+    # make the other release's entry wrong, so that serving it would show
+    data = json.loads(path.read_text(encoding="utf-8"))
+    (old_key,) = data["entries"]
+    data["entries"][old_key]["rows"][0]["h_eps"] = 99
+    path.write_text(json.dumps(data), encoding="utf-8")
+    code, text = run(argv + ["--cache", str(path)])
+    assert code == 0
+    assert text.encode() == cold.encode()
+    entries = json.loads(path.read_text(encoding="utf-8"))["entries"]
+    assert sorted(entries) == sorted([old_key, cache_key(-7, 11, 9, 50, "nbar", "sec6")])
+
+
 def test_cache_keys_isolate_precision_and_conventions(tmp_path):
     path = str(tmp_path / "cache.json")
     base = ["classify", "--disc", "-7", "--level", "11", "--cache", path]

@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from splitcm import quaternion
+from splitcm.central import discover_classes
 from splitcm.errors import InputError
 from splitcm.hecke import HeckeContext
-from splitcm.linalg import mat_det
+from splitcm.linalg import lll_reduce_gram, mat_det, mat_mul
 from splitcm.quadratic import reduced_forms
 from splitcm.quaternion import (
     Order,
@@ -149,12 +151,21 @@ def brute_norm_counts(gram, top):
 
 
 def test_short_vectors_brute_force():
-    for gram in ([[2, 1], [1, 2]], [[2, 0], [0, 4]], [[4, 1], [1, 6]]):
+    for gram in ([[2, 1], [1, 2]], [[2, 0], [0, 4]], [[4, 1], [1, 6]], [[8, -4, 1], [-4, 16, 3], [1, 3, 14]]):
         brute = brute_norm_counts(gram, 8)
         for n in range(1, 9):
             assert count_lattice_norm(gram, n) == brute[n], (gram, n)
         assert count_lattice_norm(gram, 0) == 1
         assert count_lattice_norm(gram, -3) == 0
+
+
+def test_lll_reduce_gram_is_an_exact_unimodular_change():
+    # the norm Gram of the maximal order at (D, N) = (-7, 11) on its HNF basis
+    gram = [[82, 56, 51, 112], [56, 42, 35, 77], [51, 35, 32, 70], [112, 77, 70, 154]]
+    reduced, U = lll_reduce_gram(gram)
+    assert mat_mul(mat_mul(U, gram), [list(r) for r in zip(*U)]) == reduced
+    assert abs(mat_det(U)) == 1
+    assert reduced == [[2, 0, -1, 0], [0, 2, 0, -1], [-1, 0, 4, 0], [0, -1, 0, 4]]
 
 
 def test_short_vectors_sign_representatives():
@@ -245,6 +256,39 @@ def test_isometry_invariant_under_conjugation():
     O = right_order(build_Iz(ctx, reduced_forms(-11)[0]))
     for x in (ALG.one + ALG.u, ALG.v, ALG.elem(1, 2, 0, 1), ALG.elem(3, 0, 1, 0)):
         assert orders_isometric(O, conjugate_order(O, x))
+
+
+def test_invariant_record_matches_norm_counts():
+    for D, N in [(-7, 11), (-7, 23), (-11, 23), (-11, 31)]:
+        ctx = HeckeContext(D, N, prec=50)
+        for Q in reduced_forms(-N):
+            O = right_order(build_Iz(ctx, Q))
+            record = O.invariants
+            assert record.disc == order_discriminant(O)
+            g = O.lattice.scaled_gram()
+            assert record.norm_counts == tuple(count_lattice_norm(g, n) for n in range(1, 13))
+            g = gross_lattice(O).gram
+            assert record.gross_counts == tuple(count_lattice_norm(g, n) for n in range(1, 13))
+
+
+def test_invariant_record_is_computed_once_per_order(monkeypatch):
+    store = discover_classes(-11, prec=50)
+    info = store.classes[-1]
+    ctx = HeckeContext(-11, info.witness_level, prec=50)
+    O = right_order(build_Iz(ctx, info.witness_form))
+    calls = []
+    real = quaternion.short_vectors
+
+    def counting(gram, bound2):
+        calls.append(bound2)
+        return real(gram, bound2)
+
+    monkeypatch.setattr(quaternion, "short_vectors", counting)
+    assert store.match(O) == info.class_id
+    assert len(calls) == 2  # one pass for the norm lattice, one for the Gross lattice
+    assert store.match(O) == info.class_id
+    assert unit_count(O) == info.omega
+    assert len(calls) == 2
 
 
 def test_pair_trd_is_symmetric_bilinear():

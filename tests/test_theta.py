@@ -15,11 +15,11 @@ from splitcm.theta import (
     dedekind_eta,
     eta_ideal,
     eta_norm_factor,
+    level_thetas,
     representation_counts,
     siegel_theta,
     symplectic_theta_splitcm,
     theta_form,
-    theta_hat,
 )
 
 upper_half = st.builds(
@@ -155,14 +155,14 @@ def test_eta_norm_factor_conventions_same_modulus():
 
 def test_theta_hat_known_integers():
     ctx = HeckeContext(-7, 11, prec=80)
-    v = theta_hat(ctx, QuadForm(1, 1, 3))
+    v = level_thetas(ctx, (QuadForm(1, 1, 3),)).normalized()[0]
     n, err = v.nearest_int()
     assert n == -1 and err < mpf(10) ** -60
 
     ctx = HeckeContext(-11, 23, prec=80)
     snapped = []
     for Q in reduced_forms(-23):
-        n, err = theta_hat(ctx, Q).nearest_int()
+        n, err = level_thetas(ctx, (Q,)).normalized()[0].nearest_int()
         assert err < mpf(10) ** -60
         snapped.append(n)
     assert sorted(abs(n) for n in snapped) == [0, 0, 2]
@@ -171,4 +171,4 @@ def test_theta_hat_known_integers():
 def test_theta_hat_rejects_wrong_disc():
     ctx = HeckeContext(-7, 11, prec=50)
     with pytest.raises(InputError):
-        theta_hat(ctx, QuadForm(1, 1, 2))
+        level_thetas(ctx, (QuadForm(1, 1, 2),))
