@@ -11,9 +11,10 @@ yields the central value L(psi_N, 1) as an explicit finite sum.
 Main entry points: `HeckeContext` fixes (D, N, precision, conventions);
 `classify` produces per-form theta integers and per-class table rows from
 one pass over the level's theta series; `l_value` the central value, whose
-two internal paths share that pass; `oracle_l_value` an independent
-smoothed Dirichlet-series evaluation; `make_table` the one loop over the
-levels of a table, with a per-level hook for callers that cache rows.
+two internal paths share that pass; `oracle_central_value` an independent
+evaluation, with its root number, from the functional equation alone;
+`make_table` the one loop over the levels of a table, with a per-level
+hook for callers that cache rows.
 """
 
 from .central import (
@@ -27,6 +28,7 @@ from .central import (
     l_value,
     l_value_paths,
     make_table,
+    oracle_central_value,
     oracle_l_value,
 )
 from .errors import (
@@ -39,7 +41,7 @@ from .errors import (
     SplitError,
     UnsupportedError,
 )
-from .hecke import HeckeContext, KElem, chi, enumerate_ideals, psi_ideal, psi_principal
+from .hecke import HeckeContext, KElem, chi, psi_ideal, psi_principal
 from .numeric import BigComplex
 from .quadratic import (
     HeegnerPoint,
@@ -109,7 +111,6 @@ __all__ = [
     "dedekind_eta",
     "discover_classes",
     "embedding_count",
-    "enumerate_ideals",
     "eta_norm_factor",
     "gross_lattice",
     "heegner_point",
@@ -118,6 +119,7 @@ __all__ = [
     "l_value",
     "l_value_paths",
     "make_table",
+    "oracle_central_value",
     "oracle_l_value",
     "order_discriminant",
     "orders_isometric",

@@ -8,18 +8,21 @@ class, and the signed count h_eps.  The central value is then
     L = 2 pi * eta_factor / (omega_N sqrt(N)) * sum_classes theta * h_eps
 
 which must match the direct unnormalized sum over forms; both paths are
-computed and compared.  A smoothed Dirichlet-series oracle evaluates the
-same L-value with no theta machinery at all.
+computed and compared.  An oracle evaluates the same L-value with no theta
+machinery at all: the smoothed functional equation of L(psi_N, s), summed
+over coefficients counted exactly in O_K, which also solves for the root
+number W and certifies |W| = 1.
 
 omega_N (units of the order of discriminant -N modulo sign) is 2 throughout
 because N > 4; levels are primes N = 3 mod 4 that split in Q(sqrt(D)).
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 
 import mpmath
-import numpy as np
 from mpmath import mp, mpf
 
 from .arith import is_prime, jacobi
@@ -29,17 +32,16 @@ from .errors import (
     InputError,
     InternalError,
     SplitCMError,
-    UnsupportedError,
 )
-from .hecke import HeckeContext, enumerate_ideals, psi_ideal
+from .hecke import HeckeContext
 from .numeric import GUARD_DIGITS, BigComplex
 from .quadratic import (
     QuadForm,
-    class_number,
     prime_ideal_above,
     reduced_forms,
     smallest_odd_root,
     validate_disc,
+    validate_field_disc,
 )
 from .quaternion import (
     Order,
@@ -54,6 +56,9 @@ from .theta import level_thetas
 
 OMEGA_N = 2
 DISCOVERY_CAP = 1000
+ORACLE_MIN_PREC = 20
+ORACLE_TAIL_DIGITS = 12  # the oracle's truncation error stays below 10^-(prec + 12)
+ORACLE_MARGIN_DIGITS = 3  # room for the error that solving for W adds
 
 
 @dataclass(frozen=True)
@@ -149,7 +154,7 @@ def discover_classes(D, levels=None, prec=80, tau_ideal="nbar", eta_convention="
     With an explicit level list only those levels are scanned; otherwise
     all admissible levels up to max_level.
     """
-    validate_disc(D)
+    validate_field_disc(D)
     target = Fraction(-D - 1, 24)
     classes = []
     mass = Fraction(0)
@@ -254,8 +259,6 @@ def l_value_paths(ctx, store):
     over N, not Galois-stable, so the functional equation only makes
     L^2 * conj(i*pi/|pi|) real, with pi a generator of ctx.level_ideal.
     """
-    if ctx.h > 1:
-        raise UnsupportedError("central values are computed only for h(D) = 1")
     thetas = level_thetas(ctx, reduced_forms(-ctx.N))
     total = BigComplex.make(0, 0, ctx.prec)
     for raw in thetas.raw:
@@ -284,83 +287,93 @@ def l_value(ctx, store):
     return structured
 
 
-def oracle_l_value(D, N, X=1.0e5, method="fast"):
-    """Smoothed Dirichlet-series evaluation of the same central value.
+def oracle_l_value(D, N):
+    """oracle_central_value(D, N) at 80 digits, as a Python complex."""
+    value, _ = oracle_central_value(D, N)
+    return complex(float(value.re), float(value.im))
 
-    Sums chi(alpha) alpha e^(-norm/X)/norm over ideals of norm up to 40X
-    (generators alpha up to sign, whence the final halving) with no theta
-    series, eta factors, or class data involved.  Float accuracy only;
-    intended as an independent cross-check.  method="exact" re-sums the
-    series over enumerated ideals with the character evaluated per ideal
-    (slow; use small X).
+
+def oracle_central_value(D, N, prec=80):
+    """L(psi_N, 1) and its root number W from the functional equation alone.
+
+    With c = 2 pi / sqrt(|D| N) and a_n = (1/2) sum over N(alpha) = n of
+    chi(alpha) alpha, for every t > 0 (Cohen, GTM 240, 10.3; Dokchitser,
+    Experiment. Math. 13, 2004)
+
+        L(psi_N, 1) = sum a_n/n e^(-c n t) + W sum conj(a_n)/n e^(-c n/t).
+
+    W is solved from t = 1 and t = 5/4, not assumed; |W| != 1 beyond
+    10^-(prec-15) raises ConventionError.  The a_n are exact, from this
+    function's own enumeration of alpha and residue character.  With each
+    truncated sum within T of its series, W = num/den is within
+    2T(1 + |W|)/|den| and L = S(1) + W conj(S(1)) within amp * T, where
+    amp = 2 + 5 |S(1)|/|den| for |W| = 1.  Returns (L, W) as BigComplex.
     """
-    validate_disc(D)
-    if class_number(D) != 1:
-        raise UnsupportedError("oracle needs h(D) = 1")
+    validate_field_disc(D)
+    if prec < ORACLE_MIN_PREC:
+        raise InputError("oracle precision must be at least %d digits" % ORACLE_MIN_PREC)
     prime_ideal_above(D, N)
     b1 = smallest_odd_root(D, N)
-    if method == "fast":
-        return _oracle_fast(D, N, X, b1)
-    if method == "exact":
-        return _oracle_exact(D, N, X, b1)
-    raise InputError("unknown oracle method %r" % (method,))
+    kappa = 1.6 * math.pi / math.sqrt(-D * N)  # e^(-4cn/5), conj(a_n) at t = 5/4, decays slowest
+    digits = prec + ORACLE_TAIL_DIGITS + ORACLE_MARGIN_DIGITS
+    while True:
+        # a_n sums psi over at most d(n) ideals with |psi| = sqrt(n), so |a_n|/n <= d(n)/sqrt(n) <= 2
+        # and each tail past n_max is at most 2 e^(-kappa (n_max + 1)) / (1 - e^(-kappa)) <= 10^-digits
+        n_max = math.ceil((digits * math.log(10) + math.log(2 / -math.expm1(-kappa))) / kappa)
+        # x^n by n products is off by at most n ulp: 2 len(str(n_max)) more digits absorb n_max^2
+        with mp.workdps(digits + GUARD_DIGITS + 2 * len(str(n_max))):
+            terms = [(p and mpf(p) / n, q and mpf(q) / n)
+                     for n, (p, q) in enumerate(_oracle_coefficients(D, N, b1, n_max), 1)]
+            c = 2 * mpmath.pi / mpmath.sqrt(-D * N)
+            s1 = _oracle_series(terms, D, c)
+            den = mpmath.conj(s1) - _oracle_series(terms, D, c * 4 / 5, conj=True)
+            root = (_oracle_series(terms, D, c * 5 / 4) - s1) / den
+            if abs(abs(root) - 1) > mpf(10) ** -(prec - 15):
+                raise ConventionError("oracle root number has |W| = %s, not 1" % mpmath.nstr(abs(root), 10))
+            value = s1 + root * mpmath.conj(s1)
+            amp = float(2 + 5 * abs(s1) / abs(den))
+        shortfall = prec + ORACLE_TAIL_DIGITS + math.log10(amp) - digits
+        if shortfall <= 0:
+            return BigComplex.from_mpc(value, prec), BigComplex.from_mpc(root, prec)
+        digits += math.ceil(shortfall) + ORACLE_MARGIN_DIGITS
 
 
-def _oracle_fast(D, N, X, b1):
-    c0 = (1 - D) // 4
-    B = 40.0 * X
-    mu_w = ((b1 - 1) // 2) % N
-    jt = np.array([jacobi(r, N) for r in range(N)], dtype=np.float64)
-    rt = np.sqrt(-D) / 2.0
-    total = 0.0 + 0.0j
-    m = 1
-    while m * m <= B:
-        chim = jt[m % N]
-        if chim:
-            layer = _primitive_layer(D, N, c0, mu_w, jt, rt, B / (m * m), m * m / X)
-            total += chim / m * layer
-        m += 1
-    return complex(total / 2.0)
+def _oracle_coefficients(D, N, b1, n_max):
+    """[(P_n, Q_n) for n = 1..n_max] with a_n = (P_n + Q_n sqrt(D))/2, exact.
+
+    Each alpha = (p + q sqrt(D))/2 (p = q mod 2) of norm <= n_max is taken
+    once up to sign, which absorbs the 1/2 of a_n: the units are +-1 and
+    chi(-1) = -1 for N = 3 mod 4.  chi is the Jacobi symbol mod N under
+    sqrt(D) -> b1.
+    """
+    chi = [jacobi(r, N) for r in range(N)]
+    inv2 = (N + 1) // 2
+    P = [0] * (n_max + 1)
+    Q = [0] * (n_max + 1)
+    for q in range(isqrt(4 * n_max // -D) + 1):
+        p_max = isqrt(4 * n_max + D * q * q)
+        p_min = -p_max if q else 1
+        for p in range(p_min + (p_min - q) % 2, p_max + 1, 2):
+            sign = chi[(p + q * b1) * inv2 % N]
+            if sign:
+                n = (p * p - D * q * q) >> 2
+                P[n] += sign * p
+                Q[n] += sign * q
+    return list(zip(P, Q))[1:]
 
 
-def _primitive_layer(D, N, c0, mu_w, jt, rt, Bm, scale):
-    out = 0.0 + 0.0j
-    if Bm < 1:
-        return out
-    vmax = int(np.sqrt(Bm / (c0 - 0.25)))
-    for v in range(-vmax, vmax + 1):
-        disc = v * v - 4.0 * (c0 * v * v - Bm)
-        if disc < 0:
-            continue
-        s = np.sqrt(disc)
-        u = np.arange(int(np.ceil((v - s) / 2)), int(np.floor((v + s) / 2)) + 1, dtype=np.int64)
-        n = u * u - u * v + c0 * v * v
-        keep = (n > 0) & (n <= Bm) & (np.gcd(np.abs(u), abs(v)) == 1)
-        if not keep.any():
-            continue
-        u = u[keep]
-        nf = n[keep].astype(np.float64)
-        ch = jt[(u + v * mu_w) % N]
-        w = ch * np.exp(-nf * scale) / nf
-        out += np.sum(w * (u - v / 2.0)) + 1j * rt * v * np.sum(w)
-    return out
-
-
-def _oracle_exact(D, N, X, b1):
-    ctx = HeckeContext(D, N, b1=b1, prec=30)
-    cap = int(40 * X)
-    total = 0.0 + 0.0j
-    for prim, m in enumerate_ideals(D, cap):
-        norm = m * m * prim.norm
-        chim = jacobi(m % N, N)
-        if chim == 0:
-            continue
-        val = psi_ideal(ctx, prim)
-        z = complex(float(val.re), float(val.im))
-        if z == 0:
-            continue
-        total += chim * m * z * np.exp(-norm / X) / norm
-    return complex(total)
+def _oracle_series(terms, D, k, conj=False):
+    """sum a_n/n e^(-kn), or of conj(a_n)/n, from terms [(P_n/n, Q_n/n)]: one exp, then powers."""
+    x = mpmath.exp(-k)
+    xn, re, im = mpf(1), mpf(0), mpf(0)
+    for p, q in terms:
+        xn *= x
+        if p:
+            re += p * xn
+        if q:
+            im += q * xn
+    im *= mpmath.sqrt(-D)
+    return mpmath.mpc(re, -im if conj else im) / 2
 
 
 @dataclass(frozen=True)
@@ -378,6 +391,7 @@ def make_table(D, n_max, prec=80, tau_ideal="nbar", eta_convention="sec6", store
     A SplitCMError at one level is recorded as (N, message) in failures and
     the other levels still run; any other exception propagates.
     """
+    validate_field_disc(D)
     if level_rows is None:
         if store is None:
             store = discover_classes(D, prec=prec, tau_ideal=tau_ideal, eta_convention=eta_convention)

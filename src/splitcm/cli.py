@@ -31,7 +31,7 @@ from .central import (
     discover_classes,
     l_value,
     make_table,
-    oracle_l_value,
+    oracle_central_value,
 )
 from .errors import (
     InputError,
@@ -60,8 +60,6 @@ class RunConfig:
     tau_ideal: str = "nbar"
     eta_convention: str = "sec6"
     b1: int = None
-    cutoff: float = 1.0e5
-    method: str = "fast"
 
 
 def build_parser():
@@ -95,17 +93,15 @@ def build_parser():
     p_classify.add_argument("--level", type=int, required=True)
     conventions(p_classify)
 
-    p_oracle = sub.add_parser("oracle", parents=[common], help="smoothed Dirichlet-series cross-check value")
+    p_oracle = sub.add_parser("oracle", parents=[common], help="L and its root number from the functional equation")
     p_oracle.add_argument("--level", type=int, required=True)
-    p_oracle.add_argument("--cutoff", type=float, default=1.0e5)
-    p_oracle.add_argument("--method", choices=("fast", "exact"), default="fast")
 
     return parser
 
 
 def config_from_args(args):
     fields = ("level", "nmax", "prec", "out_format", "cache_path", "tau_ideal",
-              "eta_convention", "b1", "cutoff", "method")
+              "eta_convention", "b1")
     kwargs = {name: getattr(args, name) for name in fields if getattr(args, name, None) is not None}
     return RunConfig(command=args.command, disc=args.disc, **kwargs)
 
@@ -290,26 +286,16 @@ def _cmd_lvalue(cfg):
 
 
 def _cmd_oracle(cfg):
-    if cfg.cutoff < 1.0e3:
-        raise InputError("oracle cutoff must be at least 10^3")
     try:
-        value = oracle_l_value(cfg.disc, cfg.level, X=cfg.cutoff, method=cfg.method)
+        value, root = oracle_central_value(cfg.disc, cfg.level, prec=cfg.prec)
     except SplitError as exc:
         raise SplitError("N must satisfy N = 3 mod 4 and split in O_K (%s)" % exc) from exc
+    parts = dict(zip(("re", "im", "w_re", "w_im"),
+                     (mpmath.nstr(x, cfg.prec) for x in (value.re, value.im, root.re, root.im))))
     if cfg.out_format == "json":
-        return _json_text(
-            {
-                "schema": CACHE_SCHEMA,
-                "command": "oracle",
-                "disc": cfg.disc,
-                "level": cfg.level,
-                "cutoff": cfg.cutoff,
-                "method": cfg.method,
-                "re": value.real,
-                "im": value.imag,
-            }
-        )
-    return "re,im\n%r,%r\n" % (value.real, value.imag)
+        return _json_text(dict(schema=CACHE_SCHEMA, command="oracle", disc=cfg.disc, level=cfg.level,
+                               precision=cfg.prec, **parts))
+    return "re,im,w_re,w_im\n%s\n" % ",".join(parts.values())
 
 
 def _warn(message):

@@ -17,16 +17,16 @@ from math import gcd, isqrt
 import mpmath
 from mpmath import mp, mpf
 
-from .arith import jacobi, smallest_prime_factors, sqrts_mod
-from .errors import InputError, InternalError, UnsupportedError
+from .arith import jacobi
+from .errors import InputError, InternalError
 from .numeric import GUARD_DIGITS, BigComplex
 from .quadratic import (
     QuadIdeal,
-    class_number,
     heegner_point,
     prime_ideal_above,
     unit_ideal,
     validate_disc,
+    validate_field_disc,
 )
 
 TAU_IDEAL_CHOICES = ("nbar", "n")
@@ -122,9 +122,10 @@ class HeckeContext:
     tau_ideal: str = "nbar"
     eta_convention: str = "sec6"
     class_rep: QuadIdeal = None
-    h: int = field(init=False, default=0)
+    h: int = field(init=False, default=1)  # validate_field_disc admits only h(D) = 1
 
     def __post_init__(self):
+        validate_field_disc(self.D)
         level = prime_ideal_above(self.D, self.N)
         if self.b1 is None:
             object.__setattr__(self, "b1", level.b % (2 * self.N))
@@ -144,7 +145,6 @@ class HeckeContext:
             raise InputError("class representative has wrong discriminant")
         if gcd(self.class_rep.norm, self.N) != 1:
             raise InputError("class representative norm is not coprime to N")
-        object.__setattr__(self, "h", class_number(self.D))
 
     @property
     def level_ideal(self):
@@ -205,10 +205,6 @@ def psi_ideal(ctx, a, root=None):
     force, one of the two primes over N; ideals divisible by the conjugate
     prime are coprime to the conductor and get nonzero values.
     """
-    if ctx.h > 1:
-        raise UnsupportedError(
-            "psi on non-principal ideals needs a choice among h(D) = %d extensions" % ctx.h
-        )
     if a.d != ctx.D:
         raise InputError("ideal has wrong discriminant")
     r = ctx.b1 if root is None else root
@@ -225,25 +221,3 @@ def psi_denominator(ctx):
     """
     return psi_ideal(ctx, ctx.class_rep.conjugate(), root=-ctx.char_root)
 
-
-def enumerate_ideals(D, max_norm):
-    """Yield (primitive ideal, content) for every ideal of norm <= max_norm.
-
-    The full ideal is content * primitive and has norm content^2 * a; each
-    ideal appears exactly once.  Order: by content, then norm, then b.
-    """
-    validate_disc(D)
-    if max_norm < 1:
-        return
-    spf = smallest_prime_factors(max_norm)
-    # b^2 = D mod 4a with b defined mod 2a; for odd D the mod-4 part is
-    # automatic, so solve mod 4a and fold the roots into (-a, a].
-    root_table = [None] * (max_norm + 1)
-    for m in range(1, isqrt(max_norm) + 1):
-        cap = max_norm // (m * m)
-        for a in range(1, cap + 1):
-            if root_table[a] is None:
-                folded = sorted({((r + a - 1) % (2 * a)) - a + 1 for r in sqrts_mod(D, 4 * a, spf)})
-                root_table[a] = tuple(folded)
-            for b in root_table[a]:
-                yield QuadIdeal(a, b, D), m

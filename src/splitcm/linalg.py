@@ -117,10 +117,9 @@ def lll_reduce_gram(gram, delta=Fraction(3, 4)):
     """LLL on a positive definite Gram matrix, fully exact.
 
     Returns (reduced_gram, U) with U * gram * U^T = reduced_gram and U
-    unimodular.  Sizes here are tiny (rank <= 4), so Gram-Schmidt data is
-    recomputed after every change instead of updated incrementally; the
-    Gram matrix itself follows each basis change by row and column
-    operations.
+    unimodular.  The Gram matrix follows each basis change by row and
+    column operations, and mu by the exact update of a size-reduction step;
+    Gram-Schmidt data are recomputed only after a swap.
     """
     n = len(gram)
     g = [list(row) for row in gram]
@@ -138,9 +137,9 @@ def lll_reduce_gram(gram, delta=Fraction(3, 4)):
                 raise ValueError("Gram matrix is not positive definite")
         return mu, B
 
+    mu, B = gs()
     k = 1
     while k < n:
-        mu, B = gs()
         for j in range(k - 1, -1, -1):
             q = (2 * mu[k][j].numerator + mu[k][j].denominator) // (2 * mu[k][j].denominator)
             if q:
@@ -150,7 +149,9 @@ def lll_reduce_gram(gram, delta=Fraction(3, 4)):
                     g[k][i] -= q * g[j][i]
                 for i in range(n):
                     g[i][k] -= q * g[i][j]
-                mu, B = gs()
+                for i in range(j):
+                    mu[k][i] -= q * mu[j][i]
+                mu[k][j] -= q
         if B[k] >= (delta - mu[k][k - 1] ** 2) * B[k - 1]:
             k += 1
         else:
@@ -158,6 +159,7 @@ def lll_reduce_gram(gram, delta=Fraction(3, 4)):
             g[k], g[k - 1] = g[k - 1], g[k]
             for row in g:
                 row[k], row[k - 1] = row[k - 1], row[k]
+            mu, B = gs()
             k = max(k - 1, 1)
     return g, U
 

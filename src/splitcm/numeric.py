@@ -42,7 +42,8 @@ class BigComplex:
             return cls(mpf(z.real), mpf(z.imag), prec)
 
     def to_mpc(self):
-        return mpmath.mpc(self.re, self.im)
+        with mp.workdps(self.prec + GUARD_DIGITS):
+            return mpmath.mpc(self.re, self.im)
 
     def _coerce(self, other):
         if isinstance(other, BigComplex):

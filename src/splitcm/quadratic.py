@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from math import gcd, isqrt
 
 from .arith import is_prime, jacobi
-from .errors import InputError, InternalError, SplitError
+from .errors import InputError, InternalError, SplitError, UnsupportedError
 from .linalg import hnf_rows
 
 
@@ -31,6 +31,23 @@ def validate_disc(d):
         raise InputError("d = %d is not 0 or 1 mod 4" % d)
     if d in (-3, -4):
         raise InputError("discriminants -3 and -4 (extra units) are not supported")
+
+
+def validate_field_disc(D):
+    """Admit only odd D with |D| prime and h(D) = 1, else UnsupportedError naming the cause.
+
+    For these D, O_K = Z[(1+sqrt(D))/2] has units +-1 and every ideal is principal.
+    """
+    validate_disc(D)
+    if D % 2 == 0:
+        cause = "D = %d is even" % D
+    elif not is_prime(-D):
+        cause = "|D| = %d is not prime" % -D
+    elif class_number(D) != 1:
+        cause = "h(D) = %d for D = %d" % (class_number(D), D)
+    else:
+        return
+    raise UnsupportedError(cause + "; supported D are odd with |D| prime and h(D) = 1")
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from math import isqrt
 import mpmath
 from mpmath import mp, mpf
 
-from .errors import InputError, ResourceError, UnsupportedError
+from .errors import InputError, ResourceError
 from .hecke import psi_denominator
 from .numeric import GUARD_DIGITS, BigComplex
 from .quadratic import HeegnerPoint, QuadForm, QuadIdeal
@@ -224,8 +224,6 @@ def eta_norm_factor(ctx):
     collapsed single-prefactor variant.  The two differ by a root of unity
     for some levels; "sec6" is what integer tables require.
     """
-    if ctx.h > 1:
-        raise UnsupportedError("eta normalization is only defined here for h(D) = 1")
     prec = ctx.prec
     level = ctx.level_ideal
     if ctx.tau_ideal == "nbar":

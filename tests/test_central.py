@@ -1,7 +1,8 @@
-"""Classification pipeline, central values, and the series oracle."""
+"""Classification pipeline, central values, and the functional-equation oracle."""
 
 from fractions import Fraction
 
+import mpmath
 import pytest
 from mpmath import mpf
 
@@ -14,6 +15,7 @@ from splitcm.central import (
     l_value,
     l_value_paths,
     make_table,
+    oracle_central_value,
     oracle_l_value,
 )
 from splitcm.errors import (
@@ -22,7 +24,7 @@ from splitcm.errors import (
     InputError,
     UnsupportedError,
 )
-from splitcm.hecke import HeckeContext
+from splitcm.hecke import HeckeContext, find_generator
 from splitcm.quadratic import reduced_forms
 from splitcm.quaternion import build_Iz, right_order
 
@@ -131,34 +133,83 @@ def test_l_value_unsupported_class_number():
         l_value_paths(HeckeContext(-15, 47, prec=40), None)
 
 
-def test_oracle_fast_matches_l_value():
-    for (D, N), want in [((-7, 11), L_7_11), ((-7, 23), L_7_23), ((-11, 23), L_11_23)]:
-        got = oracle_l_value(D, N, X=1.0e5)
-        assert abs(got - want) / abs(want) < 1e-9, (D, N)
+def _generator_phase(D, N, prec):
+    """i*pi/|pi| for pi a generator of the level ideal (N, b1), as an mpc."""
+    with mpmath.workdps(prec + 10):
+        pi = find_generator(HeckeContext(D, N).level_ideal).embed(prec).to_mpc()
+        return 1j * pi / abs(pi)
 
 
-def test_oracle_methods_agree():
-    # same smoothed series, two different enumeration programs
-    for (D, N) in [(-7, 11), (-11, 23)]:
-        fast = oracle_l_value(D, N, X=1.0e3, method="fast")
-        exact = oracle_l_value(D, N, X=1.0e3, method="exact")
-        assert abs(fast - exact) < 1e-10, (D, N)
+def test_oracle_fast_matches_l_value(store7, store11):
+    # at 100 digits, in milliseconds
+    for D, N, store in ((-7, 11, store7), (-7, 23, store7), (-11, 23, store11)):
+        want = l_value(HeckeContext(D, N, prec=100), store)
+        got, _ = oracle_central_value(D, N, prec=100)
+        assert got.distance(want) < mpf(10) ** -85, (D, N)
+
+
+def test_oracle_root_number_is_the_generator_phase():
+    # criterion 7 assumes W = +-i*pi/|pi|; the oracle solves for W instead, and
+    # certifies |W| = 1 also for D = -19 and -43, which have no class store yet
+    for D, N in ((-7, 11), (-7, 23), (-11, 23), (-19, 23), (-43, 47)):
+        _, root = oracle_central_value(D, N, prec=100)
+        phase = _generator_phase(D, N, 100)
+        with mpmath.workdps(110):
+            w = root.to_mpc()
+            assert min(abs(w - phase), abs(w + phase)) < mpf(10) ** -85, (D, N)
 
 
 def test_oracle_stabilizes_in_cutoff():
-    vals = [oracle_l_value(-7, 11, X=x) for x in (2.5e3, 1.0e4, 4.0e4)]
-    d1 = abs(vals[1] - vals[0])
-    d2 = abs(vals[2] - vals[1])
-    assert d2 <= d1 or d2 < 1e-12
+    # the cutoff follows from prec: p + 20 digits sum further and must agree to 10^-p
+    for D, N in ((-7, 11), (-11, 23)):
+        for p in (40, 80):
+            low, _ = oracle_central_value(D, N, prec=p)
+            high, _ = oracle_central_value(D, N, prec=p + 20)
+            assert low.distance(high) < mpf(10) ** -p, (D, N, p)
+
+
+def test_oracle_rejects_a_wrong_character(monkeypatch):
+    # an odd b that is not a root of D mod N gives no character of O_K: |W| != 1
+    root = central.smallest_odd_root
+    monkeypatch.setattr(central, "smallest_odd_root", lambda D, N: root(D, N) + 2)
+    with pytest.raises(ConventionError) as exc:
+        oracle_central_value(-7, 11)
+    assert "|W|" in str(exc.value)
 
 
 def test_oracle_validation():
     with pytest.raises(UnsupportedError):
         oracle_l_value(-15, 47)
     with pytest.raises(InputError):
-        oracle_l_value(-7, 11, method="series")
-    with pytest.raises(InputError):
         oracle_l_value(-7, 13)  # 13 = 1 mod 4
+    with pytest.raises(InputError):
+        oracle_central_value(-7, 11, prec=19)
+
+
+@pytest.mark.parametrize(
+    "D, cause",
+    [(-8, "D = -8 is even"), (-20, "D = -20 is even"), (-15, "|D| = 15 is not prime"),
+     (-23, "h(D) = 3 for D = -23"), (-31, "h(D) = 3 for D = -31")],
+)
+def test_unsupported_disc_is_rejected_at_entry(D, cause):
+    # D = -8 does not split at 47: the discriminant is rejected before the level is looked at
+    for enter in (
+        lambda: oracle_l_value(D, 47),
+        lambda: discover_classes(D),
+        lambda: HeckeContext(D, 47),
+        lambda: make_table(D, 50),
+    ):
+        with pytest.raises(UnsupportedError) as exc:
+            enter()
+        assert str(exc.value).startswith(cause)
+
+
+def test_to_mpc_keeps_the_value_precision_outside_workdps(store7):
+    value = l_value(HeckeContext(-7, 11, prec=80), store7)
+    z = value.to_mpc()  # at the ambient 15 digits
+    with mpmath.workdps(90):
+        assert abs(z.real - value.re) < mpf(10) ** -65
+        assert abs(z.imag - value.im) < mpf(10) ** -65
 
 
 def test_make_table_small(store7):

@@ -73,32 +73,32 @@ def test_lvalue_formats():
 
 
 def test_oracle_methods_and_formats():
-    code, fast = run(["oracle", "--disc", "-7", "--level", "11", "--cutoff", "1000"])
+    # L and the solved root number W at --prec digits, as CSV and as JSON
+    code, text = run(["oracle", "--disc", "-7", "--level", "11", "--prec", "30"])
     assert code == 0
-    code, exact = run(
-        ["oracle", "--disc", "-7", "--level", "11", "--cutoff", "1000", "--method", "exact"]
-    )
+    header, data = text.splitlines()
+    assert header == "re,im,w_re,w_im"
+    re_s, im_s, w_re, w_im = data.split(",")
+    assert re_s == "0.274571443118882176773796635661"
+    assert abs(float(im_s) - 0.8185491052922107) < 1e-15
+    assert abs(abs(complex(float(w_re), float(w_im))) - 1) < 1e-15
+
+    code, text = run(["oracle", "--disc", "-7", "--level", "11", "--prec", "30", "--out", "json"])
     assert code == 0
-
-    def parse(text):
-        re_s, im_s = text.splitlines()[1].split(",")
-        return complex(float(re_s), float(im_s))
-
-    assert abs(parse(fast) - parse(exact)) < 1e-10
-
-    code, text = run(
-        ["oracle", "--disc", "-7", "--level", "11", "--cutoff", "2000", "--out", "json"]
-    )
     obj = json.loads(text)
-    assert abs(obj["re"] - 0.2745714431188821) < 1e-6
-    assert abs(obj["im"] - 0.8185491052922107) < 1e-6
+    assert obj["precision"] == 30
+    assert [obj[k] for k in ("re", "im", "w_re", "w_im")] == [re_s, im_s, w_re, w_im]
 
 
 def test_oracle_cutoff_guard(capsys):
-    code, text = run(["oracle", "--disc", "-7", "--level", "11", "--cutoff", "500"])
+    # the cutoff follows from --prec, which has a floor; there is no --cutoff option
+    with pytest.raises(SystemExit):
+        run(["oracle", "--disc", "-7", "--level", "11", "--cutoff", "1000"])
+    capsys.readouterr()
+    code, text = run(["oracle", "--disc", "-7", "--level", "11", "--prec", "10"])
     assert code == 2 and text == ""
     err = json.loads(capsys.readouterr().err.strip())
-    assert err["error"]["message"] == "oracle cutoff must be at least 10^3"
+    assert err["error"]["message"] == "oracle precision must be at least 20 digits"
 
 
 def test_bad_level_canonical_message(capsys):

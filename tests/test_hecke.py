@@ -1,4 +1,4 @@
-"""Hecke character on ideals: residue map, chi, psi, ideal enumeration."""
+"""Hecke character on ideals: residue map, chi, psi, generators."""
 
 import mpmath
 import pytest
@@ -12,7 +12,6 @@ from splitcm.hecke import (
     HeckeContext,
     KElem,
     chi,
-    enumerate_ideals,
     find_generator,
     mu_residue,
     psi_denominator,
@@ -109,11 +108,17 @@ def test_psi_principal_unit_independent(a):
     assert psi_principal(ctx, a).close_to(psi_principal(ctx, -a), mpf(10) ** -40)
 
 
+def primitive_ideals(D, max_norm):
+    """Every primitive ideal (a, b) of norm a <= max_norm, b in (-a, a]."""
+    for a in range(1, max_norm + 1):
+        for b in range(-a + 1, a + 1):
+            if (b * b - D) % (4 * a) == 0:
+                yield QuadIdeal(a, b, D)
+
+
 def test_find_generator():
     for D in (-7, -11):
-        for ideal, m in enumerate_ideals(D, 150):
-            if m != 1:
-                continue
+        for ideal in primitive_ideals(D, 150):
             g = find_generator(ideal)
             assert g.norm() == ideal.norm
             assert ideal.contains(g.p, g.q)
@@ -122,9 +127,7 @@ def test_find_generator():
 def test_psi_ideal_zero_exactly_on_conductor():
     ctx = HeckeContext(-7, 11, prec=50)
     hits = 0
-    for ideal, m in enumerate_ideals(-7, 300):
-        if m != 1:
-            continue
+    for ideal in primitive_ideals(-7, 300):
         v = psi_ideal(ctx, ideal)
         if ideal.norm % 11 == 0 and (ideal.b - ctx.b1) % 22 == 0:
             assert v.abs_value() == 0
@@ -151,39 +154,6 @@ def test_psi_denominator_trivial_class():
     for (D, N) in [(-7, 11), (-11, 23)]:
         ctx = HeckeContext(D, N, prec=50)
         assert psi_denominator(ctx).close_to(1, mpf(10) ** -40)
-
-
-def kron(D, n):
-    # Kronecker symbol (D | n) for n >= 1, D odd
-    r = 1
-    while n % 2 == 0:
-        n //= 2
-        r *= {1: 1, 7: 1, 3: -1, 5: -1}[D % 8]
-    return r * jacobi(D % n, n) if n > 1 else r
-
-
-def test_enumerate_ideals_counts_match_divisor_sum():
-    # number of ideals of norm n is sum over d | n of (D | d)
-    cap = 400
-    for D in (-7, -11, -23):
-        counts = {}
-        for ideal, m in enumerate_ideals(D, cap):
-            n = m * m * ideal.norm
-            assert n <= cap
-            counts[n] = counts.get(n, 0) + 1
-        for n in range(1, cap + 1):
-            want = sum(kron(D, d) for d in range(1, n + 1) if n % d == 0)
-            assert counts.get(n, 0) == want, (D, n)
-
-
-def test_enumerate_ideals_unique_and_valid():
-    seen = set()
-    for ideal, m in enumerate_ideals(-11, 250):
-        key = (ideal.a, ideal.b, m)
-        assert key not in seen
-        seen.add(key)
-        assert -ideal.a < ideal.b <= ideal.a
-        assert (ideal.b * ideal.b + 11) % (4 * ideal.a) == 0
 
 
 def test_context_validation():

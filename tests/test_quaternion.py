@@ -168,6 +168,58 @@ def test_lll_reduce_gram_is_an_exact_unimodular_change():
     assert reduced == [[2, 0, -1, 0], [0, 2, 0, -1], [-1, 0, 4, 0], [0, -1, 0, 4]]
 
 
+def _lll_recomputing(gram, delta=Fraction(3, 4)):
+    """Reference LLL that recomputes all Gram-Schmidt data after every step."""
+    n = len(gram)
+    g = [list(row) for row in gram]
+    U = [[int(i == j) for j in range(n)] for i in range(n)]
+
+    def gs():
+        mu = [[Fraction(0)] * n for _ in range(n)]
+        B = [Fraction(0)] * n
+        for i in range(n):
+            for j in range(i):
+                s = Fraction(g[i][j]) - sum(mu[j][k] * mu[i][k] * B[k] for k in range(j))
+                mu[i][j] = s / B[j]
+            B[i] = Fraction(g[i][i]) - sum(mu[i][k] ** 2 * B[k] for k in range(i))
+        return mu, B
+
+    k = 1
+    while k < n:
+        mu, B = gs()
+        for j in range(k - 1, -1, -1):
+            q = (2 * mu[k][j].numerator + mu[k][j].denominator) // (2 * mu[k][j].denominator)
+            if q:
+                U[k] = [a - q * b for a, b in zip(U[k], U[j])]
+                for i in range(n):
+                    g[k][i] -= q * g[j][i]
+                for i in range(n):
+                    g[i][k] -= q * g[i][j]
+                mu, B = gs()
+        if B[k] >= (delta - mu[k][k - 1] ** 2) * B[k - 1]:
+            k += 1
+        else:
+            U[k], U[k - 1] = U[k - 1], U[k]
+            g[k], g[k - 1] = g[k - 1], g[k]
+            for row in g:
+                row[k], row[k - 1] = row[k - 1], row[k]
+            k = max(k - 1, 1)
+    return g, U
+
+
+def test_lll_reduce_gram_matches_the_recomputing_reference():
+    # in-place Gram-Schmidt updates are exact, so the result is identical
+    grams = [[[82, 56, 51, 112], [56, 42, 35, 77], [51, 35, 32, 70], [112, 77, 70, 154]],
+             [[2, 1], [1, 2]], [[4, 1], [1, 6]], [[8, -4, 1], [-4, 16, 3], [1, 3, 14]]]
+    for D, N in [(-7, 11), (-7, 23), (-11, 23), (-11, 31)]:
+        ctx = HeckeContext(D, N, prec=50)
+        for Q in reduced_forms(-N):
+            O = right_order(build_Iz(ctx, Q))
+            grams += [O.lattice.scaled_gram(), gross_lattice(O).gram]
+    for gram in grams:
+        assert lll_reduce_gram(gram) == _lll_recomputing(gram), gram
+
+
 def test_short_vectors_sign_representatives():
     vecs = short_vectors([[2, 1], [1, 2]], 2)
     assert len(vecs) == 3  # hexagonal minimal vectors up to sign
