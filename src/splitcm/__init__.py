@@ -3,18 +3,19 @@
 For an imaginary quadratic field of prime discriminant D < -4 with class
 number one and a prime level N = 3 mod 4 splitting in the field, theta
 series of the positive definite binary forms of discriminant -N, evaluated
-at CM points of discriminant D and normalized by eta products and the
-Hecke character, take integer values.  Grouping those integers by the
-class of an attached maximal order in the quaternion algebra (D, -N)
-yields the central value L(psi_N, 1) as an explicit finite sum.
+at CM points of discriminant D and normalized by an eta product, take
+integer values.  Grouping those integers by the class of an attached
+maximal order in the quaternion algebra (D, -N) yields the central value
+L(psi_N, 1) as an explicit finite sum.
 
-Main entry points: `HeckeContext` fixes (D, N, precision, conventions);
-`classify` produces per-form theta integers and per-class table rows from
-one pass over the level's theta series; `l_value` the central value, whose
-two internal paths share that pass; `oracle_central_value` an independent
-evaluation, with its root number, from the functional equation alone;
-`make_table` the one loop over the levels of a table, with a per-level
-hook for callers that cache rows.
+Main entry points: `HeckeContext` fixes (D, N, b1, precision), where the
+root b1 picks the prime over N and with it psi_N; `classify` produces
+per-form theta integers and per-class table rows from one pass over the
+level's theta series; `l_value` the central value, whose two internal
+paths share that pass; `oracle_central_value` an independent evaluation,
+with its root number, from the functional equation alone; `make_table`
+the one loop over the levels of a table, with a per-level hook for
+callers that cache rows.
 """
 
 from .central import (
@@ -41,7 +42,7 @@ from .errors import (
     SplitError,
     UnsupportedError,
 )
-from .hecke import HeckeContext, KElem, chi, psi_ideal, psi_principal
+from .hecke import HeckeContext, KElem
 from .numeric import BigComplex
 from .quadratic import (
     HeegnerPoint,
@@ -105,7 +106,6 @@ __all__ = [
     "UnsupportedError",
     "admissible_levels",
     "build_Iz",
-    "chi",
     "class_number",
     "classify",
     "dedekind_eta",
@@ -124,8 +124,6 @@ __all__ = [
     "order_discriminant",
     "orders_isometric",
     "prime_ideal_above",
-    "psi_ideal",
-    "psi_principal",
     "reduce_form",
     "reduced_forms",
     "right_order",

@@ -102,8 +102,6 @@ class ClassStore:
     """
 
     D: int
-    tau_ideal: str
-    eta_convention: str
     classes: tuple
 
     def match(self, order):
@@ -145,7 +143,7 @@ def _maximal_order(ctx, Q):
     return order
 
 
-def discover_classes(D, levels=None, prec=80, tau_ideal="nbar", eta_convention="sec6", max_level=DISCOVERY_CAP):
+def discover_classes(D, levels=None, prec=80, max_level=DISCOVERY_CAP):
     """Scan levels until the mass identity certifies every class was seen.
 
     Each new class stores a witness: the level and form where it first
@@ -161,7 +159,7 @@ def discover_classes(D, levels=None, prec=80, tau_ideal="nbar", eta_convention="
     scan = admissible_levels(D, max_level) if levels is None else list(levels)
     last = scan[-1] if scan else 0
     for N in scan:
-        ctx = HeckeContext(D, N, prec=prec, tau_ideal=tau_ideal, eta_convention=eta_convention)
+        ctx = HeckeContext(D, N, prec=prec)
         new = []  # (form, order) of each class first seen at this level
         for Q in reduced_forms(-N):
             order = _maximal_order(ctx, Q)
@@ -186,7 +184,7 @@ def discover_classes(D, levels=None, prec=80, tau_ideal="nbar", eta_convention="
                     "class mass %s exceeded the target %s: classification is wrong" % (mass, target)
                 )
         if mass == target:
-            return ClassStore(D, tau_ideal, eta_convention, tuple(classes))
+            return ClassStore(D, tuple(classes))
     raise IncompleteClassListError(
         "mass %s of %s reached after scanning levels up to %d" % (mass, target, last)
     )
@@ -198,8 +196,8 @@ def classify(ctx, store, thetas=None):
     thetas is the level's LevelThetas when the caller has computed it
     already; otherwise it is computed here, once for all forms.
     """
-    if store.D != ctx.D or store.tau_ideal != ctx.tau_ideal or store.eta_convention != ctx.eta_convention:
-        raise InputError("class store was built under different conventions")
+    if store.D != ctx.D:
+        raise InputError("class store was built for D = %d, not %d" % (store.D, ctx.D))
     if thetas is None:
         thetas = level_thetas(ctx, reduced_forms(-ctx.N))
     records = []
@@ -249,7 +247,7 @@ def classify(ctx, store, thetas=None):
 def l_value_paths(ctx, store):
     """The central value two ways: direct form sum, and class-aggregated.
 
-    direct     = 2 pi / (omega_N sqrt(N)) * sum_Q theta(Q tau) / psi_denom
+    direct     = 2 pi / (omega_N sqrt(N)) * sum_Q theta(Q tau)
     structured = 2 pi eta_factor / (omega_N sqrt(N)) * sum_[R] theta * h_eps
 
     Both use the theta series of one pass over the level's forms, the one
@@ -265,7 +263,7 @@ def l_value_paths(ctx, store):
         total = total + raw
     with mp.workdps(ctx.prec + GUARD_DIGITS):
         pref = BigComplex.make(2 * mpmath.pi / (OMEGA_N * mpmath.sqrt(ctx.N)), 0, ctx.prec)
-    direct = pref * total / thetas.psi
+    direct = pref * total
 
     _, rows = classify(ctx, store, thetas)
     weighted = sum(row.abs_theta * row.h_eps for row in rows)
@@ -382,7 +380,7 @@ class TableResult:
     failures: tuple
 
 
-def make_table(D, n_max, prec=80, tau_ideal="nbar", eta_convention="sec6", store=None, level_rows=None):
+def make_table(D, n_max, prec=80, store=None, level_rows=None):
     """Rows for every admissible level up to n_max; failures are collected.
 
     level_rows maps a level's HeckeContext to that level's rows.  By default
@@ -394,7 +392,7 @@ def make_table(D, n_max, prec=80, tau_ideal="nbar", eta_convention="sec6", store
     validate_field_disc(D)
     if level_rows is None:
         if store is None:
-            store = discover_classes(D, prec=prec, tau_ideal=tau_ideal, eta_convention=eta_convention)
+            store = discover_classes(D, prec=prec)
 
         def level_rows(ctx):
             return classify(ctx, store)[1]
@@ -403,7 +401,7 @@ def make_table(D, n_max, prec=80, tau_ideal="nbar", eta_convention="sec6", store
     failures = []
     for N in admissible_levels(D, n_max):
         try:
-            ctx = HeckeContext(D, N, prec=prec, tau_ideal=tau_ideal, eta_convention=eta_convention)
+            ctx = HeckeContext(D, N, prec=prec)
             rows.extend(level_rows(ctx))
         except SplitCMError as exc:
             failures.append((N, "%s: %s" % (type(exc).__name__, exc)))

@@ -5,11 +5,14 @@ stderr as single-line JSON records so the data stream stays pipeable.
 Exit codes: 0 success, 2 input validation, 3 resource limits, 4 internal
 consistency failures.
 
+The one convention is the root b1 of D mod 4N that fixes the prime over N
+(--b1, default the smallest odd root); 2N - b1 picks the conjugate prime.
+
 Expensive per-level results (theta records and class rows) can be cached in
 a JSON file named by --cache or the SPLITCM_CACHE environment variable.
-Entries are keyed by the package version, discriminant, level, root b1,
-precision, and both convention flags, so a cached value is never served
-across conventions or by a release other than the one that computed it.
+Entries are keyed by the package version, discriminant, level, root b1 and
+precision, so a cached value is never served across primes over N or by a
+release other than the one that computed it.
 """
 
 import argparse
@@ -40,7 +43,7 @@ from .errors import (
     SplitCMError,
     SplitError,
 )
-from .hecke import ETA_CONVENTION_CHOICES, TAU_IDEAL_CHOICES, HeckeContext
+from .hecke import HeckeContext
 from .numeric import BigComplex
 from .quadratic import QuadForm
 
@@ -57,8 +60,6 @@ class RunConfig:
     prec: int = 80
     out_format: str = "csv"
     cache_path: str = None
-    tau_ideal: str = "nbar"
-    eta_convention: str = "sec6"
     b1: int = None
 
 
@@ -74,24 +75,16 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def conventions(p, with_b1=True):
-        p.add_argument("--eta-convention", choices=ETA_CONVENTION_CHOICES, default="sec6")
-        p.add_argument("--tau-ideal", choices=TAU_IDEAL_CHOICES, default="nbar")
-        if with_b1:
-            p.add_argument("--b1", type=int, default=None, help="override the root b1 of D mod 4N")
-        p.add_argument("--cache", default=None, dest="cache_path", help="cache file path")
-
     p_table = sub.add_parser("table", parents=[common], help="class rows for all admissible levels")
     p_table.add_argument("--nmax", type=int, required=True, help="largest level to include")
-    conventions(p_table, with_b1=False)
+    p_table.add_argument("--cache", default=None, dest="cache_path", help="cache file path")
 
-    p_lvalue = sub.add_parser("lvalue", parents=[common], help="central L-value at one level")
-    p_lvalue.add_argument("--level", type=int, required=True)
-    conventions(p_lvalue)
-
-    p_classify = sub.add_parser("classify", parents=[common], help="theta records and class rows at one level")
-    p_classify.add_argument("--level", type=int, required=True)
-    conventions(p_classify)
+    for name, text in (("lvalue", "central L-value at one level"),
+                       ("classify", "theta records and class rows at one level")):
+        p = sub.add_parser(name, parents=[common], help=text)
+        p.add_argument("--level", type=int, required=True)
+        p.add_argument("--b1", type=int, default=None, help="override the root b1 of D mod 4N")
+        p.add_argument("--cache", default=None, dest="cache_path", help="cache file path")
 
     p_oracle = sub.add_parser("oracle", parents=[common], help="L and its root number from the functional equation")
     p_oracle.add_argument("--level", type=int, required=True)
@@ -100,14 +93,13 @@ def build_parser():
 
 
 def config_from_args(args):
-    fields = ("level", "nmax", "prec", "out_format", "cache_path", "tau_ideal",
-              "eta_convention", "b1")
+    fields = ("level", "nmax", "prec", "out_format", "cache_path", "b1")
     kwargs = {name: getattr(args, name) for name in fields if getattr(args, name, None) is not None}
     return RunConfig(command=args.command, disc=args.disc, **kwargs)
 
 
-def cache_key(disc, level, b1, prec, tau_ideal, eta_convention):
-    return "v%s.d%d.n%d.b%d.p%d.%s.%s" % (__version__, disc, level, b1, prec, tau_ideal, eta_convention)
+def cache_key(disc, level, b1, prec):
+    return "v%s.d%d.n%d.b%d.p%d" % (__version__, disc, level, b1, prec)
 
 
 def _fresh_cache():
@@ -181,20 +173,13 @@ def _deserialize_result(payload, prec):
 
 def _context(cfg, level):
     try:
-        return HeckeContext(
-            cfg.disc,
-            level,
-            b1=cfg.b1,
-            prec=cfg.prec,
-            tau_ideal=cfg.tau_ideal,
-            eta_convention=cfg.eta_convention,
-        )
+        return HeckeContext(cfg.disc, level, b1=cfg.b1, prec=cfg.prec)
     except SplitError as exc:
         raise SplitError("N must satisfy N = 3 mod 4 and split in O_K (%s)" % exc) from exc
 
 
 def _records_rows(cfg, ctx, store_box):
-    key = cache_key(ctx.D, ctx.N, ctx.b1, ctx.prec, ctx.tau_ideal, ctx.eta_convention)
+    key = cache_key(ctx.D, ctx.N, ctx.b1, ctx.prec)
     if cfg.cache_path:
         payload = cache_read(cfg.cache_path, key)
         if payload is not None:
@@ -209,7 +194,7 @@ def _records_rows(cfg, ctx, store_box):
 
 
 def _discover(ctx):
-    return discover_classes(ctx.D, prec=ctx.prec, tau_ideal=ctx.tau_ideal, eta_convention=ctx.eta_convention)
+    return discover_classes(ctx.D, prec=ctx.prec)
 
 
 def _csv_rows(rows):
@@ -224,9 +209,8 @@ def _json_text(obj):
 
 def _level_json(cfg, ctx, **fields):
     """The JSON document of a one-level command (classify, lvalue)."""
-    conventions = {"tau_ideal": ctx.tau_ideal, "eta_convention": ctx.eta_convention, "b1": ctx.b1}
     return _json_text(dict(schema=CACHE_SCHEMA, command=cfg.command, disc=cfg.disc, level=cfg.level,
-                           precision=cfg.prec, conventions=conventions, **fields))
+                           precision=cfg.prec, conventions={"b1": ctx.b1}, **fields))
 
 
 def _row_obj(w):
@@ -237,8 +221,7 @@ def _cmd_table(cfg):
     if cfg.nmax is None or cfg.nmax < 11:
         raise InputError("table needs --nmax of at least 11")
     store_box = {}
-    result = make_table(cfg.disc, cfg.nmax, prec=cfg.prec, tau_ideal=cfg.tau_ideal,
-                        eta_convention=cfg.eta_convention,
+    result = make_table(cfg.disc, cfg.nmax, prec=cfg.prec,
                         level_rows=lambda ctx: _records_rows(cfg, ctx, store_box)[1])
     for N, message in result.failures:
         _warn("level %d failed: %s" % (N, message))
@@ -250,7 +233,6 @@ def _cmd_table(cfg):
                 "disc": cfg.disc,
                 "nmax": cfg.nmax,
                 "precision": cfg.prec,
-                "conventions": {"tau_ideal": cfg.tau_ideal, "eta_convention": cfg.eta_convention},
                 "rows": [_row_obj(w) for w in result.rows],
                 "failures": [{"N": n, "message": msg} for n, msg in result.failures],
             }

@@ -259,23 +259,18 @@ class HeegnerPoint:
 
 
 def heegner_point(ctx, a):
-    """Heegner point of the ideal product a * M, where M is ctx's level ideal.
+    """Heegner point of the ideal product a * (N, -b1), the conjugate of ctx's level ideal.
 
-    ctx supplies D, N, b1 and the choice of M via ctx.tau_ideal: "nbar" takes
-    the conjugate (N, -b1) (the default convention), "n" takes (N, b1).  The
-    class representative a must have norm coprime to N.
+    ctx supplies D, N and b1.  The class representative a must have norm
+    coprime to N.
     """
     if gcd(a.norm, ctx.N) != 1:
         raise InputError("ideal norm %d is not coprime to N = %d" % (a.norm, ctx.N))
-    level_ideal = QuadIdeal(ctx.N, ctx.b1, ctx.D)
-    if ctx.tau_ideal == "nbar":
-        level_ideal = level_ideal.conjugate()
-    content, prod = ideal_product(a, level_ideal)
+    content, prod = ideal_product(a, QuadIdeal(ctx.N, -ctx.b1, ctx.D))
     if content != 1:
         raise InternalError("product with level ideal has content %d" % content)
     if prod.a != a.norm * ctx.N:
         raise InternalError("product norm %d is not a1*N" % prod.a)
-    want = -ctx.b1 if ctx.tau_ideal == "nbar" else ctx.b1
-    if (prod.b - want) % (2 * ctx.N) != 0:
-        raise InternalError("product root %d is not %d mod 2N" % (prod.b, want))
+    if (prod.b + ctx.b1) % (2 * ctx.N) != 0:
+        raise InternalError("product root %d is not %d mod 2N" % (prod.b, -ctx.b1))
     return HeegnerPoint(ctx.D, ctx.N, a.norm, prod.b)

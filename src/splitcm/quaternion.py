@@ -436,8 +436,12 @@ def count_lattice_norm(gram, n):
         return 0
     if n == 0:
         return 1
-    hits = [x for x in short_vectors(gram, 2 * n) if _quadval(gram, x) == 2 * n]
-    return 2 * len(hits)
+    return 2 * len(_half_norm_vectors(gram, n))
+
+
+def _half_norm_vectors(gram, n):
+    """The vectors of norm n > 0, one of each sign pair."""
+    return [x for x in short_vectors(gram, 2 * n) if _quadval(gram, x) == 2 * n]
 
 
 def _quadval(gram, x):
@@ -506,12 +510,13 @@ def embedding_count(O, N):
     if N <= 3 or N % 4 != 3:
         raise InputError("level must be a prime 3 mod 4 greater than 3")
     gl = O.invariants.gross
-    raw = count_lattice_norm(gl.gram, N)
+    halves = _half_norm_vectors(gl.gram, N)
+    raw = 2 * len(halves)
     omega = unit_count(O)
     if raw % omega:
         raise InternalError("vector count %d not divisible by omega %d" % (raw, omega))
     by_mass = raw // omega
-    by_orbits = _root_orbit_count(O, gl, N)
+    by_orbits = _root_orbit_count(O, gl, halves)
     if by_mass != by_orbits:
         raise InternalError(
             "embedding counts disagree: %d by Gross count, %d by orbits" % (by_mass, by_orbits)
@@ -519,9 +524,11 @@ def embedding_count(O, N):
     return by_mass
 
 
-def _root_orbit_count(O, gl, N):
-    """Count orbits of {x in S0 : nrd(x) = N} under x -> s^(-1) x s, s a unit."""
-    halves = [x for x in short_vectors(list(map(list, gl.gram)), 2 * N) if _quadval(gl.gram, x) == 2 * N]
+def _root_orbit_count(O, gl, halves):
+    """Count orbits of {x in S0 : nrd(x) = N} under x -> s^(-1) x s, s a unit.
+
+    halves holds the Gross-lattice coordinates of those x, one of each sign pair.
+    """
     vecs = []
     for c in halves:
         x = O.alg.elem(0)

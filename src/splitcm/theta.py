@@ -7,8 +7,7 @@ Two independent evaluation paths are kept on purpose:
 * siegel_theta sums exp(pi*i*x^t z x) over a 2d box using power tables.
 
 They must agree to working precision on every split-CM point; the
-normalized value (level_thetas) divides by the eta factor and the character
-of the conjugate class representative.
+normalized value (level_thetas) divides by the eta factor of the level.
 
 Truncation policy: every series drops only terms whose rigorously bounded
 tail is below 10^(-prec-10).
@@ -21,9 +20,8 @@ import mpmath
 from mpmath import mp, mpf
 
 from .errors import InputError, ResourceError
-from .hecke import psi_denominator
 from .numeric import GUARD_DIGITS, BigComplex
-from .quadratic import HeegnerPoint, QuadForm, QuadIdeal
+from .quadratic import HeegnerPoint, QuadForm
 
 MAX_TAIL_TERMS = 5 * 10**6
 
@@ -218,60 +216,37 @@ def eta_ideal(ideal, prec):
 def eta_norm_factor(ctx):
     """The eta product normalizing theta at level N.
 
-    "sec6": product of the per-ideal values for the level ideal (the tau
-    ideal of the context) and for O_K written as (1, bOK).
-    "sec7": e24(N(b1+3)^2) * eta(tau_level) * eta((-bOK+sqrt(D))/2), the
-    collapsed single-prefactor variant.  The two differ by a root of unity
-    for some levels; "sec6" is what integer tables require.
+    The product of the per-ideal values for the conjugate (N, -b1) of the
+    level ideal and for the class representative O_K = (1, 1).
     """
-    prec = ctx.prec
-    level = ctx.level_ideal
-    if ctx.tau_ideal == "nbar":
-        level = level.conjugate()
-    ring = QuadIdeal(1, ctx.bOK, ctx.D)
-    if ctx.eta_convention == "sec6":
-        return eta_ideal(level, prec) * eta_ideal(ring, prec)
-    with mp.workdps(prec + GUARD_DIGITS + 5):
-        sq = mpmath.sqrt(ctx.D)
-        tau_level = (-level.b + sq) / (2 * level.a)
-        tau_ring = (-ring.b + sq) / 2
-        pref = mpmath.exp(2j * mpmath.pi * ((ctx.N * (ctx.b1 + 3) ** 2) % 24) / 24)
-        value = (
-            pref
-            * dedekind_eta(BigComplex.from_mpc(tau_level, prec), prec).to_mpc()
-            * dedekind_eta(BigComplex.from_mpc(tau_ring, prec), prec).to_mpc()
-        )
-        return BigComplex.from_mpc(value, prec)
+    return eta_ideal(ctx.level_ideal.conjugate(), ctx.prec) * eta_ideal(ctx.class_rep, ctx.prec)
 
 
 @dataclass(frozen=True)
 class LevelThetas:
     """One level's theta series at its class point, and their normalization.
 
-    raw[i] is theta_form of forms[i]; eta = eta_norm_factor and
-    psi = psi_denominator depend only on the level, so they are computed
-    once for all forms.  The normalized value of a form is raw / (eta * psi).
+    raw[i] is theta_form of forms[i]; eta = eta_norm_factor depends only on
+    the level, so it is computed once for all forms.  The normalized value
+    of a form is raw / eta.
     """
 
     forms: tuple
     raw: tuple
     eta: BigComplex
-    psi: BigComplex
 
     def normalized(self):
-        norm = self.eta * self.psi
-        return [value / norm for value in self.raw]
+        return [value / self.eta for value in self.raw]
 
 
 def level_thetas(ctx, forms):
     """LevelThetas of forms of discriminant -N at the context's class point.
 
-    The normalized values are real and integral when conventions are
-    consistent.
+    The normalized values are real and integral.
     """
     forms = tuple(forms)
     for Q in forms:
         if Q.disc != -ctx.N:
             raise InputError("form discriminant %d is not -N = %d" % (Q.disc, -ctx.N))
     raw = tuple(theta_form(Q, ctx.class_point, ctx.prec) for Q in forms)
-    return LevelThetas(forms, raw, eta_norm_factor(ctx), psi_denominator(ctx))
+    return LevelThetas(forms, raw, eta_norm_factor(ctx))

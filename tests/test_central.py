@@ -1,12 +1,14 @@
 """Classification pipeline, central values, and the functional-equation oracle."""
 
 from fractions import Fraction
+from math import gcd
 
 import mpmath
 import pytest
 from mpmath import mpf
 
 from splitcm import central
+from splitcm.arith import is_prime, jacobi
 from splitcm.central import (
     ClassRow,
     admissible_levels,
@@ -94,15 +96,11 @@ def test_classify_known_rows(store7, store11):
 
 
 def test_classify_rejects_convention_mismatch(store7):
-    ctx = HeckeContext(-7, 11, prec=60, tau_ideal="n")
-    with pytest.raises(InputError):
+    # a store holds the classes of one field; -11 splits at 23 like -7 does
+    ctx = HeckeContext(-11, 23, prec=60)
+    with pytest.raises(InputError) as exc:
         classify(ctx, store7)
-
-
-def test_sec7_convention_fails_integrality():
-    # the collapsed prefactor variant does not make theta_hat an integer
-    with pytest.raises(ConventionError):
-        discover_classes(-7, prec=60, eta_convention="sec7")
+    assert "D = -7" in str(exc.value)
 
 
 def test_l_value_two_paths_agree(store7):
@@ -175,6 +173,41 @@ def test_oracle_rejects_a_wrong_character(monkeypatch):
     with pytest.raises(ConventionError) as exc:
         oracle_central_value(-7, 11)
     assert "|W|" in str(exc.value)
+
+
+def _coefficient_product(D, x, y):
+    """(P, Q) of a_m a_n, each given as (P, Q) with a = (P + Q sqrt(D))/2."""
+    (p1, q1), (p2, q2) = x, y
+    p, q = p1 * p2 + D * q1 * q2, p1 * q2 + p2 * q1
+    assert p % 2 == 0 and q % 2 == 0
+    return p // 2, q // 2
+
+
+def test_oracle_coefficients_are_multiplicative():
+    # psi_N is a Hecke character, so a_mn = a_m a_n for coprime m, n
+    for D, N in ((-7, 11), (-11, 23)):
+        a = [None] + central._oracle_coefficients(D, N, central.smallest_odd_root(D, N), 400)
+        assert a[1] == (2, 0)
+        pairs = 0
+        for m in range(2, 21):
+            for n in range(m + 1, 400 // m + 1):
+                if gcd(m, n) == 1:
+                    assert a[m * n] == _coefficient_product(D, a[m], a[n]), (D, N, m, n)
+                    pairs += 1
+        assert pairs > 400
+
+
+def test_oracle_character_vanishes_on_the_level_ideal_only():
+    # chi kills (N, b1) and not its conjugate: a_N = psi((N, -b1)) has norm N,
+    # a_(N^2) = a_N^2, and inert primes p have a_p = 0
+    for D, N in ((-7, 11), (-7, 23), (-11, 23)):
+        a = [None] + central._oracle_coefficients(D, N, central.smallest_odd_root(D, N), N * N)
+        p, q = a[N]
+        assert (p * p - D * q * q) // 4 == N
+        assert a[N * N] == _coefficient_product(D, a[N], a[N])
+        for ell in range(3, N * N + 1, 2):
+            if is_prime(ell) and jacobi(D % ell, ell) == -1:
+                assert a[ell] == (0, 0), (D, N, ell)
 
 
 def test_oracle_validation():

@@ -2,9 +2,11 @@
 
 import json
 
+import mpmath
 import pytest
 
-from splitcm import cli
+from splitcm import cli, theta
+from splitcm.central import discover_classes
 from splitcm.cli import (
     CACHE_ENV,
     CACHE_SCHEMA,
@@ -23,6 +25,7 @@ from splitcm.errors import (
     SplitError,
     UnsupportedError,
 )
+from splitcm.numeric import BigComplex
 
 
 def test_table_csv_small():
@@ -52,7 +55,7 @@ def test_classify_json_two_classes():
     code, text = run(["classify", "--disc", "-11", "--level", "23", "--prec", "50", "--out", "json"])
     assert code == 0
     obj = json.loads(text)
-    assert obj["conventions"] == {"tau_ideal": "nbar", "eta_convention": "sec6", "b1": 9}
+    assert obj["conventions"] == {"b1": 9}
     assert [(c["abs_theta"], c["count"]) for c in obj["classes"]] == [(0, 2), (2, 1)]
     assert sorted(r["theta"] for r in obj["records"]) == [0, 0, 2]
     assert {r["class_id"] for r in obj["records"]} == {0, 1}
@@ -91,9 +94,13 @@ def test_oracle_methods_and_formats():
 
 
 def test_oracle_cutoff_guard(capsys):
-    # the cutoff follows from --prec, which has a floor; there is no --cutoff option
+    # the cutoff follows from --prec, which has a floor; there is no --cutoff option,
+    # and the prime over N is chosen by --b1 alone
     with pytest.raises(SystemExit):
         run(["oracle", "--disc", "-7", "--level", "11", "--cutoff", "1000"])
+    for flag, value in (("--tau-ideal", "n"), ("--eta-convention", "sec7")):
+        with pytest.raises(SystemExit):
+            run(["classify", "--disc", "-7", "--level", "11", flag, value])
     capsys.readouterr()
     code, text = run(["oracle", "--disc", "-7", "--level", "11", "--prec", "10"])
     assert code == 2 and text == ""
@@ -109,10 +116,20 @@ def test_bad_level_canonical_message(capsys):
         assert err["error"]["message"].startswith("N must satisfy N = 3 mod 4 and split in O_K")
 
 
-def test_sec7_gets_internal_exit_code(capsys):
-    code, text = run(
-        ["classify", "--disc", "-7", "--level", "11", "--prec", "50", "--eta-convention", "sec7"]
-    )
+def test_convention_error_gets_internal_exit_code(monkeypatch, capsys):
+    # an eta factor off by a root of unity leaves the normalized theta values
+    # off the integers: discovery and the CLI must both refuse to snap them
+    eta_norm_factor = theta.eta_norm_factor
+
+    def off_by_e24(ctx):
+        with mpmath.workdps(ctx.prec + 20):
+            e24 = BigComplex.from_mpc(mpmath.exp(2j * mpmath.pi / 24), ctx.prec)
+        return eta_norm_factor(ctx) * e24
+
+    monkeypatch.setattr(theta, "eta_norm_factor", off_by_e24)
+    with pytest.raises(ConventionError):
+        discover_classes(-7, levels=[11])
+    code, text = run(["classify", "--disc", "-7", "--level", "11", "--prec", "50"])
     assert code == 4 and text == ""
     err = json.loads(capsys.readouterr().err.strip())
     assert err["error"]["type"] == "ConventionError"
@@ -189,7 +206,7 @@ def test_cache_cold_warm_identical(tmp_path):
     assert cold == warm
     data = json.loads(open(path).read())
     assert data["version"] == CACHE_SCHEMA
-    assert list(data["entries"]) == [cache_key(-7, 11, 9, 50, "nbar", "sec6")]
+    assert list(data["entries"]) == [cache_key(-7, 11, 9, 50)]
     assert cache_read(path, "missing") is None
 
 
@@ -209,7 +226,7 @@ def test_cache_entry_of_another_version_is_recomputed(tmp_path, monkeypatch):
     assert code == 0
     assert text.encode() == cold.encode()
     entries = json.loads(path.read_text(encoding="utf-8"))["entries"]
-    assert sorted(entries) == sorted([old_key, cache_key(-7, 11, 9, 50, "nbar", "sec6")])
+    assert sorted(entries) == sorted([old_key, cache_key(-7, 11, 9, 50)])
 
 
 def test_cache_keys_isolate_precision_and_conventions(tmp_path):
@@ -217,11 +234,11 @@ def test_cache_keys_isolate_precision_and_conventions(tmp_path):
     base = ["classify", "--disc", "-7", "--level", "11", "--cache", path]
     _, a = run(base + ["--prec", "50"])
     _, b = run(base + ["--prec", "40"])
-    _, c = run(base + ["--prec", "50", "--tau-ideal", "n"])
+    _, c = run(base + ["--prec", "50", "--b1", str(2 * 11 - 9)])
     entries = json.loads(open(path).read())["entries"]
     assert len(entries) == 3
-    # the alternate tau convention flips the sign column, so a cache hit
-    # across conventions would be visible here
+    # the conjugate prime over N flips the sign column, so a cache hit
+    # across primes would be visible here
     assert a.splitlines()[-1] == "11,1,1,-1,2"
     assert c.splitlines()[-1] == "11,1,1,1,2"
 

@@ -203,7 +203,7 @@ def test_heegner_point_default_stack():
 
 def test_heegner_point_conjugate_stack():
     # tau = (-9 + sqrt(-7))/22 up to integer translation
-    ctx = HeckeContext(-7, 11, prec=40, tau_ideal="n")
+    ctx = HeckeContext(-7, 11, b1=2 * 11 - 9, prec=40)
     pt = heegner_point(ctx, ctx.class_rep)
     assert pt.b % 22 == 9
 

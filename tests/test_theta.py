@@ -146,11 +146,14 @@ def test_eta_ideal_prefactor_is_unimodular():
 
 
 def test_eta_norm_factor_conventions_same_modulus():
-    # the two normalization styles differ by a root of unity only
+    # the two primes over N (roots b1 and 2N - b1) give conjugate points, and
+    # eta(-conj z) = conj eta(z), so their factors have the same modulus
     for D, N in [(-7, 11), (-11, 23)]:
-        a = eta_norm_factor(HeckeContext(D, N, prec=50))
-        b = eta_norm_factor(HeckeContext(D, N, prec=50, eta_convention="sec7"))
+        ctx = HeckeContext(D, N, prec=50)
+        a = eta_norm_factor(ctx)
+        b = eta_norm_factor(HeckeContext(D, N, b1=2 * N - ctx.b1, prec=50))
         assert abs(a.abs_value() - b.abs_value()) < mpf(10) ** -42
+        assert a.distance(b) > mpf(10) ** -3
 
 
 def test_theta_hat_known_integers():
