@@ -103,6 +103,12 @@ def test_classify_rejects_convention_mismatch(store7):
     assert "D = -7" in str(exc.value)
 
 
+def test_sec7_convention_fails_integrality(sec7_eta):
+    # the collapsed prefactor variant does not make theta_hat an integer
+    with pytest.raises(ConventionError):
+        discover_classes(-7, prec=60)
+
+
 def test_l_value_two_paths_agree(store7):
     ctx = HeckeContext(-7, 11, prec=60)
     direct, structured = l_value_paths(ctx, store7)

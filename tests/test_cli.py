@@ -2,11 +2,9 @@
 
 import json
 
-import mpmath
 import pytest
 
-from splitcm import cli, theta
-from splitcm.central import discover_classes
+from splitcm import cli
 from splitcm.cli import (
     CACHE_ENV,
     CACHE_SCHEMA,
@@ -25,7 +23,6 @@ from splitcm.errors import (
     SplitError,
     UnsupportedError,
 )
-from splitcm.numeric import BigComplex
 
 
 def test_table_csv_small():
@@ -116,19 +113,7 @@ def test_bad_level_canonical_message(capsys):
         assert err["error"]["message"].startswith("N must satisfy N = 3 mod 4 and split in O_K")
 
 
-def test_convention_error_gets_internal_exit_code(monkeypatch, capsys):
-    # an eta factor off by a root of unity leaves the normalized theta values
-    # off the integers: discovery and the CLI must both refuse to snap them
-    eta_norm_factor = theta.eta_norm_factor
-
-    def off_by_e24(ctx):
-        with mpmath.workdps(ctx.prec + 20):
-            e24 = BigComplex.from_mpc(mpmath.exp(2j * mpmath.pi / 24), ctx.prec)
-        return eta_norm_factor(ctx) * e24
-
-    monkeypatch.setattr(theta, "eta_norm_factor", off_by_e24)
-    with pytest.raises(ConventionError):
-        discover_classes(-7, levels=[11])
+def test_sec7_gets_internal_exit_code(sec7_eta, capsys):
     code, text = run(["classify", "--disc", "-7", "--level", "11", "--prec", "50"])
     assert code == 4 and text == ""
     err = json.loads(capsys.readouterr().err.strip())
