@@ -71,9 +71,6 @@ class BigComplex:
     def __sub__(self, other):
         return self._binary(other, lambda a, b: a - b)
 
-    def __rsub__(self, other):
-        return self._binary(other, lambda a, b: b - a)
-
     def __mul__(self, other):
         return self._binary(other, lambda a, b: a * b)
 
@@ -81,9 +78,6 @@ class BigComplex:
 
     def __truediv__(self, other):
         return self._binary(other, lambda a, b: a / b)
-
-    def __rtruediv__(self, other):
-        return self._binary(other, lambda a, b: b / a)
 
     def abs_value(self):
         with mp.workdps(self.prec + GUARD_DIGITS):
@@ -94,9 +88,6 @@ class BigComplex:
         prec = min(self.prec, other.prec)
         with mp.workdps(prec + GUARD_DIGITS):
             return abs(self.to_mpc() - other.to_mpc())
-
-    def close_to(self, other, tol):
-        return self.distance(other) < tol
 
     def nearest_int(self):
         """(n, err): nearest rational integer to re and the full 2d distance."""

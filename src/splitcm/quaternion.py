@@ -319,6 +319,28 @@ class Order:
             gross=gross,
         )
 
+    @cached_property
+    def units(self):
+        """The units up to sign as (s, s^-1) pairs: omega = unit_count of them.
+
+        Enumerated on the norm Gram in this order's own basis, apart from
+        the reduced enumeration behind unit_count, so the count checks it.
+        """
+        gram = self.lattice.scaled_gram()
+        units = []
+        for c in short_vectors(gram, 2):
+            if _quadval(gram, c) != 2:
+                continue
+            s = self.alg.elem(0)
+            for ci, e in zip(c, self.lattice.basis()):
+                s = s + e.scale(ci)
+            units.append((s, s.inverse()))
+        if len(units) != unit_count(self):
+            raise InternalError(
+                "%d units up to sign, but omega is %d" % (len(units), unit_count(self))
+            )
+        return tuple(units)
+
 
 @dataclass(frozen=True)
 class OrderInvariants:
@@ -540,15 +562,6 @@ def _root_orbit_count(O, gl, halves):
         w = (O.alg.one + x).scale(Fraction(1, 2))
         if not O.lattice.contains(w):
             raise InternalError("root (1+x)/2 escaped the order")
-    units = []
-    ug = O.lattice.scaled_gram()
-    for c in short_vectors(ug, 2):
-        if _quadval(ug, c) != 2:
-            continue
-        s = O.alg.elem(0)
-        for ci, e in zip(c, O.lattice.basis()):
-            s = s + e.scale(ci)
-        units.append(s)
     seen = set()
     orbits = 0
     for x in vecs:
@@ -560,8 +573,8 @@ def _root_orbit_count(O, gl, halves):
         seen.add(key)
         while stack:
             y = stack.pop()
-            for s in units:
-                z = s.inverse() * y * s
+            for s, s_inv in O.units:
+                z = s_inv * y * s
                 if z.co not in seen:
                     seen.add(z.co)
                     stack.append(z)

@@ -1,16 +1,32 @@
 """Dedekind eta, binary theta series, symplectic theta at split-CM points.
 
-Two independent evaluation paths are kept on purpose:
+Two independent evaluation paths are kept on purpose, each with its own
+fixed-point kernel:
 
 * theta_form collects integer representation numbers of the form and sums
-  a single q-power series;
-* siegel_theta sums exp(pi*i*x^t z x) over a 2d box using power tables.
+  a single q-power series by Horner's rule;
+* siegel_theta sums exp(pi*i*x^t z x) over a 2d box, row by row, walking
+  outward from each row's largest term.
 
 They must agree to working precision on every split-CM point; the
 normalized value (level_thetas) divides by the eta factor of the level.
 
-Truncation policy: every series drops only terms whose rigorously bounded
-tail is below 10^(-prec-10).
+Truncation and rounding policy: every series drops only terms whose
+rigorously bounded tail is below 10^(-prec-10) (10^(-prec-12) for eta).
+The kernels then sum in Gaussian fixed point: a complex value x is held as
+the integer pair 2^P x, truncated, and each product of two such values is
+shifted back by P bits, which costs at most sqrt(2) 2^-P per product.  Each
+kernel writes its rounding bound, (terms) x (steps) x 2^-P, next to its tail
+bound and takes P from _fixed_bits, so that the bound is also below the
+tail target:
+
+* theta_form: 2 T (R + 1) 2^-P, for T Horner steps over R lattice points;
+* siegel_theta: 3 (2S+1)^4 2^-P, for (2S+1)^2 terms, each at most 2S
+  steps from the start of its row;
+* dedekind_eta: 8 (K+1)^3 2^-P, for 2K terms of at most K steps.
+
+The error of a product of fixed-point values stays within these bounds only
+because no value or step factor exceeds 1 in modulus.
 """
 
 from dataclasses import dataclass
@@ -33,6 +49,25 @@ def _point_to_mpc(tau):
     if isinstance(tau, BigComplex):
         return tau.to_mpc()
     return mpmath.mpc(tau)
+
+
+def _fixed_bits(digits, count):
+    """A scale P with count * 2^-P < 10^-digits."""
+    return digits * 3322 // 1000 + 1 + count.bit_length()
+
+
+def _to_fixed(z, P):
+    """The Gaussian integer 2^P z, each part truncated toward zero.
+
+    z must be computed to at least P bits after the binary point.
+    """
+    return int(mpmath.ldexp(z.real, P)), int(mpmath.ldexp(z.imag, P))
+
+
+def _from_fixed(x, y, P, prec):
+    """BigComplex of (x + i y) 2^-P at prec digits."""
+    with mp.workdps(prec + GUARD_DIGITS):
+        return BigComplex(mpf((x, -P)), mpf((y, -P)), prec)
 
 
 def _form_tail_cutoff(Q, absq, prec):
@@ -75,21 +110,38 @@ def representation_counts(Q, T):
 
 
 def theta_form(Q, tau, prec):
-    """Sum of q^Q(m,n) over the integer lattice, q = e^(2 pi i tau)."""
+    """Sum of q^Q(m,n) over the integer lattice, q = e^(2 pi i tau).
+
+    Horner's rule over the nonzero representation numbers r_Q(k), k <= T,
+    in Gaussian fixed point: from one nonzero k to the next lower one k',
+    h becomes h q^(k-k') + r_Q(k'), with q^(k-k') from a table of powers.
+    Each of these at most T steps adds sqrt(2) 2^-P of rounding and
+    |h| sqrt(2) 2^-P from the rounding of the power; since |q| < 1, errors
+    never grow and |h| <= R = sum r_Q(k), so the error is below
+    2 T (R + 1) 2^-P.
+    """
     with mp.workdps(prec + GUARD_DIGITS + 5):
         z = _point_to_mpc(tau)
         if z.imag <= 0:
             raise InputError("theta needs a point in the upper half plane")
+        T = _form_tail_cutoff(Q, abs(mpmath.exp(2j * mpmath.pi * z)), prec)
+    r = representation_counts(Q, T)
+    ks = [k for k, rk in enumerate(r) if rk]
+    P = _fixed_bits(prec + 10, 2 * T * (sum(r) + 1))
+    with mp.workprec(P + 20):
         q = mpmath.exp(2j * mpmath.pi * z)
-        T = _form_tail_cutoff(Q, abs(q), prec)
-        r = representation_counts(Q, T)
-        total = mpmath.mpc(r[0])
-        p = mpmath.mpc(1)
-        for k in range(1, T + 1):
-            p *= q
-            if r[k]:
-                total += r[k] * p
-        return BigComplex.from_mpc(total, prec)
+        power = mpmath.mpc(1)
+        qpow = [(1 << P, 0)]
+        for _ in range(max((b - a for a, b in zip(ks, ks[1:])), default=0)):
+            power *= q
+            qpow.append(_to_fixed(power, P))
+    hr = hi = 0
+    above = ks[-1]
+    for k in reversed(ks):
+        qr, qi = qpow[above - k]
+        hr, hi = ((hr * qr - hi * qi) >> P) + (r[k] << P), (hr * qi + hi * qr) >> P
+        above = k
+    return _from_fixed(hr, hi, P, prec)
 
 
 @dataclass(frozen=True)
@@ -127,7 +179,22 @@ def _siegel_box(lam, prec):
 
 
 def siegel_theta(z11, z12, z22, prec):
-    """theta(z) = sum exp(pi i (z11 m^2 + 2 z12 m n + z22 n^2)) over Z^2."""
+    """theta(z) = sum exp(pi i (z11 m^2 + 2 z12 m n + z22 n^2)) over Z^2.
+
+    Box sum over |m|, |n| <= S in Gaussian fixed point.  The term t(m, n)
+    is even in (m, n), so row -m repeats row m and only rows m = 0..S are
+    walked.  Row m starts at its largest term, n0 = round(-m y12/y22), and
+    walks outward with the ratio t(n +- 1)/t(n), which gains the factor
+    C^2 = e^(2 pi i z22) after each step.  Every term and every ratio on
+    such a walk has modulus <= 1, whatever the sign of Im z12.  A term j
+    steps from n0 carries at most 3 (j+1)^2 2^-P of rounding: sqrt(2) 2^-P
+    per product, and 4 (i+1) 2^-P in the i-th ratio.  Over the (2S+1)^2 box
+    terms, each within 2S steps, the error is below 3 (2S+1)^4 2^-P.
+
+    The start values t(m, n0) and the first ratios of each row come from a
+    walk in mpmath floats along the path (m, n0(m)), which keeps relative
+    precision however large B^m = e^(2 pi i z12 m) becomes.
+    """
     with mp.workdps(prec + GUARD_DIGITS + 5):
         z11, z12, z22 = mpmath.mpc(z11), mpmath.mpc(z12), mpmath.mpc(z22)
         y11, y12, y22 = z11.imag, z12.imag, z22.imag
@@ -136,30 +203,45 @@ def siegel_theta(z11, z12, z22, prec):
             raise InputError("imaginary part is not positive definite")
         lam = det / (y11 + y22)
         S = _siegel_box(lam, prec)
+        shift = float(-y12 / y22)
+    P = _fixed_bits(prec + 10, 3 * (2 * S + 1) ** 4)
+    with mp.workprec(P + 20 + 2 * S.bit_length()):
         A = mpmath.exp(1j * mpmath.pi * z11)
         B = mpmath.exp(2j * mpmath.pi * z12)
         C = mpmath.exp(1j * mpmath.pi * z22)
-        Binv = 1 / B
-        sq = S * S
-        apow = _powers(A, sq)
-        bpow = _powers(B, sq)
-        bneg = _powers(Binv, sq)
-        cpow = _powers(C, sq)
-        total = mpmath.mpc(0)
-        for m in range(-S, S + 1):
-            am = apow[m * m]
-            for n in range(-S, S + 1):
-                mn = m * n
-                bmn = bpow[mn] if mn >= 0 else bneg[-mn]
-                total += am * bmn * cpow[n * n]
-        return BigComplex.from_mpc(total, prec)
-
-
-def _powers(x, top):
-    out = [mpmath.mpc(1)] * (top + 1)
-    for i in range(1, top + 1):
-        out[i] = out[i - 1] * x
-    return out
+        A2, C2 = A * A, C * C
+        Binv, C2inv = 1 / B, 1 / C2
+        c2r, c2i = _to_fixed(C2, P)
+        # at (m, n): t = t(m, n); up, down and across are t(m, n+1), t(m, n-1)
+        # and t(m+1, n) over t, that is B^m C^(2n+1), B^-m C^(1-2n), A^(2m+1) B^n
+        t, up, down, across = mpmath.mpc(1), C, C, A
+        n = 0
+        sr = si = 0
+        for m in range(S + 1):
+            n0 = max(-S, min(S, round(m * shift)))
+            while n < n0:
+                t *= up
+                up, down, across = up * C2, down * C2inv, across * B
+                n += 1
+            while n > n0:
+                t *= down
+                up, down, across = up * C2inv, down * C2, across * Binv
+                n -= 1
+            tr, ti = _to_fixed(t, P)
+            rowr, rowi = tr, ti
+            for (rr, ri), steps in ((_to_fixed(up, P), S - n0), (_to_fixed(down, P), S + n0)):
+                ur, ui = tr, ti
+                for _ in range(steps):
+                    ur, ui = (ur * rr - ui * ri) >> P, (ur * ri + ui * rr) >> P
+                    rowr += ur
+                    rowi += ui
+                    rr, ri = (rr * c2r - ri * c2i) >> P, (rr * c2i + ri * c2r) >> P
+            weight = 2 if m else 1
+            sr += weight * rowr
+            si += weight * rowi
+            t *= across
+            up, down, across = up * B, down * Binv, across * A2
+    return _from_fixed(sr, si, P, prec)
 
 
 def symplectic_theta_splitcm(point, prec):
@@ -172,30 +254,50 @@ def symplectic_theta_splitcm(point, prec):
 def dedekind_eta(z, prec):
     """eta(z) = e^(2 pi i z/24) * prod (1 - e^(2 pi i n z)), Im z > 0.
 
-    Evaluated through the pentagonal-number series of the product.
+    Evaluated through the pentagonal-number series of the product,
+    1 + sum_k (-1)^k (q^e1 + q^e2) with e1 = k(3k-1)/2 and e2 = e1 + k, in
+    Gaussian fixed point.  The powers are stepped: q^e1 by q^(3k+1), which
+    itself gains q^3 per k, and q^e2 = q^e1 q^k.  Summing stops after the
+    first k with |q|^e1 < 10^(-prec-12); the tail of the alternating series
+    is below twice the next term.  Each of the 2K terms is at most K steps
+    from its start values and carries at most 3 (K+1)^2 2^-P of rounding,
+    so the sum is off by less than 8 (K+1)^3 2^-P.
     """
     with mp.workdps(prec + GUARD_DIGITS + 5):
         z = _point_to_mpc(z)
         if z.imag <= 0:
             raise InputError("eta needs a point in the upper half plane")
         q = mpmath.exp(2j * mpmath.pi * z)
-        absq = abs(q)
-        cut = mpf(10) ** (-prec - 12)
-        total = mpmath.mpc(1)
+        # |q|^e1 < 10^(-prec-12) exactly when e1 > last
+        last = -(prec + 12) * mpmath.log(10) / mpmath.log(abs(q))
+        if last > MAX_TAIL_TERMS:
+            raise ResourceError("eta series needs more than %d terms" % MAX_TAIL_TERMS)
+    K = isqrt(int(last)) + 1
+    P = _fixed_bits(prec + 12, 8 * (K + 1) ** 3)
+    with mp.workprec(P + 20):
+        q = mpmath.exp(2j * mpmath.pi * z)
+        qr, qi = _to_fixed(q, P)
+        q3 = q * q * q
+        er, ei = qr, qi  # q^e1, e1 = 1
+        dr, di = _to_fixed(q3 * q, P)  # q^(3k+1), k = 1
+        cr, ci = _to_fixed(q3, P)
+        kr, ki = qr, qi  # q^k
+        sr, si = 1 << P, 0
         k = 1
         while True:
-            e1 = k * (3 * k - 1) // 2
-            e2 = k * (3 * k + 1) // 2
-            term = q**e1 + q**e2
-            total += term if k % 2 == 0 else -term
-            # tail of the alternating series is below twice the next term
-            if absq**e1 < cut:
+            tr, ti = er + ((er * kr - ei * ki) >> P), ei + ((er * ki + ei * kr) >> P)
+            if k % 2:
+                sr, si = sr - tr, si - ti
+            else:
+                sr, si = sr + tr, si + ti
+            if k * (3 * k - 1) // 2 > last:
                 break
+            er, ei = (er * dr - ei * di) >> P, (er * di + ei * dr) >> P
+            dr, di = (dr * cr - di * ci) >> P, (dr * ci + di * cr) >> P
+            kr, ki = (kr * qr - ki * qi) >> P, (kr * qi + ki * qr) >> P
             k += 1
-            if e1 > MAX_TAIL_TERMS:
-                raise ResourceError("eta series needs more than %d terms" % MAX_TAIL_TERMS)
-        total *= mpmath.exp(2j * mpmath.pi * z / 24)
-        return BigComplex.from_mpc(total, prec)
+        total = mpmath.mpc(mpf((sr, -P)), mpf((si, -P))) * mpmath.exp(2j * mpmath.pi * z / 24)
+    return BigComplex.from_mpc(total, prec)
 
 
 def _e48(k, prec):

@@ -123,6 +123,9 @@ def test_hamilton_maximal_order():
     )
     assert order_discriminant(O) == 4
     assert unit_count(O) == 12
+    assert len({s.co for s, _ in O.units} | {(-s).co for s, _ in O.units}) == 24
+    for s, s_inv in O.units:
+        assert s.nrd() == 1 and s * s_inv == alg.one
 
 
 def test_order_validation():
@@ -341,6 +344,9 @@ def test_invariant_record_is_computed_once_per_order(monkeypatch):
     assert store.match(O) == info.class_id
     assert unit_count(O) == info.omega
     assert len(calls) == 2
+    for _ in range(2):
+        embedding_count(O, info.witness_level)
+    assert calls.count(2) == 1  # the unit group, enumerated once
 
 
 def test_pair_trd_is_symmetric_bilinear():

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mpf
 
+from splitcm import theta
 from splitcm.errors import InputError
 from splitcm.hecke import HeckeContext
 from splitcm.quadratic import QuadForm, QuadIdeal, heegner_point, reduced_forms
@@ -39,11 +40,18 @@ def test_theta_square_form_gauss_constant():
 
 def test_theta_diagonal_form_is_jtheta_product():
     tau = mpmath.mpc("0.3", "0.8")
-    v = theta_form(QuadForm(2, 0, 3), tau, 60)
-    with mpmath.workdps(80):
-        q = mpmath.exp(2j * mpmath.pi * tau)
-        want = mpmath.jtheta(3, 0, q**2) * mpmath.jtheta(3, 0, q**3)
-        assert abs(v.to_mpc() - want) < mpf(10) ** -55
+    for prec in (60, 600):
+        v = theta_form(QuadForm(2, 0, 3), tau, prec)
+        with mpmath.workdps(prec + 20):
+            q = mpmath.exp(2j * mpmath.pi * tau)
+            want = mpmath.jtheta(3, 0, q**2) * mpmath.jtheta(3, 0, q**3)
+            assert abs(v.to_mpc() - want) < mpf(10) ** -(prec - 5), prec
+
+
+def test_theta_form_with_no_value_below_the_cutoff():
+    # at Im tau = 3 the cutoff stays at its floor, below the form's minimum 101
+    v = theta_form(QuadForm(101, 1, 203), mpmath.mpc("0.1", 3), 40)
+    assert v.distance(1) < mpf(10) ** -40
 
 
 def test_representation_counts_brute_force():
@@ -82,6 +90,15 @@ def test_dedekind_eta_at_i():
         assert abs(v.to_mpc() - want) < mpf(10) ** -55
 
 
+def test_dedekind_eta_600_digits_is_q_pochhammer():
+    z = mpmath.mpc("0.1", "0.2")
+    v = dedekind_eta(z, 600)
+    with mpmath.workdps(630):
+        q = mpmath.exp(2j * mpmath.pi * z)
+        want = mpmath.exp(2j * mpmath.pi * z / 24) * mpmath.qp(q)
+        assert abs(v.to_mpc() - want) < mpf(10) ** -605
+
+
 @given(upper_half)
 @settings(max_examples=25, deadline=None)
 def test_eta_translation_law(z):
@@ -108,6 +125,34 @@ def test_siegel_theta_diagonal_product():
             3, 0, mpmath.exp(1j * mpmath.pi * z22)
         )
         assert abs(v.to_mpc() - want) < mpf(10) ** -55
+
+
+def test_siegel_theta_with_growing_off_diagonal_factor():
+    # Im z12 < 0, so |e^(2 pi i z12)| = e^(0.9 pi) > 1 and the powers
+    # e^(2 pi i z12 m n) grow along the rows; -y12/y22 = 1.5 also moves each
+    # row's largest term and pushes it out of the box for large m
+    z11, z12, z22 = mpmath.mpc("0.3", "1.2"), mpmath.mpc("0.17", "-0.45"), mpmath.mpc("-0.2", "0.3")
+    prec = 60
+    v = siegel_theta(z11, z12, z22, prec)
+    with mpmath.workdps(prec + 30):
+        want = mpmath.fsum(
+            mpmath.exp(1j * mpmath.pi * (z11 * m * m + 2 * z12 * m * n + z22 * n * n))
+            for m in range(-30, 31)
+            for n in range(-30, 31)
+        )
+        assert abs(v.to_mpc() - want) < mpf(10) ** -(prec + 5)
+
+
+def test_siegel_theta_does_not_use_the_q_series(monkeypatch):
+    # the two theta paths are compared as independent programs
+    def refuse(*args):
+        raise AssertionError("siegel_theta reached the q-series code")
+
+    monkeypatch.setattr(theta, "representation_counts", refuse)
+    monkeypatch.setattr(theta, "theta_form", refuse)
+    ctx = HeckeContext(-7, 11, prec=40)
+    pt = heegner_point(ctx, ctx.class_rep)
+    symplectic_theta_splitcm(SplitCMPoint(QuadForm(1, 1, 3), pt), 40)
 
 
 def test_siegel_theta_needs_positive_imaginary_part():
