@@ -50,7 +50,6 @@ from .quadratic import (
     QuadIdeal,
     class_number,
     heegner_point,
-    ideal_product,
     prime_ideal_above,
     reduce_form,
     reduced_forms,
@@ -114,7 +113,6 @@ __all__ = [
     "eta_norm_factor",
     "gross_lattice",
     "heegner_point",
-    "ideal_product",
     "is_maximal",
     "l_value",
     "l_value_paths",

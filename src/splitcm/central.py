@@ -46,6 +46,7 @@ from .quadratic import (
 from .quaternion import (
     Order,
     build_Iz,
+    count_lattice_norm,
     embedding_count,
     is_maximal,
     orders_isometric,
@@ -85,9 +86,12 @@ class ClassRow:
 
 @dataclass(frozen=True)
 class ClassInfo:
+    """One type of maximal order; k is its number of left ideal classes (1 or 2)."""
+
     class_id: int
     order: Order
     omega: int
+    k: int
     theta_abs: int
     witness_level: int
     witness_form: QuadForm
@@ -97,8 +101,9 @@ class ClassInfo:
 class ClassStore:
     """The full list of maximal-order classes for a discriminant D.
 
-    Completeness is certified by the mass identity
-    sum over classes of 1/(2 omega) = (|D| - 1)/24.
+    Completeness is certified by the Eichler mass identity over left ideal
+    classes, sum over classes of k/(2 omega) = (|D| - 1)/24 (see
+    _ideal_class_count for k).
     """
 
     D: int
@@ -111,7 +116,7 @@ class ClassStore:
         return None
 
     def mass(self):
-        return sum(Fraction(1, 2 * info.omega) for info in self.classes)
+        return sum(Fraction(info.k, 2 * info.omega) for info in self.classes)
 
 
 def admissible_levels(D, n_max):
@@ -143,8 +148,22 @@ def _maximal_order(ctx, Q):
     return order
 
 
+def _ideal_class_count(order, D):
+    """k: the number of left ideal classes whose right order is conjugate to order.
+
+    The two-sided ideals of a maximal order O modulo Q^x are generated by
+    its prime P over |D|, with P^2 = |D| O; so the ideal classes with right
+    order of O's type are I and IP, one class when P is principal, that is
+    when O has an element of reduced norm |D| (Voight, Quaternion
+    Algebras, ch. 18), and two otherwise.
+    """
+    return 1 if count_lattice_norm(order.invariants.gram, -D) else 2
+
+
 def discover_classes(D, levels=None, prec=80, max_level=DISCOVERY_CAP):
     """Scan levels until the mass identity certifies every class was seen.
+
+    Each class weighs k/(2 omega), k = _ideal_class_count(order, D).
 
     Each new class stores a witness: the level and form where it first
     appeared and the snapped |theta| there, which is the class invariant
@@ -173,12 +192,13 @@ def discover_classes(D, levels=None, prec=80, max_level=DISCOVERY_CAP):
                     class_id=len(classes),
                     order=order,
                     omega=unit_count(order),
+                    k=_ideal_class_count(order, D),
                     theta_abs=abs(_snap(ctx, value)),
                     witness_level=N,
                     witness_form=Q,
                 )
             )
-            mass += Fraction(1, 2 * classes[-1].omega)
+            mass += Fraction(classes[-1].k, 2 * classes[-1].omega)
             if mass > target:
                 raise InternalError(
                     "class mass %s exceeded the target %s: classification is wrong" % (mass, target)
@@ -227,9 +247,10 @@ def classify(ctx, store, thetas=None):
     for info in store.classes:
         members = [r for r in records if r.class_id == info.class_id]
         h_r = embedding_count(info.order, ctx.N)
-        if 2 * len(members) != h_r:
+        if 2 * len(members) != info.k * h_r:
             raise InternalError(
-                "class %d has %d points at N=%d but h_R = %d" % (info.class_id, len(members), ctx.N, h_r)
+                "class %d has %d points at N=%d but k h_R = %d * %d"
+                % (info.class_id, len(members), ctx.N, info.k, h_r)
             )
         rows.append(
             ClassRow(

@@ -1,4 +1,4 @@
-"""Exact linear algebra over Z and Q: Hermite forms, inverses, duals.
+"""Exact linear algebra over Z and Q: Hermite forms, inverses, LLL.
 
 Everything here works on lists of lists of int or Fraction. Matrices are
 row-major; lattice bases are given as rows. No floating point anywhere.
@@ -162,24 +162,3 @@ def lll_reduce_gram(gram, delta=Fraction(3, 4)):
             mu, B = gs()
             k = max(k - 1, 1)
     return g, U
-
-
-def dual_basis(rows):
-    """Rows of the dual lattice basis: inverse transpose of a square basis."""
-    inv = mat_inv(rows)
-    n = len(inv)
-    return [[inv[j][i] for j in range(n)] for i in range(n)]
-
-
-def lattice_intersection(rows_a, rows_b):
-    """Intersection of two full-rank lattices given by square rational bases.
-
-    Uses duality: (A cap B)^* = A^* + B^*, and the sum is an HNF of the
-    stacked dual bases.
-    """
-    da = dual_basis(rows_a)
-    db = dual_basis(rows_b)
-    s = rational_hnf(da + db)
-    if len(s) != len(rows_a):
-        raise ValueError("intersection is not full rank")
-    return dual_basis(s)

@@ -9,18 +9,19 @@ Conventions used throughout:
   [a, b, c] corresponds to the ideal (a, b) and the conjugate ideal to
   [a, -b, c].
 * A Heegner point of level N is tau = (-b + sqrt(D))/(2*a1*N) with
-  b^2 = D mod 4*a1*N, obtained from an ideal [a1*N, (-b+sqrt(D))/2].
+  b^2 = D mod 4*a1*N, obtained from an ideal [a1*N, (-b+sqrt(D))/2]: the
+  product of a class representative of norm a1 coprime to N with the
+  prime (N, -b1), whose root b follows from the two factors' roots by CRT.
 
-Only fundamental discriminants with h small ever appear, but nothing below
-assumes that.
+Only fundamental discriminants with h small ever appear; the forms and
+ideals below assume nothing more, the Heegner point assumes D odd.
 """
 
 from dataclasses import dataclass
 from math import gcd, isqrt
 
 from .arith import is_prime, jacobi
-from .errors import InputError, InternalError, SplitError, UnsupportedError
-from .linalg import hnf_rows
+from .errors import InputError, SplitError, UnsupportedError
 
 
 def validate_disc(d):
@@ -178,37 +179,6 @@ def form_of_ideal(ideal):
     return QuadForm(ideal.a, ideal.b, c)
 
 
-def ideal_product(x, y):
-    """Product of two ideals as (content, primitive ideal).
-
-    The module product is spanned by the four pairwise generator products;
-    writing elements as (p + q*sqrt(d))/2 and running a Hermite normal form
-    on (q, p) rows gives [[c, t], [0, s]] with content c, norm s/(2c) and
-    b = -t/c mod 2a for the primitive part.
-    """
-    if x.d != y.d:
-        raise InputError("ideal product needs equal discriminants")
-    d = x.d
-    rows = [
-        [0, 2 * x.a * y.a],
-        [x.a, -x.a * y.b],
-        [y.a, -y.a * x.b],
-        [-(x.b + y.b) // 2, (x.b * y.b + d) // 2],
-    ]
-    h = hnf_rows(rows)
-    if len(h) != 2 or h[1][0] != 0:
-        raise InternalError("ideal product HNF degenerated: %r" % (h,))
-    content, t = h[0]
-    s = h[1][1]
-    if t % content or s % (2 * content):
-        raise InternalError("ideal product content mismatch: %r" % (h,))
-    a_new = s // (2 * content)
-    prim = QuadIdeal(a_new, -(t // content), d)
-    if content * content * prim.a != x.a * y.a:
-        raise InternalError("ideal product norm check failed")
-    return content, prim
-
-
 def smallest_odd_root(D, N):
     """Smallest positive odd b with b^2 = D mod 4N; requires D square mod 4N."""
     for b in range(1, 2 * N, 2):
@@ -262,15 +232,12 @@ def heegner_point(ctx, a):
     """Heegner point of the ideal product a * (N, -b1), the conjugate of ctx's level ideal.
 
     ctx supplies D, N and b1.  The class representative a must have norm
-    coprime to N.
+    a1 coprime to N; the product is then the primitive ideal (a1 N, B) with
+    B = a.b mod 2 a1 and B = -b1 mod 2N (B odd, as D is), by CRT.
     """
-    if gcd(a.norm, ctx.N) != 1:
-        raise InputError("ideal norm %d is not coprime to N = %d" % (a.norm, ctx.N))
-    content, prod = ideal_product(a, QuadIdeal(ctx.N, -ctx.b1, ctx.D))
-    if content != 1:
-        raise InternalError("product with level ideal has content %d" % content)
-    if prod.a != a.norm * ctx.N:
-        raise InternalError("product norm %d is not a1*N" % prod.a)
-    if (prod.b + ctx.b1) % (2 * ctx.N) != 0:
-        raise InternalError("product root %d is not %d mod 2N" % (prod.b, -ctx.b1))
-    return HeegnerPoint(ctx.D, ctx.N, a.norm, prod.b)
+    a1, N = a.norm, ctx.N
+    if gcd(a1, N) != 1:
+        raise InputError("ideal norm %d is not coprime to N = %d" % (a1, N))
+    t = (a.b + ctx.b1) // 2 * pow(N, -1, a1) % a1
+    B = -ctx.b1 + 2 * N * t
+    return HeegnerPoint(ctx.D, N, a1, QuadIdeal(a1 * N, B, ctx.D).b)

@@ -7,10 +7,12 @@ N > 0 the reduced norm
 
 is positive definite.  Lattices are rank-4 Z-modules given by rational
 basis rows in these coordinates, stored with a Hermite-form canonical
-basis.  The module provides the ideal attached to a split-CM point, right
-orders, discriminants, unit counts, the trace-zero Gross lattice with its
+basis.  The module provides the ideal attached to a split-CM point, its
+right order (by the one formula conj(I) I / nrd(I) for invertible I),
+discriminants, unit counts, the trace-zero Gross lattice with its
 embedding numbers, and isometry testing of orders via their norm Gram
-matrices and a per-order record of isometry invariants.
+matrices and a per-order record of isometry invariants.  Each Order
+computes its norm Gram and discriminant once and keeps them.
 """
 
 from dataclasses import dataclass, field
@@ -19,15 +21,7 @@ from functools import cached_property, lru_cache
 from math import floor, gcd, isqrt, lcm
 
 from .errors import InputError, InternalError, ResourceError
-from .linalg import (
-    hnf_rows,
-    lattice_intersection,
-    lll_reduce_gram,
-    mat_det,
-    mat_inv,
-    mat_mul,
-    rational_hnf,
-)
+from .linalg import hnf_rows, lll_reduce_gram, mat_det, mat_inv, mat_mul, rational_hnf
 
 INVARIANT_DEPTH = 12
 
@@ -131,18 +125,11 @@ class QuatElem:
     def __str__(self):
         return "(%s, %s, %s, %s)" % self.co
 
-    def left_matrix(self):
-        """Matrix L with row(self * x) = row(x) * L^T; columns are self*e_j."""
-        cols = [(self * b).co for b in _basis(self.alg)]
-        return [[cols[j][i] for j in range(4)] for i in range(4)]
 
-    def right_matrix(self):
-        cols = [(b * self).co for b in _basis(self.alg)]
-        return [[cols[j][i] for j in range(4)] for i in range(4)]
-
-
-def _basis(alg):
-    return (alg.one, alg.u, alg.v, alg.w)
+def _combine(coords, basis):
+    """The element sum_i coords[i] * basis[i]."""
+    co = tuple(sum(c * b.co[k] for c, b in zip(coords, basis)) for k in range(4))
+    return QuatElem(basis[0].alg, co)
 
 
 def pair_trd(x, y):
@@ -156,7 +143,7 @@ class QuatLattice:
 
     alg: QuatAlgebra
     hnf: tuple
-    gens: tuple = None
+    gens: tuple = field(default=None, compare=False)
 
     @classmethod
     def from_elems(cls, elems):
@@ -173,12 +160,6 @@ class QuatLattice:
 
     def basis(self):
         return [QuatElem(self.alg, row) for row in self.hnf]
-
-    def __eq__(self, other):
-        return isinstance(other, QuatLattice) and self.alg == other.alg and self.hnf == other.hnf
-
-    def __hash__(self):
-        return hash((self.alg, self.hnf))
 
     def contains(self, x):
         coords = mat_mul([list(x.co)], _inv_cached(self.hnf))[0]
@@ -266,17 +247,21 @@ def symplectic_gram(I):
 
 
 def right_order(I):
-    """The right order {x : I x <= I} of a full lattice."""
-    rows = [list(r) for r in I.hnf]
-    pieces = []
-    for g in I.basis():
-        lm = g.inverse().left_matrix()
-        lmt = [[lm[j][i] for j in range(4)] for i in range(4)]
-        pieces.append(mat_mul(rows, lmt))
-    cur = pieces[0]
-    for nxt in pieces[1:]:
-        cur = lattice_intersection(cur, nxt)
-    return Order(QuatLattice.from_rows(I.alg, cur))
+    """The right order {x : I x <= I} of an invertible lattice, as conj(I) I / nrd(I).
+
+    For invertible I, I^-1 = conj(I) / nrd(I) and O_R(I) = I^-1 I (Voight,
+    Quaternion Algebras, ch. 16), spanned by the 16 products conj(b_i) b_j
+    / nrd(I).  That span O is kept only when I O <= I, which puts O inside
+    O_R(I) and makes it an order; so O = O_R(I) whenever O is maximal.
+    A lattice that fails the check is not invertible: InputError.
+    """
+    bas = I.basis()
+    inv_norm = 1 / I.norm()
+    O = QuatLattice.from_elems([x.conjugate() * y * inv_norm for x in bas for y in bas])
+    obas = O.basis()
+    if not all(I.contains(x * y) for x in bas for y in obas):
+        raise InputError("lattice is not invertible: I conj(I) I / nrd(I) is not inside I")
+    return Order(O)
 
 
 @dataclass(frozen=True)
@@ -300,19 +285,23 @@ class Order:
     def alg(self):
         return self.lattice.alg
 
-    def __eq__(self, other):
-        return isinstance(other, Order) and self.lattice == other.lattice
+    @cached_property
+    def gram(self):
+        """The integer norm Gram trd(e_i conj(e_j)) on the lattice's canonical basis."""
+        return self.lattice.scaled_gram()
 
-    def __hash__(self):
-        return hash(self.lattice)
+    @cached_property
+    def disc(self):
+        """det of gram; equals (reduced discriminant)^2."""
+        return _as_int(mat_det(self.gram), "order discriminant")
 
     @cached_property
     def invariants(self):
         """This order's OrderInvariants, computed on first use and kept."""
-        gram = _reduced_gram(self.lattice.scaled_gram())
+        gram = _reduced_gram(self.gram)
         gross = gross_lattice(self)
         return OrderInvariants(
-            disc=order_discriminant(self),
+            disc=self.disc,
             norm_counts=_norm_counts(gram),
             gross_counts=_norm_counts(_reduced_gram(gross.gram)),
             gram=gram,
@@ -326,14 +315,13 @@ class Order:
         Enumerated on the norm Gram in this order's own basis, apart from
         the reduced enumeration behind unit_count, so the count checks it.
         """
-        gram = self.lattice.scaled_gram()
+        gram = self.gram
+        basis = self.lattice.basis()
         units = []
         for c in short_vectors(gram, 2):
             if _quadval(gram, c) != 2:
                 continue
-            s = self.alg.elem(0)
-            for ci, e in zip(c, self.lattice.basis()):
-                s = s + e.scale(ci)
+            s = _combine(c, basis)
             units.append((s, s.inverse()))
         if len(units) != unit_count(self):
             raise InternalError(
@@ -378,13 +366,11 @@ def _norm_counts(gram):
 
 def order_discriminant(O):
     """det of the trd(e_i conj(e_j)) Gram; equals (reduced discriminant)^2."""
-    g = O.lattice.scaled_gram()
-    d = mat_det(g)
-    return _as_int(d, "order discriminant")
+    return O.disc
 
 
 def is_maximal(O):
-    return order_discriminant(O) == O.alg.D * O.alg.D
+    return O.disc == O.alg.D * O.alg.D
 
 
 def _ldl(gram):
@@ -496,12 +482,7 @@ def gross_lattice(O):
     kern = _integer_kernel(traces)
     if len(kern) != 3:
         raise InternalError("trace-zero sublattice has rank %d" % len(kern))
-    basis = []
-    for c in kern:
-        x = O.alg.elem(0)
-        for ci, e in zip(c, elems):
-            x = x + e.scale(ci)
-        basis.append(x)
+    basis = [_combine(c, elems) for c in kern]
     gram = [[_as_int(pair_trd(x, y), "Gross Gram") for y in basis] for x in basis]
     return GrossLattice(O, tuple(basis), tuple(tuple(r) for r in gram))
 
@@ -553,9 +534,7 @@ def _root_orbit_count(O, gl, halves):
     """
     vecs = []
     for c in halves:
-        x = O.alg.elem(0)
-        for ci, e in zip(c, gl.basis):
-            x = x + e.scale(ci)
+        x = _combine(c, gl.basis)
         vecs.append(x)
         vecs.append(-x)
     for x in vecs:

@@ -27,7 +27,7 @@ from splitcm.errors import (
     UnsupportedError,
 )
 from splitcm.hecke import HeckeContext, find_generator
-from splitcm.quadratic import reduced_forms
+from splitcm.quadratic import class_number, reduced_forms
 from splitcm.quaternion import build_Iz, right_order
 
 L_7_11 = 0.27457144311888215 + 0.8185491052922107j
@@ -62,6 +62,36 @@ def test_discover_classes_mass_and_units(store7, store11):
     assert sorted(info.omega for info in store11.classes) == [2, 3]
     assert store11.mass() == Fraction(5, 12) == Fraction(-(-11) - 1, 24)
     assert sorted(info.theta_abs for info in store11.classes) == [0, 2]
+
+
+@pytest.fixture(scope="module")
+def store43():
+    return discover_classes(-43, prec=60)
+
+
+def test_discover_classes_weights_types_by_ideal_classes(store43):
+    # a type with no element of reduced norm |D| stands for two left ideal classes
+    store19 = discover_classes(-19, prec=60)
+    assert [(info.omega, info.k) for info in store19.classes] == [(1, 1), (2, 1)]
+    assert store19.mass() == Fraction(3, 4) == Fraction(19 - 1, 24)
+    assert [(info.omega, info.k) for info in store43.classes] == [(1, 1), (1, 2), (2, 1)]
+    assert store43.mass() == Fraction(7, 4) == Fraction(43 - 1, 24)
+    assert [info.theta_abs for info in store43.classes] == [4, 2, 0]
+
+
+def test_classify_every_level_of_d43(store43):
+    k = {info.theta_abs: info.k for info in store43.classes}
+    for N in admissible_levels(-43, 200):
+        records, rows = classify(HeckeContext(-43, N, prec=60), store43)
+        assert len(records) == sum(row.count for row in rows) == class_number(-N), N
+        for row in rows:
+            assert 2 * row.count == k[row.abs_theta] * row.h_r, (N, row)
+
+
+def test_l_value_d43_matches_the_oracle(store43):
+    want, _ = oracle_central_value(-43, 47, prec=100)
+    got = l_value(HeckeContext(-43, 47, prec=100), store43)
+    assert got.distance(want) < mpf(10) ** -85
 
 
 def test_discover_classes_incomplete_scan():
@@ -154,7 +184,7 @@ def test_oracle_fast_matches_l_value(store7, store11):
 
 def test_oracle_root_number_is_the_generator_phase():
     # criterion 7 assumes W = +-i*pi/|pi|; the oracle solves for W instead, and
-    # certifies |W| = 1 also for D = -19 and -43, which have no class store yet
+    # certifies |W| = 1 also for D = -19 and -43
     for D, N in ((-7, 11), (-7, 23), (-11, 23), (-19, 23), (-43, 47)):
         _, root = oracle_central_value(D, N, prec=100)
         phase = _generator_phase(D, N, 100)

@@ -18,3 +18,10 @@ def test_no_module_imports_numpy():
             else:
                 continue
             assert not any(n.split(".")[0] == "numpy" for n in names), path.name
+
+
+def test_all_exports_resolve():
+    # every exported name is still defined after deletions in the package
+    missing = [name for name in splitcm.__all__ if not hasattr(splitcm, name)]
+    assert missing == []
+    assert len(set(splitcm.__all__)) == len(splitcm.__all__)

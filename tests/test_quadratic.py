@@ -16,7 +16,6 @@ from splitcm.quadratic import (
     form_of_ideal,
     heegner_point,
     ideal_of_form,
-    ideal_product,
     prime_ideal_above,
     reduce_form,
     reduced_forms,
@@ -150,26 +149,6 @@ def test_form_ideal_roundtrip():
             assert form_of_ideal(ideal_of_form(f)) == f
 
 
-def test_ideal_product_norm_and_conjugate():
-    # a * conj(a) = (norm) * unit ideal
-    for d in (-7, -11, -23):
-        for f in reduced_forms(d):
-            ideal = ideal_of_form(f)
-            content, prim = ideal_product(ideal, ideal.conjugate())
-            assert content == ideal.norm
-            assert prim == unit_ideal(d)
-
-
-def test_ideal_product_content_squared_norm():
-    # norm multiplicativity: content^2 * norm(prim) = norm(x) * norm(y)
-    ideals = [QuadIdeal(a, b, -23) for a in range(1, 30)
-              for b in range(-a + 1, a + 1) if (b * b + 23) % (4 * a) == 0]
-    for x in ideals[:12]:
-        for y in ideals[:12]:
-            content, prim = ideal_product(x, y)
-            assert content * content * prim.norm == x.norm * y.norm
-
-
 def test_smallest_odd_root():
     assert smallest_odd_root(-7, 11) == 9
     assert smallest_odd_root(-7, 23) == 19
@@ -213,6 +192,30 @@ def test_heegner_point_class_input():
     for f in reduced_forms(-11):
         pt = heegner_point(ctx, ideal_of_form(f))
         assert (pt.b * pt.b - (-11)) % (4 * pt.a1 * 23) == 0
+
+
+def _ideal_generators(ideal):
+    """a and (-b + sqrt(d))/2 as (p, q) with the element (p + q sqrt(d))/2."""
+    return [(2 * ideal.a, 0), (-ideal.b, 1)]
+
+
+def test_heegner_point_is_the_ideal_product():
+    # (a1 N, B) holds the four generator products of a and (N, -b1); both have norm a1 N
+    for D, N in ((-7, 11), (-7, 23), (-11, 23), (-19, 47)):
+        ctx = HeckeContext(D, N, prec=40)
+        level = QuadIdeal(N, -ctx.b1, D)
+        for a1 in range(1, 40):
+            for b in range(-a1 + 1, a1 + 1):
+                if a1 % N == 0 or (b * b - D) % (4 * a1):
+                    continue
+                a = QuadIdeal(a1, b, D)
+                pt = heegner_point(ctx, a)
+                prod = QuadIdeal(pt.a1 * N, pt.b, D)
+                assert pt.a1 == a1 and prod.b == pt.b
+                for p1, q1 in _ideal_generators(a):
+                    for p2, q2 in _ideal_generators(level):
+                        p, q = (p1 * p2 + D * q1 * q2) // 2, (p1 * q2 + p2 * q1) // 2
+                        assert prod.contains(p, q), (D, N, a, pt)
 
 
 def test_heegner_point_validation():

@@ -1,5 +1,7 @@
 """Quaternion algebra (D, -N): arithmetic, lattices, orders, class data."""
 
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,10 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from splitcm import quaternion
-from splitcm.central import discover_classes
+from splitcm.central import admissible_levels, discover_classes
 from splitcm.errors import InputError
 from splitcm.hecke import HeckeContext
-from splitcm.linalg import lll_reduce_gram, mat_det, mat_mul
+from splitcm.linalg import lll_reduce_gram, mat_det, mat_inv, mat_mul, rational_hnf
 from splitcm.quadratic import reduced_forms
 from splitcm.quaternion import (
     Order,
@@ -85,18 +87,6 @@ def test_zero_has_no_inverse():
         ALG.elem(0).inverse()
 
 
-@given(elems, elems)
-@settings(max_examples=40, deadline=None)
-def test_left_right_matrices(x, y):
-    lm = x.left_matrix()
-    rm = x.right_matrix()
-    prod_l = x * y
-    prod_r = y * x
-    for i in range(4):
-        assert prod_l.co[i] == sum(lm[i][j] * y.co[j] for j in range(4))
-        assert prod_r.co[i] == sum(rm[i][j] * y.co[j] for j in range(4))
-
-
 def test_lattice_canonical_basis():
     a = QuatLattice.from_rows(ALG, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
     # a unimodular rewrite of the same lattice
@@ -144,8 +134,6 @@ def brute_norm_counts(gram, top):
     R = 2 * top + 2
     counts = [0] * (top + 1)
     ranges = [range(-R, R + 1)] * n
-    import itertools
-
     for x in itertools.product(*ranges):
         q = sum(gram[i][j] * x[i] * x[j] for i in range(n) for j in range(n))
         if q % 2 == 0 and q // 2 <= top:
@@ -257,6 +245,87 @@ def test_right_orders_are_maximal():
             assert is_maximal(O)
 
 
+def _dual(rows):
+    """Rows of the dual lattice basis: inverse transpose of a square basis."""
+    return [list(col) for col in zip(*mat_inv(rows))]
+
+
+def reference_right_order(I):
+    """{x : I x <= I} as the intersection of the lattices g^(-1) I over a basis g of I.
+
+    Each intersection is taken through duals, (A cap B)^* = A^* + B^*.  This
+    holds for every full lattice, invertible or not.
+    """
+    bas = I.basis()
+    cur = None
+    for g in bas:
+        rows = [list((g.inverse() * b).co) for b in bas]
+        cur = rows if cur is None else _dual(rational_hnf(_dual(cur) + _dual(rows)))
+    return QuatLattice.from_rows(I.alg, cur)
+
+
+def _splitcm_lattices():
+    """Every I_z of criterion 4 (D = -7 to N = 200, D = -11 to 250) and of D = -19 to 120."""
+    for D, n_max in ((-7, 200), (-11, 250), (-19, 120)):
+        for N in admissible_levels(D, n_max):
+            ctx = HeckeContext(D, N, prec=40)
+            for Q in reduced_forms(-N):
+                yield build_Iz(ctx, Q)
+
+
+def test_right_order_matches_the_intersection_reference():
+    checked = 0
+    for I in _splitcm_lattices():
+        assert right_order(I).lattice == reference_right_order(I), I
+        checked += 1
+    assert checked == 128
+
+
+def test_right_order_of_left_ideals_matches_the_reference():
+    # O alpha + O m is a left ideal of a maximal order O, so it is invertible
+    rng = random.Random(7)
+    for D, N in ((-7, 11), (-11, 23), (-19, 23)):
+        ctx = HeckeContext(D, N, prec=40)
+        O = right_order(build_Iz(ctx, reduced_forms(-N)[-1]))
+        bas = O.lattice.basis()
+        for _ in range(6):
+            alpha = O.alg.elem(0)
+            for b in bas:
+                alpha = alpha + b.scale(rng.randint(-6, 6))
+            if alpha.is_zero():
+                continue
+            m = rng.choice((2, 3, 5, 6))
+            I = QuatLattice.from_elems([b * alpha for b in bas] + [b.scale(m) for b in bas])
+            R = right_order(I)
+            assert R.lattice == reference_right_order(I)
+            assert is_maximal(R)
+
+
+def test_right_order_refuses_a_non_invertible_lattice():
+    # Z + Zu + Zv + 2Zw: conj(I) I / nrd(I) is not its right order, and must not be returned
+    I = QuatLattice.from_elems([ALG.one, ALG.u, ALG.v, ALG.w.scale(2)])
+    with pytest.raises(InputError) as exc:
+        right_order(I)
+    assert "not invertible" in str(exc.value)
+    formula = QuatLattice.from_elems(
+        [x.conjugate() * y * (1 / I.norm()) for x in I.basis() for y in I.basis()]
+    )
+    assert reference_right_order(I) != formula
+
+
+def test_right_order_is_refused_or_right_on_diagonal_sublattices():
+    refused = 0
+    for scales in itertools.product((1, 2, 3), repeat=4):
+        I = QuatLattice.from_elems([b.scale(d) for b, d in zip((ALG.one, ALG.u, ALG.v, ALG.w), scales)])
+        try:
+            R = right_order(I)
+        except InputError:
+            refused += 1
+            continue
+        assert R.lattice == reference_right_order(I), scales
+    assert 0 < refused < 81
+
+
 def test_gross_lattice_shape():
     for D, N in [(-7, 11), (-11, 23)]:
         ctx = HeckeContext(D, N, prec=50)
@@ -319,8 +388,8 @@ def test_invariant_record_matches_norm_counts():
         for Q in reduced_forms(-N):
             O = right_order(build_Iz(ctx, Q))
             record = O.invariants
-            assert record.disc == order_discriminant(O)
-            g = O.lattice.scaled_gram()
+            assert record.disc == order_discriminant(O) == mat_det(O.lattice.scaled_gram())
+            g = O.gram
             assert record.norm_counts == tuple(count_lattice_norm(g, n) for n in range(1, 13))
             g = gross_lattice(O).gram
             assert record.gross_counts == tuple(count_lattice_norm(g, n) for n in range(1, 13))
@@ -330,7 +399,16 @@ def test_invariant_record_is_computed_once_per_order(monkeypatch):
     store = discover_classes(-11, prec=50)
     info = store.classes[-1]
     ctx = HeckeContext(-11, info.witness_level, prec=50)
+    grams = []
+    real_gram = QuatLattice.scaled_gram
+
+    def counting_gram(lattice):
+        grams.append(lattice)
+        return real_gram(lattice)
+
+    monkeypatch.setattr(QuatLattice, "scaled_gram", counting_gram)
     O = right_order(build_Iz(ctx, info.witness_form))
+    assert is_maximal(O) and order_discriminant(O) == 121
     calls = []
     real = quaternion.short_vectors
 
@@ -347,6 +425,7 @@ def test_invariant_record_is_computed_once_per_order(monkeypatch):
     for _ in range(2):
         embedding_count(O, info.witness_level)
     assert calls.count(2) == 1  # the unit group, enumerated once
+    assert grams == [O.lattice]  # one norm Gram for the order's whole life
 
 
 def test_pair_trd_is_symmetric_bilinear():
