@@ -1,11 +1,10 @@
-"""Exact linear algebra over Z and Q: Hermite forms, inverses, LLL.
+"""Exact linear algebra over Z: Hermite forms, determinants, LLL.
 
-Everything here works on lists of lists of int or Fraction. Matrices are
-row-major; lattice bases are given as rows. No floating point anywhere.
+Everything here works on lists of lists of Python ints. Matrices are
+row-major; lattice bases are given as rows. No floating point and no
+Fraction anywhere: rational data are passed as integer rows over a common
+denominator.
 """
-
-from fractions import Fraction
-from math import gcd
 
 
 def hnf_rows(rows):
@@ -49,99 +48,73 @@ def hnf_rows(rows):
     return [r for r in m[:row] if any(r)]
 
 
-def mat_mul(a, b):
-    n, k, mcols = len(a), len(b), len(b[0])
-    return [
-        [sum(a[i][t] * b[t][j] for t in range(k)) for j in range(mcols)]
-        for i in range(n)
-    ]
-
-
-def mat_inv(a):
-    """Inverse of a square matrix with Fraction arithmetic (Gauss-Jordan)."""
-    n = len(a)
-    m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(a)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            raise ZeroDivisionError("singular matrix")
-        m[col], m[piv] = m[piv], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [x * inv for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return [row[n:] for row in m]
-
-
 def mat_det(a):
-    """Determinant via fraction-free-ish Gaussian elimination on Fractions."""
-    n = len(a)
-    m = [[Fraction(x) for x in row] for row in a]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col] != 0:
-                f = m[r][col] * inv
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return det
+    """Determinant of a square integer matrix by Bareiss fraction-free elimination.
 
-
-def rational_hnf(rows):
-    """HNF basis of the Z-span of rational rows.
-
-    Scales by the lcm of denominators, runs integer HNF, scales back.
-    Returns Fraction rows forming a canonical basis of the same Z-module.
+    Every division is exact: after step k each entry is a (k+1)-minor of a.
     """
-    rows = [[Fraction(x) for x in r] for r in rows]
-    den = 1
-    for r in rows:
-        for x in r:
-            den = den * x.denominator // gcd(den, x.denominator)
-    scaled = [[int(x * den) for x in r] for r in rows]
-    h = hnf_rows(scaled)
-    return [[Fraction(x, den) for x in r] for r in h]
+    m = [list(row) for row in a]
+    n = len(m)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            piv = next((r for r in range(k + 1, n) if m[r][k] != 0), None)
+            if piv is None:
+                return 0
+            m[k], m[piv] = m[piv], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
 
 
-def lll_reduce_gram(gram, delta=Fraction(3, 4)):
-    """LLL on a positive definite Gram matrix, fully exact.
+def gram_schmidt(gram):
+    """Integer Gram-Schmidt data (d, lam) of a positive definite integer Gram matrix.
+
+    d[i] is the determinant of the leading i x i block, so the i-th
+    Gram-Schmidt vector has squared length B_i = d[i+1]/d[i], and
+    lam[k][j] = d[j+1] mu[k][j] for j < k.  All of them are integers, and
+    every division below is exact (Cohen, A Course in Computational
+    Algebraic Number Theory, Alg. 2.6.7).
+    """
+    n = len(gram)
+    d = [1] * (n + 1)
+    lam = [[0] * n for _ in range(n)]
+    for k in range(n):
+        for j in range(k + 1):
+            u = gram[k][j]
+            for i in range(j):
+                u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
+            if j < k:
+                lam[k][j] = u
+            elif u <= 0:
+                raise ValueError("Gram matrix is not positive definite")
+            else:
+                d[k + 1] = u
+    return d, lam
+
+
+def lll_reduce_gram(gram):
+    """LLL (delta = 3/4) on a positive definite integer Gram matrix, in integers.
 
     Returns (reduced_gram, U) with U * gram * U^T = reduced_gram and U
     unimodular.  The Gram matrix follows each basis change by row and
-    column operations, and mu by the exact update of a size-reduction step;
-    Gram-Schmidt data are recomputed only after a swap.
+    column operations, and the gram_schmidt integers d and lam follow it by
+    the exact updates of Cohen's Alg. 2.6.7.  Each vector is first
+    size-reduced against all earlier ones, then the Lovasz condition
+    B_k >= (3/4 - mu[k][k-1]^2) B_(k-1) is tested, multiplied out to
+    4 (d[k+1] d[k-1] + lam^2) >= 3 d[k]^2.
     """
     n = len(gram)
     g = [list(row) for row in gram]
     U = [[int(i == j) for j in range(n)] for i in range(n)]
-
-    def gs():
-        mu = [[Fraction(0)] * n for _ in range(n)]
-        B = [Fraction(0)] * n
-        for i in range(n):
-            for j in range(i):
-                s = Fraction(g[i][j]) - sum(mu[j][k] * mu[i][k] * B[k] for k in range(j))
-                mu[i][j] = s / B[j]
-            B[i] = Fraction(g[i][i]) - sum(mu[i][k] ** 2 * B[k] for k in range(i))
-            if B[i] <= 0:
-                raise ValueError("Gram matrix is not positive definite")
-        return mu, B
-
-    mu, B = gs()
+    d, lam = gram_schmidt(g)
     k = 1
     while k < n:
         for j in range(k - 1, -1, -1):
-            q = (2 * mu[k][j].numerator + mu[k][j].denominator) // (2 * mu[k][j].denominator)
+            q = (2 * lam[k][j] + d[j + 1]) // (2 * d[j + 1])
             if q:
                 # b_k -= q b_j
                 U[k] = [a - q * b for a, b in zip(U[k], U[j])]
@@ -150,15 +123,23 @@ def lll_reduce_gram(gram, delta=Fraction(3, 4)):
                 for i in range(n):
                     g[i][k] -= q * g[i][j]
                 for i in range(j):
-                    mu[k][i] -= q * mu[j][i]
-                mu[k][j] -= q
-        if B[k] >= (delta - mu[k][k - 1] ** 2) * B[k - 1]:
+                    lam[k][i] -= q * lam[j][i]
+                lam[k][j] -= q * d[j + 1]
+        r = lam[k][k - 1]
+        if 4 * (d[k + 1] * d[k - 1] + r * r) >= 3 * d[k] * d[k]:
             k += 1
-        else:
-            U[k], U[k - 1] = U[k - 1], U[k]
-            g[k], g[k - 1] = g[k - 1], g[k]
-            for row in g:
-                row[k], row[k - 1] = row[k - 1], row[k]
-            mu, B = gs()
-            k = max(k - 1, 1)
+            continue
+        U[k], U[k - 1] = U[k - 1], U[k]
+        g[k], g[k - 1] = g[k - 1], g[k]
+        for row in g:
+            row[k], row[k - 1] = row[k - 1], row[k]
+        for j in range(k - 1):
+            lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
+        b = (d[k - 1] * d[k + 1] + r * r) // d[k]
+        for i in range(k + 1, n):
+            t = lam[i][k]
+            lam[i][k] = (d[k + 1] * lam[i][k - 1] - r * t) // d[k]
+            lam[i][k - 1] = (b * t + r * lam[i][k]) // d[k + 1]
+        d[k] = b
+        k = max(k - 1, 1)
     return g, U

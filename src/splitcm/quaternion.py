@@ -5,9 +5,22 @@ N > 0 the reduced norm
 
     nrd(x) = x0^2 - D x1^2 + N x2^2 - D N x3^2
 
-is positive definite.  Lattices are rank-4 Z-modules given by rational
-basis rows in these coordinates, stored with a Hermite-form canonical
-basis.  The module provides the ideal attached to a split-CM point, its
+is positive definite.
+
+Everything is stored and computed on Python ints.  An element is four
+integer numerators over one positive denominator, in lowest terms, so the
+pair is unique and == and hash are exact.  A lattice L (a full rank-4
+Z-module) is the Hermite normal form of the integer lattice den L, with
+den the least positive integer that makes it integral; that is unique
+too.  Products, traces, norms, membership (a triangular solve on
+the Hermite rows), Gram matrices, determinants and LLL all run on those
+integers.  QuatElem.co is only a read-only Fraction view for callers that
+print or compare coordinates: a stored Fraction copy would be a second
+representation to keep in step, and a product on Fractions costs about
+twenty times one on ints.  Rational results that are not coordinates
+(nrd, trd, QuatLattice.norm, the symplectic Gram) are returned as Fractions.
+
+The module provides the ideal attached to a split-CM point, its
 right order (by the one formula conj(I) I / nrd(I) for invertible I),
 discriminants, unit counts, the trace-zero Gross lattice with its
 embedding numbers, and isometry testing of orders via their norm Gram
@@ -17,11 +30,11 @@ computes its norm Gram and discriminant once and keeps them.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from math import floor, gcd, isqrt, lcm
 
 from .errors import InputError, InternalError, ResourceError
-from .linalg import hnf_rows, lll_reduce_gram, mat_det, mat_inv, mat_mul, rational_hnf
+from .linalg import gram_schmidt, hnf_rows, lll_reduce_gram, mat_det
 
 INVARIANT_DEPTH = 12
 
@@ -36,7 +49,9 @@ class QuatAlgebra:
             raise InputError("algebra needs D < 0 and N > 0")
 
     def elem(self, x0, x1=0, x2=0, x3=0):
-        return QuatElem(self, (Fraction(x0), Fraction(x1), Fraction(x2), Fraction(x3)))
+        co = [Fraction(x) for x in (x0, x1, x2, x3)]
+        den = lcm(*(x.denominator for x in co))
+        return QuatElem(self, tuple(x.numerator * (den // x.denominator) for x in co), den)
 
     @property
     def one(self):
@@ -55,10 +70,58 @@ class QuatAlgebra:
         return self.elem(0, 0, 0, 1)
 
 
+def _mul(D, N, x, y):
+    """Coordinates of the product x y of two integer coordinate tuples."""
+    x0, x1, x2, x3 = x
+    y0, y1, y2, y3 = y
+    return (
+        x0 * y0 + D * x1 * y1 - N * x2 * y2 + D * N * x3 * y3,
+        x0 * y1 + x1 * y0 + N * (x2 * y3 - x3 * y2),
+        x0 * y2 + x2 * y0 + D * (x1 * y3 - x3 * y1),
+        x0 * y3 + x3 * y0 + x1 * y2 - x2 * y1,
+    )
+
+
+def _nrd(D, N, x):
+    x0, x1, x2, x3 = x
+    return x0 * x0 - D * x1 * x1 + N * x2 * x2 - D * N * x3 * x3
+
+
+def _pair(D, N, x, y):
+    """trd(x conj(y)) of two integer coordinate tuples, a diagonal form."""
+    x0, x1, x2, x3 = x
+    y0, y1, y2, y3 = y
+    return 2 * (x0 * y0 - D * x1 * y1 + N * x2 * y2 - D * N * x3 * y3)
+
+
+def _conj(x):
+    return (x[0], -x[1], -x[2], -x[3])
+
+
 @dataclass(frozen=True)
 class QuatElem:
+    """The element num / den: four integer numerators over one denominator den > 0.
+
+    The pair is kept in lowest terms, so it is unique and == and hash
+    compare values.  co is the same element as four Fractions, a view
+    computed on demand; all arithmetic runs on num and den.
+    """
+
     alg: QuatAlgebra
-    co: tuple
+    num: tuple
+    den: int = 1
+
+    def __post_init__(self):
+        if self.den <= 0:
+            raise InputError("quaternion denominator must be positive")
+        g = gcd(self.den, *self.num)
+        if g != 1:
+            object.__setattr__(self, "num", tuple(a // g for a in self.num))
+            object.__setattr__(self, "den", self.den // g)
+
+    @property
+    def co(self):
+        return tuple(Fraction(a, self.den) for a in self.num)
 
     def _check(self, other):
         if not isinstance(other, QuatElem) or other.alg != self.alg:
@@ -66,35 +129,25 @@ class QuatElem:
 
     def __add__(self, other):
         self._check(other)
-        return QuatElem(self.alg, tuple(a + b for a, b in zip(self.co, other.co)))
+        num = tuple(a * other.den + b * self.den for a, b in zip(self.num, other.num))
+        return QuatElem(self.alg, num, self.den * other.den)
 
     def __sub__(self, other):
-        self._check(other)
-        return QuatElem(self.alg, tuple(a - b for a, b in zip(self.co, other.co)))
+        return self + (-other)
 
     def __neg__(self):
-        return QuatElem(self.alg, tuple(-a for a in self.co))
+        return QuatElem(self.alg, tuple(-a for a in self.num), self.den)
 
     def scale(self, s):
         s = Fraction(s)
-        return QuatElem(self.alg, tuple(a * s for a in self.co))
+        return QuatElem(self.alg, tuple(a * s.numerator for a in self.num), self.den * s.denominator)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._check(other)
-        D, N = self.alg.D, self.alg.N
-        x0, x1, x2, x3 = self.co
-        y0, y1, y2, y3 = other.co
-        return QuatElem(
-            self.alg,
-            (
-                x0 * y0 + D * x1 * y1 - N * x2 * y2 + D * N * x3 * y3,
-                x0 * y1 + x1 * y0 + N * (x2 * y3 - x3 * y2),
-                x0 * y2 + x2 * y0 + D * (x1 * y3 - x3 * y1),
-                x0 * y3 + x3 * y0 + x1 * y2 - x2 * y1,
-            ),
-        )
+        num = _mul(self.alg.D, self.alg.N, self.num, other.num)
+        return QuatElem(self.alg, num, self.den * other.den)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -102,25 +155,22 @@ class QuatElem:
         return NotImplemented
 
     def conjugate(self):
-        x0, x1, x2, x3 = self.co
-        return QuatElem(self.alg, (x0, -x1, -x2, -x3))
+        return QuatElem(self.alg, _conj(self.num), self.den)
 
     def nrd(self):
-        D, N = self.alg.D, self.alg.N
-        x0, x1, x2, x3 = self.co
-        return x0 * x0 - D * x1 * x1 + N * x2 * x2 - D * N * x3 * x3
+        return Fraction(_nrd(self.alg.D, self.alg.N, self.num), self.den * self.den)
 
     def trd(self):
-        return 2 * self.co[0]
+        return Fraction(2 * self.num[0], self.den)
 
     def inverse(self):
-        n = self.nrd()
+        n = _nrd(self.alg.D, self.alg.N, self.num)
         if n == 0:
             raise InputError("zero quaternion has no inverse")
-        return self.conjugate().scale(Fraction(1, 1) / n)
+        return QuatElem(self.alg, tuple(a * self.den for a in _conj(self.num)), n)
 
     def is_zero(self):
-        return all(a == 0 for a in self.co)
+        return not any(self.num)
 
     def __str__(self):
         return "(%s, %s, %s, %s)" % self.co
@@ -128,83 +178,95 @@ class QuatElem:
 
 def _combine(coords, basis):
     """The element sum_i coords[i] * basis[i]."""
-    co = tuple(sum(c * b.co[k] for c, b in zip(coords, basis)) for k in range(4))
-    return QuatElem(basis[0].alg, co)
+    den = lcm(*(b.den for b in basis))
+    num = tuple(
+        sum(c * b.num[k] * (den // b.den) for c, b in zip(coords, basis)) for k in range(4)
+    )
+    return QuatElem(basis[0].alg, num, den)
 
 
 def pair_trd(x, y):
-    """The norm-form pairing trd(x * conj(y)); diagonal is 2 nrd."""
-    return (x * y.conjugate()).trd()
+    """The norm-form pairing trd(x conj(y)); diagonal is 2 nrd."""
+    x._check(y)
+    return Fraction(_pair(x.alg.D, x.alg.N, x.num, y.num), x.den * y.den)
 
 
 @dataclass(frozen=True)
 class QuatLattice:
-    """Full rank-4 lattice; hnf rows are the canonical basis, gens optional."""
+    """Full rank-4 lattice L = span(rows) / den; gens optional.
+
+    rows is the Hermite normal form of the integer lattice den L, and den
+    is the least positive integer that makes den L integral, so the pair is
+    canonical and == compares lattices.
+    """
 
     alg: QuatAlgebra
-    hnf: tuple
+    rows: tuple
+    den: int
     gens: tuple = field(default=None, compare=False)
 
     @classmethod
-    def from_elems(cls, elems):
-        alg = elems[0].alg
-        rows = [list(e.co) for e in elems]
-        h = rational_hnf(rows)
+    def span(cls, alg, rows, den, gens=None):
+        """The lattice spanned by the integer rows over the denominator den > 0."""
+        h = hnf_rows(rows)
         if len(h) != 4:
             raise InputError("lattice is not full rank")
-        return cls(alg, tuple(tuple(r) for r in h), tuple(elems))
+        g = gcd(den, *(x for r in h for x in r))
+        return cls(alg, tuple(tuple(x // g for x in r) for r in h), den // g, gens)
+
+    @classmethod
+    def from_elems(cls, elems):
+        den = lcm(*(e.den for e in elems))
+        rows = [[a * (den // e.den) for a in e.num] for e in elems]
+        return cls.span(elems[0].alg, rows, den, tuple(elems))
 
     @classmethod
     def from_rows(cls, alg, rows):
-        return cls.from_elems([QuatElem(alg, tuple(Fraction(x) for x in r)) for r in rows])
+        return cls.from_elems([alg.elem(*r) for r in rows])
 
     def basis(self):
-        return [QuatElem(self.alg, row) for row in self.hnf]
+        return [QuatElem(self.alg, row, self.den) for row in self.rows]
 
     def contains(self, x):
-        coords = mat_mul([list(x.co)], _inv_cached(self.hnf))[0]
-        return all(c.denominator == 1 for c in coords)
+        return self._contains(x.num, x.den)
+
+    def _contains(self, num, den):
+        """Whether num / den is in L: solve c rows = den_L num / den over Z.
+
+        The rows are upper triangular, so the solve is forward substitution,
+        and it fails at the first remainder.
+        """
+        t = []
+        for a in num:
+            q, r = divmod(a * self.den, den)
+            if r:
+                return False
+            t.append(q)
+        for j, row in enumerate(self.rows):
+            c, r = divmod(t[j], row[j])
+            if r:
+                return False
+            for i in range(j + 1, 4):
+                t[i] -= c * row[i]
+        return True
 
     def norm(self):
         """gcd of nrd over the lattice: gcd of nrd(b_i) and trd(b_i conj(b_j))."""
-        vals = []
-        bas = self.basis()
-        for i, bi in enumerate(bas):
-            vals.append(bi.nrd())
-            for bj in bas[i + 1 :]:
-                vals.append(pair_trd(bi, bj))
-        return _fraction_gcd(vals)
+        D, N, R = self.alg.D, self.alg.N, self.rows
+        vals = [_nrd(D, N, r) for r in R]
+        vals += [_pair(D, N, R[i], R[j]) for i in range(4) for j in range(i + 1, 4)]
+        return Fraction(gcd(*vals), self.den * self.den)
 
     def scaled_gram(self):
         """Integer Gram trd(b_i conj(b_j)) on the canonical basis, or error."""
         bas = self.basis()
-        g = [[pair_trd(bi, bj) for bj in bas] for bi in bas]
-        out = []
-        for row in g:
-            out.append([_as_int(x, "Gram entry") for x in row])
-        return out
-
-
-@lru_cache(maxsize=512)
-def _inv_cached(hnf):
-    return mat_inv([list(r) for r in hnf])
-
-
-def _fraction_gcd(vals):
-    den = 1
-    for v in vals:
-        den = den * Fraction(v).denominator // gcd(den, Fraction(v).denominator)
-    num = 0
-    for v in vals:
-        num = gcd(num, int(Fraction(v) * den))
-    return Fraction(num, den)
+        return [[_as_int(pair_trd(bi, bj), "Gram entry") for bj in bas] for bi in bas]
 
 
 def _as_int(x, what):
-    x = Fraction(x)
     if x.denominator != 1:
         raise InternalError("%s is not an integer: %s" % (what, x))
-    return int(x)
+    return x.numerator
 
 
 def build_Iz(ctx, Q):
@@ -242,7 +304,7 @@ def symplectic_gram(I):
     nrm = I.norm()
     out = []
     for x in I.gens:
-        out.append([Fraction((uinv * x * y.conjugate()).trd()) / nrm for y in I.gens])
+        out.append([(uinv * x * y.conjugate()).trd() / nrm for y in I.gens])
     return out
 
 
@@ -253,13 +315,15 @@ def right_order(I):
     Quaternion Algebras, ch. 16), spanned by the 16 products conj(b_i) b_j
     / nrd(I).  That span O is kept only when I O <= I, which puts O inside
     O_R(I) and makes it an order; so O = O_R(I) whenever O is maximal.
-    A lattice that fails the check is not invertible: InputError.
+    A lattice that fails the check is not invertible: InputError.  On the
+    integer rows r_i = den b_i, conj(b_i) b_j / nrd(I) is conj(r_i) r_j
+    over den^2 nrd(I).
     """
-    bas = I.basis()
-    inv_norm = 1 / I.norm()
-    O = QuatLattice.from_elems([x.conjugate() * y * inv_norm for x in bas for y in bas])
-    obas = O.basis()
-    if not all(I.contains(x * y) for x in bas for y in obas):
+    D, N, R = I.alg.D, I.alg.N, I.rows
+    nrm = I.norm()
+    rows = [[c * nrm.denominator for c in _mul(D, N, _conj(x), y)] for x in R for y in R]
+    O = QuatLattice.span(I.alg, rows, I.den * I.den * nrm.numerator)
+    if not all(I._contains(_mul(D, N, x, y), I.den * O.den) for x in R for y in O.rows):
         raise InputError("lattice is not invertible: I conj(I) I / nrd(I) is not inside I")
     return Order(O)
 
@@ -270,16 +334,14 @@ class Order:
 
     def __post_init__(self):
         L = self.lattice
-        if not L.contains(L.alg.one):
+        D, N, R, dd = L.alg.D, L.alg.N, L.rows, L.den * L.den
+        if not L._contains((1, 0, 0, 0), 1):
             raise InputError("order does not contain 1")
-        bas = L.basis()
-        for x in bas:
-            if Fraction(x.trd()).denominator != 1 or Fraction(x.nrd()).denominator != 1:
+        for x in R:
+            if 2 * x[0] % L.den or _nrd(D, N, x) % dd:
                 raise InputError("order contains a non-integral basis element")
-        for x in bas:
-            for y in bas:
-                if not L.contains(x * y):
-                    raise InputError("lattice is not multiplicatively closed")
+        if not all(L._contains(_mul(D, N, x, y), dd) for x in R for y in R):
+            raise InputError("lattice is not multiplicatively closed")
 
     @property
     def alg(self):
@@ -293,7 +355,7 @@ class Order:
     @cached_property
     def disc(self):
         """det of gram; equals (reduced discriminant)^2."""
-        return _as_int(mat_det(self.gram), "order discriminant")
+        return mat_det(self.gram)
 
     @cached_property
     def invariants(self):
@@ -351,7 +413,7 @@ class OrderInvariants:
 
 def _reduced_gram(gram):
     g, _ = lll_reduce_gram(gram)
-    return tuple(tuple(_as_int(x, "reduced Gram entry") for x in row) for row in g)
+    return tuple(tuple(row) for row in g)
 
 
 def _norm_counts(gram):
@@ -373,45 +435,33 @@ def is_maximal(O):
     return O.disc == O.alg.D * O.alg.D
 
 
-def _ldl(gram):
-    """Q(x) = sum_i diag[i] (x_i + sum_{j>i} L[j][i] x_j)^2, exact Fractions."""
-    n = len(gram)
-    a = [[Fraction(x) for x in row] for row in gram]
-    diag = [Fraction(0)] * n
-    L = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        d = a[i][i]
-        if d <= 0:
-            raise InputError("Gram matrix is not positive definite")
-        diag[i] = d
-        for j in range(i + 1, n):
-            L[j][i] = a[i][j] / d
-        for j in range(i + 1, n):
-            for k in range(j, n):
-                a[j][k] -= a[i][j] * a[i][k] / d
-                a[k][j] = a[j][k]
-    return diag, L
-
-
 def short_vectors(gram, bound2):
     """All x in Z^n, x != 0, with x G x^T <= bound2, up to sign (one of x, -x).
 
     Exact enumeration over the LDL cone (Fincke-Pohst); coordinates are
     filled from the last index down, and the kept representative has its
-    first nonzero coordinate positive.  The LDL data are scaled by the
-    common denominator s of its entries, so the arithmetic is on integers
-    and each level's range is exact: with t = s x_i + s off_i, the term
-    diag_i (x_i + off_i)^2 is (s diag_i) t^2 / s^3, and it fits in what
-    is left of bound2 (scaled by s^3, as rem) exactly when
-    |t| <= isqrt(rem // (s diag_i)).
+    first nonzero coordinate positive.  The cone is the LDL form
+    Q(x) = sum_i diag_i (x_i + off_i)^2, off_i = sum_{j>i} L[j][i] x_j, read
+    from the integer Gram-Schmidt data: diag_i = dets[i+1]/dets[i] and
+    L[j][i] = lam[j][i]/dets[i+1].  These are scaled by their common
+    denominator s, so the arithmetic is on integers and each level's range
+    is exact: with t = s x_i + s off_i, the term diag_i (x_i + off_i)^2 is
+    (s diag_i) t^2 / s^3, and it fits in what is left of bound2 (scaled by
+    s^3, as rem) exactly when |t| <= isqrt(rem // (s diag_i)).
     """
     n = len(gram)
     if bound2 < 0:
         return []
-    diag, L = _ldl(gram)
-    s = lcm(*(x.denominator for x in diag), *(x.denominator for row in L for x in row))
-    d = [int(x * s) for x in diag]
-    Ls = [[int(x * s) for x in row] for row in L]
+    try:
+        dets, lam = gram_schmidt(gram)
+    except ValueError as exc:
+        raise InputError(str(exc)) from None
+    s = lcm(
+        *(dets[i] // gcd(dets[i], dets[i + 1]) for i in range(n)),
+        *(dets[i + 1] // gcd(lam[j][i], dets[i + 1]) for j in range(n) for i in range(j)),
+    )
+    d = [s * dets[i + 1] // dets[i] for i in range(n)]
+    Ls = [[s * lam[j][i] // dets[i + 1] for i in range(j)] for j in range(n)]
     out = []
     budget = [0]
     coords = [0] * n
@@ -472,12 +522,11 @@ class GrossLattice:
 
 
 def gross_lattice(O):
-    one = O.alg.one
-    rows = [list(one.co)] + [list((b + b).co) for b in O.lattice.basis()]
-    h = rational_hnf(rows)
+    L = O.lattice
+    h = hnf_rows([[L.den, 0, 0, 0]] + [[2 * x for x in r] for r in L.rows])
     if len(h) != 4:
         raise InternalError("Z + 2R is not full rank")
-    elems = [QuatElem(O.alg, tuple(r)) for r in h]
+    elems = [QuatElem(O.alg, tuple(r), L.den) for r in h]
     traces = [[_as_int(e.trd(), "trace")] for e in elems]
     kern = _integer_kernel(traces)
     if len(kern) != 3:
@@ -544,18 +593,17 @@ def _root_orbit_count(O, gl, halves):
     seen = set()
     orbits = 0
     for x in vecs:
-        key = x.co
-        if key in seen:
+        if x in seen:
             continue
         orbits += 1
         stack = [x]
-        seen.add(key)
+        seen.add(x)
         while stack:
             y = stack.pop()
             for s, s_inv in O.units:
                 z = s_inv * y * s
-                if z.co not in seen:
-                    seen.add(z.co)
+                if z not in seen:
+                    seen.add(z)
                     stack.append(z)
     return orbits
 

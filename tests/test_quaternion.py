@@ -1,22 +1,24 @@
 """Quaternion algebra (D, -N): arithmetic, lattices, orders, class data."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from splitcm import quaternion
 from splitcm.central import admissible_levels, discover_classes
 from splitcm.errors import InputError
 from splitcm.hecke import HeckeContext
-from splitcm.linalg import lll_reduce_gram, mat_det, mat_inv, mat_mul, rational_hnf
+from splitcm.linalg import hnf_rows, lll_reduce_gram, mat_det
 from splitcm.quadratic import reduced_forms
 from splitcm.quaternion import (
     Order,
     QuatAlgebra,
+    QuatElem,
     QuatLattice,
     build_Iz,
     count_lattice_norm,
@@ -41,8 +43,36 @@ def conjugate_order(O, x):
     return Order(QuatLattice.from_elems([xin * b * x for b in O.lattice.basis()]))
 
 
-coords = st.tuples(*[st.integers(min_value=-9, max_value=9)] * 4)
-elems = coords.map(lambda c: ALG.elem(*c))
+small_fractions = st.builds(
+    Fraction, st.integers(min_value=-9, max_value=9), st.integers(min_value=1, max_value=4)
+)
+elems = st.tuples(*[small_fractions] * 4).map(lambda c: ALG.elem(*c))
+
+
+def mat_mul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def mat_inv(a):
+    """Inverse of a square rational matrix by Gauss-Jordan elimination on Fractions."""
+    n = len(a)
+    m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(a)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if m[r][col] != 0)
+        m[col], m[piv] = m[piv], m[col]
+        m[col] = [x / m[col][col] for x in m[col]]
+        for r in range(n):
+            if r != col and m[r][col] != 0:
+                f = m[r][col]
+                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
+    return [row[n:] for row in m]
+
+
+def rational_hnf(rows):
+    """HNF basis, as Fraction rows, of the Z-span of rational rows."""
+    den = math.lcm(*(Fraction(x).denominator for r in rows for x in r))
+    return [[Fraction(x, den) for x in r] for r in hnf_rows([[int(x * den) for x in r] for r in rows])]
 
 
 def test_structure_constants():
@@ -80,6 +110,45 @@ def test_conjugate_norm_trace(x):
     if not x.is_zero():
         assert x.inverse() * x == ALG.one
         assert x * x.inverse() == ALG.one
+
+
+@given(elems, elems)
+@settings(max_examples=100, deadline=None)
+def test_pair_trd_is_the_trace_of_the_product(x, y):
+    assert pair_trd(x, y) == (x * y.conjugate()).trd()
+
+
+@given(elems, st.integers(min_value=1, max_value=12), st.integers(min_value=1, max_value=12))
+@settings(max_examples=100, deadline=None)
+def test_unreduced_inputs_give_equal_elements(x, k, m):
+    a = QuatElem(ALG, tuple(c * k for c in x.num), x.den * k)
+    b = QuatElem(ALG, tuple(c * m for c in x.num), x.den * m)
+    assert a == b == x and hash(a) == hash(b) == hash(x)
+    assert (a.num, a.den) == (x.num, x.den) and a.co == x.co
+    assert ALG.elem(*(Fraction(c, x.den) for c in x.num)) == x
+
+
+# denominators up to 6, so an offset's denominator need not divide the lattice's (at most 12)
+offsets = st.tuples(*[st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))] * 4).map(
+    lambda c: ALG.elem(*c)
+)
+
+
+@given(st.lists(elems, min_size=4, max_size=6), st.lists(st.integers(-3, 3), min_size=6, max_size=6),
+       offsets, st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_contains_matches_the_fraction_reference(gens, coeffs, offset, inside):
+    try:
+        L = QuatLattice.from_elems(gens)
+    except InputError:
+        assume(False)
+    x = ALG.elem(0)
+    for c, g in zip(coeffs, gens):
+        x = x + g.scale(c)
+    if not inside:
+        x = x + offset
+    coords = mat_mul([list(x.co)], mat_inv([list(b.co) for b in L.basis()]))[0]
+    assert L.contains(x) == all(c.denominator == 1 for c in coords)
 
 
 def test_zero_has_no_inverse():
@@ -125,6 +194,10 @@ def test_order_validation():
     rows_not_closed = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, Fraction(1, 2)]]
     with pytest.raises(InputError):
         Order(QuatLattice.from_rows(ALG, rows_not_closed))
+    # contains 1, but nrd(u/2) = 7/4
+    rows_not_integral = [[1, 0, 0, 0], [0, Fraction(1, 2), 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+    with pytest.raises(InputError, match="non-integral basis element"):
+        Order(QuatLattice.from_rows(ALG, rows_not_integral))
 
 
 def brute_norm_counts(gram, top):
@@ -207,6 +280,10 @@ def test_lll_reduce_gram_matches_the_recomputing_reference():
         for Q in reduced_forms(-N):
             O = right_order(build_Iz(ctx, Q))
             grams += [O.lattice.scaled_gram(), gross_lattice(O).gram]
+    # every class order's norm and Gross Grams, whose reductions orders_isometric searches
+    for D in (-19, -43, -67, -163):
+        for info in discover_classes(D, prec=50).classes:
+            grams += [info.order.gram, info.order.invariants.gross.gram]
     for gram in grams:
         assert lll_reduce_gram(gram) == _lll_recomputing(gram), gram
 
