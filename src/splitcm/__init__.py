@@ -63,7 +63,6 @@ from .quaternion import (
     embedding_count,
     gross_lattice,
     is_maximal,
-    order_discriminant,
     orders_isometric,
     right_order,
     unit_count,
@@ -119,7 +118,6 @@ __all__ = [
     "make_table",
     "oracle_central_value",
     "oracle_l_value",
-    "order_discriminant",
     "orders_isometric",
     "prime_ideal_above",
     "reduce_form",

@@ -33,7 +33,7 @@ from .errors import (
     InternalError,
     SplitCMError,
 )
-from .hecke import HeckeContext
+from .hecke import MIN_PREC, HeckeContext
 from .numeric import GUARD_DIGITS, BigComplex
 from .quadratic import (
     QuadForm,
@@ -57,17 +57,15 @@ from .theta import level_thetas
 
 OMEGA_N = 2
 DISCOVERY_CAP = 1000
-ORACLE_MIN_PREC = 20
 ORACLE_TAIL_DIGITS = 12  # the oracle's truncation error stays below 10^-(prec + 12)
 ORACLE_MARGIN_DIGITS = 3  # room for the error that solving for W adds
 
 
 @dataclass(frozen=True)
 class ThetaRecord:
-    """Per-form data: normalized theta value, its integer, class, and sign."""
+    """Per-form data: the normalized theta value's integer, class, and sign."""
 
     form: QuadForm
-    theta_hat: BigComplex
     snapped_integer: int
     class_id: int
     eps: int
@@ -237,7 +235,6 @@ def classify(ctx, store, thetas=None):
         records.append(
             ThetaRecord(
                 form=Q,
-                theta_hat=value,
                 snapped_integer=snapped,
                 class_id=cid,
                 eps=1 if snapped >= 0 else -1,
@@ -329,8 +326,8 @@ def oracle_central_value(D, N, prec=80):
     amp = 2 + 5 |S(1)|/|den| for |W| = 1.  Returns (L, W) as BigComplex.
     """
     validate_field_disc(D)
-    if prec < ORACLE_MIN_PREC:
-        raise InputError("oracle precision must be at least %d digits" % ORACLE_MIN_PREC)
+    if prec < MIN_PREC:
+        raise InputError("oracle precision must be at least %d digits" % MIN_PREC)
     prime_ideal_above(D, N)
     b1 = smallest_odd_root(D, N)
     kappa = 1.6 * math.pi / math.sqrt(-D * N)  # e^(-4cn/5), conj(a_n) at t = 5/4, decays slowest
@@ -421,8 +418,8 @@ def make_table(D, n_max, prec=80, store=None, level_rows=None):
     rows = []
     failures = []
     for N in admissible_levels(D, n_max):
+        ctx = HeckeContext(D, N, prec=prec)
         try:
-            ctx = HeckeContext(D, N, prec=prec)
             rows.extend(level_rows(ctx))
         except SplitCMError as exc:
             failures.append((N, "%s: %s" % (type(exc).__name__, exc)))

@@ -8,11 +8,12 @@ consistency failures.
 The one convention is the root b1 of D mod 4N that fixes the prime over N
 (--b1, default the smallest odd root); 2N - b1 picks the conjugate prime.
 
-Expensive per-level results (theta records and class rows) can be cached in
-a JSON file named by --cache or the SPLITCM_CACHE environment variable.
-Entries are keyed by the package version, discriminant, level, root b1 and
-precision, so a cached value is never served across primes over N or by a
-release other than the one that computed it.
+table and classify can cache each level's results in a JSON file named by
+--cache or the SPLITCM_CACHE environment variable.  An entry holds integers
+only: per form its snapped theta integer, class id and sign, and the level's
+class rows.  Entries are keyed by the package version, discriminant, level,
+root b1 and precision, so a cached value is never served across primes over
+N or by a release other than the one that computed it.
 """
 
 import argparse
@@ -21,7 +22,6 @@ import fcntl
 import json
 import os
 import sys
-import time
 from dataclasses import dataclass
 
 import mpmath
@@ -44,10 +44,10 @@ from .errors import (
     SplitError,
 )
 from .hecke import HeckeContext
-from .numeric import BigComplex
 from .quadratic import QuadForm
 
-CACHE_SCHEMA = 1
+CACHE_VERSION = 2  # the cache file's format
+OUTPUT_SCHEMA = 1  # the format of the JSON documents on stdout
 CACHE_ENV = "SPLITCM_CACHE"
 
 
@@ -84,7 +84,8 @@ def build_parser():
         p = sub.add_parser(name, parents=[common], help=text)
         p.add_argument("--level", type=int, required=True)
         p.add_argument("--b1", type=int, default=None, help="override the root b1 of D mod 4N")
-        p.add_argument("--cache", default=None, dest="cache_path", help="cache file path")
+        if name == "classify":
+            p.add_argument("--cache", default=None, dest="cache_path", help="cache file path")
 
     p_oracle = sub.add_parser("oracle", parents=[common], help="L and its root number from the functional equation")
     p_oracle.add_argument("--level", type=int, required=True)
@@ -103,7 +104,7 @@ def cache_key(disc, level, b1, prec):
 
 
 def _fresh_cache():
-    return {"version": CACHE_SCHEMA, "entries": {}}
+    return {"version": CACHE_VERSION, "entries": {}}
 
 
 def _load_cache(path):
@@ -115,7 +116,7 @@ def _load_cache(path):
     except (OSError, ValueError) as exc:
         _warn("cache file %s unreadable (%s); recomputing" % (path, exc))
         return _fresh_cache()
-    if not isinstance(data, dict) or data.get("version") != CACHE_SCHEMA or "entries" not in data:
+    if not isinstance(data, dict) or data.get("version") != CACHE_VERSION or "entries" not in data:
         return _fresh_cache()
     return data
 
@@ -138,13 +139,11 @@ def cache_write(path, key, value):
             fcntl.flock(lock, fcntl.LOCK_UN)
 
 
-def _serialize_result(records, rows, prec, seconds):
+def _serialize_result(records, rows):
     return {
         "records": [
             {
                 "form": [r.form.a, r.form.b, r.form.c],
-                "re": mpmath.nstr(r.theta_hat.re, prec),
-                "im": mpmath.nstr(r.theta_hat.im, prec),
                 "snapped": r.snapped_integer,
                 "class_id": r.class_id,
                 "eps": r.eps,
@@ -152,15 +151,13 @@ def _serialize_result(records, rows, prec, seconds):
             for r in records
         ],
         "rows": [dataclasses.asdict(w) for w in rows],
-        "timings": {"seconds": round(seconds, 3)},
     }
 
 
-def _deserialize_result(payload, prec):
+def _deserialize_result(payload):
     records = [
         ThetaRecord(
             form=QuadForm(*r["form"]),
-            theta_hat=BigComplex.make(r["re"], r["im"], prec),
             snapped_integer=r["snapped"],
             class_id=r["class_id"],
             eps=r["eps"],
@@ -183,13 +180,12 @@ def _records_rows(cfg, ctx, store_box):
     if cfg.cache_path:
         payload = cache_read(cfg.cache_path, key)
         if payload is not None:
-            return _deserialize_result(payload, ctx.prec)
+            return _deserialize_result(payload)
     if store_box.get("store") is None:
         store_box["store"] = _discover(ctx)
-    start = time.monotonic()
     records, rows = classify(ctx, store_box["store"])
     if cfg.cache_path:
-        cache_write(cfg.cache_path, key, _serialize_result(records, rows, ctx.prec, time.monotonic() - start))
+        cache_write(cfg.cache_path, key, _serialize_result(records, rows))
     return records, rows
 
 
@@ -209,7 +205,7 @@ def _json_text(obj):
 
 def _level_json(cfg, ctx, **fields):
     """The JSON document of a one-level command (classify, lvalue)."""
-    return _json_text(dict(schema=CACHE_SCHEMA, command=cfg.command, disc=cfg.disc, level=cfg.level,
+    return _json_text(dict(schema=OUTPUT_SCHEMA, command=cfg.command, disc=cfg.disc, level=cfg.level,
                            precision=cfg.prec, conventions={"b1": ctx.b1}, **fields))
 
 
@@ -228,7 +224,7 @@ def _cmd_table(cfg):
     if cfg.out_format == "json":
         return _json_text(
             {
-                "schema": CACHE_SCHEMA,
+                "schema": OUTPUT_SCHEMA,
                 "command": "table",
                 "disc": cfg.disc,
                 "nmax": cfg.nmax,
@@ -275,7 +271,7 @@ def _cmd_oracle(cfg):
     parts = dict(zip(("re", "im", "w_re", "w_im"),
                      (mpmath.nstr(x, cfg.prec) for x in (value.re, value.im, root.re, root.im))))
     if cfg.out_format == "json":
-        return _json_text(dict(schema=CACHE_SCHEMA, command="oracle", disc=cfg.disc, level=cfg.level,
+        return _json_text(dict(schema=OUTPUT_SCHEMA, command="oracle", disc=cfg.disc, level=cfg.level,
                                precision=cfg.prec, **parts))
     return "re,im,w_re,w_im\n%s\n" % ",".join(parts.values())
 

@@ -26,6 +26,8 @@ from .quadratic import (
     validate_field_disc,
 )
 
+MIN_PREC = 20  # at prec <= 15 the 10^-(prec - 15) checks on L and W would pass anything
+
 
 @dataclass(frozen=True)
 class KElem:
@@ -73,8 +75,8 @@ class HeckeContext:
             object.__setattr__(self, "b1", level.b % (2 * self.N))
         if self.b1 % 2 == 0 or (self.b1 * self.b1 - self.D) % (4 * self.N) != 0:
             raise InputError("b1 = %d is not an odd root of D mod 4N" % self.b1)
-        if self.prec <= 0:
-            raise InputError("precision must be positive")
+        if self.prec < MIN_PREC:
+            raise InputError("precision must be at least %d digits" % MIN_PREC)
 
     @property
     def level_ideal(self):

@@ -79,10 +79,6 @@ class BigComplex:
     def __truediv__(self, other):
         return self._binary(other, lambda a, b: a / b)
 
-    def abs_value(self):
-        with mp.workdps(self.prec + GUARD_DIGITS):
-            return abs(self.to_mpc())
-
     def distance(self, other):
         other = self._coerce(other)
         prec = min(self.prec, other.prec)

@@ -170,15 +170,6 @@ def unit_ideal(d):
     return QuadIdeal(1, 1, d) if d % 2 else QuadIdeal(1, 0, d)
 
 
-def ideal_of_form(f):
-    return QuadIdeal(f.a, f.b, f.disc)
-
-
-def form_of_ideal(ideal):
-    c = (ideal.b * ideal.b - ideal.d) // (4 * ideal.a)
-    return QuadForm(ideal.a, ideal.b, c)
-
-
 def smallest_odd_root(D, N):
     """Smallest positive odd b with b^2 = D mod 4N; requires D square mod 4N."""
     for b in range(1, 2 * N, 2):

@@ -18,7 +18,7 @@ integers.  QuatElem.co is only a read-only Fraction view for callers that
 print or compare coordinates: a stored Fraction copy would be a second
 representation to keep in step, and a product on Fractions costs about
 twenty times one on ints.  Rational results that are not coordinates
-(nrd, trd, QuatLattice.norm, the symplectic Gram) are returned as Fractions.
+(trd, QuatLattice.norm, the symplectic Gram) are returned as Fractions.
 
 The module provides the ideal attached to a split-CM point, its
 right order (by the one formula conj(I) I / nrd(I) for invertible I),
@@ -31,7 +31,7 @@ computes its norm Gram and discriminant once and keeps them.
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import floor, gcd, isqrt, lcm
+from math import gcd, isqrt, lcm
 
 from .errors import InputError, InternalError, ResourceError
 from .linalg import gram_schmidt, hnf_rows, lll_reduce_gram, mat_det
@@ -157,9 +157,6 @@ class QuatElem:
     def conjugate(self):
         return QuatElem(self.alg, _conj(self.num), self.den)
 
-    def nrd(self):
-        return Fraction(_nrd(self.alg.D, self.alg.N, self.num), self.den * self.den)
-
     def trd(self):
         return Fraction(2 * self.num[0], self.den)
 
@@ -168,9 +165,6 @@ class QuatElem:
         if n == 0:
             raise InputError("zero quaternion has no inverse")
         return QuatElem(self.alg, tuple(a * self.den for a in _conj(self.num)), n)
-
-    def is_zero(self):
-        return not any(self.num)
 
     def __str__(self):
         return "(%s, %s, %s, %s)" % self.co
@@ -219,10 +213,6 @@ class QuatLattice:
         den = lcm(*(e.den for e in elems))
         rows = [[a * (den // e.den) for a in e.num] for e in elems]
         return cls.span(elems[0].alg, rows, den, tuple(elems))
-
-    @classmethod
-    def from_rows(cls, alg, rows):
-        return cls.from_elems([alg.elem(*r) for r in rows])
 
     def basis(self):
         return [QuatElem(self.alg, row, self.den) for row in self.rows]
@@ -377,12 +367,9 @@ class Order:
         Enumerated on the norm Gram in this order's own basis, apart from
         the reduced enumeration behind unit_count, so the count checks it.
         """
-        gram = self.gram
         basis = self.lattice.basis()
         units = []
-        for c in short_vectors(gram, 2):
-            if _quadval(gram, c) != 2:
-                continue
+        for c in _half_norm_vectors(self.gram, 1):
             s = _combine(c, basis)
             units.append((s, s.inverse()))
         if len(units) != unit_count(self):
@@ -419,16 +406,10 @@ def _reduced_gram(gram):
 def _norm_counts(gram):
     """Counts of vectors with x G x^T / 2 = n, n = 1..INVARIANT_DEPTH, from one enumeration."""
     counts = [0] * INVARIANT_DEPTH
-    for x in short_vectors(gram, 2 * INVARIANT_DEPTH):
-        q = _quadval(gram, x)
+    for _, q in short_vectors(gram, 2 * INVARIANT_DEPTH):
         if q % 2 == 0:
             counts[q // 2 - 1] += 2
     return tuple(counts)
-
-
-def order_discriminant(O):
-    """det of the trd(e_i conj(e_j)) Gram; equals (reduced discriminant)^2."""
-    return O.disc
 
 
 def is_maximal(O):
@@ -436,7 +417,9 @@ def is_maximal(O):
 
 
 def short_vectors(gram, bound2):
-    """All x in Z^n, x != 0, with x G x^T <= bound2, up to sign (one of x, -x).
+    """(x, x G x^T) for all x in Z^n, x != 0, with x G x^T <= bound2, up to sign.
+
+    bound2 is an integer, and one of x, -x is returned.
 
     Exact enumeration over the LDL cone (Fincke-Pohst); coordinates are
     filled from the last index down, and the kept representative has its
@@ -447,7 +430,8 @@ def short_vectors(gram, bound2):
     denominator s, so the arithmetic is on integers and each level's range
     is exact: with t = s x_i + s off_i, the term diag_i (x_i + off_i)^2 is
     (s diag_i) t^2 / s^3, and it fits in what is left of bound2 (scaled by
-    s^3, as rem) exactly when |t| <= isqrt(rem // (s diag_i)).
+    s^3, as rem) exactly when |t| <= isqrt(rem // (s diag_i)).  So at a leaf
+    the budget spent, top - rem with top = bound2 s^3, is s^3 x G x^T.
     """
     n = len(gram)
     if bound2 < 0:
@@ -478,13 +462,15 @@ def short_vectors(gram, bound2):
             if i == 0:
                 first = next((c for c in coords if c), 0)
                 if first > 0:
-                    out.append(tuple(coords))
+                    out.append((tuple(coords), (top - rem + d[0] * t * t) // s3))
             else:
                 new_partial = [partial[k] + Ls[i][k] * xi for k in range(i)]
                 rec(i - 1, rem - d[i] * t * t, new_partial)
         coords[i] = 0
 
-    rec(n - 1, floor(Fraction(bound2) * s**3), [0] * n)
+    s3 = s**3
+    top = bound2 * s3
+    rec(n - 1, top, [0] * n)
     return out
 
 
@@ -499,12 +485,7 @@ def count_lattice_norm(gram, n):
 
 def _half_norm_vectors(gram, n):
     """The vectors of norm n > 0, one of each sign pair."""
-    return [x for x in short_vectors(gram, 2 * n) if _quadval(gram, x) == 2 * n]
-
-
-def _quadval(gram, x):
-    n = len(x)
-    return sum(gram[i][j] * x[i] * x[j] for i in range(n) for j in range(n))
+    return [x for x, q in short_vectors(gram, 2 * n) if q == 2 * n]
 
 
 def unit_count(O):
@@ -628,9 +609,8 @@ def orders_isometric(O1, O2):
         return True
     maxd = max(g1[i][i] for i in range(4))
     cand = {}
-    for x in short_vectors(g2, maxd):
-        for y in (x, tuple(-c for c in x)):
-            cand.setdefault(_quadval(g2, y), []).append(y)
+    for x, q in short_vectors(g2, maxd):
+        cand.setdefault(q, []).extend((x, tuple(-c for c in x)))
 
     def pair(x, y):
         return sum(g2[i][j] * x[i] * y[j] for i in range(4) for j in range(4))

@@ -31,7 +31,7 @@ from splitcm.quaternion import (
     QuatAlgebra,
     build_Iz,
     embedding_count,
-    order_discriminant,
+    pair_trd,
     right_order,
     symplectic_gram,
 )
@@ -208,7 +208,7 @@ def test_criterion_4_lattice_structure():
             ctx = HeckeContext(D, N, prec=40)
             for Q in reduced_forms(-N):
                 I = build_Iz(ctx, Q)
-                if order_discriminant(right_order(I)) != D * D:
+                if right_order(I).disc != D * D:
                     problem = "right order of %s at (%d, %d) is not maximal" % (Q, D, N)
                 elif [[Fraction(x) for x in row] for row in symplectic_gram(I)] != want_sympl:
                     problem = "symplectic Gram of %s at (%d, %d) is not [[0,I],[-I,0]]" % (Q, D, N)
@@ -390,7 +390,8 @@ def test_criterion_9_property_suites(tmp_path):
         for _ in range(100):
             x = alg.elem(*[rng.randrange(-9, 10) for _ in range(4)])
             y = alg.elem(*[rng.randrange(-9, 10) for _ in range(4)])
-            assert (x * y).nrd() == x.nrd() * y.nrd(), "nrd not multiplicative"
+            # pair_trd(z, z) = 2 nrd(z)
+            assert 2 * pair_trd(x * y, x * y) == pair_trd(x, x) * pair_trd(y, y), "nrd not multiplicative"
 
         # theta tail-doubling: more precision never moves the base value
         Q = QuadForm(1, 1, 2)

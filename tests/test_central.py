@@ -139,13 +139,23 @@ def test_sec7_convention_fails_integrality(sec7_eta):
         discover_classes(-7, prec=60)
 
 
-def test_l_value_two_paths_agree(store7):
+def test_l_value_two_paths_agree(store7, monkeypatch):
     ctx = HeckeContext(-7, 11, prec=60)
     direct, structured = l_value_paths(ctx, store7)
     assert direct.distance(structured) < mpf(10) ** -45
     v = l_value(ctx, store7)
     z = complex(float(v.re), float(v.im))
     assert abs(z - L_7_11) < 1e-12
+
+    # a structured value of the wrong sign is 1.44 away; even at the precision
+    # floor the path check must refuse it
+    def flipped(ctx, store):
+        direct, structured = l_value_paths(ctx, store)
+        return direct, structured * -1
+
+    monkeypatch.setattr(central, "l_value_paths", flipped)
+    with pytest.raises(ConventionError):
+        l_value(HeckeContext(-7, 11, prec=20), store7)
 
 
 def test_l_value_second_level(store7):

@@ -7,7 +7,7 @@ import pytest
 from splitcm import cli
 from splitcm.cli import (
     CACHE_ENV,
-    CACHE_SCHEMA,
+    CACHE_VERSION,
     cache_key,
     cache_read,
     exit_code_for,
@@ -40,7 +40,7 @@ def test_table_json_small():
     code, text = run(["table", "--disc", "-7", "--nmax", "30", "--prec", "50", "--out", "json"])
     assert code == 0
     obj = json.loads(text)
-    assert obj["schema"] == CACHE_SCHEMA
+    assert obj["schema"] == 1
     assert obj["failures"] == []
     assert obj["rows"] == [
         {"N": 11, "abs_theta": 1, "count": 1, "h_eps": -1, "h_R": 2},
@@ -90,19 +90,24 @@ def test_oracle_methods_and_formats():
     assert [obj[k] for k in ("re", "im", "w_re", "w_im")] == [re_s, im_s, w_re, w_im]
 
 
-def test_oracle_cutoff_guard(capsys):
+def test_oracle_cutoff_guard(capsys, tmp_path):
     # the cutoff follows from --prec, which has a floor; there is no --cutoff option,
-    # and the prime over N is chosen by --b1 alone
+    # the prime over N is chosen by --b1 alone, and lvalue reads no cache
     with pytest.raises(SystemExit):
         run(["oracle", "--disc", "-7", "--level", "11", "--cutoff", "1000"])
     for flag, value in (("--tau-ideal", "n"), ("--eta-convention", "sec7")):
         with pytest.raises(SystemExit):
             run(["classify", "--disc", "-7", "--level", "11", flag, value])
+    with pytest.raises(SystemExit):
+        run(["lvalue", "--disc", "-7", "--level", "11", "--cache", str(tmp_path / "cache.json")])
     capsys.readouterr()
-    code, text = run(["oracle", "--disc", "-7", "--level", "11", "--prec", "10"])
-    assert code == 2 and text == ""
-    err = json.loads(capsys.readouterr().err.strip())
-    assert err["error"]["message"] == "oracle precision must be at least 20 digits"
+    # below 20 digits the 10^-(prec - 15) checks on L and W could not fail
+    for command, message in (("oracle", "oracle precision must be at least 20 digits"),
+                             ("lvalue", "precision must be at least 20 digits")):
+        code, text = run([command, "--disc", "-7", "--level", "11", "--prec", "10"])
+        assert code == 2 and text == ""
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"]["message"] == message
 
 
 def test_bad_level_canonical_message(capsys):
@@ -190,7 +195,7 @@ def test_cache_cold_warm_identical(tmp_path):
     assert code1 == code2 == 0
     assert cold == warm
     data = json.loads(open(path).read())
-    assert data["version"] == CACHE_SCHEMA
+    assert data["version"] == CACHE_VERSION
     assert list(data["entries"]) == [cache_key(-7, 11, 9, 50)]
     assert cache_read(path, "missing") is None
 
@@ -239,20 +244,55 @@ def test_cache_corrupt_file_recovers(tmp_path, capsys):
     assert "unreadable" in err and "recomputing" in err
     # the rewritten file is valid again and serves the warm path
     data = json.loads(path.read_text(encoding="utf-8"))
-    assert data["version"] == CACHE_SCHEMA and len(data["entries"]) == 1
+    assert data["version"] == CACHE_VERSION and len(data["entries"]) == 1
     code, warm = run(argv)
     assert warm == text
 
 
-def test_cache_schema_version_mismatch_recomputes(tmp_path):
+def test_cache_schema_version_mismatch_recomputes(tmp_path, monkeypatch):
     path = tmp_path / "cache.json"
-    path.write_text(json.dumps({"version": 999, "entries": {"stale": {}}}), encoding="utf-8")
     argv = ["classify", "--disc", "-7", "--level", "11", "--prec", "50", "--cache", str(path)]
-    code, text = run(argv)
-    assert code == 0 and text.splitlines()[-1] == "11,1,1,-1,2"
-    data = json.loads(path.read_text(encoding="utf-8"))
-    assert data["version"] == CACHE_SCHEMA
-    assert "stale" not in data["entries"]
+    # a version-1 file, whose entries also held each theta value at full precision
+    version_1 = {
+        "version": 1,
+        "entries": {
+            cache_key(-7, 11, 9, 50): {
+                "records": [{"form": [1, 1, 3], "re": "-1.0", "im": "0.0", "snapped": -1, "class_id": 0,
+                             "eps": -1}],
+                "rows": [{"N": 11, "abs_theta": 1, "count": 1, "h_eps": -1, "h_r": 2}],
+                "timings": {"seconds": 0.01},
+            }
+        },
+    }
+    classify = cli.classify
+    calls = []
+
+    def counting(ctx, store):
+        calls.append(ctx.N)
+        return classify(ctx, store)
+
+    monkeypatch.setattr(cli, "classify", counting)
+    for old in ({"version": 999, "entries": {"stale": {}}}, version_1):
+        path.write_text(json.dumps(old), encoding="utf-8")
+        code, text = run(argv)
+        assert code == 0 and text.splitlines()[-1] == "11,1,1,-1,2"
+        data = json.loads(path.read_text(encoding="utf-8"))
+        assert data["version"] == CACHE_VERSION == 2
+        assert "stale" not in data["entries"]
+        (entry,) = data["entries"].values()
+        assert sorted(entry) == ["records", "rows"]
+        assert all(sorted(r) == ["class_id", "eps", "form", "snapped"] for r in entry["records"])
+    assert calls == [11, 11]  # neither file was read
+
+
+def test_table_refuses_a_bad_precision_once(capsys):
+    # one error, not an empty table with a warning per level
+    code, text = run(["table", "--disc", "-7", "--nmax", "50", "--prec", "0"])
+    assert code == 2 and text == ""
+    lines = capsys.readouterr().err.splitlines()
+    assert [json.loads(line) for line in lines] == [
+        {"error": {"code": 2, "type": "InputError", "message": "precision must be at least 20 digits"}}
+    ]
 
 
 def test_cache_env_var(tmp_path, monkeypatch):

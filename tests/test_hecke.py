@@ -46,8 +46,9 @@ def test_context_validation():
         HeckeContext(-7, 11, b1=4)
     with pytest.raises(InputError):
         HeckeContext(-7, 11, b1=11)
-    with pytest.raises(InputError):
-        HeckeContext(-7, 11, prec=0)
+    for prec in (0, 19):  # the floor is 20 digits
+        with pytest.raises(InputError):
+            HeckeContext(-7, 11, prec=prec)
     assert [f.name for f in dataclasses.fields(HeckeContext)] == ["D", "N", "b1", "prec"]
     ctx = HeckeContext(-7, 11)
     assert ctx.b1 == 9

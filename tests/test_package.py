@@ -25,3 +25,51 @@ def test_all_exports_resolve():
     missing = [name for name in splitcm.__all__ if not hasattr(splitcm, name)]
     assert missing == []
     assert len(set(splitcm.__all__)) == len(splitcm.__all__)
+
+
+# kept although nothing in src/ or perfbench/ calls them
+UNUSED_ALLOWED = {
+    "reduce_form": "Gauss reduction, the reference for reduced_forms in criterion 9",
+    "is_reduced": "the reducedness law that criterion 9 and test_reduced_forms_known_lists check",
+    "symplectic_gram": "the acceptance check that build_Iz's basis is symplectic",
+}
+
+
+def _names_used(tree, skip=None):
+    """Every Name and attribute name in tree, outside the node skip."""
+    used = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        stack.extend(ast.iter_child_nodes(node))
+    return used
+
+
+def test_no_api_that_only_tests_use():
+    # every public function and method has a caller in the package, apart from
+    # its own body and the __init__ exports, or in the benchmark
+    pkg = Path(splitcm.__file__).parent
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(pkg.glob("*.py"))}
+    del trees["__init__.py"]
+    bench = pkg.parents[1] / "perfbench"
+    used_by_bench = set()
+    for path in sorted(bench.glob("*.py")):
+        used_by_bench |= _names_used(ast.parse(path.read_text(encoding="utf-8")))
+    unused = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            defs = [node] if isinstance(node, ast.FunctionDef) else []
+            if isinstance(node, ast.ClassDef):
+                defs = [f for f in node.body if isinstance(f, ast.FunctionDef)]
+            for d in defs:
+                if d.name.startswith("_") or d.name in UNUSED_ALLOWED or d.name in used_by_bench:
+                    continue
+                if not any(d.name in _names_used(t, skip=d) for t in trees.values()):
+                    unused.append("%s:%s" % (module, d.name))
+    assert unused == []

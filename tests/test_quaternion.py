@@ -25,7 +25,6 @@ from splitcm.quaternion import (
     embedding_count,
     gross_lattice,
     is_maximal,
-    order_discriminant,
     orders_isometric,
     pair_trd,
     right_order,
@@ -35,6 +34,18 @@ from splitcm.quaternion import (
 )
 
 ALG = QuatAlgebra(-7, 11)
+
+
+def lattice(alg, rows):
+    """The lattice spanned by rational coordinate rows."""
+    return QuatLattice.from_elems([alg.elem(*r) for r in rows])
+
+
+def nrd(x):
+    """Reduced norm from the diagonal form x0^2 - D x1^2 + N x2^2 - D N x3^2."""
+    D, N = x.alg.D, x.alg.N
+    x0, x1, x2, x3 = x.co
+    return x0 * x0 - D * x1 * x1 + N * x2 * x2 - D * N * x3 * x3
 
 
 def conjugate_order(O, x):
@@ -91,7 +102,7 @@ def test_structure_constants():
 @given(elems, elems)
 @settings(max_examples=100, deadline=None)
 def test_nrd_multiplicative(x, y):
-    assert (x * y).nrd() == x.nrd() * y.nrd()
+    assert nrd(x * y) == nrd(x) * nrd(y)
 
 
 @given(elems, elems, elems)
@@ -105,9 +116,9 @@ def test_ring_laws(x, y, z):
 @given(elems)
 @settings(max_examples=60, deadline=None)
 def test_conjugate_norm_trace(x):
-    assert x * x.conjugate() == ALG.elem(x.nrd())
+    assert x * x.conjugate() == ALG.elem(nrd(x))
     assert x + x.conjugate() == ALG.elem(x.trd())
-    if not x.is_zero():
+    if any(x.num):
         assert x.inverse() * x == ALG.one
         assert x * x.inverse() == ALG.one
 
@@ -157,16 +168,16 @@ def test_zero_has_no_inverse():
 
 
 def test_lattice_canonical_basis():
-    a = QuatLattice.from_rows(ALG, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+    a = lattice(ALG, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
     # a unimodular rewrite of the same lattice
-    b = QuatLattice.from_rows(ALG, [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 7], [0, 0, 1, 8]])
+    b = lattice(ALG, [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 7], [0, 0, 1, 8]])
     assert a == b
     assert a.contains(ALG.w) and not a.contains(ALG.w.scale(Fraction(1, 2)))
 
 
 def test_free_order_invariants():
-    O = Order(QuatLattice.from_rows(ALG, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]))
-    assert order_discriminant(O) == (4 * ALG.D * ALG.N) ** 2
+    O = Order(lattice(ALG, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]))
+    assert O.disc == (4 * ALG.D * ALG.N) ** 2
     assert not is_maximal(O)
     assert unit_count(O) == 1  # only +-1
 
@@ -176,51 +187,56 @@ def test_hamilton_maximal_order():
     alg = QuatAlgebra(-1, 1)
     half = Fraction(1, 2)
     O = Order(
-        QuatLattice.from_rows(
+        lattice(
             alg, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [half, half, half, half]]
         )
     )
-    assert order_discriminant(O) == 4
+    assert O.disc == 4
     assert unit_count(O) == 12
     assert len({s.co for s, _ in O.units} | {(-s).co for s, _ in O.units}) == 24
     for s, s_inv in O.units:
-        assert s.nrd() == 1 and s * s_inv == alg.one
+        assert nrd(s) == 1 and s * s_inv == alg.one
 
 
 def test_order_validation():
     rows_bad_one = [[2, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
     with pytest.raises(InputError):
-        Order(QuatLattice.from_rows(ALG, rows_bad_one))
+        Order(lattice(ALG, rows_bad_one))
     rows_not_closed = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, Fraction(1, 2)]]
     with pytest.raises(InputError):
-        Order(QuatLattice.from_rows(ALG, rows_not_closed))
+        Order(lattice(ALG, rows_not_closed))
     # contains 1, but nrd(u/2) = 7/4
     rows_not_integral = [[1, 0, 0, 0], [0, Fraction(1, 2), 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
     with pytest.raises(InputError, match="non-integral basis element"):
-        Order(QuatLattice.from_rows(ALG, rows_not_integral))
+        Order(lattice(ALG, rows_not_integral))
 
 
-def brute_norm_counts(gram, top):
+def brute_short_vectors(gram, top):
+    """{x: x G x^T} for every x != 0 with x G x^T <= 2 top, by a box search."""
     n = len(gram)
     # box radius from the smallest diagonal entry after clearing is crude
     # but fine for the tiny matrices used here
     R = 2 * top + 2
-    counts = [0] * (top + 1)
-    ranges = [range(-R, R + 1)] * n
-    for x in itertools.product(*ranges):
+    out = {}
+    for x in itertools.product(range(-R, R + 1), repeat=n):
         q = sum(gram[i][j] * x[i] * x[j] for i in range(n) for j in range(n))
-        if q % 2 == 0 and q // 2 <= top:
-            counts[q // 2] += 1
-    return counts
+        if any(x) and q <= 2 * top:
+            out[x] = q
+    return out
 
 
 def test_short_vectors_brute_force():
     for gram in ([[2, 1], [1, 2]], [[2, 0], [0, 4]], [[4, 1], [1, 6]], [[8, -4, 1], [-4, 16, 3], [1, 3, 14]]):
-        brute = brute_norm_counts(gram, 8)
+        brute = brute_short_vectors(gram, 8)
         for n in range(1, 9):
-            assert count_lattice_norm(gram, n) == brute[n], (gram, n)
+            assert count_lattice_norm(gram, n) == sum(q == 2 * n for q in brute.values()), (gram, n)
         assert count_lattice_norm(gram, 0) == 1
         assert count_lattice_norm(gram, -3) == 0
+        # the vectors up to sign, each with its exact norm x G x^T
+        got = short_vectors(gram, 16)
+        assert len(got) == len(brute) // 2
+        for x, q in got:
+            assert q == brute[x] == brute[tuple(-c for c in x)], (gram, x)
 
 
 def test_lll_reduce_gram_is_an_exact_unimodular_change():
@@ -291,9 +307,9 @@ def test_lll_reduce_gram_matches_the_recomputing_reference():
 def test_short_vectors_sign_representatives():
     vecs = short_vectors([[2, 1], [1, 2]], 2)
     assert len(vecs) == 3  # hexagonal minimal vectors up to sign
-    for v in vecs:
+    for v, q in vecs:
         first = next(c for c in v if c)
-        assert first > 0
+        assert first > 0 and q == 2
 
 
 def test_build_Iz_symplectic_structure():
@@ -318,7 +334,7 @@ def test_right_orders_are_maximal():
         ctx = HeckeContext(D, N, prec=50)
         for Q in reduced_forms(-N):
             O = right_order(build_Iz(ctx, Q))
-            assert order_discriminant(O) == D * D
+            assert O.disc == D * D
             assert is_maximal(O)
 
 
@@ -338,7 +354,7 @@ def reference_right_order(I):
     for g in bas:
         rows = [list((g.inverse() * b).co) for b in bas]
         cur = rows if cur is None else _dual(rational_hnf(_dual(cur) + _dual(rows)))
-    return QuatLattice.from_rows(I.alg, cur)
+    return lattice(I.alg, cur)
 
 
 def _splitcm_lattices():
@@ -369,7 +385,7 @@ def test_right_order_of_left_ideals_matches_the_reference():
             alpha = O.alg.elem(0)
             for b in bas:
                 alpha = alpha + b.scale(rng.randint(-6, 6))
-            if alpha.is_zero():
+            if not any(alpha.num):
                 continue
             m = rng.choice((2, 3, 5, 6))
             I = QuatLattice.from_elems([b * alpha for b in bas] + [b.scale(m) for b in bas])
@@ -412,7 +428,7 @@ def test_gross_lattice_shape():
             for e in gl.basis:
                 assert e.trd() == 0
             for i, e in enumerate(gl.basis):
-                assert gl.gram[i][i] == 2 * e.nrd()
+                assert gl.gram[i][i] == 2 * nrd(e)
             assert mat_det([list(r) for r in gl.gram]) == 32 * D * D
 
 
@@ -465,7 +481,7 @@ def test_invariant_record_matches_norm_counts():
         for Q in reduced_forms(-N):
             O = right_order(build_Iz(ctx, Q))
             record = O.invariants
-            assert record.disc == order_discriminant(O) == mat_det(O.lattice.scaled_gram())
+            assert record.disc == O.disc == mat_det(O.lattice.scaled_gram())
             g = O.gram
             assert record.norm_counts == tuple(count_lattice_norm(g, n) for n in range(1, 13))
             g = gross_lattice(O).gram
@@ -485,7 +501,7 @@ def test_invariant_record_is_computed_once_per_order(monkeypatch):
 
     monkeypatch.setattr(QuatLattice, "scaled_gram", counting_gram)
     O = right_order(build_Iz(ctx, info.witness_form))
-    assert is_maximal(O) and order_discriminant(O) == 121
+    assert is_maximal(O) and O.disc == 121
     calls = []
     real = quaternion.short_vectors
 
@@ -508,4 +524,4 @@ def test_invariant_record_is_computed_once_per_order(monkeypatch):
 def test_pair_trd_is_symmetric_bilinear():
     x, y = ALG.elem(1, 2, 3, 4), ALG.elem(-2, 0, 1, 5)
     assert pair_trd(x, y) == pair_trd(y, x)
-    assert pair_trd(x, x) == 2 * x.nrd()
+    assert pair_trd(x, x) == 2 * nrd(x)

@@ -187,7 +187,7 @@ def test_eta_ideal_prefactor_is_unimodular():
     with mpmath.workdps(70):
         tau = (-1 + mpmath.sqrt(mpmath.mpf(-7))) / 4
         want = abs(dedekind_eta(mpmath.mpc(tau), 50).to_mpc())
-        assert abs(v.abs_value() - want) < mpf(10) ** -42
+        assert abs(abs(v.to_mpc()) - want) < mpf(10) ** -42
 
 
 def test_eta_norm_factor_conventions_same_modulus():
@@ -197,7 +197,8 @@ def test_eta_norm_factor_conventions_same_modulus():
         ctx = HeckeContext(D, N, prec=50)
         a = eta_norm_factor(ctx)
         b = eta_norm_factor(HeckeContext(D, N, b1=2 * N - ctx.b1, prec=50))
-        assert abs(a.abs_value() - b.abs_value()) < mpf(10) ** -42
+        with mpmath.workdps(60):
+            assert abs(abs(a.to_mpc()) - abs(b.to_mpc())) < mpf(10) ** -42
         assert a.distance(b) > mpf(10) ** -3
 
 
