@@ -20,9 +20,13 @@ kernel writes its rounding bound, (terms) x (steps) x 2^-P, next to its tail
 bound and takes P from _fixed_bits, so that the bound is also below the
 tail target:
 
-* theta_form: 2 T (R + 1) 2^-P, for T Horner steps over R lattice points;
-* siegel_theta: 3 (2S+1)^4 2^-P, for (2S+1)^2 terms, each at most 2S
-  steps from the start of its row;
+* theta_form: 2 T (R + 1) 2^-P, for T Horner steps over R lattice points,
+  where T is the least cutoff (at least 16) that passes the tail bound;
+* siegel_theta: 24 (2S+1)^4 2^-P.  Of this, 3 (2S+1)^4 is the rounding of
+  the (2S+1)^2 box terms, each at most 2S steps from the start of its row.
+  The rest bounds the terms that the walks skip once they fall below
+  2^(8-P): the rest of a walk after its first such term, and every row
+  whose largest term is below 2^(8-P) (see siegel_theta);
 * dedekind_eta: 8 (K+1)^3 2^-P, for 2K terms of at most K steps.
 
 The error of a product of fixed-point values stays within these bounds only
@@ -30,16 +34,19 @@ because no value or step factor exceeds 1 in modulus.
 """
 
 from dataclasses import dataclass
-from math import isqrt
+from functools import lru_cache
+from math import isqrt, log
 
 import mpmath
 from mpmath import mp, mpf
 
 from .errors import InputError, ResourceError
 from .numeric import GUARD_DIGITS, BigComplex
-from .quadratic import HeegnerPoint, QuadForm
+from .quadratic import HeegnerPoint, QuadForm, unit_ideal
 
 MAX_TAIL_TERMS = 5 * 10**6
+# a Siegel walk stops at its first fixed-point term below 2^STOP_BITS units
+STOP_BITS = 8
 
 
 def _point_to_mpc(tau):
@@ -70,27 +77,64 @@ def _from_fixed(x, y, P, prec):
         return BigComplex(mpf((x, -P)), mpf((y, -P)), prec)
 
 
-def _form_tail_cutoff(Q, absq, prec):
-    """Smallest T with sum_{k>T} r_Q(k) |q|^k provably < 10^(-prec-10).
+def _form_tail(Q, absq, T):
+    """A bound on sum_{k>T} r_Q(k) |q|^k.
 
     Uses r_Q(k) <= (2 sqrt(k/lam) + 1)^2 <= 9k/lam for k >= lam, where
-    lam = (N/4)/(a+c) bounds the smallest Gram eigenvalue from below.
+    lam = (N/4)/(a+c) bounds the smallest Gram eigenvalue from below, and
+    r_Q(k) = 0 for 0 < k < lam; then sum_{k>T} k |q|^k is at most
+    (T + 2) |q|^(T+1) / (1 - |q|)^2.
     """
     lam = mpf(-Q.disc) / (4 * (Q.a + Q.c))
+    return (9 / lam) * (T + 2) * absq ** (T + 1) / (1 - absq) ** 2
+
+
+def _form_tail_cutoff(Q, absq, prec):
+    """Least T >= 16 with _form_tail(Q, absq, T) < 10^(-prec-10).
+
+    The log of the bound, log(bound at T = -1) + log(T + 2) + (T + 1) log|q|,
+    is concave in T, so when T = 16 fails, the T >= 16 that pass form one
+    interval [T0, oo).  Doubling and bisection on that log in floats put a
+    T near T0, and the exact bound then settles T0 itself.
+    """
     target = mpf(10) ** (-prec - 10)
-    one_minus = 1 - absq
-    T = 16
-    while True:
-        tail = (9 / lam) * (T + 2) * absq ** (T + 1) / one_minus**2
-        if tail < target:
-            return T
-        T *= 2
-        if T > MAX_TAIL_TERMS:
+
+    def passes(T):
+        return _form_tail(Q, absq, T) < target
+
+    if passes(16):
+        return 16
+    base = float(mpmath.log(_form_tail(Q, absq, -1) / target))
+    lq = float(mpmath.log(absq))
+
+    def guess_passes(T):
+        return base + log(T + 2) + (T + 1) * lq < 0
+
+    lo, hi = 16, 32
+    while not guess_passes(hi):
+        lo, hi = hi, 2 * hi
+        if hi > MAX_TAIL_TERMS:
             raise ResourceError("theta tail needs more than %d terms" % MAX_TAIL_TERMS)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if guess_passes(mid):
+            hi = mid
+        else:
+            lo = mid
+    T = hi
+    while not passes(T):
+        T += 1
+    while T > 16 and passes(T - 1):
+        T -= 1
+    return T
 
 
 def representation_counts(Q, T):
-    """r_Q(k) for 0 <= k <= T by ellipse enumeration (exact integers)."""
+    """r_Q(k) for 0 <= k <= T by ellipse enumeration (exact integers).
+
+    Along each row m, Q(m, n) is stepped by its first difference
+    Q(m, n + 1) - Q(m, n) = b m + c (2n + 1), which grows by 2c per step.
+    """
     r = [0] * (T + 1)
     a, b, c, d = Q.a, Q.b, Q.c, Q.disc
     mmax = isqrt(4 * c * T // -d)
@@ -100,12 +144,15 @@ def representation_counts(Q, T):
         if disc_n < 0:
             continue
         s = isqrt(disc_n)
-        lo = -(s + b * m) // (2 * c)
-        hi = (s - b * m) // (2 * c)
-        for n in range(lo - 1, hi + 2):
-            k = Q.value(m, n)
+        lo = -(s + b * m) // (2 * c) - 1
+        hi = (s - b * m) // (2 * c) + 1
+        k = Q.value(m, lo)
+        step = b * m + c * (2 * lo + 1)
+        for _ in range(hi - lo + 1):
             if k <= T:
                 r[k] += 1
+            k += step
+            step += 2 * c
     return r
 
 
@@ -183,13 +230,30 @@ def siegel_theta(z11, z12, z22, prec):
 
     Box sum over |m|, |n| <= S in Gaussian fixed point.  The term t(m, n)
     is even in (m, n), so row -m repeats row m and only rows m = 0..S are
-    walked.  Row m starts at its largest term, n0 = round(-m y12/y22), and
-    walks outward with the ratio t(n +- 1)/t(n), which gains the factor
-    C^2 = e^(2 pi i z22) after each step.  Every term and every ratio on
-    such a walk has modulus <= 1, whatever the sign of Im z12.  A term j
-    steps from n0 carries at most 3 (j+1)^2 2^-P of rounding: sqrt(2) 2^-P
-    per product, and 4 (i+1) 2^-P in the i-th ratio.  Over the (2S+1)^2 box
-    terms, each within 2S steps, the error is below 3 (2S+1)^4 2^-P.
+    walked.  Row m starts at its largest term, n0 = round(-m y12/y22)
+    clamped to the box, and walks outward with the ratio t(n +- 1)/t(n),
+    which gains the factor C^2 = e^(2 pi i z22) after each step.  Every
+    term and every ratio on such a walk has modulus <= 1, whatever the sign
+    of Im z12.  A term j steps from n0 carries at most 3 (j+1)^2 2^-P of
+    rounding: sqrt(2) 2^-P per product, and 4 (i+1) 2^-P in the i-th ratio.
+    Over the (2S+1)^2 box terms, each within 2S steps, the rounding is below
+    3 (2S+1)^4 2^-P.
+
+    No work is spent below the resolution.  In n, |t(m, n)| is a Gaussian
+    centred at -m y12/y22, which lies within 1/2 of n0 or beyond the box
+    edge n0, so |t| falls along each walk from its first step on.
+    * A walk stops at its first fixed-point term whose parts are both below
+      2^STOP_BITS = 2^8 units.  That term and the rest of its walk, at most 2S terms, are
+      each below (sqrt(2) 2^8 + 3 (2S+1)^2) 2^-P.  The walks, 2 (2S+1) of
+      them counted with the mirror rows, drop less than
+      (726 (2S+1)^2 + 6 (2S+1)^4) 2^-P.
+    * The rows stop at the first m > 0 whose real maximum
+      exp(-pi m^2 det/y22) is below 2^(8-P).  These maxima fall with m,
+      while the start terms t(m, n0) need not.  The at most 2S skipped rows,
+      counted with their mirrors, of at most 2S+1 terms each, drop less
+      than 2^8 (2S+1)^2 2^-P.
+    With S >= 4, so (2S+1)^2 >= 81, rounding and dropped terms together
+    stay below 24 (2S+1)^4 2^-P, and P is sized from that.
 
     The start values t(m, n0) and the first ratios of each row come from a
     walk in mpmath floats along the path (m, n0(m)), which keeps relative
@@ -204,8 +268,13 @@ def siegel_theta(z11, z12, z22, prec):
         lam = det / (y11 + y22)
         S = _siegel_box(lam, prec)
         shift = float(-y12 / y22)
-    P = _fixed_bits(prec + 10, 3 * (2 * S + 1) ** 4)
+    P = _fixed_bits(prec + 10, 24 * (2 * S + 1) ** 4)
+    stop = 1 << STOP_BITS
     with mp.workprec(P + 20 + 2 * S.bit_length()):
+        # the real maximum of row m, exp(-pi m^2 det/y22), is below
+        # 2^(STOP_BITS-P) once m^2 > rowcut
+        rowcut = (P - STOP_BITS) * mpmath.ln2 * y22 / (mpmath.pi * det)
+        rows = min(S, int(mpmath.sqrt(rowcut))) + 1
         A = mpmath.exp(1j * mpmath.pi * z11)
         B = mpmath.exp(2j * mpmath.pi * z12)
         C = mpmath.exp(1j * mpmath.pi * z22)
@@ -217,7 +286,7 @@ def siegel_theta(z11, z12, z22, prec):
         t, up, down, across = mpmath.mpc(1), C, C, A
         n = 0
         sr = si = 0
-        for m in range(S + 1):
+        for m in range(rows):
             n0 = max(-S, min(S, round(m * shift)))
             while n < n0:
                 t *= up
@@ -233,6 +302,8 @@ def siegel_theta(z11, z12, z22, prec):
                 ur, ui = tr, ti
                 for _ in range(steps):
                     ur, ui = (ur * rr - ui * ri) >> P, (ur * ri + ui * rr) >> P
+                    if -stop < ur < stop and -stop < ui < stop:
+                        break
                     rowr += ur
                     rowi += ui
                     rr, ri = (rr * c2r - ri * c2i) >> P, (rr * c2i + ri * c2r) >> P
@@ -315,13 +386,20 @@ def eta_ideal(ideal, prec):
         return BigComplex.from_mpc(value, prec)
 
 
+@lru_cache(maxsize=32)
+def _eta_unit(D, prec):
+    """eta_ideal of O_K = (1, 1), which depends only on D and prec."""
+    return eta_ideal(unit_ideal(D), prec)
+
+
 def eta_norm_factor(ctx):
     """The eta product normalizing theta at level N.
 
     The product of the per-ideal values for the conjugate (N, -b1) of the
-    level ideal and for the class representative O_K = (1, 1).
+    level ideal and for the class representative O_K = (1, 1).  The second
+    is computed once per (D, prec).
     """
-    return eta_ideal(ctx.level_ideal.conjugate(), ctx.prec) * eta_ideal(ctx.class_rep, ctx.prec)
+    return eta_ideal(ctx.level_ideal.conjugate(), ctx.prec) * _eta_unit(ctx.D, ctx.prec)
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ from mpmath import mpf
 from splitcm import theta
 from splitcm.errors import InputError
 from splitcm.hecke import HeckeContext
+from splitcm.numeric import GUARD_DIGITS
 from splitcm.quadratic import QuadForm, QuadIdeal, heegner_point, reduced_forms
 from splitcm.theta import (
     SplitCMPoint,
@@ -55,7 +56,9 @@ def test_theta_form_with_no_value_below_the_cutoff():
 
 
 def test_representation_counts_brute_force():
-    for Q in (QuadForm(1, 1, 2), QuadForm(2, 1, 3), QuadForm(3, -1, 5)):
+    # [1, 1, 48] and the unreduced [3, 11, 12] have long, skewed ellipses
+    forms = [QuadForm(*abc) for abc in ((1, 1, 2), (2, 1, 3), (3, -1, 5), (1, 1, 48), (3, 11, 12))]
+    for Q in forms:
         r = representation_counts(Q, 50)
         brute = [0] * 51
         for m in range(-40, 41):
@@ -64,6 +67,21 @@ def test_representation_counts_brute_force():
                 if k <= 50:
                     brute[k] += 1
         assert r == brute, Q
+
+
+def test_form_tail_cutoff_is_least():
+    # the cutoff passes the tail bound and the cutoff one below does not
+    prec = 80
+    for D, N, abc, want in [(-7, 191, (1, 1, 48), 5154), (-7, 43, (1, 1, 11), 1138), (-11, 251, (7, 1, 9), 5373)]:
+        Q = QuadForm(*abc)
+        ctx = HeckeContext(D, N, prec=prec)
+        with mpmath.workdps(prec + GUARD_DIGITS + 5):
+            absq = abs(mpmath.exp(2j * mpmath.pi * theta._point_to_mpc(ctx.class_point)))
+            T = theta._form_tail_cutoff(Q, absq, prec)
+            target = mpf(10) ** (-prec - 10)
+            assert theta._form_tail(Q, absq, T) < target, (D, N, Q)
+            assert not theta._form_tail(Q, absq, T - 1) < target, (D, N, Q)
+        assert T == want, (D, N, Q, T)
 
 
 def test_theta_rejects_lower_half_plane():
@@ -171,14 +189,17 @@ def test_splitcm_point_checks_disc():
 
 
 def test_two_theta_paths_agree_at_cm_points():
-    # the lattice q-series and the Siegel box sum are independent programs
-    for D, N in [(-7, 11), (-11, 23)]:
-        ctx = HeckeContext(D, N, prec=80)
+    # the lattice q-series and the Siegel box sum are independent programs;
+    # at (-7, 191) and (-11, 251) most of the Siegel box lies below 2^-P, so
+    # the walks stop early there
+    prec = 80
+    for D, N in [(-7, 11), (-11, 23), (-7, 191), (-11, 251)]:
+        ctx = HeckeContext(D, N, prec=prec)
         pt = heegner_point(ctx, ctx.class_rep)
         for Q in reduced_forms(-N):
-            a = theta_form(Q, pt, 80)
-            b = symplectic_theta_splitcm(SplitCMPoint(Q, pt), 80)
-            assert a.distance(b) < mpf(10) ** -70, (D, N, Q)
+            a = theta_form(Q, pt, prec)
+            b = symplectic_theta_splitcm(SplitCMPoint(Q, pt), prec)
+            assert a.distance(b) < mpf(10) ** -(prec + 5), (D, N, Q)
 
 
 def test_eta_ideal_prefactor_is_unimodular():
@@ -202,7 +223,21 @@ def test_eta_norm_factor_conventions_same_modulus():
         assert a.distance(b) > mpf(10) ** -3
 
 
-def test_theta_hat_known_integers():
+def test_eta_norm_factor_computes_eta_of_o_k_once():
+    theta._eta_unit.cache_clear()
+    for N in (11, 23):
+        ctx = HeckeContext(-7, N, prec=60)
+        uncached = eta_ideal(ctx.level_ideal.conjugate(), 60) * eta_ideal(ctx.class_rep, 60)
+        assert eta_norm_factor(ctx).distance(uncached) == 0, N
+    assert theta._eta_unit.cache_info().currsize == 1
+    assert theta._eta_unit.cache_info().hits == 1
+    eta_norm_factor(HeckeContext(-7, 11, prec=70))
+    assert theta._eta_unit.cache_info().currsize == 2
+    assert theta._eta_unit(-7, 70).prec == 70
+    assert theta._eta_unit(-7, 70) is not theta._eta_unit(-7, 60)
+
+
+def test_level_thetas_known_integers():
     ctx = HeckeContext(-7, 11, prec=80)
     v = level_thetas(ctx, (QuadForm(1, 1, 3),)).normalized()[0]
     n, err = v.nearest_int()
@@ -217,7 +252,7 @@ def test_theta_hat_known_integers():
     assert sorted(abs(n) for n in snapped) == [0, 0, 2]
 
 
-def test_theta_hat_rejects_wrong_disc():
+def test_level_thetas_rejects_wrong_disc():
     ctx = HeckeContext(-7, 11, prec=50)
     with pytest.raises(InputError):
         level_thetas(ctx, (QuadForm(1, 1, 2),))
