@@ -21,7 +21,12 @@ bound and takes P from _fixed_bits, so that the bound is also below the
 tail target:
 
 * theta_form: 2 T (R + 1) 2^-P, for T Horner steps over R lattice points,
-  where T is the least cutoff (at least 16) that passes the tail bound;
+  where T is the least cutoff (at least 16) that passes the tail bound.
+  An error made at power k is later multiplied by |q|^k, so the step at k
+  needs only a scale 2^-p with p >= P - k log2(1/|q|): Horner keeps only
+  the bits that can still reach 2^-P.  The scale rises by SCALE_STEP = 64
+  bits from one block of powers to the next, and the table of q-powers,
+  truncated toward zero at each block's scale, stays within the same bound;
 * siegel_theta: 24 (2S+1)^4 2^-P.  Of this, 3 (2S+1)^4 is the rounding of
   the (2S+1)^2 box terms, each at most 2S steps from the start of its row.
   The rest bounds the terms that the walks skip once they fall below
@@ -33,6 +38,7 @@ The error of a product of fixed-point values stays within these bounds only
 because no value or step factor exceeds 1 in modulus.
 """
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt, log
@@ -47,6 +53,8 @@ from .quadratic import HeegnerPoint, QuadForm, unit_ideal
 MAX_TAIL_TERMS = 5 * 10**6
 # a Siegel walk stops at its first fixed-point term below 2^STOP_BITS units
 STOP_BITS = 8
+# theta_form's Horner scale rises by SCALE_STEP bits from one block of powers to the next
+SCALE_STEP = 64
 
 
 def _point_to_mpc(tau):
@@ -156,22 +164,39 @@ def representation_counts(Q, T):
     return r
 
 
+def _truncate(x, bits):
+    """x / 2^bits truncated toward zero."""
+    return x >> bits if x >= 0 else -(-x >> bits)
+
+
 def theta_form(Q, tau, prec):
     """Sum of q^Q(m,n) over the integer lattice, q = e^(2 pi i tau).
 
     Horner's rule over the nonzero representation numbers r_Q(k), k <= T,
     in Gaussian fixed point: from one nonzero k to the next lower one k',
-    h becomes h q^(k-k') + r_Q(k'), with q^(k-k') from a table of powers.
-    Each of these at most T steps adds sqrt(2) 2^-P of rounding and
-    |h| sqrt(2) 2^-P from the rounding of the power; since |q| < 1, errors
-    never grow and |h| <= R = sum r_Q(k), so the error is below
-    2 T (R + 1) 2^-P.
+    h becomes h q^(k-k') + r_Q(k'), with q^(k-k') from a table of powers
+    truncated toward zero, so that no entry exceeds |q|^(k-k') in modulus.
+
+    An error made at power k reaches the sum multiplied by at most |q|^k =
+    2^(-k beta), so at power k, h need only be held at a scale 2^-p with
+    p >= P - k beta.
+    Going down from the top k, the powers fall into blocks whose scale is
+    P - j SCALE_STEP (never below 0) for the block of k >= j SCALE_STEP /
+    beta; at each block boundary h is shifted left, which is exact, and the
+    table is truncated once from 2^-P to the block's 2^-p, which equals
+    truncating q^(k-k') itself at 2^-p.  Here beta is a float lower bound
+    on -log2 |q| = 2 pi Im tau / ln 2, with a relative margin of 10^-9 for
+    its rounding and capped at P.  A step at scale p adds below
+    sqrt(2) 2^-p of rounding and |h| sqrt(2) 2^-p from the truncated table
+    entry, with |h| <= R = sum r_Q(k); the later steps multiply both by at
+    most |q|^k <= 2^(p-P).  Over the at most T steps that multiply, the
+    error is below sqrt(2) T (R + 1) 2^-P < 2 T (R + 1) 2^-P.
     """
     with mp.workdps(prec + GUARD_DIGITS + 5):
         z = _point_to_mpc(tau)
         if z.imag <= 0:
             raise InputError("theta needs a point in the upper half plane")
-        T = _form_tail_cutoff(Q, abs(mpmath.exp(2j * mpmath.pi * z)), prec)
+        T = _form_tail_cutoff(Q, mpmath.exp(-2 * mpmath.pi * z.imag), prec)
     r = representation_counts(Q, T)
     ks = [k for k, rk in enumerate(r) if rk]
     P = _fixed_bits(prec + 10, 2 * T * (sum(r) + 1))
@@ -182,12 +207,23 @@ def theta_form(Q, tau, prec):
         for _ in range(max((b - a for a, b in zip(ks, ks[1:])), default=0)):
             power *= q
             qpow.append(_to_fixed(power, P))
-    hr = hi = 0
+        beta = min(float(2 * mpmath.pi * z.imag / mpmath.ln2) * (1 - 1e-9), P)
+    hr = hi = p = 0
     above = ks[-1]
-    for k in reversed(ks):
-        qr, qi = qpow[above - k]
-        hr, hi = ((hr * qr - hi * qi) >> P) + (r[k] << P), (hr * qi + hi * qr) >> P
-        above = k
+    top = len(ks)
+    for j in range(int(min(P, ks[-1] * beta)) // SCALE_STEP, -1, -1):
+        bottom = bisect_left(ks, j * SCALE_STEP / beta)
+        if bottom == top:
+            continue
+        scale = P - j * SCALE_STEP
+        hr, hi = hr << (scale - p), hi << (scale - p)
+        p = scale
+        table = [(_truncate(x, P - p), _truncate(y, P - p)) for x, y in qpow]
+        for k in reversed(ks[bottom:top]):
+            qr, qi = table[above - k]
+            hr, hi = ((hr * qr - hi * qi) >> p) + (r[k] << p), (hr * qi + hi * qr) >> p
+            above = k
+        top = bottom
     return _from_fixed(hr, hi, P, prec)
 
 
@@ -338,12 +374,12 @@ def dedekind_eta(z, prec):
         z = _point_to_mpc(z)
         if z.imag <= 0:
             raise InputError("eta needs a point in the upper half plane")
-        q = mpmath.exp(2j * mpmath.pi * z)
-        # |q|^e1 < 10^(-prec-12) exactly when e1 > last
-        last = -(prec + 12) * mpmath.log(10) / mpmath.log(abs(q))
+        # |q|^e1 = e^(-2 pi e1 Im z) < 10^(-prec-12) exactly when the
+        # integer e1 exceeds last
+        last = int((prec + 12) * mpmath.ln10 / (2 * mpmath.pi * z.imag))
         if last > MAX_TAIL_TERMS:
             raise ResourceError("eta series needs more than %d terms" % MAX_TAIL_TERMS)
-    K = isqrt(int(last)) + 1
+    K = isqrt(last) + 1
     P = _fixed_bits(prec + 12, 8 * (K + 1) ** 3)
     with mp.workprec(P + 20):
         q = mpmath.exp(2j * mpmath.pi * z)

@@ -192,6 +192,16 @@ def test_oracle_fast_matches_l_value(store7, store11):
         assert got.distance(want) < mpf(10) ** -85, (D, N)
 
 
+def test_l_value_at_600_digits_matches_the_oracle(store7):
+    # the oracle runs no theta, so this checks 600-digit theta and eta
+    # against an independent path
+    prec = 600
+    for N in (11, 43):
+        want, _ = oracle_central_value(-7, N, prec=prec)
+        got = l_value(HeckeContext(-7, N, prec=prec), store7)
+        assert got.distance(want) < mpf(10) ** -(prec - 15), N
+
+
 def test_oracle_root_number_is_the_generator_phase():
     # criterion 7 assumes W = +-i*pi/|pi|; the oracle solves for W instead, and
     # certifies |W| = 1 also for D = -19 and -43

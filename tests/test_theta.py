@@ -84,6 +84,69 @@ def test_form_tail_cutoff_is_least():
         assert T == want, (D, N, Q, T)
 
 
+def _full_scale_horner(Q, z, T, P):
+    """(hr, hi): theta_form's Horner at the single scale 2^-P, every step."""
+    r = representation_counts(Q, T)
+    ks = [k for k, rk in enumerate(r) if rk]
+    with mpmath.workprec(P + 20):
+        q = mpmath.exp(2j * mpmath.pi * z)
+        power = mpmath.mpc(1)
+        qpow = [(1 << P, 0)]
+        for _ in range(max((b - a for a, b in zip(ks, ks[1:])), default=0)):
+            power *= q
+            qpow.append(theta._to_fixed(power, P))
+    hr = hi = 0
+    above = ks[-1]
+    for k in reversed(ks):
+        qr, qi = qpow[above - k]
+        hr, hi = ((hr * qr - hi * qi) >> P) + (r[k] << P), (hr * qi + hi * qr) >> P
+        above = k
+    return hr, hi
+
+
+def test_theta_form_within_its_bound_of_the_full_scale_horner(monkeypatch):
+    # theta_form holds the power-k step at a scale of about P - k beta bits;
+    # its fixed-point sum must stay within its written bound 2 T (R + 1) 2^-P
+    # of the value.  The reference is the full-scale Horner run `extra` bits
+    # finer, itself within 2 T (R + 1) 2^-(P + extra) of the value.
+    extra = 32
+    kernel = []
+    from_fixed = theta._from_fixed
+
+    def record(x, y, P, prec):
+        kernel.append((x, y, P))
+        return from_fixed(x, y, P, prec)
+
+    monkeypatch.setattr(theta, "_from_fixed", record)
+    points = [
+        (QuadForm(*abc), HeckeContext(D, N, prec=prec).class_point, prec)
+        for D, N, abc, prec in [
+            (-7, 43, (1, 1, 11), 600),
+            (-7, 191, (1, 1, 48), 600),
+            (-11, 47, (2, 1, 6), 600),
+            (-11, 47, (3, 1, 4), 600),
+            (-7, 43, (1, 1, 11), 80),
+        ]
+    ]
+    # |q| = e^(-6 pi) keeps T at its floor of 16 and spreads the powers
+    # over several blocks
+    points.append((QuadForm(1, 1, 2), mpmath.mpc("0.1", 3), 80))
+    for Q, tau, prec in points:
+        kernel.clear()
+        theta_form(Q, tau, prec)
+        ((x, y, P),) = kernel
+        with mpmath.workdps(prec + GUARD_DIGITS + 5):
+            z = theta._point_to_mpc(tau)
+            T = theta._form_tail_cutoff(Q, mpmath.exp(-2 * mpmath.pi * z.imag), prec)
+        R = sum(representation_counts(Q, T))
+        assert P == theta._fixed_bits(prec + 10, 2 * T * (R + 1))
+        hr, hi = _full_scale_horner(Q, z, T, P + extra)
+        # both sides in units of 2^-(P + extra), exactly
+        gap = abs(mpmath.mpc((x << extra) - hr, (y << extra) - hi))
+        assert gap < 2 * T * (R + 1) * (2**extra - 1), (Q, prec, gap)
+    assert T == 16
+
+
 def test_theta_rejects_lower_half_plane():
     with pytest.raises(InputError):
         theta_form(QuadForm(1, 1, 2), mpmath.mpc(0, -1), 40)
