@@ -11,16 +11,23 @@ which must match the direct unnormalized sum over forms; both paths are
 computed and compared.  An oracle evaluates the same L-value with no theta
 machinery at all: the smoothed functional equation of L(psi_N, s), summed
 over coefficients counted exactly in O_K, which also solves for the root
-number W and certifies |W| = 1.
+number W and certifies |W| = 1.  Its three series are summed by its own
+fixed-point kernel on Python integers (_oracle_series): Horner's rule over
+the nonzero coefficients, at the scale that can still reach 2^-P, within
+a written rounding bound of 4 sqrt|D| (T + 1)^2 2^-P for T nonzero terms.
+The kernel repeats the block loop of theta.theta_form instead of sharing
+it, so that the oracle stays independent of the theta code it checks.
 
 omega_N (units of the order of discriminant -N modulo sign) is 2 throughout
 because N > 4; levels are primes N = 3 mod 4 that split in Q(sqrt(D)).
 """
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
+from operator import itemgetter
 
 import mpmath
 from mpmath import mp, mpf
@@ -59,6 +66,8 @@ OMEGA_N = 2
 DISCOVERY_CAP = 1000
 ORACLE_TAIL_DIGITS = 12  # the oracle's truncation error stays below 10^-(prec + 12)
 ORACLE_MARGIN_DIGITS = 3  # room for the error that solving for W adds
+# the oracle's Horner scale rises by ORACLE_SCALE_STEP bits from one block of powers to the next
+ORACLE_SCALE_STEP = 64
 
 
 @dataclass(frozen=True)
@@ -320,30 +329,29 @@ def oracle_central_value(D, N, prec=80):
 
     W is solved from t = 1 and t = 5/4, not assumed; |W| != 1 beyond
     10^-(prec-15) raises ConventionError.  The a_n are exact, from this
-    function's own enumeration of alpha and residue character.  With each
-    truncated sum within T of its series, W = num/den is within
-    2T(1 + |W|)/|den| and L = S(1) + W conj(S(1)) within amp * T, where
-    amp = 2 + 5 |S(1)|/|den| for |W| = 1.  Returns (L, W) as BigComplex.
+    function's own enumeration of alpha and residue character.  Each sum
+    S(t) = sum a_n/n e^(-c n t) is cut at n_max, with a tail below
+    10^-digits / 2, and summed by _oracle_series in fixed point at 2^-P,
+    with a rounding bound of 4 sqrt|D| (T + 1)^2 2^-P for its T nonzero
+    terms; P is sized from that bound to keep the rounding below
+    10^-digits / 2 as well.  With each sum so within 10^-digits of its
+    series, W = num/den is within 2 10^-digits (1 + |W|)/|den| and L =
+    S(1) + W conj(S(1)) within amp 10^-digits, where amp = 2 + 5
+    |S(1)|/|den| for |W| = 1; digits grows until that is below
+    10^-(prec+12).  Returns (L, W) as BigComplex.
     """
     validate_field_disc(D)
     if prec < MIN_PREC:
         raise InputError("oracle precision must be at least %d digits" % MIN_PREC)
     prime_ideal_above(D, N)
     b1 = smallest_odd_root(D, N)
-    kappa = 1.6 * math.pi / math.sqrt(-D * N)  # e^(-4cn/5), conj(a_n) at t = 5/4, decays slowest
     digits = prec + ORACLE_TAIL_DIGITS + ORACLE_MARGIN_DIGITS
     while True:
-        # a_n sums psi over at most d(n) ideals with |psi| = sqrt(n), so |a_n|/n <= d(n)/sqrt(n) <= 2
-        # and each tail past n_max is at most 2 e^(-kappa (n_max + 1)) / (1 - e^(-kappa)) <= 10^-digits
-        n_max = math.ceil((digits * math.log(10) + math.log(2 / -math.expm1(-kappa))) / kappa)
-        # x^n by n products is off by at most n ulp: 2 len(str(n_max)) more digits absorb n_max^2
-        with mp.workdps(digits + GUARD_DIGITS + 2 * len(str(n_max))):
-            terms = [(p and mpf(p) / n, q and mpf(q) / n)
-                     for n, (p, q) in enumerate(_oracle_coefficients(D, N, b1, n_max), 1)]
-            c = 2 * mpmath.pi / mpmath.sqrt(-D * N)
-            s1 = _oracle_series(terms, D, c)
-            den = mpmath.conj(s1) - _oracle_series(terms, D, c * 4 / 5, conj=True)
-            root = (_oracle_series(terms, D, c * 5 / 4) - s1) / den
+        terms, P = _oracle_terms(D, N, b1, digits)
+        with mp.workdps(digits + GUARD_DIGITS):
+            s1 = _oracle_series(terms, D, N, Fraction(1), P)
+            den = mpmath.conj(s1 - _oracle_series(terms, D, N, Fraction(4, 5), P))
+            root = (_oracle_series(terms, D, N, Fraction(5, 4), P) - s1) / den
             if abs(abs(root) - 1) > mpf(10) ** -(prec - 15):
                 raise ConventionError("oracle root number has |W| = %s, not 1" % mpmath.nstr(abs(root), 10))
             value = s1 + root * mpmath.conj(s1)
@@ -352,6 +360,23 @@ def oracle_central_value(D, N, prec=80):
         if shortfall <= 0:
             return BigComplex.from_mpc(value, prec), BigComplex.from_mpc(root, prec)
         digits += math.ceil(shortfall) + ORACLE_MARGIN_DIGITS
+
+
+def _oracle_terms(D, N, b1, digits):
+    """([(n, P_n, Q_n)] for n = 0 and every n <= n_max with a_n != 0, P).
+
+    n_max puts each tail of the functional equation below 10^-digits / 2,
+    and the scale P keeps _oracle_series's rounding below 10^-digits / 2.
+    The entry n = 0, with P_0 = Q_0 = 0, ends the Horner sum at x^0.
+    """
+    kappa = 1.6 * math.pi / math.sqrt(-D * N)  # e^(-4cn/5), conj(a_n) at t = 5/4, decays slowest
+    # a_n sums psi over at most d(n) ideals with |psi| = sqrt(n), so |a_n|/n <= d(n)/sqrt(n) <= 2
+    # and each tail past n_max is at most 2 e^(-kappa (n_max + 1)) / (1 - e^(-kappa)) <= 10^-digits / 2
+    n_max = math.ceil((digits * math.log(10) + math.log(4 / -math.expm1(-kappa))) / kappa)
+    terms = [(0, 0, 0)]
+    terms += [(n, p, q) for n, (p, q) in enumerate(_oracle_coefficients(D, N, b1, n_max), 1) if p or q]
+    P = digits * 3322 // 1000 + 2 + (4 * (isqrt(-D) + 1) * len(terms) ** 2).bit_length()
+    return terms, P
 
 
 def _oracle_coefficients(D, N, b1, n_max):
@@ -378,18 +403,66 @@ def _oracle_coefficients(D, N, b1, n_max):
     return list(zip(P, Q))[1:]
 
 
-def _oracle_series(terms, D, k, conj=False):
-    """sum a_n/n e^(-kn), or of conj(a_n)/n, from terms [(P_n/n, Q_n/n)]: one exp, then powers."""
-    x = mpmath.exp(-k)
-    xn, re, im = mpf(1), mpf(0), mpf(0)
-    for p, q in terms:
-        xn *= x
-        if p:
-            re += p * xn
-        if q:
-            im += q * xn
-    im *= mpmath.sqrt(-D)
-    return mpmath.mpc(re, -im if conj else im) / 2
+def _oracle_series(terms, D, N, t, P):
+    """sum a_n/n x^n, x = e^(-c t), c = 2 pi/sqrt(|D| N), over terms [(n, P_n, Q_n)].
+
+    With c_n = (P_n + i Q_n)/n, the sum is (Re H + i sqrt|D| Im H)/2 for
+    H = sum c_n x^n.  H is summed by Horner's rule over the nonzero n in
+    Gaussian fixed point; x is real, so a step is two products: from one
+    n to the next lower n', h becomes h x^(n-n') + c_n', with x^(n-n')
+    from a table of powers truncated toward zero, so that no entry
+    exceeds x^(n-n').
+
+    An error made at power n reaches H multiplied by at most x^n =
+    2^(-n beta), so at power n, h need only be held at a scale 2^-p with
+    p >= P - n beta.  Going down from the top n, the powers fall into
+    blocks whose scale is P - j ORACLE_SCALE_STEP (never below 0) for the
+    block of n >= j ORACLE_SCALE_STEP / beta; at each block boundary h is
+    shifted left, which is exact, and the table is truncated once to the
+    block's 2^-p.  Here beta is a float lower bound on -log2 x = c t/ln 2,
+    with a relative margin of 10^-9 for its rounding and capped at P.
+
+    Rounding bound.  Each part of c_n is at most 4 in modulus (see
+    _oracle_terms: |a_n|/n <= 2 and |D| >= 7), so each part of every
+    partial Horner sum is at most sum |c_n| <= 4T over the T nonzero
+    terms.  A step at scale p then adds, in each part, below 2^-p from the
+    product's shift, 2^-p from c_n' rounded down to 2^-p, and 4T 2^-p from
+    the truncated table entry times the partial sum; the later steps
+    multiply this by at most x^n' <= 2^(p-P).  Over the T + 1 steps (the
+    last one, to n = 0, adds no c_n), each part of H is off by less than
+    (T + 1)(4T + 2) 2^-P, so the sum is off by less than
+    (1 + sqrt|D|)/2 (T + 1)(4T + 2) 2^-P < 4 sqrt|D| (T + 1)^2 2^-P.
+    The kernel repeats theta_form's block loop on purpose: the oracle
+    calls nothing in splitcm.theta, so that a fault there cannot pass
+    both paths.
+    """
+    with mp.workprec(P + 20):
+        k = 2 * mpmath.pi * t.numerator / (t.denominator * mpmath.sqrt(-D * N))
+        x = mpmath.exp(-k)
+        power = mpf(1)
+        xpow = [1 << P]
+        for _ in range(max(b[0] - a[0] for a, b in zip(terms, terms[1:]))):
+            power *= x
+            xpow.append(int(mpmath.ldexp(power, P)))
+        beta = min(float(k / mpmath.ln2) * (1 - 1e-9), P)
+    hr = hi = p = 0
+    above = terms[-1][0]
+    top = len(terms)
+    for j in range(int(min(P, above * beta)) // ORACLE_SCALE_STEP, -1, -1):
+        bottom = bisect_left(terms, j * ORACLE_SCALE_STEP / beta, key=itemgetter(0))
+        if bottom == top:
+            continue
+        scale = P - j * ORACLE_SCALE_STEP
+        hr, hi = hr << (scale - p), hi << (scale - p)
+        p = scale
+        table = [entry >> (P - p) for entry in xpow]
+        for n, cp, cq in reversed(terms[bottom:top]):
+            step = table[above - n]
+            hr = (hr * step >> p) + (cp and (cp << p) // n)
+            hi = (hi * step >> p) + (cq and (cq << p) // n)
+            above = n
+        top = bottom
+    return mpmath.mpc(mpf((hr, -P - 1)), mpmath.sqrt(-D) * mpf((hi, -P - 1)))
 
 
 @dataclass(frozen=True)

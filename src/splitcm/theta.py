@@ -41,7 +41,7 @@ because no value or step factor exceeds 1 in modulus.
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
-from math import isqrt, log
+from math import expm1, isqrt, log, pi
 
 import mpmath
 from mpmath import mp, mpf
@@ -97,14 +97,16 @@ def _form_tail(Q, absq, T):
     return (9 / lam) * (T + 2) * absq ** (T + 1) / (1 - absq) ** 2
 
 
-def _form_tail_cutoff(Q, absq, prec):
-    """Least T >= 16 with _form_tail(Q, absq, T) < 10^(-prec-10).
+def _form_tail_cutoff(Q, y, prec):
+    """Least T >= 16 with _form_tail(Q, |q|, T) < 10^(-prec-10), |q| = e^(-2 pi y).
 
     The log of the bound, log(bound at T = -1) + log(T + 2) + (T + 1) log|q|,
     is concave in T, so when T = 16 fails, the T >= 16 that pass form one
-    interval [T0, oo).  Doubling and bisection on that log in floats put a
-    T near T0, and the exact bound then settles T0 itself.
+    interval [T0, oo).  Doubling and bisection on that log in floats, with
+    log|q| = -2 pi y, put a T near T0, and the exact bound then settles T0
+    itself.
     """
+    absq = mpmath.exp(-2 * mpmath.pi * y)
     target = mpf(10) ** (-prec - 10)
 
     def passes(T):
@@ -112,8 +114,9 @@ def _form_tail_cutoff(Q, absq, prec):
 
     if passes(16):
         return 16
-    base = float(mpmath.log(_form_tail(Q, absq, -1) / target))
-    lq = float(mpmath.log(absq))
+    lq = -2 * pi * float(y)
+    # log(bound at T = -1 / target) = log(9/lam) - 2 log(1 - |q|) + (prec + 10) log 10
+    base = log(9 * 4 * (Q.a + Q.c) / -Q.disc) - 2 * log(-expm1(lq)) + (prec + 10) * log(10)
 
     def guess_passes(T):
         return base + log(T + 2) + (T + 1) * lq < 0
@@ -196,7 +199,7 @@ def theta_form(Q, tau, prec):
         z = _point_to_mpc(tau)
         if z.imag <= 0:
             raise InputError("theta needs a point in the upper half plane")
-        T = _form_tail_cutoff(Q, mpmath.exp(-2 * mpmath.pi * z.imag), prec)
+        T = _form_tail_cutoff(Q, z.imag, prec)
     r = representation_counts(Q, T)
     ks = [k for k, rk in enumerate(r) if rk]
     P = _fixed_bits(prec + 10, 2 * T * (sum(r) + 1))

@@ -33,6 +33,8 @@ from splitcm.quaternion import build_Iz, right_order
 L_7_11 = 0.27457144311888215 + 0.8185491052922107j
 L_7_23 = 0.63241205401606 - 0.33993416083178j
 L_11_23 = 0.98776240849350 + 0.68869410015579j
+# levels where the class sum A(N), and so L(psi_N, 1), is 0
+VANISHING_LEVELS = ((-11, 163), (-19, 163), (-43, 139))
 
 
 @pytest.fixture(scope="module")
@@ -204,8 +206,8 @@ def test_l_value_at_600_digits_matches_the_oracle(store7):
 
 def test_oracle_root_number_is_the_generator_phase():
     # criterion 7 assumes W = +-i*pi/|pi|; the oracle solves for W instead, and
-    # certifies |W| = 1 also for D = -19 and -43
-    for D, N in ((-7, 11), (-7, 23), (-11, 23), (-19, 23), (-43, 47)):
+    # certifies |W| = 1 also for D = -19 and -43, and at the levels where L = 0
+    for D, N in ((-7, 11), (-7, 23), (-11, 23), (-19, 23), (-43, 47), *VANISHING_LEVELS):
         _, root = oracle_central_value(D, N, prec=100)
         phase = _generator_phase(D, N, 100)
         with mpmath.workdps(110):
@@ -214,12 +216,46 @@ def test_oracle_root_number_is_the_generator_phase():
 
 
 def test_oracle_stabilizes_in_cutoff():
-    # the cutoff follows from prec: p + 20 digits sum further and must agree to 10^-p
+    # the cutoff follows from prec: p + 20 digits sum further and must agree to
+    # 10^-(p+9), inside the oracle's error budget of amp 10^-(p+12)
     for D, N in ((-7, 11), (-11, 23)):
         for p in (40, 80):
             low, _ = oracle_central_value(D, N, prec=p)
             high, _ = oracle_central_value(D, N, prec=p + 20)
-            assert low.distance(high) < mpf(10) ** -p, (D, N, p)
+            assert low.distance(high) < mpf(10) ** -(p + 9), (D, N, p)
+
+
+def test_oracle_vanishes_where_the_class_sum_does():
+    # A(N) = sum |theta| h_eps is 0 at these levels, so L = 0 and no relative
+    # error can check the oracle there; its error budget is 10^-(prec+12) amp
+    for D, N in VANISHING_LEVELS:
+        value, _ = oracle_central_value(D, N, prec=80)
+        assert abs(value.to_mpc()) < mpf(10) ** -90, (D, N)
+
+
+@pytest.mark.parametrize("D, N, prec", [(-7, 11, 80), (-11, 67, 80), (-163, 47, 80), (-7, 43, 600)])
+def test_oracle_series_within_its_rounding_bound(D, N, prec):
+    # _oracle_series sums in block-scaled fixed point at 2^-P; it must stay
+    # within its written bound 4 sqrt|D| (T + 1)^2 2^-P of the same truncated
+    # sum over the same exact coefficients, summed term by term in mpmath at
+    # prec + 40 digits, and that bound must be below 10^-digits / 2
+    digits = prec + central.ORACLE_TAIL_DIGITS + central.ORACLE_MARGIN_DIGITS
+    b1 = central.smallest_odd_root(D, N)
+    terms, P = central._oracle_terms(D, N, b1, digits)
+    coefficients = central._oracle_coefficients(D, N, b1, terms[-1][0])
+    with mpmath.workdps(prec + 40):
+        bound = 4 * mpmath.sqrt(-D) * len(terms) ** 2 * mpmath.ldexp(1, -P)
+        assert bound < mpf(10) ** -digits / 2
+        for t in (Fraction(1), Fraction(4, 5), Fraction(5, 4)):
+            got = central._oracle_series(terms, D, N, t, P)
+            x = mpmath.exp(-2 * mpmath.pi * t.numerator / (t.denominator * mpmath.sqrt(-D * N)))
+            xn, re, im = mpf(1), mpf(0), mpf(0)
+            for n, (p, q) in enumerate(coefficients, 1):
+                xn *= x
+                re += mpf(p) / n * xn
+                im += mpf(q) / n * xn
+            want = mpmath.mpc(re, mpmath.sqrt(-D) * im) / 2
+            assert abs(got - want) < bound, (D, N, t)
 
 
 def test_oracle_rejects_a_wrong_character(monkeypatch):

@@ -76,8 +76,9 @@ def test_form_tail_cutoff_is_least():
         Q = QuadForm(*abc)
         ctx = HeckeContext(D, N, prec=prec)
         with mpmath.workdps(prec + GUARD_DIGITS + 5):
-            absq = abs(mpmath.exp(2j * mpmath.pi * theta._point_to_mpc(ctx.class_point)))
-            T = theta._form_tail_cutoff(Q, absq, prec)
+            y = theta._point_to_mpc(ctx.class_point).imag
+            T = theta._form_tail_cutoff(Q, y, prec)
+            absq = mpmath.exp(-2 * mpmath.pi * y)
             target = mpf(10) ** (-prec - 10)
             assert theta._form_tail(Q, absq, T) < target, (D, N, Q)
             assert not theta._form_tail(Q, absq, T - 1) < target, (D, N, Q)
@@ -137,7 +138,7 @@ def test_theta_form_within_its_bound_of_the_full_scale_horner(monkeypatch):
         ((x, y, P),) = kernel
         with mpmath.workdps(prec + GUARD_DIGITS + 5):
             z = theta._point_to_mpc(tau)
-            T = theta._form_tail_cutoff(Q, mpmath.exp(-2 * mpmath.pi * z.imag), prec)
+            T = theta._form_tail_cutoff(Q, z.imag, prec)
         R = sum(representation_counts(Q, T))
         assert P == theta._fixed_bits(prec + 10, 2 * T * (R + 1))
         hr, hi = _full_scale_horner(Q, z, T, P + extra)
