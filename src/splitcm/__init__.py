@@ -57,7 +57,6 @@ from .quadratic import (
 from .quaternion import (
     Order,
     QuatAlgebra,
-    QuatElem,
     QuatLattice,
     build_Iz,
     embedding_count,
@@ -93,7 +92,6 @@ __all__ = [
     "QuadForm",
     "QuadIdeal",
     "QuatAlgebra",
-    "QuatElem",
     "QuatLattice",
     "ResourceError",
     "SplitCMError",

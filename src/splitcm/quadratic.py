@@ -210,11 +210,6 @@ class HeegnerPoint:
                 "b = %d is not a root of D = %d mod %d" % (self.b, self.D, 4 * self.a1 * self.N)
             )
 
-    @property
-    def root(self):
-        """Residue of the root in Z/2N, odd by construction."""
-        return self.b % (2 * self.N)
-
     def __str__(self):
         return "(%d + sqrt(%d))/%d" % (-self.b, self.D, 2 * self.a1 * self.N)
 

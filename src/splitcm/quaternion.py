@@ -7,18 +7,17 @@ N > 0 the reduced norm
 
 is positive definite.
 
-Everything is stored and computed on Python ints.  An element is four
-integer numerators over one positive denominator, in lowest terms, so the
-pair is unique and == and hash are exact.  A lattice L (a full rank-4
+Everything is stored and computed on Python ints, in one representation:
+an element is a tuple of four integer numerators read over the
+denominator of the lattice that holds it.  A lattice L (a full rank-4
 Z-module) is the Hermite normal form of the integer lattice den L, with
-den the least positive integer that makes it integral; that is unique
-too.  Products, traces, norms, membership (a triangular solve on
-the Hermite rows), Gram matrices, determinants and LLL all run on those
-integers.  QuatElem.co is only a read-only Fraction view for callers that
-print or compare coordinates: a stored Fraction copy would be a second
-representation to keep in step, and a product on Fractions costs about
-twenty times one on ints.  Rational results that are not coordinates
-(trd, QuatLattice.norm, the symplectic Gram) are returned as Fractions.
+den the least positive integer that makes it integral, so the pair is
+unique.  Products (_mul), conjugates (_conj), norms (_nrd), the pairing
+trd(x conj(y)) (_pair), membership (a triangular solve on the Hermite
+rows), Gram matrices, determinants and LLL all run on those integers; a
+product of numerators over den and den' is the numerator of the product
+over den den'.  Rational results that are not coordinates
+(QuatLattice.norm, the symplectic Gram) are returned as Fractions.
 
 The module provides the ideal attached to a split-CM point, its
 right order (by the one formula conj(I) I / nrd(I) for invertible I),
@@ -47,27 +46,6 @@ class QuatAlgebra:
     def __post_init__(self):
         if self.D >= 0 or self.N <= 0:
             raise InputError("algebra needs D < 0 and N > 0")
-
-    def elem(self, x0, x1=0, x2=0, x3=0):
-        co = [Fraction(x) for x in (x0, x1, x2, x3)]
-        den = lcm(*(x.denominator for x in co))
-        return QuatElem(self, tuple(x.numerator * (den // x.denominator) for x in co), den)
-
-    @property
-    def one(self):
-        return self.elem(1)
-
-    @property
-    def u(self):
-        return self.elem(0, 1)
-
-    @property
-    def v(self):
-        return self.elem(0, 0, 1)
-
-    @property
-    def w(self):
-        return self.elem(0, 0, 0, 1)
 
 
 def _mul(D, N, x, y):
@@ -98,100 +76,28 @@ def _conj(x):
     return (x[0], -x[1], -x[2], -x[3])
 
 
-@dataclass(frozen=True)
-class QuatElem:
-    """The element num / den: four integer numerators over one denominator den > 0.
-
-    The pair is kept in lowest terms, so it is unique and == and hash
-    compare values.  co is the same element as four Fractions, a view
-    computed on demand; all arithmetic runs on num and den.
-    """
-
-    alg: QuatAlgebra
-    num: tuple
-    den: int = 1
-
-    def __post_init__(self):
-        if self.den <= 0:
-            raise InputError("quaternion denominator must be positive")
-        g = gcd(self.den, *self.num)
-        if g != 1:
-            object.__setattr__(self, "num", tuple(a // g for a in self.num))
-            object.__setattr__(self, "den", self.den // g)
-
-    @property
-    def co(self):
-        return tuple(Fraction(a, self.den) for a in self.num)
-
-    def _check(self, other):
-        if not isinstance(other, QuatElem) or other.alg != self.alg:
-            raise InputError("mixed quaternion algebras")
-
-    def __add__(self, other):
-        self._check(other)
-        num = tuple(a * other.den + b * self.den for a, b in zip(self.num, other.num))
-        return QuatElem(self.alg, num, self.den * other.den)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return QuatElem(self.alg, tuple(-a for a in self.num), self.den)
-
-    def scale(self, s):
-        s = Fraction(s)
-        return QuatElem(self.alg, tuple(a * s.numerator for a in self.num), self.den * s.denominator)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        self._check(other)
-        num = _mul(self.alg.D, self.alg.N, self.num, other.num)
-        return QuatElem(self.alg, num, self.den * other.den)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
-
-    def conjugate(self):
-        return QuatElem(self.alg, _conj(self.num), self.den)
-
-    def trd(self):
-        return Fraction(2 * self.num[0], self.den)
-
-    def inverse(self):
-        n = _nrd(self.alg.D, self.alg.N, self.num)
-        if n == 0:
-            raise InputError("zero quaternion has no inverse")
-        return QuatElem(self.alg, tuple(a * self.den for a in _conj(self.num)), n)
-
-    def __str__(self):
-        return "(%s, %s, %s, %s)" % self.co
+def _combine(coords, rows):
+    """The integer row sum_i coords[i] * rows[i]."""
+    return tuple(sum(c * r[k] for c, r in zip(coords, rows)) for k in range(4))
 
 
-def _combine(coords, basis):
-    """The element sum_i coords[i] * basis[i]."""
-    den = lcm(*(b.den for b in basis))
-    num = tuple(
-        sum(c * b.num[k] * (den // b.den) for c, b in zip(coords, basis)) for k in range(4)
-    )
-    return QuatElem(basis[0].alg, num, den)
-
-
-def pair_trd(x, y):
-    """The norm-form pairing trd(x conj(y)); diagonal is 2 nrd."""
-    x._check(y)
-    return Fraction(_pair(x.alg.D, x.alg.N, x.num, y.num), x.den * y.den)
+def _int_gram(D, N, rows, den):
+    """The Gram trd(x_i conj(x_j)) of the elements rows[i] / den, which must be integral."""
+    dd = den * den
+    gram = [[_pair(D, N, x, y) for y in rows] for x in rows]
+    if any(e % dd for r in gram for e in r):
+        raise InternalError("Gram of rows over %d is not integral" % den)
+    return [[e // dd for e in r] for r in gram]
 
 
 @dataclass(frozen=True)
 class QuatLattice:
-    """Full rank-4 lattice L = span(rows) / den; gens optional.
+    """Full rank-4 lattice L = span(rows) / den.
 
     rows is the Hermite normal form of the integer lattice den L, and den
     is the least positive integer that makes den L integral, so the pair is
-    canonical and == compares lattices.
+    canonical and == compares lattices.  gens, if set, is a generator
+    quadruple (rows, den) that the lattice was spanned from.
     """
 
     alg: QuatAlgebra
@@ -208,19 +114,7 @@ class QuatLattice:
         g = gcd(den, *(x for r in h for x in r))
         return cls(alg, tuple(tuple(x // g for x in r) for r in h), den // g, gens)
 
-    @classmethod
-    def from_elems(cls, elems):
-        den = lcm(*(e.den for e in elems))
-        rows = [[a * (den // e.den) for a in e.num] for e in elems]
-        return cls.span(elems[0].alg, rows, den, tuple(elems))
-
-    def basis(self):
-        return [QuatElem(self.alg, row, self.den) for row in self.rows]
-
-    def contains(self, x):
-        return self._contains(x.num, x.den)
-
-    def _contains(self, num, den):
+    def contains(self, num, den):
         """Whether num / den is in L: solve c rows = den_L num / den over Z.
 
         The rows are upper triangular, so the solve is forward substitution,
@@ -249,14 +143,7 @@ class QuatLattice:
 
     def scaled_gram(self):
         """Integer Gram trd(b_i conj(b_j)) on the canonical basis, or error."""
-        bas = self.basis()
-        return [[_as_int(pair_trd(bi, bj), "Gram entry") for bj in bas] for bi in bas]
-
-
-def _as_int(x, what):
-    if x.denominator != 1:
-        raise InternalError("%s is not an integer: %s" % (what, x))
-    return x.numerator
+        return _int_gram(self.alg.D, self.alg.N, self.rows, self.den)
 
 
 def build_Iz(ctx, Q):
@@ -270,32 +157,37 @@ def build_Iz(ctx, Q):
         y1 = (b - v)/2
         y2 = -a
 
-    in that order (a symplectic basis for the twisted trace pairing).
+    in that order (a symplectic basis for the twisted trace pairing).  They
+    are kept as gens = (rows, 2m), integer rows over 2m with m = 2 a1 N.
     """
     if Q.disc != -ctx.N:
         raise InputError("form discriminant %d is not -N = %d" % (Q.disc, -ctx.N))
     pt = ctx.class_point
-    a1, b1p = pt.a1, pt.b
-    alg = QuatAlgebra(ctx.D, ctx.N)
-    a, b = Q.a, Q.b
-    front = alg.elem(b1p, -1).scale(Fraction(1, 2 * a1 * ctx.N))
-    x1 = front * alg.v.scale(a)
-    x2 = front * (alg.elem(ctx.N) + alg.v.scale(b)).scale(Fraction(1, 2))
-    y1 = (alg.elem(b) - alg.v).scale(Fraction(1, 2))
-    y2 = alg.elem(-a)
-    return QuatLattice.from_elems([x1, x2, y1, y2])
+    D, N, a, b = ctx.D, ctx.N, Q.a, Q.b
+    m = 2 * pt.a1 * N
+    front = (pt.b, -1, 0, 0)
+    rows = (
+        tuple(2 * c for c in _mul(D, N, front, (0, 0, a, 0))),
+        _mul(D, N, front, (N, 0, b, 0)),
+        (m * b, 0, -m, 0),
+        (-2 * m * a, 0, 0, 0),
+    )
+    return QuatLattice.span(QuatAlgebra(D, N), rows, 2 * m, (rows, 2 * m))
 
 
 def symplectic_gram(I):
-    """Matrix of E(x, y) = trd(u^(-1) x conj(y)) / norm(I) on the stored gens."""
-    if not I.gens or len(I.gens) != 4:
+    """Matrix of E(x, y) = trd(u^(-1) x conj(y)) / norm(I) on the stored gens.
+
+    With u^(-1) = u / D and gens x / den, trd(u^(-1) x conj(y)) is 2 z0 / D
+    over den^2 for z = u x conj(y).
+    """
+    if not I.gens:
         raise InputError("lattice has no stored generator quadruple")
-    uinv = I.alg.u.inverse()
-    nrm = I.norm()
-    out = []
-    for x in I.gens:
-        out.append([(uinv * x * y.conjugate()).trd() / nrm for y in I.gens])
-    return out
+    D, N = I.alg.D, I.alg.N
+    rows, den = I.gens
+    scale = D * den * den * I.norm()
+    ux = [_mul(D, N, (0, 1, 0, 0), x) for x in rows]
+    return [[2 * _mul(D, N, x, _conj(y))[0] / scale for y in rows] for x in ux]
 
 
 def right_order(I):
@@ -313,7 +205,7 @@ def right_order(I):
     nrm = I.norm()
     rows = [[c * nrm.denominator for c in _mul(D, N, _conj(x), y)] for x in R for y in R]
     O = QuatLattice.span(I.alg, rows, I.den * I.den * nrm.numerator)
-    if not all(I._contains(_mul(D, N, x, y), I.den * O.den) for x in R for y in O.rows):
+    if not all(I.contains(_mul(D, N, x, y), I.den * O.den) for x in R for y in O.rows):
         raise InputError("lattice is not invertible: I conj(I) I / nrd(I) is not inside I")
     return Order(O)
 
@@ -325,12 +217,12 @@ class Order:
     def __post_init__(self):
         L = self.lattice
         D, N, R, dd = L.alg.D, L.alg.N, L.rows, L.den * L.den
-        if not L._contains((1, 0, 0, 0), 1):
+        if not L.contains((1, 0, 0, 0), 1):
             raise InputError("order does not contain 1")
         for x in R:
             if 2 * x[0] % L.den or _nrd(D, N, x) % dd:
                 raise InputError("order contains a non-integral basis element")
-        if not all(L._contains(_mul(D, N, x, y), dd) for x in R for y in R):
+        if not all(L.contains(_mul(D, N, x, y), dd) for x in R for y in R):
             raise InputError("lattice is not multiplicatively closed")
 
     @property
@@ -362,21 +254,18 @@ class Order:
 
     @cached_property
     def units(self):
-        """The units up to sign as (s, s^-1) pairs: omega = unit_count of them.
+        """The units up to sign, as numerators s over lattice.den: omega = unit_count of them.
 
-        Enumerated on the norm Gram in this order's own basis, apart from
-        the reduced enumeration behind unit_count, so the count checks it.
+        nrd(s) = 1, so s^-1 = conj(s).  Enumerated on the norm Gram in this
+        order's own basis, apart from the reduced enumeration behind
+        unit_count, so the count checks it.
         """
-        basis = self.lattice.basis()
-        units = []
-        for c in _half_norm_vectors(self.gram, 1):
-            s = _combine(c, basis)
-            units.append((s, s.inverse()))
+        units = tuple(_combine(c, self.lattice.rows) for c in _half_norm_vectors(self.gram, 1))
         if len(units) != unit_count(self):
             raise InternalError(
                 "%d units up to sign, but omega is %d" % (len(units), unit_count(self))
             )
-        return tuple(units)
+        return units
 
 
 @dataclass(frozen=True)
@@ -495,7 +384,10 @@ def unit_count(O):
 
 @dataclass(frozen=True)
 class GrossLattice:
-    """Trace-zero part of Z + 2R: rank 3, with its integer Gram (diag 2 nrd)."""
+    """Trace-zero part of Z + 2R: rank 3, with its integer Gram (diag 2 nrd).
+
+    basis holds integer numerators over order.lattice.den.
+    """
 
     order: Order
     basis: tuple
@@ -503,34 +395,20 @@ class GrossLattice:
 
 
 def gross_lattice(O):
+    """The trace-zero part of Z + 2R: the last three rows of the HNF of Z + 2R.
+
+    trd(x) = 2 x0 over den, and the HNF is upper triangular, so its row 0 is
+    the only one nonzero in column 0.
+    """
     L = O.lattice
     h = hnf_rows([[L.den, 0, 0, 0]] + [[2 * x for x in r] for r in L.rows])
     if len(h) != 4:
         raise InternalError("Z + 2R is not full rank")
-    elems = [QuatElem(O.alg, tuple(r), L.den) for r in h]
-    traces = [[_as_int(e.trd(), "trace")] for e in elems]
-    kern = _integer_kernel(traces)
-    if len(kern) != 3:
-        raise InternalError("trace-zero sublattice has rank %d" % len(kern))
-    basis = [_combine(c, elems) for c in kern]
-    gram = [[_as_int(pair_trd(x, y), "Gross Gram") for y in basis] for x in basis]
-    return GrossLattice(O, tuple(basis), tuple(tuple(r) for r in gram))
-
-
-def _integer_kernel(cols):
-    """Basis of {c in Z^k : c * cols = 0} via HNF bookkeeping."""
-    k = len(cols)
-    width = len(cols[0])
-    # rows [cols_i | e_i]; rows of the HNF with zero left part give the kernel
-    rows = []
-    for i in range(k):
-        rows.append(list(cols[i]) + [int(i == j) for j in range(k)])
-    h = hnf_rows(rows)
-    out = []
-    for r in h:
-        if all(x == 0 for x in r[:width]):
-            out.append(r[width:])
-    return out
+    basis = tuple(tuple(r) for r in h[1:])
+    if any(r[0] for r in basis):
+        raise InternalError("trace-zero rows of Z + 2R have a nonzero trace")
+    gram = _int_gram(O.alg.D, O.alg.N, basis, L.den)
+    return GrossLattice(O, basis, tuple(tuple(r) for r in gram))
 
 
 def embedding_count(O, N):
@@ -560,16 +438,18 @@ def embedding_count(O, N):
 def _root_orbit_count(O, gl, halves):
     """Count orbits of {x in S0 : nrd(x) = N} under x -> s^(-1) x s, s a unit.
 
-    halves holds the Gross-lattice coordinates of those x, one of each sign pair.
+    halves holds the Gross-lattice coordinates of those x, one of each sign
+    pair.  Elements are numerators over den = O.lattice.den, so s^(-1) x s
+    = conj(s) x s has numerator conj(s) x s / den^2.
     """
+    D, N, den = O.alg.D, O.alg.N, O.lattice.den
+    dd = den * den
     vecs = []
     for c in halves:
         x = _combine(c, gl.basis)
-        vecs.append(x)
-        vecs.append(-x)
+        vecs += [x, tuple(-a for a in x)]
     for x in vecs:
-        w = (O.alg.one + x).scale(Fraction(1, 2))
-        if not O.lattice.contains(w):
+        if not O.lattice.contains((den + x[0], x[1], x[2], x[3]), 2 * den):
             raise InternalError("root (1+x)/2 escaped the order")
     seen = set()
     orbits = 0
@@ -581,8 +461,11 @@ def _root_orbit_count(O, gl, halves):
         seen.add(x)
         while stack:
             y = stack.pop()
-            for s, s_inv in O.units:
-                z = s_inv * y * s
+            for s in O.units:
+                z = _mul(D, N, _mul(D, N, _conj(s), y), s)
+                if any(a % dd for a in z):
+                    raise InternalError("unit conjugate of a root is not integral over den")
+                z = tuple(a // dd for a in z)
                 if z not in seen:
                     seen.add(z)
                     stack.append(z)

@@ -28,10 +28,10 @@ from splitcm.hecke import HeckeContext, find_generator
 from splitcm.numeric import GUARD_DIGITS
 from splitcm.quadratic import QuadForm, class_number, heegner_point, reduce_form, reduced_forms
 from splitcm.quaternion import (
-    QuatAlgebra,
+    _mul,
+    _pair,
     build_Iz,
     embedding_count,
-    pair_trd,
     right_order,
     symplectic_gram,
 )
@@ -386,12 +386,13 @@ def test_criterion_9_property_suites(tmp_path):
                 assert abs(lhs - rhs) < mpf(10) ** -38, "eta law broke at %s" % z
 
         # reduced norm multiplicativity on 100 pairs
-        alg = QuatAlgebra(-7, 11)
+        D, N = -7, 11
         for _ in range(100):
-            x = alg.elem(*[rng.randrange(-9, 10) for _ in range(4)])
-            y = alg.elem(*[rng.randrange(-9, 10) for _ in range(4)])
-            # pair_trd(z, z) = 2 nrd(z)
-            assert 2 * pair_trd(x * y, x * y) == pair_trd(x, x) * pair_trd(y, y), "nrd not multiplicative"
+            x = tuple(rng.randrange(-9, 10) for _ in range(4))
+            y = tuple(rng.randrange(-9, 10) for _ in range(4))
+            xy = _mul(D, N, x, y)
+            # _pair(z, z) = trd(z conj(z)) = 2 nrd(z)
+            assert 2 * _pair(D, N, xy, xy) == _pair(D, N, x, x) * _pair(D, N, y, y), "nrd not multiplicative"
 
         # theta tail-doubling: more precision never moves the base value
         Q = QuadForm(1, 1, 2)

@@ -241,17 +241,17 @@ def test_oracle_series_within_its_rounding_bound(D, N, prec):
     # prec + 40 digits, and that bound must be below 10^-digits / 2
     digits = prec + central.ORACLE_TAIL_DIGITS + central.ORACLE_MARGIN_DIGITS
     b1 = central.smallest_odd_root(D, N)
-    terms, P = central._oracle_terms(D, N, b1, digits)
+    terms, gap, P = central._oracle_terms(D, N, b1, digits)
     coefficients = central._oracle_coefficients(D, N, b1, terms[-1][0])
     with mpmath.workdps(prec + 40):
         bound = 4 * mpmath.sqrt(-D) * len(terms) ** 2 * mpmath.ldexp(1, -P)
         assert bound < mpf(10) ** -digits / 2
         for t in (Fraction(1), Fraction(4, 5), Fraction(5, 4)):
-            got = central._oracle_series(terms, D, N, t, P)
+            got = central._oracle_series(terms, gap, D, N, t, P)
             x = mpmath.exp(-2 * mpmath.pi * t.numerator / (t.denominator * mpmath.sqrt(-D * N)))
-            xn, re, im = mpf(1), mpf(0), mpf(0)
-            for n, (p, q) in enumerate(coefficients, 1):
-                xn *= x
+            re, im = mpf(0), mpf(0)
+            for n, p, q in coefficients:
+                xn = x**n
                 re += mpf(p) / n * xn
                 im += mpf(q) / n * xn
             want = mpmath.mpc(re, mpmath.sqrt(-D) * im) / 2
@@ -275,10 +275,20 @@ def _coefficient_product(D, x, y):
     return p // 2, q // 2
 
 
+def _coefficient_table(D, N, n_max):
+    """{n: (P_n, Q_n)} for n = 1..n_max, zeros included, from the sparse coefficient list."""
+    sparse = central._oracle_coefficients(D, N, central.smallest_odd_root(D, N), n_max)
+    assert [n for n, _, _ in sparse] == sorted({n for n, _, _ in sparse})
+    assert all(p or q for _, p, q in sparse)
+    a = dict.fromkeys(range(1, n_max + 1), (0, 0))
+    a.update((n, (p, q)) for n, p, q in sparse)
+    return a
+
+
 def test_oracle_coefficients_are_multiplicative():
     # psi_N is a Hecke character, so a_mn = a_m a_n for coprime m, n
     for D, N in ((-7, 11), (-11, 23)):
-        a = [None] + central._oracle_coefficients(D, N, central.smallest_odd_root(D, N), 400)
+        a = _coefficient_table(D, N, 400)
         assert a[1] == (2, 0)
         pairs = 0
         for m in range(2, 21):
@@ -293,7 +303,7 @@ def test_oracle_character_vanishes_on_the_level_ideal_only():
     # chi kills (N, b1) and not its conjugate: a_N = psi((N, -b1)) has norm N,
     # a_(N^2) = a_N^2, and inert primes p have a_p = 0
     for D, N in ((-7, 11), (-7, 23), (-11, 23)):
-        a = [None] + central._oracle_coefficients(D, N, central.smallest_odd_root(D, N), N * N)
+        a = _coefficient_table(D, N, N * N)
         p, q = a[N]
         assert (p * p - D * q * q) // 4 == N
         assert a[N * N] == _coefficient_product(D, a[N], a[N])

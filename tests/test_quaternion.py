@@ -18,46 +18,75 @@ from splitcm.quadratic import reduced_forms
 from splitcm.quaternion import (
     Order,
     QuatAlgebra,
-    QuatElem,
     QuatLattice,
+    _conj,
+    _mul,
+    _nrd,
+    _pair,
     build_Iz,
     count_lattice_norm,
     embedding_count,
     gross_lattice,
     is_maximal,
     orders_isometric,
-    pair_trd,
     right_order,
     short_vectors,
     symplectic_gram,
     unit_count,
 )
 
+# elements are coordinate tuples; the kernels take ints or Fractions alike
 ALG = QuatAlgebra(-7, 11)
+ONE, U, V, W = (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)
+
+
+def mul(x, y, alg=ALG):
+    return _mul(alg.D, alg.N, x, y)
+
+
+def nrd(x, alg=ALG):
+    return _nrd(alg.D, alg.N, x)
+
+
+def add(x, y):
+    return tuple(a + b for a, b in zip(x, y))
+
+
+def scale(x, c):
+    return tuple(c * a for a in x)
+
+
+def inverse(x, alg=ALG):
+    return scale(_conj(x), 1 / Fraction(nrd(x, alg)))
 
 
 def lattice(alg, rows):
     """The lattice spanned by rational coordinate rows."""
-    return QuatLattice.from_elems([alg.elem(*r) for r in rows])
+    den = math.lcm(*(Fraction(x).denominator for r in rows for x in r))
+    return QuatLattice.span(alg, [[int(x * den) for x in r] for r in rows], den)
 
 
-def nrd(x):
-    """Reduced norm from the diagonal form x0^2 - D x1^2 + N x2^2 - D N x3^2."""
-    D, N = x.alg.D, x.alg.N
-    x0, x1, x2, x3 = x.co
-    return x0 * x0 - D * x1 * x1 + N * x2 * x2 - D * N * x3 * x3
+def elements(L):
+    """L's canonical basis as Fraction coordinate tuples."""
+    return [tuple(Fraction(a, L.den) for a in r) for r in L.rows]
+
+
+def contains(L, x):
+    """Whether the rational coordinate tuple x lies in L."""
+    den = math.lcm(*(Fraction(c).denominator for c in x))
+    return L.contains(tuple(int(c * den) for c in x), den)
 
 
 def conjugate_order(O, x):
     """x^(-1) O x for an invertible element x."""
-    xin = x.inverse()
-    return Order(QuatLattice.from_elems([xin * b * x for b in O.lattice.basis()]))
+    xin = inverse(x, O.alg)
+    return Order(lattice(O.alg, [mul(mul(xin, b, O.alg), x, O.alg) for b in elements(O.lattice)]))
 
 
 small_fractions = st.builds(
     Fraction, st.integers(min_value=-9, max_value=9), st.integers(min_value=1, max_value=4)
 )
-elems = st.tuples(*[small_fractions] * 4).map(lambda c: ALG.elem(*c))
+elems = st.tuples(*[small_fractions] * 4)
 
 
 def mat_mul(a, b):
@@ -88,11 +117,11 @@ def rational_hnf(rows):
 
 def test_structure_constants():
     D, N = ALG.D, ALG.N
-    assert ALG.u * ALG.u == ALG.elem(D)
-    assert ALG.v * ALG.v == ALG.elem(-N)
-    assert ALG.u * ALG.v == ALG.w
-    assert ALG.v * ALG.u == -ALG.w
-    assert ALG.w * ALG.w == ALG.elem(D * N)
+    assert mul(U, U) == (D, 0, 0, 0)
+    assert mul(V, V) == (-N, 0, 0, 0)
+    assert mul(U, V) == W
+    assert mul(V, U) == scale(W, -1)
+    assert mul(W, W) == (D * N, 0, 0, 0)
     with pytest.raises(InputError):
         QuatAlgebra(7, 11)
     with pytest.raises(InputError):
@@ -102,47 +131,35 @@ def test_structure_constants():
 @given(elems, elems)
 @settings(max_examples=100, deadline=None)
 def test_nrd_multiplicative(x, y):
-    assert nrd(x * y) == nrd(x) * nrd(y)
+    assert nrd(mul(x, y)) == nrd(x) * nrd(y)
 
 
 @given(elems, elems, elems)
 @settings(max_examples=60, deadline=None)
 def test_ring_laws(x, y, z):
-    assert (x * y) * z == x * (y * z)
-    assert x * (y + z) == x * y + x * z
-    assert (x * y).conjugate() == y.conjugate() * x.conjugate()
+    assert mul(mul(x, y), z) == mul(x, mul(y, z))
+    assert mul(x, add(y, z)) == add(mul(x, y), mul(x, z))
+    assert _conj(mul(x, y)) == mul(_conj(y), _conj(x))
 
 
 @given(elems)
 @settings(max_examples=60, deadline=None)
 def test_conjugate_norm_trace(x):
-    assert x * x.conjugate() == ALG.elem(nrd(x))
-    assert x + x.conjugate() == ALG.elem(x.trd())
-    if any(x.num):
-        assert x.inverse() * x == ALG.one
-        assert x * x.inverse() == ALG.one
+    assert mul(x, _conj(x)) == (nrd(x), 0, 0, 0)
+    assert add(x, _conj(x)) == (2 * x[0], 0, 0, 0)
+    if any(x):
+        assert mul(inverse(x), x) == ONE
+        assert mul(x, inverse(x)) == ONE
 
 
 @given(elems, elems)
 @settings(max_examples=100, deadline=None)
 def test_pair_trd_is_the_trace_of_the_product(x, y):
-    assert pair_trd(x, y) == (x * y.conjugate()).trd()
-
-
-@given(elems, st.integers(min_value=1, max_value=12), st.integers(min_value=1, max_value=12))
-@settings(max_examples=100, deadline=None)
-def test_unreduced_inputs_give_equal_elements(x, k, m):
-    a = QuatElem(ALG, tuple(c * k for c in x.num), x.den * k)
-    b = QuatElem(ALG, tuple(c * m for c in x.num), x.den * m)
-    assert a == b == x and hash(a) == hash(b) == hash(x)
-    assert (a.num, a.den) == (x.num, x.den) and a.co == x.co
-    assert ALG.elem(*(Fraction(c, x.den) for c in x.num)) == x
+    assert _pair(ALG.D, ALG.N, x, y) == 2 * mul(x, _conj(y))[0]
 
 
 # denominators up to 6, so an offset's denominator need not divide the lattice's (at most 12)
-offsets = st.tuples(*[st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))] * 4).map(
-    lambda c: ALG.elem(*c)
-)
+offsets = st.tuples(*[st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))] * 4)
 
 
 @given(st.lists(elems, min_size=4, max_size=6), st.lists(st.integers(-3, 3), min_size=6, max_size=6),
@@ -150,21 +167,16 @@ offsets = st.tuples(*[st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
 @settings(max_examples=150, deadline=None)
 def test_contains_matches_the_fraction_reference(gens, coeffs, offset, inside):
     try:
-        L = QuatLattice.from_elems(gens)
+        L = lattice(ALG, gens)
     except InputError:
         assume(False)
-    x = ALG.elem(0)
+    x = (0, 0, 0, 0)
     for c, g in zip(coeffs, gens):
-        x = x + g.scale(c)
+        x = add(x, scale(g, c))
     if not inside:
-        x = x + offset
-    coords = mat_mul([list(x.co)], mat_inv([list(b.co) for b in L.basis()]))[0]
-    assert L.contains(x) == all(c.denominator == 1 for c in coords)
-
-
-def test_zero_has_no_inverse():
-    with pytest.raises(InputError):
-        ALG.elem(0).inverse()
+        x = add(x, offset)
+    coords = mat_mul([list(x)], mat_inv(elements(L)))[0]
+    assert contains(L, x) == all(c.denominator == 1 for c in coords)
 
 
 def test_lattice_canonical_basis():
@@ -172,7 +184,7 @@ def test_lattice_canonical_basis():
     # a unimodular rewrite of the same lattice
     b = lattice(ALG, [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 7], [0, 0, 1, 8]])
     assert a == b
-    assert a.contains(ALG.w) and not a.contains(ALG.w.scale(Fraction(1, 2)))
+    assert a.contains(W, 1) and not a.contains(W, 2)
 
 
 def test_free_order_invariants():
@@ -193,9 +205,26 @@ def test_hamilton_maximal_order():
     )
     assert O.disc == 4
     assert unit_count(O) == 12
-    assert len({s.co for s, _ in O.units} | {(-s).co for s, _ in O.units}) == 24
-    for s, s_inv in O.units:
-        assert nrd(s) == 1 and s * s_inv == alg.one
+    # units are numerators over the lattice's denominator
+    dd = O.lattice.den ** 2
+    assert len(set(O.units) | {scale(s, -1) for s in O.units}) == 24
+    for s in O.units:
+        assert nrd(s, alg) == dd and mul(s, _conj(s), alg) == (dd, 0, 0, 0)
+
+
+def test_class_order_units_are_inverted_by_conjugation():
+    # nrd(s) = 1, so s^-1 = conj(s): on numerators over den, conj(s) s = den^2
+    checked = 0
+    for D in (-7, -11, -19, -43, -67, -163):
+        for info in discover_classes(D, prec=50).classes:
+            O = info.order
+            dd = O.lattice.den ** 2
+            for s in O.units:
+                assert mul(_conj(s), s, O.alg) == (dd, 0, 0, 0), (D, s)
+            signed = set(O.units) | {scale(s, -1) for s in O.units}
+            assert len(signed) == 2 * unit_count(O), D
+            checked += len(O.units)
+    assert checked == 28
 
 
 def test_order_validation():
@@ -349,10 +378,10 @@ def reference_right_order(I):
     Each intersection is taken through duals, (A cap B)^* = A^* + B^*.  This
     holds for every full lattice, invertible or not.
     """
-    bas = I.basis()
+    bas = elements(I)
     cur = None
     for g in bas:
-        rows = [list((g.inverse() * b).co) for b in bas]
+        rows = [list(mul(inverse(g, I.alg), b, I.alg)) for b in bas]
         cur = rows if cur is None else _dual(rational_hnf(_dual(cur) + _dual(rows)))
     return lattice(I.alg, cur)
 
@@ -380,15 +409,15 @@ def test_right_order_of_left_ideals_matches_the_reference():
     for D, N in ((-7, 11), (-11, 23), (-19, 23)):
         ctx = HeckeContext(D, N, prec=40)
         O = right_order(build_Iz(ctx, reduced_forms(-N)[-1]))
-        bas = O.lattice.basis()
+        bas = elements(O.lattice)
         for _ in range(6):
-            alpha = O.alg.elem(0)
+            alpha = (0, 0, 0, 0)
             for b in bas:
-                alpha = alpha + b.scale(rng.randint(-6, 6))
-            if not any(alpha.num):
+                alpha = add(alpha, scale(b, rng.randint(-6, 6)))
+            if not any(alpha):
                 continue
             m = rng.choice((2, 3, 5, 6))
-            I = QuatLattice.from_elems([b * alpha for b in bas] + [b.scale(m) for b in bas])
+            I = lattice(O.alg, [mul(b, alpha, O.alg) for b in bas] + [scale(b, m) for b in bas])
             R = right_order(I)
             assert R.lattice == reference_right_order(I)
             assert is_maximal(R)
@@ -396,20 +425,18 @@ def test_right_order_of_left_ideals_matches_the_reference():
 
 def test_right_order_refuses_a_non_invertible_lattice():
     # Z + Zu + Zv + 2Zw: conj(I) I / nrd(I) is not its right order, and must not be returned
-    I = QuatLattice.from_elems([ALG.one, ALG.u, ALG.v, ALG.w.scale(2)])
+    I = lattice(ALG, [ONE, U, V, scale(W, 2)])
     with pytest.raises(InputError) as exc:
         right_order(I)
     assert "not invertible" in str(exc.value)
-    formula = QuatLattice.from_elems(
-        [x.conjugate() * y * (1 / I.norm()) for x in I.basis() for y in I.basis()]
-    )
+    formula = lattice(ALG, [scale(mul(_conj(x), y), 1 / I.norm()) for x in elements(I) for y in elements(I)])
     assert reference_right_order(I) != formula
 
 
 def test_right_order_is_refused_or_right_on_diagonal_sublattices():
     refused = 0
     for scales in itertools.product((1, 2, 3), repeat=4):
-        I = QuatLattice.from_elems([b.scale(d) for b, d in zip((ALG.one, ALG.u, ALG.v, ALG.w), scales)])
+        I = lattice(ALG, [scale(b, d) for b, d in zip((ONE, U, V, W), scales)])
         try:
             R = right_order(I)
         except InputError:
@@ -425,10 +452,11 @@ def test_gross_lattice_shape():
         for Q in reduced_forms(-N):
             O = right_order(build_Iz(ctx, Q))
             gl = gross_lattice(O)
-            for e in gl.basis:
-                assert e.trd() == 0
+            # the basis rows are numerators over the order's denominator
+            dd = O.lattice.den ** 2
             for i, e in enumerate(gl.basis):
-                assert gl.gram[i][i] == 2 * nrd(e)
+                assert e[0] == 0
+                assert gl.gram[i][i] * dd == 2 * nrd(e, O.alg)
             assert mat_det([list(r) for r in gl.gram]) == 32 * D * D
 
 
@@ -471,7 +499,7 @@ def test_isometry_classes():
 def test_isometry_invariant_under_conjugation():
     ctx = HeckeContext(-7, 11, prec=50)
     O = right_order(build_Iz(ctx, reduced_forms(-11)[0]))
-    for x in (ALG.one + ALG.u, ALG.v, ALG.elem(1, 2, 0, 1), ALG.elem(3, 0, 1, 0)):
+    for x in (add(ONE, U), V, (1, 2, 0, 1), (3, 0, 1, 0)):
         assert orders_isometric(O, conjugate_order(O, x))
 
 
@@ -522,6 +550,6 @@ def test_invariant_record_is_computed_once_per_order(monkeypatch):
 
 
 def test_pair_trd_is_symmetric_bilinear():
-    x, y = ALG.elem(1, 2, 3, 4), ALG.elem(-2, 0, 1, 5)
-    assert pair_trd(x, y) == pair_trd(y, x)
-    assert pair_trd(x, x) == 2 * nrd(x)
+    x, y = (1, 2, 3, 4), (-2, 0, 1, 5)
+    assert _pair(ALG.D, ALG.N, x, y) == _pair(ALG.D, ALG.N, y, x)
+    assert _pair(ALG.D, ALG.N, x, x) == 2 * nrd(x)
