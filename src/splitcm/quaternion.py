@@ -386,10 +386,9 @@ def unit_count(O):
 class GrossLattice:
     """Trace-zero part of Z + 2R: rank 3, with its integer Gram (diag 2 nrd).
 
-    basis holds integer numerators over order.lattice.den.
+    basis holds integer numerators over the order's lattice.den.
     """
 
-    order: Order
     basis: tuple
     gram: tuple
 
@@ -408,7 +407,7 @@ def gross_lattice(O):
     if any(r[0] for r in basis):
         raise InternalError("trace-zero rows of Z + 2R have a nonzero trace")
     gram = _int_gram(O.alg.D, O.alg.N, basis, L.den)
-    return GrossLattice(O, basis, tuple(tuple(r) for r in gram))
+    return GrossLattice(basis, tuple(tuple(r) for r in gram))
 
 
 def embedding_count(O, N):
@@ -447,10 +446,11 @@ def _root_orbit_count(O, gl, halves):
     vecs = []
     for c in halves:
         x = _combine(c, gl.basis)
-        vecs += [x, tuple(-a for a in x)]
-    for x in vecs:
+        # (1-x)/2 = 1 - (1+x)/2, so -x passes exactly when x does
         if not O.lattice.contains((den + x[0], x[1], x[2], x[3]), 2 * den):
             raise InternalError("root (1+x)/2 escaped the order")
+        vecs += [x, tuple(-a for a in x)]
+    conjugates = [(_conj(s), s) for s in O.units]
     seen = set()
     orbits = 0
     for x in vecs:
@@ -461,8 +461,8 @@ def _root_orbit_count(O, gl, halves):
         seen.add(x)
         while stack:
             y = stack.pop()
-            for s in O.units:
-                z = _mul(D, N, _mul(D, N, _conj(s), y), s)
+            for t, s in conjugates:
+                z = _mul(D, N, _mul(D, N, t, y), s)
                 if any(a % dd for a in z):
                     raise InternalError("unit conjugate of a root is not integral over den")
                 z = tuple(a // dd for a in z)

@@ -58,11 +58,9 @@ SCALE_STEP = 64
 
 
 def _point_to_mpc(tau):
-    """Upper-half-plane value of a HeegnerPoint, BigComplex, or mpc-like."""
+    """Upper-half-plane value of a HeegnerPoint or mpc-like."""
     if isinstance(tau, HeegnerPoint):
         return (-tau.b + mpmath.sqrt(tau.D)) / (2 * tau.a1 * tau.N)
-    if isinstance(tau, BigComplex):
-        return tau.to_mpc()
     return mpmath.mpc(tau)
 
 
@@ -421,7 +419,7 @@ def eta_ideal(ideal, prec):
     a, b = ideal.a, ideal.b
     with mp.workdps(prec + GUARD_DIGITS + 5):
         tau = (-b + mpmath.sqrt(ideal.d)) / (2 * a)
-        value = _e48(a * (b + 3), prec) * dedekind_eta(BigComplex.from_mpc(tau, prec), prec).to_mpc()
+        value = _e48(a * (b + 3), prec) * dedekind_eta(tau, prec).to_mpc()
         return BigComplex.from_mpc(value, prec)
 
 

@@ -38,8 +38,8 @@ def sec7_eta_norm_factor(ctx):
         pref = mpmath.exp(2j * mpmath.pi * ((ctx.N * (ctx.b1 + 3) ** 2) % 24) / 24)
         value = (
             pref
-            * theta.dedekind_eta(BigComplex.from_mpc(tau_level, prec), prec).to_mpc()
-            * theta.dedekind_eta(BigComplex.from_mpc(tau_ring, prec), prec).to_mpc()
+            * theta.dedekind_eta(tau_level, prec).to_mpc()
+            * theta.dedekind_eta(tau_ring, prec).to_mpc()
         )
         return BigComplex.from_mpc(value, prec)
 

@@ -111,11 +111,12 @@ def test_oracle_cutoff_guard(capsys, tmp_path):
 
 
 def test_bad_level_canonical_message(capsys):
-    for level in ("13", "19", "7"):
-        code, text = run(["classify", "--disc", "-7", "--level", level, "--prec", "50"])
-        assert code == 2 and text == ""
-        err = json.loads(capsys.readouterr().err.strip())
-        assert err["error"]["message"].startswith("N must satisfy N = 3 mod 4 and split in O_K")
+    for command in ("classify", "lvalue", "oracle"):
+        for level in ("13", "19", "7"):
+            code, text = run([command, "--disc", "-7", "--level", level, "--prec", "50"])
+            assert code == 2 and text == ""
+            err = json.loads(capsys.readouterr().err.strip())
+            assert err["error"]["message"].startswith("N must satisfy N = 3 mod 4 and split in O_K")
 
 
 def test_sec7_gets_internal_exit_code(sec7_eta, capsys):
@@ -247,6 +248,26 @@ def test_cache_corrupt_file_recovers(tmp_path, capsys):
     assert data["version"] == CACHE_VERSION and len(data["entries"]) == 1
     code, warm = run(argv)
     assert warm == text
+
+
+def test_cache_malformed_entries_recompute(tmp_path, capsys):
+    # files of the current format whose entries, or one entry, do not decode
+    path = tmp_path / "cache.json"
+    argv = ["classify", "--disc", "-7", "--level", "11", "--prec", "50"]
+    _, cold = run(argv)
+    key = cache_key(-7, 11, 9, 50)
+    row = {"N": 11, "abs_theta": 1, "count": 1, "h_eps": -1, "h_r": "2"}
+    for entries in ([], {key: {"rows": []}}, {key: {"records": [], "rows": [row]}}):
+        path.write_text(json.dumps({"version": CACHE_VERSION, "entries": entries}), encoding="utf-8")
+        code, text = run(argv + ["--cache", str(path)])
+        assert code == 0 and text.encode() == cold.encode()
+        warnings = [json.loads(line)["warning"] for line in capsys.readouterr().err.splitlines()]
+        assert warnings and all("recomputing" in w for w in warnings)
+        # the entry was overwritten and serves the warm path
+        data = json.loads(path.read_text(encoding="utf-8"))
+        assert list(data["entries"]) == [key] and sorted(data["entries"][key]) == ["records", "rows"]
+        assert run(argv + ["--cache", str(path)]) == (0, cold)
+        assert capsys.readouterr().err == ""
 
 
 def test_cache_schema_version_mismatch_recomputes(tmp_path, monkeypatch):
