@@ -5,18 +5,20 @@ normalized theta value (an integer) and a maximal-order class; per class the
 table reports the common |theta| value, the number of forms landing in the
 class, and the signed count h_eps.  The central value is then
 
-    L = 2 pi * eta_factor / (omega_N sqrt(N)) * sum_classes theta * h_eps
+    L = P(N) A(N),  P(N) = 2 pi eta_factor / (omega_N sqrt(N)),  A(N) = sum_classes |theta| h_eps
 
 which must match the direct unnormalized sum over forms; both paths are
-computed and compared.  An oracle evaluates the same L-value with no theta
-machinery at all: the smoothed functional equation of L(psi_N, s), summed
-over coefficients counted exactly in O_K, which also solves for the root
-number W and certifies |W| = 1.  Its three series are summed by its own
-fixed-point kernel on Python integers (_oracle_series): Horner's rule over
-the nonzero coefficients, at the scale that can still reach 2^-P, within
-a written rounding bound of 4 sqrt|D| (T + 1)^2 2^-P for T nonzero terms.
-The kernel repeats the block loop of theta.theta_form instead of sharing
-it, so that the oracle stays independent of the theta code it checks.
+computed and compared at S = min(prec, THETA_DIGITS) digits, since theta
+enters L only through A(N); only P(N) is computed at prec.  An oracle evaluates
+the same L-value with no theta machinery at all: the smoothed functional
+equation of L(psi_N, s), summed over coefficients counted exactly in O_K,
+which also solves for the root number W and certifies |W| = 1.  Its three
+series are summed by its own fixed-point kernel on Python integers
+(_oracle_series): Horner's rule over the nonzero coefficients, at the
+scale that can still reach 2^-P, within a written rounding bound of
+4 sqrt|D| (T + 1)^2 2^-P for T nonzero terms.  The kernel repeats the
+block loop of theta.theta_form instead of sharing it, so that the oracle
+stays independent of the theta code it checks.
 
 omega_N (units of the order of discriminant -N modulo sign) is 2 throughout
 because N > 4; levels are primes N = 3 mod 4 that split in Q(sqrt(D)).
@@ -24,7 +26,7 @@ because N > 4; levels are primes N = 3 mod 4 that split in Q(sqrt(D)).
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import isqrt
 from operator import itemgetter
@@ -60,7 +62,7 @@ from .quaternion import (
     right_order,
     unit_count,
 )
-from .theta import level_thetas
+from .theta import eta_norm_factor, level_thetas
 
 OMEGA_N = 2
 DISCOVERY_CAP = 1000
@@ -68,6 +70,7 @@ ORACLE_TAIL_DIGITS = 12  # the oracle's truncation error stays below 10^-(prec +
 ORACLE_MARGIN_DIGITS = 3  # room for the error that solving for W adds
 # the oracle's Horner scale rises by ORACLE_SCALE_STEP bits from one block of powers to the next
 ORACLE_SCALE_STEP = 64
+THETA_DIGITS = 80  # l_value's most digits of theta, which it needs only for the integer A(N)
 
 
 @dataclass(frozen=True)
@@ -271,14 +274,20 @@ def classify(ctx, store, thetas=None):
     return records, rows
 
 
+def _prefactor(ctx):
+    """2 pi / (omega_N sqrt(N)) at ctx.prec."""
+    with mp.workdps(ctx.prec + GUARD_DIGITS):
+        return BigComplex.make(2 * mpmath.pi / (OMEGA_N * mpmath.sqrt(ctx.N)), 0, ctx.prec)
+
+
 def l_value_paths(ctx, store):
-    """The central value two ways: direct form sum, and class-aggregated.
+    """The central value two ways, direct form sum and class-aggregated, and A(N).
 
     direct     = 2 pi / (omega_N sqrt(N)) * sum_Q theta(Q tau)
-    structured = 2 pi eta_factor / (omega_N sqrt(N)) * sum_[R] theta * h_eps
+    structured = 2 pi eta_factor / (omega_N sqrt(N)) * A(N)
 
-    Both use the theta series of one pass over the level's forms, the one
-    that classify snaps to integers.
+    Both use the theta series of one pass over the level's forms, at
+    ctx.prec, the one that classify snaps to integers.
 
     Both values are complex in general: the conductor of psi_N is one prime
     over N, not Galois-stable, so the functional equation only makes
@@ -288,28 +297,31 @@ def l_value_paths(ctx, store):
     total = BigComplex.make(0, 0, ctx.prec)
     for raw in thetas.raw:
         total = total + raw
-    with mp.workdps(ctx.prec + GUARD_DIGITS):
-        pref = BigComplex.make(2 * mpmath.pi / (OMEGA_N * mpmath.sqrt(ctx.N)), 0, ctx.prec)
+    pref = _prefactor(ctx)
     direct = pref * total
 
     _, rows = classify(ctx, store, thetas)
     weighted = sum(row.abs_theta * row.h_eps for row in rows)
     structured = pref * thetas.eta * weighted
-    return direct, structured
+    return direct, structured, weighted
 
 
 def l_value(ctx, store):
-    """The central value; both internal paths must agree to precision.
+    """The central value P(N) * A(N), with the period P(N) at ctx.prec.
+
+    A(N) and the paths of l_value_paths come from theta at S digits (see
+    the module docstring), where the paths must agree to 10^-(S - 15).
 
     The value is complex in general; what is real is L^2 * conj(i*pi/|pi|),
     with pi a generator of ctx.level_ideal (see l_value_paths).
     """
-    direct, structured = l_value_paths(ctx, store)
+    low = replace(ctx, prec=min(ctx.prec, THETA_DIGITS))
+    direct, structured, weighted = l_value_paths(low, store)
     gap = direct.distance(structured)
-    tol = mpf(10) ** (-(ctx.prec - 15))
+    tol = mpf(10) ** (-(low.prec - 15))
     if gap > tol:
         raise ConventionError("central value paths differ by %s" % mpmath.nstr(gap, 5))
-    return structured
+    return _prefactor(ctx) * eta_norm_factor(ctx) * weighted
 
 
 def oracle_l_value(D, N):

@@ -87,32 +87,34 @@ def cache_key(disc, level, b1, prec):
 
 
 def _load_cache(path):
+    """(data, None), or (a fresh cache, why the file is unreadable)."""
     fresh = {"version": CACHE_VERSION, "entries": {}}
     if not os.path.exists(path):
-        return fresh
+        return fresh, None
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
     except (OSError, ValueError) as exc:
-        _warn("cache file %s unreadable (%s); recomputing" % (path, exc))
-        return fresh
+        return fresh, "cache file %s unreadable (%s); recomputing" % (path, exc)
     if not isinstance(data, dict) or data.get("version") != CACHE_VERSION:
-        return fresh
+        return fresh, None
     if not isinstance(data.get("entries"), dict):
-        _warn("cache file %s unreadable (its entries are not an object); recomputing" % path)
-        return fresh
-    return data
+        return fresh, "cache file %s unreadable (its entries are not an object); recomputing" % path
+    return data, None
 
 
 def cache_read(path, key):
-    return _load_cache(path)["entries"].get(key)
+    data, problem = _load_cache(path)  # only the read warns about an unreadable file
+    if problem:
+        _warn(problem)
+    return data["entries"].get(key)
 
 
 def cache_write(path, key, value):
     with open(path + ".lock", "a+", encoding="utf-8") as lock:
         fcntl.flock(lock, fcntl.LOCK_EX)
         try:
-            data = _load_cache(path)
+            data, _ = _load_cache(path)
             data["entries"][key] = value
             tmp = path + ".tmp"
             with open(tmp, "w", encoding="utf-8") as fh:

@@ -87,22 +87,25 @@ class QuadForm:
 
 
 def reduce_form(f):
-    """Gauss reduction: the unique reduced form properly equivalent to f."""
+    """Gauss reduction: (g, (p, q, r, s)), g the unique reduced form properly
+    equivalent to f, with g(x, y) = f(p x + q y, r x + s y) and p s - q r = 1."""
     a, b, c = f.a, f.b, f.c
+    p, q, r, s = 1, 0, 0, 1
     while True:
-        if a > c:
+        if a > c or (a == c and b < 0):
+            # [a,b,c] -> [c,-b,a] by (x, y) -> (-y, x)
             a, b, c = c, -b, a
+            p, q, r, s = q, -p, s, -r
             continue
         if b <= -a or b > a:
-            # translate b into (-a, a]; [a,b,c] -> [a, b+2ak, a k^2 + b k + c]
+            # translate b into (-a, a]: [a,b,c] -> [a, b+2ak, a k^2 + b k + c] by (x, y) -> (x + k y, y)
             k = (a - b) // (2 * a)
             c = a * k * k + b * k + c
             b = b + 2 * a * k
+            q, s = q + k * p, s + k * r
             continue
         break
-    if a == c and b < 0:
-        b = -b
-    return QuadForm(a, b, c)
+    return QuadForm(a, b, c), (p, q, r, s)
 
 
 def reduced_forms(d):

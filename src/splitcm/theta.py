@@ -11,6 +11,10 @@ fixed-point kernel:
 They must agree to working precision on every split-CM point; the
 normalized value (level_thetas) divides by the eta factor of the level.
 
+That factor (eta_norm_factor) takes eta at the level point gamma tau0 from
+eta at tau0 = (-1 + sqrt(D))/2 by the modular transformation (c > 0, principal
+square root, eps(gamma) exact by a Dedekind sum): dedekind_eta runs only at tau0.
+
 Truncation and rounding policy: every series drops only terms whose
 rigorously bounded tail is below 10^(-prec-10) (10^(-prec-12) for eta).
 The kernels then sum in Gaussian fixed point: a complex value x is held as
@@ -40,6 +44,7 @@ because no value or step factor exceeds 1 in modulus.
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from math import expm1, isqrt, log, pi
 
@@ -48,7 +53,7 @@ from mpmath import mp, mpf
 
 from .errors import InputError, ResourceError
 from .numeric import GUARD_DIGITS, BigComplex
-from .quadratic import HeegnerPoint, QuadForm, unit_ideal
+from .quadratic import HeegnerPoint, QuadForm, reduce_form, unit_ideal
 
 MAX_TAIL_TERMS = 5 * 10**6
 # a Siegel walk stops at its first fixed-point term below 2^STOP_BITS units
@@ -408,18 +413,12 @@ def dedekind_eta(z, prec):
     return BigComplex.from_mpc(total, prec)
 
 
-def _e48(k, prec):
-    """exp(2 pi i k / 48) for integer k."""
-    with mp.workdps(prec + GUARD_DIGITS + 5):
-        return mpmath.exp(2j * mpmath.pi * (k % 48) / 48)
-
-
 def eta_ideal(ideal, prec):
-    """e48(a(b+3)) * eta((-b+sqrt(d))/(2a)) for the ideal (a, b)."""
+    """e48(a(b+3)) * eta((-b+sqrt(d))/(2a)) for the ideal (a, b), e48(k) = exp(2 pi i k/48)."""
     a, b = ideal.a, ideal.b
     with mp.workdps(prec + GUARD_DIGITS + 5):
         tau = (-b + mpmath.sqrt(ideal.d)) / (2 * a)
-        value = _e48(a * (b + 3), prec) * dedekind_eta(tau, prec).to_mpc()
+        value = mpmath.exp(2j * mpmath.pi * (a * (b + 3) % 48) / 48) * dedekind_eta(tau, prec).to_mpc()
         return BigComplex.from_mpc(value, prec)
 
 
@@ -429,14 +428,43 @@ def _eta_unit(D, prec):
     return eta_ideal(unit_ideal(D), prec)
 
 
+def _dedekind_sum(h, k):
+    """The Dedekind sum s(h, k), k > 0, gcd(h, k) = 1, by reciprocity: s(h, k) =
+    s(h mod k, k), s(0, 1) = 0, s(h, k) + s(k, h) = (h/k + k/h + 1/(hk))/12 - 1/4."""
+    total, sign = Fraction(0), 1
+    h %= k
+    while h:
+        total += sign * (Fraction(h * h + k * k + 1, 12 * h * k) - Fraction(1, 4))
+        h, k, sign = k % h, h, -sign
+    return total
+
+
 def eta_norm_factor(ctx):
     """The eta product normalizing theta at level N.
 
-    The product of the per-ideal values for the conjugate (N, -b1) of the
-    level ideal and for the class representative O_K = (1, 1).  The second
-    is computed once per (D, prec).
+    eta_ideal of the conjugate (N, b) of the level ideal, at tau_N, times
+    eta_ideal of O_K = (1, 1), at tau0 = (-1 + sqrt(D))/2.  As h(D) = 1,
+    reduce_form maps tau_N's form [N, b, .] to tau0's by a gamma =
+    [[a, .], [c, d]] in SL2(Z) with tau_N = gamma tau0; c != 0 as Im tau_N !=
+    Im tau0, and -gamma acts alike, so take c > 0.  Then, with the principal
+    square root and the Dedekind sum s(d, c) (Apostol, Modular Functions and
+    Dirichlet Series, Thm 3.4),
+
+        eta(tau_N) = exp(pi i ((a + d)/(12 c) - s(d, c))) sqrt(-i (c tau0 + d)) eta(tau0),
+
+    and as eta_ideal(O_K) = e48(4) eta(tau0), the factor is exp(2 pi i t) sqrt(-i (c tau0 + d))
+    eta_ideal(O_K)^2, t = (N (b + 3) - 4)/48 + (a + d)/(24 c) - s(d, c)/2: dedekind_eta runs
+    only at tau0, once per (D, prec).
     """
-    return eta_ideal(ctx.level_ideal.conjugate(), ctx.prec) * _eta_unit(ctx.D, ctx.prec)
+    N, b = ctx.N, ctx.level_ideal.conjugate().b
+    _, (a, _, c, d) = reduce_form(QuadForm(N, b, (b * b - ctx.D) // (4 * N)))
+    a, c, d = (a, c, d) if c > 0 else (-a, -c, -d)
+    turns = (Fraction(N * (b + 3) - 4, 48) + Fraction(a + d, 24 * c) - _dedekind_sum(d, c) / 2) % 1
+    with mp.workdps(ctx.prec + GUARD_DIGITS + 5):
+        root = mpmath.expjpi(mpf(2 * turns.numerator) / turns.denominator)
+        scale = mpmath.sqrt(-1j * (c * (mpmath.sqrt(ctx.D) - 1) / 2 + d))
+        value = root * scale * _eta_unit(ctx.D, ctx.prec).to_mpc() ** 2
+        return BigComplex.from_mpc(value, ctx.prec)
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ import mpmath
 import pytest
 from mpmath import mpf
 
-from splitcm import central
+from splitcm import central, theta
 from splitcm.arith import is_prime, jacobi
 from splitcm.central import (
     ClassRow,
@@ -143,7 +143,7 @@ def test_sec7_convention_fails_integrality(sec7_eta):
 
 def test_l_value_two_paths_agree(store7, monkeypatch):
     ctx = HeckeContext(-7, 11, prec=60)
-    direct, structured = l_value_paths(ctx, store7)
+    direct, structured, _ = l_value_paths(ctx, store7)
     assert direct.distance(structured) < mpf(10) ** -45
     v = l_value(ctx, store7)
     z = complex(float(v.re), float(v.im))
@@ -152,8 +152,8 @@ def test_l_value_two_paths_agree(store7, monkeypatch):
     # a structured value of the wrong sign is 1.44 away; even at the precision
     # floor the path check must refuse it
     def flipped(ctx, store):
-        direct, structured = l_value_paths(ctx, store)
-        return direct, structured * -1
+        direct, structured, weighted = l_value_paths(ctx, store)
+        return direct, structured * -1, weighted
 
     monkeypatch.setattr(central, "l_value_paths", flipped)
     with pytest.raises(ConventionError):
@@ -195,13 +195,38 @@ def test_oracle_fast_matches_l_value(store7, store11):
 
 
 def test_l_value_at_600_digits_matches_the_oracle(store7):
-    # the oracle runs no theta, so this checks 600-digit theta and eta
-    # against an independent path
+    # the oracle runs no theta, so this checks the period P(N) at 600
+    # digits (the prefactor and the transformed eta) and the integer A(N),
+    # which l_value takes from theta at 80 digits, against an independent path
     prec = 600
     for N in (11, 43):
         want, _ = oracle_central_value(-7, N, prec=prec)
         got = l_value(HeckeContext(-7, N, prec=prec), store7)
         assert got.distance(want) < mpf(10) ** -(prec - 15), N
+
+
+def test_l_value_at_600_digits_runs_theta_at_80(store7, monkeypatch):
+    # the digits of L beyond THETA_DIGITS come from the period alone:
+    # theta_form runs at no more than THETA_DIGITS, and dedekind_eta only at
+    # tau0 = (-1 + sqrt(-7))/2, never at the level point tau_N
+    theta_precs, eta_heights = [], []
+    theta_form, dedekind_eta = theta.theta_form, theta.dedekind_eta
+
+    def spy_theta_form(Q, tau, prec):
+        theta_precs.append(prec)
+        return theta_form(Q, tau, prec)
+
+    def spy_dedekind_eta(z, prec):
+        eta_heights.append(float(mpmath.mpc(z).imag))
+        return dedekind_eta(z, prec)
+
+    monkeypatch.setattr(theta, "theta_form", spy_theta_form)
+    monkeypatch.setattr(theta, "dedekind_eta", spy_dedekind_eta)
+    theta._eta_unit.cache_clear()
+    got = l_value(HeckeContext(-7, 43, prec=600), store7)
+    assert got.prec == 600
+    assert theta_precs and max(theta_precs) <= central.THETA_DIGITS == 80
+    assert eta_heights and all(abs(y - 7**0.5 / 2) < 1e-12 for y in eta_heights)
 
 
 def test_oracle_root_number_is_the_generator_phase():

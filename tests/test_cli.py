@@ -250,6 +250,16 @@ def test_cache_corrupt_file_recovers(tmp_path, capsys):
     assert warm == text
 
 
+def test_cache_unreadable_file_is_warned_about_once(tmp_path, capsys):
+    # cache_read and cache_write both load the file; only the read warns
+    path = tmp_path / "cache.json"
+    path.write_text("{oops", encoding="utf-8")
+    code, text = run(["table", "--disc", "-7", "--nmax", "50", "--prec", "50", "--cache", str(path)])
+    assert code == 0 and text.splitlines()[1] == "11,1,1,-1,2"
+    warnings = [json.loads(line)["warning"] for line in capsys.readouterr().err.splitlines()]
+    assert len(warnings) == 1 and "unreadable" in warnings[0], warnings
+
+
 def test_cache_malformed_entries_recompute(tmp_path, capsys):
     # files of the current format whose entries, or one entry, do not decode
     path = tmp_path / "cache.json"

@@ -29,7 +29,6 @@ def test_all_exports_resolve():
 
 # kept although nothing in src/ or perfbench/ calls them
 UNUSED_ALLOWED = {
-    "reduce_form": "Gauss reduction, the reference for reduced_forms in criterion 9",
     "is_reduced": "the reducedness law that criterion 9 and test_reduced_forms_known_lists check",
     "symplectic_gram": "the acceptance check that build_Iz's basis is symplectic",
     "mass": "ClassStore.mass, the Eichler mass identity that criterion 5 checks",

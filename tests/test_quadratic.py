@@ -86,10 +86,14 @@ def test_reduction_idempotent_and_reduced(t):
     if _gcd3(a, b, c) != 1:
         return
     f = QuadForm(a, b, c)
-    g = reduce_form(f)
+    g, (p, q, r, s) = reduce_form(f)
     assert g.is_reduced()
-    assert reduce_form(g) == g
+    assert reduce_form(g) == (g, (1, 0, 0, 1))
     assert g.disc == f.disc
+    # g(x, y) = f(p x + q y, r x + s y) with p s - q r = 1
+    assert p * s - q * r == 1
+    assert (g.a, g.c) == (f.value(p, r), f.value(q, s))
+    assert g.b == f.value(p + q, r + s) - g.a - g.c
 
 
 @given(form_strategy)
@@ -100,7 +104,7 @@ def test_reduction_preserves_represented_values(t):
     if _gcd3(a, b, c) != 1:
         return
     f = QuadForm(a, b, c)
-    g = reduce_form(f)
+    g, _ = reduce_form(f)
     # equivalent forms represent every integer equally often
     cap = min(a, c, g.a, g.c) * 4
     assert brute_value_counts(f, cap) == brute_value_counts(g, cap)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from mpmath import mpf
 
 from splitcm import theta
+from splitcm.central import admissible_levels
 from splitcm.errors import InputError
 from splitcm.hecke import HeckeContext
 from splitcm.numeric import GUARD_DIGITS
@@ -287,12 +288,36 @@ def test_eta_norm_factor_conventions_same_modulus():
         assert a.distance(b) > mpf(10) ** -3
 
 
+def _summed_eta_factor(ctx):
+    """The level's eta factor with eta summed at tau_N itself."""
+    return eta_ideal(ctx.level_ideal.conjugate(), ctx.prec) * eta_ideal(ctx.class_rep, ctx.prec)
+
+
+@pytest.mark.parametrize(
+    "D, N, prec",
+    [(-7, N, 80) for N in admissible_levels(-7, 191)]
+    + [(-11, N, 80) for N in admissible_levels(-11, 223)]
+    + [(-7, 191, 600), (-163, 47, 600), (-163, 4003, 600)],
+)
+def test_eta_norm_factor_matches_eta_summed_at_the_level_point(D, N, prec):
+    # eta_norm_factor moves tau_N to tau0 by the modular transformation; its
+    # branch of the square root and its root of unity must reproduce eta
+    # summed at tau_N, for both primes over N.  The levels are those of
+    # criteria 1 and 2; about half of them reduce with c < 0 before the sign
+    # flip (e.g. (-7, 11) and (-11, 31)), and (-163, 4003) with |d| = 31
+    ctx = HeckeContext(D, N, prec=prec)
+    for b1 in (ctx.b1, 2 * N - ctx.b1):
+        level = HeckeContext(D, N, b1=b1, prec=prec)
+        got = eta_norm_factor(level)
+        assert got.prec == prec
+        assert got.distance(_summed_eta_factor(level)) < mpf(10) ** -(prec + 5), (D, N, b1)
+
+
 def test_eta_norm_factor_computes_eta_of_o_k_once():
     theta._eta_unit.cache_clear()
     for N in (11, 23):
         ctx = HeckeContext(-7, N, prec=60)
-        uncached = eta_ideal(ctx.level_ideal.conjugate(), 60) * eta_ideal(ctx.class_rep, 60)
-        assert eta_norm_factor(ctx).distance(uncached) == 0, N
+        assert eta_norm_factor(ctx).distance(_summed_eta_factor(ctx)) < mpf(10) ** -65, N
     assert theta._eta_unit.cache_info().currsize == 1
     assert theta._eta_unit.cache_info().hits == 1
     eta_norm_factor(HeckeContext(-7, 11, prec=70))
