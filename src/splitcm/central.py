@@ -7,9 +7,11 @@ class, and the signed count h_eps.  The central value is then
 
     L = P(N) A(N),  P(N) = 2 pi eta_factor / (omega_N sqrt(N)),  A(N) = sum_classes |theta| h_eps
 
-which must match the direct unnormalized sum over forms; both paths are
-computed and compared at S = min(prec, THETA_DIGITS) digits, since theta
-enters L only through A(N); only P(N) is computed at prec.  An oracle evaluates
+which must match the direct unnormalized sum over forms.  Both read the
+level's data from its HeckeContext, which computes it once: the theta
+series at S = min(prec, THETA_DIGITS) digits, since theta enters L only
+through the integer A(N), and the eta factor at prec, since it also enters
+P(N).  The two paths are compared at S digits.  An oracle evaluates
 the same L-value with no theta machinery at all: the smoothed functional
 equation of L(psi_N, s), summed over coefficients counted exactly in O_K,
 which also solves for the root number W and certifies |W| = 1.  Its three
@@ -26,7 +28,7 @@ because N > 4; levels are primes N = 3 mod 4 that split in Q(sqrt(D)).
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 from operator import itemgetter
@@ -42,12 +44,12 @@ from .errors import (
     InternalError,
     SplitCMError,
 )
-from .hecke import MIN_PREC, HeckeContext
+from . import theta
+from .hecke import MIN_PREC, THETA_DIGITS, HeckeContext
 from .numeric import GUARD_DIGITS, BigComplex
 from .quadratic import (
     QuadForm,
     prime_ideal_above,
-    reduced_forms,
     smallest_odd_root,
     validate_disc,
     validate_field_disc,
@@ -62,7 +64,6 @@ from .quaternion import (
     right_order,
     unit_count,
 )
-from .theta import eta_norm_factor, level_thetas
 
 OMEGA_N = 2
 DISCOVERY_CAP = 1000
@@ -70,7 +71,6 @@ ORACLE_TAIL_DIGITS = 12  # the oracle's truncation error stays below 10^-(prec +
 ORACLE_MARGIN_DIGITS = 3  # room for the error that solving for W adds
 # the oracle's Horner scale rises by ORACLE_SCALE_STEP bits from one block of powers to the next
 ORACLE_SCALE_STEP = 64
-THETA_DIGITS = 80  # l_value's most digits of theta, which it needs only for the integer A(N)
 
 
 @dataclass(frozen=True)
@@ -139,10 +139,11 @@ def admissible_levels(D, n_max):
     return out
 
 
-def _snap(ctx, value):
-    """Round a normalized theta value to its integer, or fail loudly."""
+def _snap(ctx, raw):
+    """The integer of a theta value raw normalized by ctx's eta factor, or fail loudly."""
+    value = raw / ctx.eta_factor
     n, err = value.nearest_int()
-    tol = mpf(10) ** (-(ctx.prec // 2))
+    tol = mpf(10) ** (-(value.prec // 2))
     if err > tol:
         raise ConventionError(
             "normalized theta %s is not within %s of an integer" % (value, tol)
@@ -170,74 +171,64 @@ def _ideal_class_count(order, D):
     return 1 if count_lattice_norm(order.invariants.gram, -D) else 2
 
 
-def discover_classes(D, levels=None, prec=80, max_level=DISCOVERY_CAP):
+def discover_classes(D, levels=None):
     """Scan levels until the mass identity certifies every class was seen.
 
     Each class weighs k/(2 omega), k = _ideal_class_count(order, D).
 
     Each new class stores a witness: the level and form where it first
     appeared and the snapped |theta| there, which is the class invariant
-    reported in tables even at levels where the class has no points.
-    With an explicit level list only those levels are scanned; otherwise
-    all admissible levels up to max_level.
+    reported in tables even at levels where the class has no points.  Theta
+    is computed for the witness forms only, at the default 80 digits: the
+    store holds integers and orders, so nothing in it depends on the
+    precision.  With an explicit level list only those levels are scanned;
+    otherwise all admissible levels up to DISCOVERY_CAP.
     """
     validate_field_disc(D)
     target = Fraction(-D - 1, 24)
-    classes = []
-    mass = Fraction(0)
-    scan = admissible_levels(D, max_level) if levels is None else list(levels)
+    store = ClassStore(D, ())
+    scan = admissible_levels(D, DISCOVERY_CAP) if levels is None else list(levels)
     last = scan[-1] if scan else 0
     for N in scan:
-        ctx = HeckeContext(D, N, prec=prec)
-        new = []  # (form, order) of each class first seen at this level
-        for Q in reduced_forms(-N):
+        ctx = HeckeContext(D, N)
+        for Q in ctx.forms:
             order = _maximal_order(ctx, Q)
-            known = [info.order for info in classes] + [o for _, o in new]
-            if not any(orders_isometric(order, other) for other in known):
-                new.append((Q, order))
-        values = level_thetas(ctx, [Q for Q, _ in new]).normalized() if new else []
-        for (Q, order), value in zip(new, values):
-            classes.append(
-                ClassInfo(
-                    class_id=len(classes),
-                    order=order,
-                    omega=unit_count(order),
-                    k=_ideal_class_count(order, D),
-                    theta_abs=abs(_snap(ctx, value)),
-                    witness_level=N,
-                    witness_form=Q,
-                )
+            if store.match(order) is not None:
+                continue
+            raw = theta.theta_form(Q, ctx.class_point, ctx.prec)
+            info = ClassInfo(
+                class_id=len(store.classes),
+                order=order,
+                omega=unit_count(order),
+                k=_ideal_class_count(order, D),
+                theta_abs=abs(_snap(ctx, raw)),
+                witness_level=N,
+                witness_form=Q,
             )
-            mass += Fraction(classes[-1].k, 2 * classes[-1].omega)
-            if mass > target:
-                raise InternalError(
-                    "class mass %s exceeded the target %s: classification is wrong" % (mass, target)
-                )
+            store = ClassStore(D, store.classes + (info,))
+        mass = store.mass()
+        if mass > target:
+            raise InternalError("class mass %s exceeded the target %s: classification is wrong"
+                                % (mass, target))
         if mass == target:
-            return ClassStore(D, tuple(classes))
+            return store
     raise IncompleteClassListError(
-        "mass %s of %s reached after scanning levels up to %d" % (mass, target, last)
+        "mass %s of %s reached after scanning levels up to %d" % (store.mass(), target, last)
     )
 
 
-def classify(ctx, store, thetas=None):
-    """All theta records at ctx's level plus one table row per known class.
-
-    thetas is the level's LevelThetas when the caller has computed it
-    already; otherwise it is computed here, once for all forms.
-    """
+def classify(ctx, store):
+    """All theta records at ctx's level plus one table row per known class."""
     if store.D != ctx.D:
         raise InputError("class store was built for D = %d, not %d" % (store.D, ctx.D))
-    if thetas is None:
-        thetas = level_thetas(ctx, reduced_forms(-ctx.N))
     records = []
-    for Q, value in zip(thetas.forms, thetas.normalized()):
+    for Q, raw in zip(ctx.forms, ctx.thetas):
         cid = store.match(_maximal_order(ctx, Q))
         if cid is None:
             raise IncompleteClassListError(
                 "order class of %s at N=%d is missing from the store" % (Q, ctx.N)
             )
-        snapped = _snap(ctx, value)
+        snapped = _snap(ctx, raw)
         info = store.classes[cid]
         if abs(snapped) != info.theta_abs:
             raise InternalError(
@@ -274,54 +265,48 @@ def classify(ctx, store, thetas=None):
     return records, rows
 
 
-def _prefactor(ctx):
-    """2 pi / (omega_N sqrt(N)) at ctx.prec."""
-    with mp.workdps(ctx.prec + GUARD_DIGITS):
-        return BigComplex.make(2 * mpmath.pi / (OMEGA_N * mpmath.sqrt(ctx.N)), 0, ctx.prec)
-
-
 def l_value_paths(ctx, store):
     """The central value two ways, direct form sum and class-aggregated, and A(N).
 
     direct     = 2 pi / (omega_N sqrt(N)) * sum_Q theta(Q tau)
     structured = 2 pi eta_factor / (omega_N sqrt(N)) * A(N)
 
-    Both use the theta series of one pass over the level's forms, at
-    ctx.prec, the one that classify snaps to integers.
+    Both use ctx.thetas, the theta series that classify snaps to integers,
+    so direct holds S = min(prec, THETA_DIGITS) digits and structured,
+    whose theta enters only through A(N), holds prec.
 
     Both values are complex in general: the conductor of psi_N is one prime
     over N, not Galois-stable, so the functional equation only makes
     L^2 * conj(i*pi/|pi|) real, with pi a generator of ctx.level_ideal.
     """
-    thetas = level_thetas(ctx, reduced_forms(-ctx.N))
     total = BigComplex.make(0, 0, ctx.prec)
-    for raw in thetas.raw:
+    for raw in ctx.thetas:
         total = total + raw
-    pref = _prefactor(ctx)
+    with mp.workdps(ctx.prec + GUARD_DIGITS):
+        pref = BigComplex.make(2 * mpmath.pi / (OMEGA_N * mpmath.sqrt(ctx.N)), 0, ctx.prec)
     direct = pref * total
 
-    _, rows = classify(ctx, store, thetas)
+    _, rows = classify(ctx, store)
     weighted = sum(row.abs_theta * row.h_eps for row in rows)
-    structured = pref * thetas.eta * weighted
+    structured = pref * ctx.eta_factor * weighted
     return direct, structured, weighted
 
 
 def l_value(ctx, store):
     """The central value P(N) * A(N), with the period P(N) at ctx.prec.
 
-    A(N) and the paths of l_value_paths come from theta at S digits (see
-    the module docstring), where the paths must agree to 10^-(S - 15).
+    It is the structured value of l_value_paths, whose paths must agree to
+    10^-(S - 15) at the S digits of theta (see the module docstring).
 
     The value is complex in general; what is real is L^2 * conj(i*pi/|pi|),
     with pi a generator of ctx.level_ideal (see l_value_paths).
     """
-    low = replace(ctx, prec=min(ctx.prec, THETA_DIGITS))
-    direct, structured, weighted = l_value_paths(low, store)
+    direct, structured, _ = l_value_paths(ctx, store)
     gap = direct.distance(structured)
-    tol = mpf(10) ** (-(low.prec - 15))
+    tol = mpf(10) ** (-(min(ctx.prec, THETA_DIGITS) - 15))
     if gap > tol:
         raise ConventionError("central value paths differ by %s" % mpmath.nstr(gap, 5))
-    return _prefactor(ctx) * eta_norm_factor(ctx) * weighted
+    return structured
 
 
 def oracle_l_value(D, N):
@@ -499,7 +484,7 @@ def make_table(D, n_max, prec=80, store=None, level_rows=None):
     validate_field_disc(D)
     if level_rows is None:
         if store is None:
-            store = discover_classes(D, prec=prec)
+            store = discover_classes(D)
 
         def level_rows(ctx):
             return classify(ctx, store)[1]

@@ -19,9 +19,11 @@ and the level's class rows.  Entries are keyed by the package version,
 discriminant, level, root b1 and precision, so a cached value is never
 served across primes over N or by a release other than the one that
 computed it.  An entry that does not decode is recomputed and overwritten.
+A command reads the file once and merges what it computed into it once.
 """
 
 import argparse
+import contextlib
 import dataclasses
 import fcntl
 import functools
@@ -103,19 +105,21 @@ def _load_cache(path):
     return data, None
 
 
-def cache_read(path, key):
+def cache_read(path):
+    """The file's entries; an unreadable file reads as none."""
     data, problem = _load_cache(path)  # only the read warns about an unreadable file
     if problem:
         _warn(problem)
-    return data["entries"].get(key)
+    return data["entries"]
 
 
-def cache_write(path, key, value):
+def cache_write(path, entries):
+    """Merge entries into the file as it is now, under its lock."""
     with open(path + ".lock", "a+", encoding="utf-8") as lock:
         fcntl.flock(lock, fcntl.LOCK_EX)
         try:
             data, _ = _load_cache(path)
-            data["entries"][key] = value
+            data["entries"].update(entries)
             tmp = path + ".tmp"
             with open(tmp, "w", encoding="utf-8") as fh:
                 json.dump(data, fh, sort_keys=True)
@@ -146,21 +150,32 @@ def _deserialize_result(payload):
     return records, rows
 
 
-def _records_rows(args, ctx, store):
-    """The level's records and rows, from the cache if it holds them; store() runs on a miss."""
-    key = cache_key(ctx.D, ctx.N, ctx.b1, ctx.prec)
-    if args.cache_path:
-        payload = cache_read(args.cache_path, key)
+@contextlib.contextmanager
+def _level_cache(path, store):
+    """A function of a level's HeckeContext to its records and rows, cached in the file path.
+
+    The file is read once, on entry, and the levels computed inside are
+    written once, on exit; store() runs on the first miss.
+    """
+    entries, computed = cache_read(path) if path else {}, {}
+
+    def records_rows(ctx):
+        key = cache_key(ctx.D, ctx.N, ctx.b1, ctx.prec)
+        payload = entries.get(key)
         if payload is not None:
             try:
                 return _deserialize_result(payload)
             except (KeyError, TypeError, ValueError, InputError) as exc:
-                _warn("cache entry %s does not decode (%s: %s); recomputing"
-                      % (key, type(exc).__name__, exc))
-    records, rows = classify(ctx, store())
-    if args.cache_path:
-        cache_write(args.cache_path, key, _serialize_result(records, rows))
-    return records, rows
+                _warn("cache entry %s does not decode (%s: %s); recomputing" % (key, type(exc).__name__, exc))
+        records, rows = classify(ctx, store())
+        computed[key] = _serialize_result(records, rows)
+        return records, rows
+
+    try:
+        yield records_rows
+    finally:
+        if path and computed:
+            cache_write(path, computed)
 
 
 def _csv_rows(rows):
@@ -182,9 +197,9 @@ def _row_obj(w):
 def _cmd_table(args):
     if args.nmax < 11:
         raise InputError("table needs --nmax of at least 11")
-    store = functools.cache(lambda: discover_classes(args.disc, prec=args.prec))
-    result = make_table(args.disc, args.nmax, prec=args.prec,
-                        level_rows=lambda ctx: _records_rows(args, ctx, store)[1])
+    store = functools.cache(lambda: discover_classes(args.disc))
+    with _level_cache(args.cache_path, store) as records_rows:
+        result = make_table(args.disc, args.nmax, prec=args.prec, level_rows=lambda ctx: records_rows(ctx)[1])
     for N, message in result.failures:
         _warn("level %d failed: %s" % (N, message))
     if args.out_format == "json":
@@ -195,7 +210,8 @@ def _cmd_table(args):
 
 def _cmd_classify(args):
     ctx = HeckeContext(args.disc, args.level, b1=args.b1, prec=args.prec)
-    records, rows = _records_rows(args, ctx, lambda: discover_classes(args.disc, prec=args.prec))
+    with _level_cache(args.cache_path, lambda: discover_classes(args.disc)) as records_rows:
+        records, rows = records_rows(ctx)
     if args.out_format == "json":
         return _document(args, level=args.level, conventions={"b1": ctx.b1},
                          classes=[_row_obj(w) for w in rows],
@@ -205,7 +221,7 @@ def _cmd_classify(args):
 
 def _cmd_lvalue(args):
     ctx = HeckeContext(args.disc, args.level, b1=args.b1, prec=args.prec)
-    value = l_value(ctx, discover_classes(args.disc, prec=args.prec))
+    value = l_value(ctx, discover_classes(args.disc))
     re_s, im_s = mpmath.nstr(value.re, args.prec), mpmath.nstr(value.im, args.prec)
     if args.out_format == "json":
         return _document(args, level=args.level, conventions={"b1": ctx.b1}, re=re_s, im=im_s)

@@ -1,4 +1,4 @@
-"""The level's fixed data: field, level ideal, precision and class point.
+"""The level's fixed data: field, level ideal, precision, and one pass of theta.
 
 The setting: K = Q(sqrt(D)) imaginary quadratic with |D| prime and h(D) = 1,
 N a prime that is 3 mod 4 and splits in K, and a prime ideal (N, b1) over
@@ -6,6 +6,12 @@ N.  The root b1 is the one convention of the package: the conjugate root
 2N - b1 picks the conjugate prime, and with it the conjugate character.
 
 All complex embeddings use sqrt(D) = +i*sqrt(|D|).
+
+HeckeContext computes each level quantity once, on first use: the reduced
+forms of discriminant -N, the class point, the eta factor at prec, and the
+theta series of every form.  Theta enters the central value only through
+integers, so it is computed at S = min(prec, THETA_DIGITS) digits; the
+eta factor is also a factor of the period, so it is computed at prec.
 """
 
 from dataclasses import dataclass
@@ -15,18 +21,21 @@ from math import isqrt
 import mpmath
 from mpmath import mp, mpf
 
+from . import theta
 from .errors import InputError, InternalError
 from .numeric import GUARD_DIGITS, BigComplex
 from .quadratic import (
     QuadIdeal,
     heegner_point,
     prime_ideal_above,
+    reduced_forms,
     unit_ideal,
     validate_disc,
     validate_field_disc,
 )
 
 MIN_PREC = 20  # at prec <= 15 the 10^-(prec - 15) checks on L and W would pass anything
+THETA_DIGITS = 80  # the most digits of theta, which is needed only for integers
 
 
 @dataclass(frozen=True)
@@ -91,6 +100,22 @@ class HeckeContext:
     def class_point(self):
         """The level's Heegner point of class_rep: every form is evaluated here."""
         return heegner_point(self, self.class_rep)
+
+    @cached_property
+    def forms(self):
+        """The reduced forms of discriminant -N."""
+        return tuple(reduced_forms(-self.N))
+
+    @cached_property
+    def eta_factor(self):
+        """eta_norm_factor at prec: it normalizes theta and is a factor of the period."""
+        return theta.eta_norm_factor(self)
+
+    @cached_property
+    def thetas(self):
+        """theta_form of each of forms at class_point, at min(prec, THETA_DIGITS) digits."""
+        digits = min(self.prec, THETA_DIGITS)
+        return tuple(theta.theta_form(Q, self.class_point, digits) for Q in self.forms)
 
 
 def find_generator(ideal):

@@ -9,7 +9,8 @@ fixed-point kernel:
   outward from each row's largest term.
 
 They must agree to working precision on every split-CM point; the
-normalized value (level_thetas) divides by the eta factor of the level.
+normalized value divides by the eta factor of the level, which
+HeckeContext.eta_factor computes once per level.
 
 That factor (eta_norm_factor) takes eta at the level point gamma tau0 from
 eta at tau0 = (-1 + sqrt(D))/2 by the modular transformation (c > 0, principal
@@ -465,33 +466,3 @@ def eta_norm_factor(ctx):
         scale = mpmath.sqrt(-1j * (c * (mpmath.sqrt(ctx.D) - 1) / 2 + d))
         value = root * scale * _eta_unit(ctx.D, ctx.prec).to_mpc() ** 2
         return BigComplex.from_mpc(value, ctx.prec)
-
-
-@dataclass(frozen=True)
-class LevelThetas:
-    """One level's theta series at its class point, and their normalization.
-
-    raw[i] is theta_form of forms[i]; eta = eta_norm_factor depends only on
-    the level, so it is computed once for all forms.  The normalized value
-    of a form is raw / eta.
-    """
-
-    forms: tuple
-    raw: tuple
-    eta: BigComplex
-
-    def normalized(self):
-        return [value / self.eta for value in self.raw]
-
-
-def level_thetas(ctx, forms):
-    """LevelThetas of forms of discriminant -N at the context's class point.
-
-    The normalized values are real and integral.
-    """
-    forms = tuple(forms)
-    for Q in forms:
-        if Q.disc != -ctx.N:
-            raise InputError("form discriminant %d is not -N = %d" % (Q.disc, -ctx.N))
-    raw = tuple(theta_form(Q, ctx.class_point, ctx.prec) for Q in forms)
-    return LevelThetas(forms, raw, eta_norm_factor(ctx))

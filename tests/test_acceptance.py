@@ -85,12 +85,12 @@ def _report(n, ok, detail):
 
 @pytest.fixture(scope="module")
 def store7():
-    return discover_classes(-7, prec=PREC)
+    return discover_classes(-7)
 
 
 @pytest.fixture(scope="module")
 def store11():
-    return discover_classes(-11, prec=PREC)
+    return discover_classes(-11)
 
 
 @pytest.fixture(scope="module")

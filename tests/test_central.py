@@ -7,7 +7,7 @@ import mpmath
 import pytest
 from mpmath import mpf
 
-from splitcm import central, theta
+from splitcm import central, hecke, theta
 from splitcm.arith import is_prime, jacobi
 from splitcm.central import (
     ClassRow,
@@ -39,12 +39,12 @@ VANISHING_LEVELS = ((-11, 163), (-19, 163), (-43, 139))
 
 @pytest.fixture(scope="module")
 def store7():
-    return discover_classes(-7, prec=60)
+    return discover_classes(-7)
 
 
 @pytest.fixture(scope="module")
 def store11():
-    return discover_classes(-11, prec=60)
+    return discover_classes(-11)
 
 
 def test_admissible_levels_match_known_lists():
@@ -68,12 +68,12 @@ def test_discover_classes_mass_and_units(store7, store11):
 
 @pytest.fixture(scope="module")
 def store43():
-    return discover_classes(-43, prec=60)
+    return discover_classes(-43)
 
 
 def test_discover_classes_weights_types_by_ideal_classes(store43):
     # a type with no element of reduced norm |D| stands for two left ideal classes
-    store19 = discover_classes(-19, prec=60)
+    store19 = discover_classes(-19)
     assert [(info.omega, info.k) for info in store19.classes] == [(1, 1), (2, 1)]
     assert store19.mass() == Fraction(3, 4) == Fraction(19 - 1, 24)
     assert [(info.omega, info.k) for info in store43.classes] == [(1, 1), (1, 2), (2, 1)]
@@ -99,7 +99,7 @@ def test_l_value_d43_matches_the_oracle(store43):
 def test_discover_classes_incomplete_scan():
     # a single level where only one of the two classes has points
     with pytest.raises(IncompleteClassListError) as exc:
-        discover_classes(-11, levels=[67], prec=60)
+        discover_classes(-11, levels=[67])
     assert "mass" in str(exc.value)
 
 
@@ -138,7 +138,7 @@ def test_classify_rejects_convention_mismatch(store7):
 def test_sec7_convention_fails_integrality(sec7_eta):
     # the collapsed prefactor variant does not make theta_hat an integer
     with pytest.raises(ConventionError):
-        discover_classes(-7, prec=60)
+        discover_classes(-7)
 
 
 def test_l_value_two_paths_agree(store7, monkeypatch):
@@ -225,8 +225,60 @@ def test_l_value_at_600_digits_runs_theta_at_80(store7, monkeypatch):
     theta._eta_unit.cache_clear()
     got = l_value(HeckeContext(-7, 43, prec=600), store7)
     assert got.prec == 600
-    assert theta_precs and max(theta_precs) <= central.THETA_DIGITS == 80
+    assert theta_precs and max(theta_precs) <= hecke.THETA_DIGITS == 80
     assert eta_heights and all(abs(y - 7**0.5 / 2) < 1e-12 for y in eta_heights)
+
+
+def test_l_value_computes_the_eta_factor_once(store7, monkeypatch):
+    # the eta factor normalizes theta and is a factor of the period; one
+    # call at prec serves both, also when theta runs at fewer digits
+    calls = []
+    eta_norm_factor = theta.eta_norm_factor
+
+    def spy(ctx):
+        calls.append(ctx.prec)
+        return eta_norm_factor(ctx)
+
+    for module in (central, hecke, theta):  # wherever the package binds it
+        if getattr(module, "eta_norm_factor", None) is eta_norm_factor:
+            monkeypatch.setattr(module, "eta_norm_factor", spy)
+    for prec in (80, 600):
+        calls.clear()
+        l_value(HeckeContext(-7, 43, prec=prec), store7)
+        assert calls == [prec]
+
+
+def test_classify_at_600_digits_runs_theta_at_80(store7, monkeypatch):
+    # classify needs only the integers of theta, so a high-precision context
+    # gives the records of the default precision from theta at THETA_DIGITS
+    want = classify(HeckeContext(-7, 43), store7)
+    precs = []
+    theta_form = theta.theta_form
+
+    def spy(Q, tau, prec):
+        precs.append(prec)
+        return theta_form(Q, tau, prec)
+
+    monkeypatch.setattr(theta, "theta_form", spy)
+    assert classify(HeckeContext(-7, 43, prec=600), store7) == want
+    assert precs and max(precs) <= 80  # THETA_DIGITS
+
+
+@pytest.mark.parametrize("D, n_classes", [(-7, 1), (-11, 2), (-19, 2), (-43, 3), (-67, 4), (-163, 8)])
+def test_discover_classes_computes_theta_of_witnesses_only(D, n_classes, monkeypatch):
+    # one theta series per class, for the form where it first appears, and
+    # none for the other forms of the scanned levels
+    calls = []
+    theta_form = theta.theta_form
+
+    def spy(Q, tau, prec):
+        calls.append(Q)
+        return theta_form(Q, tau, prec)
+
+    monkeypatch.setattr(theta, "theta_form", spy)
+    store = discover_classes(D)
+    assert calls == [info.witness_form for info in store.classes]
+    assert len(calls) == n_classes
 
 
 def test_oracle_root_number_is_the_generator_phase():

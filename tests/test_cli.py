@@ -198,7 +198,36 @@ def test_cache_cold_warm_identical(tmp_path):
     data = json.loads(open(path).read())
     assert data["version"] == CACHE_VERSION
     assert list(data["entries"]) == [cache_key(-7, 11, 9, 50)]
-    assert cache_read(path, "missing") is None
+    assert "missing" not in cache_read(path)
+
+
+def test_table_loads_the_cache_once(tmp_path, monkeypatch):
+    # cold: one read, and one locked read-merge-write of all computed levels;
+    # warm: one read and no write
+    path = str(tmp_path / "cache.json")
+    argv = ["table", "--disc", "-7", "--nmax", "50", "--prec", "50", "--cache", path]
+    load_cache, cache_write = cli._load_cache, cli.cache_write
+    loads, writes = [], []
+
+    def counting_load(p):
+        loads.append(p)
+        return load_cache(p)
+
+    def counting_write(p, *args):
+        writes.append(p)
+        return cache_write(p, *args)
+
+    monkeypatch.setattr(cli, "_load_cache", counting_load)
+    monkeypatch.setattr(cli, "cache_write", counting_write)
+    code, cold = run(argv)
+    assert code == 0 and len(loads) == 2 and len(writes) == 1
+    entries = json.loads(open(path).read())["entries"]
+    assert sorted(entries) == sorted(cache_key(-7, N, b1, 50) for N, b1 in ((11, 9), (23, 19), (43, 37)))
+    loads.clear()
+    writes.clear()
+    code, warm = run(argv)
+    assert code == 0 and warm == cold
+    assert len(loads) == 1 and writes == []
 
 
 def test_cache_entry_of_another_version_is_recomputed(tmp_path, monkeypatch):

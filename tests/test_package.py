@@ -31,7 +31,6 @@ def test_all_exports_resolve():
 UNUSED_ALLOWED = {
     "is_reduced": "the reducedness law that criterion 9 and test_reduced_forms_known_lists check",
     "symplectic_gram": "the acceptance check that build_Iz's basis is symplectic",
-    "mass": "ClassStore.mass, the Eichler mass identity that criterion 5 checks",
 }
 
 

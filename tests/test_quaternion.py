@@ -216,7 +216,7 @@ def test_class_order_units_are_inverted_by_conjugation():
     # nrd(s) = 1, so s^-1 = conj(s): on numerators over den, conj(s) s = den^2
     checked = 0
     for D in (-7, -11, -19, -43, -67, -163):
-        for info in discover_classes(D, prec=50).classes:
+        for info in discover_classes(D).classes:
             O = info.order
             dd = O.lattice.den ** 2
             for s in O.units:
@@ -327,7 +327,7 @@ def test_lll_reduce_gram_matches_the_recomputing_reference():
             grams += [O.lattice.scaled_gram(), gross_lattice(O).gram]
     # every class order's norm and Gross Grams, whose reductions orders_isometric searches
     for D in (-19, -43, -67, -163):
-        for info in discover_classes(D, prec=50).classes:
+        for info in discover_classes(D).classes:
             grams += [info.order.gram, info.order.invariants.gross.gram]
     for gram in grams:
         assert lll_reduce_gram(gram) == _lll_recomputing(gram), gram
@@ -517,7 +517,7 @@ def test_invariant_record_matches_norm_counts():
 
 
 def test_invariant_record_is_computed_once_per_order(monkeypatch):
-    store = discover_classes(-11, prec=50)
+    store = discover_classes(-11)
     info = store.classes[-1]
     ctx = HeckeContext(-11, info.witness_level, prec=50)
     grams = []

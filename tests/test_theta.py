@@ -18,7 +18,6 @@ from splitcm.theta import (
     dedekind_eta,
     eta_ideal,
     eta_norm_factor,
-    level_thetas,
     representation_counts,
     siegel_theta,
     symplectic_theta_splitcm,
@@ -328,20 +327,15 @@ def test_eta_norm_factor_computes_eta_of_o_k_once():
 
 def test_level_thetas_known_integers():
     ctx = HeckeContext(-7, 11, prec=80)
-    v = level_thetas(ctx, (QuadForm(1, 1, 3),)).normalized()[0]
-    n, err = v.nearest_int()
+    assert ctx.forms == (QuadForm(1, 1, 3),)
+    n, err = (ctx.thetas[0] / ctx.eta_factor).nearest_int()
     assert n == -1 and err < mpf(10) ** -60
 
     ctx = HeckeContext(-11, 23, prec=80)
+    assert ctx.forms == tuple(reduced_forms(-23))
     snapped = []
-    for Q in reduced_forms(-23):
-        n, err = level_thetas(ctx, (Q,)).normalized()[0].nearest_int()
+    for raw in ctx.thetas:
+        n, err = (raw / ctx.eta_factor).nearest_int()
         assert err < mpf(10) ** -60
         snapped.append(n)
     assert sorted(abs(n) for n in snapped) == [0, 0, 2]
-
-
-def test_level_thetas_rejects_wrong_disc():
-    ctx = HeckeContext(-7, 11, prec=50)
-    with pytest.raises(InputError):
-        level_thetas(ctx, (QuadForm(1, 1, 2),))
