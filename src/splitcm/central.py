@@ -50,7 +50,6 @@ from .numeric import GUARD_DIGITS, BigComplex
 from .quadratic import (
     QuadForm,
     prime_ideal_above,
-    smallest_odd_root,
     validate_disc,
     validate_field_disc,
 )
@@ -340,8 +339,7 @@ def oracle_central_value(D, N, prec=80):
     validate_field_disc(D)
     if prec < MIN_PREC:
         raise InputError("oracle precision must be at least %d digits" % MIN_PREC)
-    prime_ideal_above(D, N)
-    b1 = smallest_odd_root(D, N)
+    b1 = prime_ideal_above(D, N).b % (2 * N)
     digits = prec + ORACLE_TAIL_DIGITS + ORACLE_MARGIN_DIGITS
     while True:
         terms, gap, P = _oracle_terms(D, N, b1, digits)

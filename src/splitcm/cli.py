@@ -19,7 +19,8 @@ and the level's class rows.  Entries are keyed by the package version,
 discriminant, level, root b1 and precision, so a cached value is never
 served across primes over N or by a release other than the one that
 computed it.  An entry that does not decode is recomputed and overwritten.
-A command reads the file once and merges what it computed into it once.
+A command reads the file once and merges what it computed into it once; a
+file that cannot be written is a warning, and the output is still printed.
 """
 
 import argparse
@@ -175,7 +176,10 @@ def _level_cache(path, store):
         yield records_rows
     finally:
         if path and computed:
-            cache_write(path, computed)
+            try:
+                cache_write(path, computed)
+            except OSError as exc:
+                _warn("cache file %s unwritable (%s); results not cached" % (path, exc))
 
 
 def _csv_rows(rows):

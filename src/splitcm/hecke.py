@@ -65,8 +65,9 @@ class HeckeContext:
     """Fixed (D, N, b1, prec) bundle threading every level-dependent value.
 
     b1 (default: the smallest odd root of D mod 4N) fixes the level ideal
-    (N, b1).  Heegner points are built on its conjugate (N, -b1), and theta
-    values are normalized by the eta factor of that conjugate and of O_K.
+    (N, b1), and is kept reduced mod 2N, which names the same ideal.
+    Heegner points are built on its conjugate (N, -b1), and theta values
+    are normalized by the eta factor of that conjugate and of O_K.
     Passing 2N - b1 swaps the two primes over N; in every table checked
     (see README) this flips the sign of every theta value at the levels
     N = 3 mod 8 and at no other level.
@@ -80,10 +81,10 @@ class HeckeContext:
     def __post_init__(self):
         validate_field_disc(self.D)
         level = prime_ideal_above(self.D, self.N)
-        if self.b1 is None:
-            object.__setattr__(self, "b1", level.b % (2 * self.N))
-        if self.b1 % 2 == 0 or (self.b1 * self.b1 - self.D) % (4 * self.N) != 0:
-            raise InputError("b1 = %d is not an odd root of D mod 4N" % self.b1)
+        b1 = level.b if self.b1 is None else self.b1
+        if b1 % 2 == 0 or (b1 * b1 - self.D) % (4 * self.N) != 0:
+            raise InputError("b1 = %d is not an odd root of D mod 4N" % b1)
+        object.__setattr__(self, "b1", b1 % (2 * self.N))
         if self.prec < MIN_PREC:
             raise InputError("precision must be at least %d digits" % MIN_PREC)
 

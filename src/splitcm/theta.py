@@ -4,7 +4,8 @@ Two independent evaluation paths are kept on purpose, each with its own
 fixed-point kernel:
 
 * theta_form collects integer representation numbers of the form and sums
-  a single q-power series by Horner's rule;
+  a single q-power series by Horner's rule (_q_series, which also sums
+  dedekind_eta's pentagonal series);
 * siegel_theta sums exp(pi*i*x^t z x) over a 2d box, row by row, walking
   outward from each row's largest term.
 
@@ -25,8 +26,11 @@ kernel writes its rounding bound, (terms) x (steps) x 2^-P, next to its tail
 bound and takes P from _fixed_bits, so that the bound is also below the
 tail target:
 
-* theta_form: 2 T (R + 1) 2^-P, for T Horner steps over R lattice points,
-  where T is the least cutoff (at least 16) that passes the tail bound.
+* _q_series: 2 T (R + 1) 2^-P, for the Horner steps up to the top power T
+  of a q-series whose integer coefficients have absolute sum R.
+  theta_form and dedekind_eta both sum through it: theta_form over the
+  representation numbers up to the least cutoff T (at least 16) that passes
+  the tail bound, dedekind_eta over its +-1 pentagonal terms.
   An error made at power k is later multiplied by |q|^k, so the step at k
   needs only a scale 2^-p with p >= P - k log2(1/|q|): Horner keeps only
   the bits that can still reach 2^-P.  The scale rises by SCALE_STEP = 64
@@ -36,8 +40,7 @@ tail target:
   the (2S+1)^2 box terms, each at most 2S steps from the start of its row.
   The rest bounds the terms that the walks skip once they fall below
   2^(8-P): the rest of a walk after its first such term, and every row
-  whose largest term is below 2^(8-P) (see siegel_theta);
-* dedekind_eta: 8 (K+1)^3 2^-P, for 2K terms of at most K steps.
+  whose largest term is below 2^(8-P) (see siegel_theta).
 
 The error of a product of fixed-point values stays within these bounds only
 because no value or step factor exceeds 1 in modulus.
@@ -54,7 +57,7 @@ from mpmath import mp, mpf
 
 from .errors import InputError, ResourceError
 from .numeric import GUARD_DIGITS, BigComplex
-from .quadratic import HeegnerPoint, QuadForm, reduce_form, unit_ideal
+from .quadratic import HeegnerPoint, QuadForm, reduce_form
 
 MAX_TAIL_TERMS = 5 * 10**6
 # a Siegel walk stops at its first fixed-point term below 2^STOP_BITS units
@@ -176,13 +179,14 @@ def _truncate(x, bits):
     return x >> bits if x >= 0 else -(-x >> bits)
 
 
-def theta_form(Q, tau, prec):
-    """Sum of q^Q(m,n) over the integer lattice, q = e^(2 pi i tau).
+def _q_series(ks, c, z, P):
+    """The Gaussian integer 2^P sum_k c[k] q^k, q = e^(2 pi i z), Im z > 0.
 
-    Horner's rule over the nonzero representation numbers r_Q(k), k <= T,
-    in Gaussian fixed point: from one nonzero k to the next lower one k',
-    h becomes h q^(k-k') + r_Q(k'), with q^(k-k') from a table of powers
-    truncated toward zero, so that no entry exceeds |q|^(k-k') in modulus.
+    ks are the increasing exponents, from ks[0] = 0, and c[k] the integer
+    coefficient at k, of either sign.  Horner's rule in Gaussian fixed point:
+    from one k to the next lower one k', h becomes h q^(k-k') + c[k'], with
+    q^(k-k') from a table of powers truncated toward zero, so that no entry
+    exceeds |q|^(k-k') in modulus.
 
     An error made at power k reaches the sum multiplied by at most |q|^k =
     2^(-k beta), so at power k, h need only be held at a scale 2^-p with
@@ -192,21 +196,13 @@ def theta_form(Q, tau, prec):
     beta; at each block boundary h is shifted left, which is exact, and the
     table is truncated once from 2^-P to the block's 2^-p, which equals
     truncating q^(k-k') itself at 2^-p.  Here beta is a float lower bound
-    on -log2 |q| = 2 pi Im tau / ln 2, with a relative margin of 10^-9 for
+    on -log2 |q| = 2 pi Im z / ln 2, with a relative margin of 10^-9 for
     its rounding and capped at P.  A step at scale p adds below
     sqrt(2) 2^-p of rounding and |h| sqrt(2) 2^-p from the truncated table
-    entry, with |h| <= R = sum r_Q(k); the later steps multiply both by at
-    most |q|^k <= 2^(p-P).  Over the at most T steps that multiply, the
-    error is below sqrt(2) T (R + 1) 2^-P < 2 T (R + 1) 2^-P.
+    entry, with |h| <= R = sum_k |c[k]|; the later steps multiply both by at
+    most |q|^k <= 2^(p-P).  Over the at most T = ks[-1] steps that multiply,
+    the error is below sqrt(2) T (R + 1) 2^-P < 2 T (R + 1) 2^-P.
     """
-    with mp.workdps(prec + GUARD_DIGITS + 5):
-        z = _point_to_mpc(tau)
-        if z.imag <= 0:
-            raise InputError("theta needs a point in the upper half plane")
-        T = _form_tail_cutoff(Q, z.imag, prec)
-    r = representation_counts(Q, T)
-    ks = [k for k, rk in enumerate(r) if rk]
-    P = _fixed_bits(prec + 10, 2 * T * (sum(r) + 1))
     with mp.workprec(P + 20):
         q = mpmath.exp(2j * mpmath.pi * z)
         power = mpmath.mpc(1)
@@ -228,10 +224,27 @@ def theta_form(Q, tau, prec):
         table = [(_truncate(x, P - p), _truncate(y, P - p)) for x, y in qpow]
         for k in reversed(ks[bottom:top]):
             qr, qi = table[above - k]
-            hr, hi = ((hr * qr - hi * qi) >> p) + (r[k] << p), (hr * qi + hi * qr) >> p
+            hr, hi = ((hr * qr - hi * qi) >> p) + (c[k] << p), (hr * qi + hi * qr) >> p
             above = k
         top = bottom
-    return _from_fixed(hr, hi, P, prec)
+    return hr, hi
+
+
+def theta_form(Q, tau, prec):
+    """Sum of q^Q(m,n) over the integer lattice, q = e^(2 pi i tau).
+
+    The q-series of the nonzero representation numbers r_Q(k), k <= T,
+    summed by _q_series within 2 T (R + 1) 2^-P, R = sum r_Q(k).
+    """
+    with mp.workdps(prec + GUARD_DIGITS + 5):
+        z = _point_to_mpc(tau)
+        if z.imag <= 0:
+            raise InputError("theta needs a point in the upper half plane")
+        T = _form_tail_cutoff(Q, z.imag, prec)
+    r = representation_counts(Q, T)
+    ks = [k for k, rk in enumerate(r) if rk]
+    P = _fixed_bits(prec + 10, 2 * T * (sum(r) + 1))
+    return _from_fixed(*_q_series(ks, r, z, P), P, prec)
 
 
 @dataclass(frozen=True)
@@ -369,13 +382,11 @@ def dedekind_eta(z, prec):
     """eta(z) = e^(2 pi i z/24) * prod (1 - e^(2 pi i n z)), Im z > 0.
 
     Evaluated through the pentagonal-number series of the product,
-    1 + sum_k (-1)^k (q^e1 + q^e2) with e1 = k(3k-1)/2 and e2 = e1 + k, in
-    Gaussian fixed point.  The powers are stepped: q^e1 by q^(3k+1), which
-    itself gains q^3 per k, and q^e2 = q^e1 q^k.  Summing stops after the
-    first k with |q|^e1 < 10^(-prec-12); the tail of the alternating series
-    is below twice the next term.  Each of the 2K terms is at most K steps
-    from its start values and carries at most 3 (K+1)^2 2^-P of rounding,
-    so the sum is off by less than 8 (K+1)^3 2^-P.
+    1 + sum_k (-1)^k (q^e1 + q^e2) with e1 = k(3k-1)/2 and e2 = e1 + k.
+    Summing stops after the first k = K with |q|^e1 < 10^(-prec-12); the
+    tail of the alternating series is below twice the next term.  The
+    2K + 1 terms, coefficients +-1 up to T = e2(K), are summed by _q_series
+    within 2 T (2K + 2) 2^-P.
     """
     with mp.workdps(prec + GUARD_DIGITS + 5):
         z = _point_to_mpc(z)
@@ -386,47 +397,25 @@ def dedekind_eta(z, prec):
         last = int((prec + 12) * mpmath.ln10 / (2 * mpmath.pi * z.imag))
         if last > MAX_TAIL_TERMS:
             raise ResourceError("eta series needs more than %d terms" % MAX_TAIL_TERMS)
-    K = isqrt(last) + 1
-    P = _fixed_bits(prec + 12, 8 * (K + 1) ** 3)
+    c, k = {0: 1}, 0
+    while k * (3 * k - 1) // 2 <= last:
+        k += 1
+        e1 = k * (3 * k - 1) // 2
+        c[e1] = c[e1 + k] = (-1) ** k
+    ks = list(c)
+    P = _fixed_bits(prec + 12, 2 * ks[-1] * (len(ks) + 1))
+    sr, si = _q_series(ks, c, z, P)
     with mp.workprec(P + 20):
-        q = mpmath.exp(2j * mpmath.pi * z)
-        qr, qi = _to_fixed(q, P)
-        q3 = q * q * q
-        er, ei = qr, qi  # q^e1, e1 = 1
-        dr, di = _to_fixed(q3 * q, P)  # q^(3k+1), k = 1
-        cr, ci = _to_fixed(q3, P)
-        kr, ki = qr, qi  # q^k
-        sr, si = 1 << P, 0
-        k = 1
-        while True:
-            tr, ti = er + ((er * kr - ei * ki) >> P), ei + ((er * ki + ei * kr) >> P)
-            if k % 2:
-                sr, si = sr - tr, si - ti
-            else:
-                sr, si = sr + tr, si + ti
-            if k * (3 * k - 1) // 2 > last:
-                break
-            er, ei = (er * dr - ei * di) >> P, (er * di + ei * dr) >> P
-            dr, di = (dr * cr - di * ci) >> P, (dr * ci + di * cr) >> P
-            kr, ki = (kr * qr - ki * qi) >> P, (kr * qi + ki * qr) >> P
-            k += 1
         total = mpmath.mpc(mpf((sr, -P)), mpf((si, -P))) * mpmath.exp(2j * mpmath.pi * z / 24)
     return BigComplex.from_mpc(total, prec)
 
 
-def eta_ideal(ideal, prec):
-    """e48(a(b+3)) * eta((-b+sqrt(d))/(2a)) for the ideal (a, b), e48(k) = exp(2 pi i k/48)."""
-    a, b = ideal.a, ideal.b
-    with mp.workdps(prec + GUARD_DIGITS + 5):
-        tau = (-b + mpmath.sqrt(ideal.d)) / (2 * a)
-        value = mpmath.exp(2j * mpmath.pi * (a * (b + 3) % 48) / 48) * dedekind_eta(tau, prec).to_mpc()
-        return BigComplex.from_mpc(value, prec)
-
-
 @lru_cache(maxsize=32)
-def _eta_unit(D, prec):
-    """eta_ideal of O_K = (1, 1), which depends only on D and prec."""
-    return eta_ideal(unit_ideal(D), prec)
+def _eta_tau0(D, prec):
+    """dedekind_eta at tau0 = (-1 + sqrt(D))/2, which depends only on D and prec."""
+    with mp.workdps(prec + GUARD_DIGITS + 5):
+        tau0 = (mpmath.sqrt(D) - 1) / 2
+    return dedekind_eta(tau0, prec)
 
 
 def _dedekind_sum(h, k):
@@ -443,26 +432,27 @@ def _dedekind_sum(h, k):
 def eta_norm_factor(ctx):
     """The eta product normalizing theta at level N.
 
-    eta_ideal of the conjugate (N, b) of the level ideal, at tau_N, times
-    eta_ideal of O_K = (1, 1), at tau0 = (-1 + sqrt(D))/2.  As h(D) = 1,
-    reduce_form maps tau_N's form [N, b, .] to tau0's by a gamma =
-    [[a, .], [c, d]] in SL2(Z) with tau_N = gamma tau0; c != 0 as Im tau_N !=
-    Im tau0, and -gamma acts alike, so take c > 0.  Then, with the principal
-    square root and the Dedekind sum s(d, c) (Apostol, Modular Functions and
-    Dirichlet Series, Thm 3.4),
+    e48(N (b + 3)) eta(tau_N) for the conjugate (N, b) of the level ideal,
+    times e48(4) eta(tau0) for O_K = (1, 1), tau0 = (-1 + sqrt(D))/2, where
+    e48(k) = exp(2 pi i k/48).  As h(D) = 1, reduce_form maps tau_N's form
+    [N, b, .] to tau0's by a gamma = [[a, .], [c, d]] in SL2(Z) with
+    tau_N = gamma tau0; c != 0 as Im tau_N != Im tau0, and -gamma acts
+    alike, so take c > 0.  Then, with the principal square root and the
+    Dedekind sum s(d, c) (Apostol, Modular Functions and Dirichlet Series,
+    Thm 3.4),
 
         eta(tau_N) = exp(pi i ((a + d)/(12 c) - s(d, c))) sqrt(-i (c tau0 + d)) eta(tau0),
 
-    and as eta_ideal(O_K) = e48(4) eta(tau0), the factor is exp(2 pi i t) sqrt(-i (c tau0 + d))
-    eta_ideal(O_K)^2, t = (N (b + 3) - 4)/48 + (a + d)/(24 c) - s(d, c)/2: dedekind_eta runs
+    so the factor is exp(2 pi i t) sqrt(-i (c tau0 + d)) eta(tau0)^2, with
+    t = (N (b + 3) + 4)/48 + (a + d)/(24 c) - s(d, c)/2: dedekind_eta runs
     only at tau0, once per (D, prec).
     """
     N, b = ctx.N, ctx.level_ideal.conjugate().b
     _, (a, _, c, d) = reduce_form(QuadForm(N, b, (b * b - ctx.D) // (4 * N)))
     a, c, d = (a, c, d) if c > 0 else (-a, -c, -d)
-    turns = (Fraction(N * (b + 3) - 4, 48) + Fraction(a + d, 24 * c) - _dedekind_sum(d, c) / 2) % 1
+    turns = (Fraction(N * (b + 3) + 4, 48) + Fraction(a + d, 24 * c) - _dedekind_sum(d, c) / 2) % 1
     with mp.workdps(ctx.prec + GUARD_DIGITS + 5):
         root = mpmath.expjpi(mpf(2 * turns.numerator) / turns.denominator)
         scale = mpmath.sqrt(-1j * (c * (mpmath.sqrt(ctx.D) - 1) / 2 + d))
-        value = root * scale * _eta_unit(ctx.D, ctx.prec).to_mpc() ** 2
+        value = root * scale * _eta_tau0(ctx.D, ctx.prec).to_mpc() ** 2
         return BigComplex.from_mpc(value, ctx.prec)

@@ -27,7 +27,7 @@ from splitcm.errors import (
     UnsupportedError,
 )
 from splitcm.hecke import HeckeContext, find_generator
-from splitcm.quadratic import class_number, reduced_forms
+from splitcm.quadratic import class_number, reduced_forms, smallest_odd_root
 from splitcm.quaternion import build_Iz, right_order
 
 L_7_11 = 0.27457144311888215 + 0.8185491052922107j
@@ -222,7 +222,7 @@ def test_l_value_at_600_digits_runs_theta_at_80(store7, monkeypatch):
 
     monkeypatch.setattr(theta, "theta_form", spy_theta_form)
     monkeypatch.setattr(theta, "dedekind_eta", spy_dedekind_eta)
-    theta._eta_unit.cache_clear()
+    theta._eta_tau0.cache_clear()
     got = l_value(HeckeContext(-7, 43, prec=600), store7)
     assert got.prec == 600
     assert theta_precs and max(theta_precs) <= hecke.THETA_DIGITS == 80
@@ -317,7 +317,7 @@ def test_oracle_series_within_its_rounding_bound(D, N, prec):
     # sum over the same exact coefficients, summed term by term in mpmath at
     # prec + 40 digits, and that bound must be below 10^-digits / 2
     digits = prec + central.ORACLE_TAIL_DIGITS + central.ORACLE_MARGIN_DIGITS
-    b1 = central.smallest_odd_root(D, N)
+    b1 = smallest_odd_root(D, N)
     terms, gap, P = central._oracle_terms(D, N, b1, digits)
     coefficients = central._oracle_coefficients(D, N, b1, terms[-1][0])
     with mpmath.workdps(prec + 40):
@@ -337,8 +337,8 @@ def test_oracle_series_within_its_rounding_bound(D, N, prec):
 
 def test_oracle_rejects_a_wrong_character(monkeypatch):
     # an odd b that is not a root of D mod N gives no character of O_K: |W| != 1
-    root = central.smallest_odd_root
-    monkeypatch.setattr(central, "smallest_odd_root", lambda D, N: root(D, N) + 2)
+    terms = central._oracle_terms
+    monkeypatch.setattr(central, "_oracle_terms", lambda D, N, b1, digits: terms(D, N, b1 + 2, digits))
     with pytest.raises(ConventionError) as exc:
         oracle_central_value(-7, 11)
     assert "|W|" in str(exc.value)
@@ -354,7 +354,7 @@ def _coefficient_product(D, x, y):
 
 def _coefficient_table(D, N, n_max):
     """{n: (P_n, Q_n)} for n = 1..n_max, zeros included, from the sparse coefficient list."""
-    sparse = central._oracle_coefficients(D, N, central.smallest_odd_root(D, N), n_max)
+    sparse = central._oracle_coefficients(D, N, smallest_odd_root(D, N), n_max)
     assert [n for n, _, _ in sparse] == sorted({n for n, _, _ in sparse})
     assert all(p or q for _, p, q in sparse)
     a = dict.fromkeys(range(1, n_max + 1), (0, 0))

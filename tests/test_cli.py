@@ -289,6 +289,31 @@ def test_cache_unreadable_file_is_warned_about_once(tmp_path, capsys):
     assert len(warnings) == 1 and "unreadable" in warnings[0], warnings
 
 
+def test_cache_unwritable_file_is_a_warning(tmp_path, capsys):
+    # a cache that cannot be written loses the cache, not the computed output
+    path = str(tmp_path / "missing" / "cache.json")
+    for argv, last in ((["classify", "--disc", "-7", "--level", "11"], "11,1,1,-1,2"),
+                       (["table", "--disc", "-7", "--nmax", "30"], "23,1,3,-1,6")):
+        code, text = run(argv + ["--prec", "50", "--cache", path])
+        assert code == 0 and text.splitlines()[-1] == last, argv
+        warnings = [json.loads(line)["warning"] for line in capsys.readouterr().err.splitlines()]
+        assert len(warnings) == 1 and "unwritable" in warnings[0] and path in warnings[0], warnings
+
+
+def test_b1_is_printed_and_cached_reduced_mod_2n(tmp_path):
+    # 31 = 9 mod 22 names the default prime over 11: the same b1, the same
+    # output and the same cache entry as the default
+    path = str(tmp_path / "cache.json")
+    base = ["--disc", "-7", "--level", "11", "--prec", "50", "--out", "json"]
+    _, default = run(["classify"] + base + ["--cache", path])
+    code, typed = run(["classify"] + base + ["--cache", path, "--b1", "31"])
+    assert code == 0 and typed == default
+    assert json.loads(typed)["conventions"] == {"b1": 9}
+    assert list(json.loads(open(path).read())["entries"]) == [cache_key(-7, 11, 9, 50)]
+    _, lvalue = run(["lvalue"] + base + ["--b1", "31"])
+    assert lvalue == run(["lvalue"] + base)[1]
+
+
 def test_cache_malformed_entries_recompute(tmp_path, capsys):
     # files of the current format whose entries, or one entry, do not decode
     path = tmp_path / "cache.json"

@@ -57,3 +57,13 @@ def test_context_validation():
     # the other odd root picks the conjugate prime over N
     other = HeckeContext(-7, 11, b1=13)
     assert other.b1 == 13 and other.level_ideal == ctx.level_ideal.conjugate()
+
+
+def test_context_keeps_b1_reduced_mod_2n():
+    # a root typed as 9 + 22 or as 13 - 22 names the same prime as 9 or 13,
+    # so the context, and what is printed and cached from it, is the same
+    assert HeckeContext(-7, 11, b1=31) == HeckeContext(-7, 11)
+    assert HeckeContext(-7, 11, b1=-9) == HeckeContext(-7, 11, b1=13)
+    # a wrong root is refused as it was typed
+    with pytest.raises(InputError, match="b1 = 33 "):
+        HeckeContext(-7, 11, b1=33)

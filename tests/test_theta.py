@@ -8,15 +8,15 @@ from hypothesis import strategies as st
 from mpmath import mpf
 
 from splitcm import theta
+from splitcm.arith import jacobi
 from splitcm.central import admissible_levels
 from splitcm.errors import InputError
 from splitcm.hecke import HeckeContext
-from splitcm.numeric import GUARD_DIGITS
-from splitcm.quadratic import QuadForm, QuadIdeal, heegner_point, reduced_forms
+from splitcm.numeric import GUARD_DIGITS, BigComplex
+from splitcm.quadratic import QuadForm, heegner_point, reduced_forms
 from splitcm.theta import (
     SplitCMPoint,
     dedekind_eta,
-    eta_ideal,
     eta_norm_factor,
     representation_counts,
     siegel_theta,
@@ -85,10 +85,8 @@ def test_form_tail_cutoff_is_least():
         assert T == want, (D, N, Q, T)
 
 
-def _full_scale_horner(Q, z, T, P):
-    """(hr, hi): theta_form's Horner at the single scale 2^-P, every step."""
-    r = representation_counts(Q, T)
-    ks = [k for k, rk in enumerate(r) if rk]
+def _full_scale_horner(ks, c, z, P):
+    """(hr, hi): _q_series' Horner at the single scale 2^-P, every step."""
     with mpmath.workprec(P + 20):
         q = mpmath.exp(2j * mpmath.pi * z)
         power = mpmath.mpc(1)
@@ -100,25 +98,38 @@ def _full_scale_horner(Q, z, T, P):
     above = ks[-1]
     for k in reversed(ks):
         qr, qi = qpow[above - k]
-        hr, hi = ((hr * qr - hi * qi) >> P) + (r[k] << P), (hr * qi + hi * qr) >> P
+        hr, hi = ((hr * qr - hi * qi) >> P) + (c[k] << P), (hr * qi + hi * qr) >> P
         above = k
     return hr, hi
 
 
 def test_theta_form_within_its_bound_of_the_full_scale_horner(monkeypatch):
-    # theta_form holds the power-k step at a scale of about P - k beta bits;
-    # its fixed-point sum must stay within its written bound 2 T (R + 1) 2^-P
-    # of the value.  The reference is the full-scale Horner run `extra` bits
-    # finer, itself within 2 T (R + 1) 2^-(P + extra) of the value.
+    # theta_form and dedekind_eta sum through _q_series, which holds the
+    # power-k step at a scale of about P - k beta bits; its fixed-point sum
+    # must stay within its written bound 2 T (R + 1) 2^-P of the value, for
+    # T = ks[-1] and R = sum |c_k|.  The reference is the full-scale Horner
+    # run `extra` bits finer, itself within 2 T (R + 1) 2^-(P + extra) of
+    # the value.
     extra = 32
-    kernel = []
-    from_fixed = theta._from_fixed
+    calls = []
+    q_series = theta._q_series
 
-    def record(x, y, P, prec):
-        kernel.append((x, y, P))
-        return from_fixed(x, y, P, prec)
+    def record(ks, c, z, P):
+        result = q_series(ks, c, z, P)
+        calls.append((ks, c, z, P, result))
+        return result
 
-    monkeypatch.setattr(theta, "_from_fixed", record)
+    def sum_within_bound():
+        ((ks, c, z, P, (x, y)),) = calls
+        calls.clear()
+        T, R = ks[-1], sum(abs(c[k]) for k in ks)
+        hr, hi = _full_scale_horner(ks, c, z, P + extra)
+        # both sides in units of 2^-(P + extra), exactly
+        gap = abs(mpmath.mpc((x << extra) - hr, (y << extra) - hi))
+        assert gap < 2 * T * (R + 1) * (2**extra - 1), (z, P, gap)
+        return ks, c, z, P
+
+    monkeypatch.setattr(theta, "_q_series", record)
     points = [
         (QuadForm(*abc), HeckeContext(D, N, prec=prec).class_point, prec)
         for D, N, abc, prec in [
@@ -133,19 +144,24 @@ def test_theta_form_within_its_bound_of_the_full_scale_horner(monkeypatch):
     # over several blocks
     points.append((QuadForm(1, 1, 2), mpmath.mpc("0.1", 3), 80))
     for Q, tau, prec in points:
-        kernel.clear()
         theta_form(Q, tau, prec)
-        ((x, y, P),) = kernel
+        _, r, z, P = sum_within_bound()
+        # theta_form sizes P from its cutoff T >= ks[-1]
         with mpmath.workdps(prec + GUARD_DIGITS + 5):
-            z = theta._point_to_mpc(tau)
             T = theta._form_tail_cutoff(Q, z.imag, prec)
-        R = sum(representation_counts(Q, T))
-        assert P == theta._fixed_bits(prec + 10, 2 * T * (R + 1))
-        hr, hi = _full_scale_horner(Q, z, T, P + extra)
-        # both sides in units of 2^-(P + extra), exactly
-        gap = abs(mpmath.mpc((x << extra) - hr, (y << extra) - hi))
-        assert gap < 2 * T * (R + 1) * (2**extra - 1), (Q, prec, gap)
+        assert P == theta._fixed_bits(prec + 10, 2 * T * (sum(r) + 1))
     assert T == 16
+    # eta at tau0 of -7 and -163, the only points the product uses, and at
+    # a point of small height with many pentagonal terms
+    with mpmath.workdps(620):
+        etas = [(mpmath.sqrt(D) - 1) / 2 for D in (-7, -163)] + [mpmath.mpc("0.1", "0.2")]
+    for z in etas:
+        for prec in (80, 600):
+            dedekind_eta(z, prec)
+            ks, c, _, P = sum_within_bound()
+            K = (len(ks) - 1) // 2
+            assert ks[-1] == K * (3 * K + 1) // 2 and c[ks[-1]] == (-1) ** K
+            assert P == theta._fixed_bits(prec + 12, 2 * ks[-1] * (2 * K + 2))
 
 
 def test_theta_rejects_lower_half_plane():
@@ -179,6 +195,22 @@ def test_dedekind_eta_600_digits_is_q_pochhammer():
         q = mpmath.exp(2j * mpmath.pi * z)
         want = mpmath.exp(2j * mpmath.pi * z / 24) * mpmath.qp(q)
         assert abs(v.to_mpc() - want) < mpf(10) ** -605
+
+
+@pytest.mark.parametrize("D", [-7, -11, -19, -43, -67, -163])
+def test_eta_at_tau0_is_chowla_selberg(D):
+    # the product uses eta only at tau0 = (-1 + sqrt(D))/2.  For h(D) = 1 and
+    # w = 2, Chowla-Selberg gives |eta(tau0)|^4 = prod_{a=1}^{|D|-1}
+    # Gamma(a/|D|)^(a/|D|) / (2 pi |D|), with no q-series in it; and
+    # q(tau0) = -e^(-pi sqrt|D|) is real, so arg eta(tau0) = -pi/24 exactly
+    prec = 80
+    v = theta._eta_tau0(D, prec).to_mpc()
+    n = -D
+    with mpmath.workdps(prec + 20):
+        gammas = mpmath.fprod(mpmath.gamma(mpf(a) / n) ** jacobi(a, n) for a in range(1, n))
+        want = gammas / (2 * mpmath.pi * n)
+        assert abs(abs(v) ** 4 / want - 1) < mpf(10) ** -(prec - 5), D
+        assert abs(mpmath.arg(v) + mpmath.pi / 24) < mpf(10) ** -(prec - 5), D
 
 
 @given(upper_half)
@@ -266,15 +298,6 @@ def test_two_theta_paths_agree_at_cm_points():
             assert a.distance(b) < mpf(10) ** -(prec + 5), (D, N, Q)
 
 
-def test_eta_ideal_prefactor_is_unimodular():
-    ideal = QuadIdeal(2, 1, -7)
-    v = eta_ideal(ideal, 50)
-    with mpmath.workdps(70):
-        tau = (-1 + mpmath.sqrt(mpmath.mpf(-7))) / 4
-        want = abs(dedekind_eta(mpmath.mpc(tau), 50).to_mpc())
-        assert abs(abs(v.to_mpc()) - want) < mpf(10) ** -42
-
-
 def test_eta_norm_factor_conventions_same_modulus():
     # the two primes over N (roots b1 and 2N - b1) give conjugate points, and
     # eta(-conj z) = conj eta(z), so their factors have the same modulus
@@ -288,8 +311,16 @@ def test_eta_norm_factor_conventions_same_modulus():
 
 
 def _summed_eta_factor(ctx):
-    """The level's eta factor with eta summed at tau_N itself."""
-    return eta_ideal(ctx.level_ideal.conjugate(), ctx.prec) * eta_ideal(ctx.class_rep, ctx.prec)
+    """The level's eta factor with eta summed at tau_N itself: the product of
+    e48(a (b + 3)) eta((-b + sqrt(D))/(2a)), e48(k) = exp(2 pi i k/48), over
+    the conjugate (N, b) of the level ideal and O_K = (1, 1)."""
+    value = 1
+    with mpmath.workdps(ctx.prec + GUARD_DIGITS + 5):
+        for ideal in (ctx.level_ideal.conjugate(), ctx.class_rep):
+            a, b = ideal.a, ideal.b
+            tau = (-b + mpmath.sqrt(ctx.D)) / (2 * a)
+            value *= mpmath.exp(2j * mpmath.pi * (a * (b + 3) % 48) / 48) * dedekind_eta(tau, ctx.prec).to_mpc()
+        return BigComplex.from_mpc(value, ctx.prec)
 
 
 @pytest.mark.parametrize(
@@ -313,16 +344,16 @@ def test_eta_norm_factor_matches_eta_summed_at_the_level_point(D, N, prec):
 
 
 def test_eta_norm_factor_computes_eta_of_o_k_once():
-    theta._eta_unit.cache_clear()
+    theta._eta_tau0.cache_clear()
     for N in (11, 23):
         ctx = HeckeContext(-7, N, prec=60)
         assert eta_norm_factor(ctx).distance(_summed_eta_factor(ctx)) < mpf(10) ** -65, N
-    assert theta._eta_unit.cache_info().currsize == 1
-    assert theta._eta_unit.cache_info().hits == 1
+    assert theta._eta_tau0.cache_info().currsize == 1
+    assert theta._eta_tau0.cache_info().hits == 1
     eta_norm_factor(HeckeContext(-7, 11, prec=70))
-    assert theta._eta_unit.cache_info().currsize == 2
-    assert theta._eta_unit(-7, 70).prec == 70
-    assert theta._eta_unit(-7, 70) is not theta._eta_unit(-7, 60)
+    assert theta._eta_tau0.cache_info().currsize == 2
+    assert theta._eta_tau0(-7, 70).prec == 70
+    assert theta._eta_tau0(-7, 70) is not theta._eta_tau0(-7, 60)
 
 
 def test_level_thetas_known_integers():
