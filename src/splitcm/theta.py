@@ -40,7 +40,12 @@ tail target:
   the (2S+1)^2 box terms, each at most 2S steps from the start of its row.
   The rest bounds the terms that the walks skip once they fall below
   2^(8-P): the rest of a walk after its first such term, and every row
-  whose largest term is below 2^(8-P) (see siegel_theta).
+  whose largest term is below 2^(8-P) (see siegel_theta).  The rows'
+  start terms and first ratios come from a walk on integer mantissas
+  (x + i y) 2^e rounded to L = P + 20 + 2 bitlen(S) bits, within relative
+  (pi max|z_ij| + 4) 2^(-15-P), which the same bound covers while
+  pi max|z_ij| + 4 < 2^15.  _siegel_box sizes S on the log of its tail
+  bound in floats.
 
 The error of a product of fixed-point values stays within these bounds only
 because no value or step factor exceeds 1 in modulus.
@@ -50,7 +55,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import expm1, isqrt, log, pi
+from math import expm1, isqrt, log, log1p, pi
 
 import mpmath
 from mpmath import mp, mpf
@@ -186,7 +191,8 @@ def _q_series(ks, c, z, P):
     coefficient at k, of either sign.  Horner's rule in Gaussian fixed point:
     from one k to the next lower one k', h becomes h q^(k-k') + c[k'], with
     q^(k-k') from a table of powers truncated toward zero, so that no entry
-    exceeds |q|^(k-k') in modulus.
+    exceeds |q|^(k-k') in modulus.  The table holds only the gaps k - k'
+    that occur in ks.
 
     An error made at power k reaches the sum multiplied by at most |q|^k =
     2^(-k beta), so at power k, h need only be held at a scale 2^-p with
@@ -203,13 +209,15 @@ def _q_series(ks, c, z, P):
     most |q|^k <= 2^(p-P).  Over the at most T = ks[-1] steps that multiply,
     the error is below sqrt(2) T (R + 1) 2^-P < 2 T (R + 1) 2^-P.
     """
+    gaps = {0, *(b - a for a, b in zip(ks, ks[1:]))}
     with mp.workprec(P + 20):
         q = mpmath.exp(2j * mpmath.pi * z)
         power = mpmath.mpc(1)
-        qpow = [(1 << P, 0)]
-        for _ in range(max((b - a for a, b in zip(ks, ks[1:])), default=0)):
+        qpow = {0: (1 << P, 0)}
+        for g in range(1, max(gaps) + 1):
             power *= q
-            qpow.append(_to_fixed(power, P))
+            if g in gaps:
+                qpow[g] = _to_fixed(power, P)
         beta = min(float(2 * mpmath.pi * z.imag / mpmath.ln2) * (1 - 1e-9), P)
     hr = hi = p = 0
     above = ks[-1]
@@ -221,7 +229,7 @@ def _q_series(ks, c, z, P):
         scale = P - j * SCALE_STEP
         hr, hi = hr << (scale - p), hi << (scale - p)
         p = scale
-        table = [(_truncate(x, P - p), _truncate(y, P - p)) for x, y in qpow]
+        table = {g: (_truncate(x, P - p), _truncate(y, P - p)) for g, (x, y) in qpow.items()}
         for k in reversed(ks[bottom:top]):
             qr, qi = table[above - k]
             hr, hi = ((hr * qr - hi * qi) >> p) + (c[k] << p), (hr * qi + hi * qr) >> p
@@ -267,18 +275,69 @@ class SplitCMPoint:
 
 
 def _siegel_box(lam, prec):
-    """Smallest S with sum_{|x|_inf >= S} exp(-pi lam |x|^2) < 10^(-prec-10)."""
-    target = mpf(10) ** (-prec - 10)
-    t = mpmath.exp(-mpmath.pi * lam)
+    """Smallest S with sum_{|x|_inf >= S} exp(-pi lam |x|^2) < 10^(-prec-10).
+
+    S runs through 4, 7, 11, 17, ... and is tried on the bound
+    8 t^(S^2) (S/(1-u) + u/(1-u)^2), t = e^(-pi lam), u = t^(2S), by its log
+    in floats; only where that log lies within a relative 10^-6 of the
+    target's is the bound itself evaluated, in mpmath at the caller's
+    precision, so S is the one the exact bound gives.
+    """
+    ltarget = -(prec + 10) * log(10)
+    lt = -pi * float(lam)
     S = 4
     while True:
-        u = t ** (2 * S)
-        tail = 8 * t ** (S * S) * (S / (1 - u) + u / (1 - u) ** 2)
-        if tail < target:
+        # with v = 1 - u, log(S/(1-u) + u/(1-u)^2) = log(1 + (S-1) v) - 2 log v;
+        # v is 0 only when lam underflows in floats, and the exact bound decides
+        v = -expm1(2 * S * lt)
+        ltail = log(8) + S * S * lt + log1p((S - 1) * v) - 2 * log(v) if v > 0 else ltarget
+        if abs(ltail - ltarget) <= 1e-6 * -ltarget:
+            t = mpmath.exp(-mpmath.pi * lam)
+            u = t ** (2 * S)
+            passes = 8 * t ** (S * S) * (S / (1 - u) + u / (1 - u) ** 2) < mpf(10) ** (-prec - 10)
+        else:
+            passes = ltail < ltarget
+        if passes:
             return S
         S = S + S // 2 + 1
         if S * S > MAX_TAIL_TERMS:
             raise ResourceError("siegel box needs more than %d points" % MAX_TAIL_TERMS)
+
+
+def _parts(v):
+    """(x, y, e) with (x + i y) 2^e equal to the mpc v."""
+    (x, ex), (y, ey) = v.real.man_exp, v.imag.man_exp
+    e = min(ex, ey)
+    return (-x if v.real < 0 else x) << (ex - e), (-y if v.imag < 0 else y) << (ey - e), e
+
+
+def _round(x, s):
+    """x / 2^s rounded to the nearest integer, ties to even."""
+    if s <= 0:
+        return x
+    m = abs(x)
+    # t ends in the bit just below the kept ones; round up past half, or at
+    # half when the kept part is odd
+    t = m >> (s - 1)
+    m = (t + 1) >> 1 if t & 1 and (t & 2 or m & ((1 << (s - 1)) - 1)) else t >> 1
+    return m if x > 0 else -m
+
+
+def _mul(u, v, L):
+    """The product of (x + i y) 2^e values, each part rounded to L bits by _round."""
+    (a, b, e), (c, d, f) = u, v
+    x, y = a * c - b * d, a * d + b * c
+    sx, sy = max(x.bit_length() - L, 0), max(y.bit_length() - L, 0)
+    s = min(sx, sy)
+    return _round(x, sx) << (sx - s), _round(y, sy) << (sy - s), e + f + s
+
+
+def _scaled(u, P):
+    """The Gaussian integer 2^P (x + i y) 2^e, each part truncated toward zero."""
+    x, y, e = u
+    if e + P >= 0:
+        return x << (e + P), y << (e + P)
+    return _truncate(x, -e - P), _truncate(y, -e - P)
 
 
 def siegel_theta(z11, z12, z22, prec):
@@ -312,8 +371,23 @@ def siegel_theta(z11, z12, z22, prec):
     stay below 24 (2S+1)^4 2^-P, and P is sized from that.
 
     The start values t(m, n0) and the first ratios of each row come from a
-    walk in mpmath floats along the path (m, n0(m)), which keeps relative
-    precision however large B^m = e^(2 pi i z12 m) becomes.
+    walk along the path (m, n0(m)) on integer mantissas: a value is
+    (x + i y) 2^e, and _mul rounds each part of a product to nearest at
+    L = P + 20 + 2 bitlen(S) significant bits, as mpmath rounds an mpc
+    product at L bits, so the walk gives the same values bit for bit.  The
+    exponent keeps relative precision however large B^m = e^(2 pi i z12 m)
+    becomes.  Only the seven constants A, B, C, A^2, C^2, B^-1 and C^-2 come
+    from mpmath at L bits.  A product's rounding has relative size below
+    2^-L.  A, B and C are exponentials of exponents rounded at L bits, so
+    with w = pi max |z_ij| each constant is within relative (w + 3) 2^(2-L).
+    Each of up, down and across is a constant times at most 2S step
+    factors, and t is at most 2S products of these, so a value's relative
+    errors add up to at most (2S+1)^2 (w + 4) 2^(2-L), and the value is
+    within relative (2S+1)^2 (w + 4) 2^(3-L) < (w + 4) 2^(-15-P) of exact.
+    Truncated to 2^-P, a start term or first ratio, of modulus <= 1, is
+    within (sqrt(2) + (w + 4) 2^-15) 2^-P.  While w + 4 < 2^15, that is
+    below (sqrt(2) + 1) 2^-P, which the step count above, 3 (j+1)^2 per term
+    and 4 (i+1) per ratio, already allows, so P does not change.
     """
     with mp.workdps(prec + GUARD_DIGITS + 5):
         z11, z12, z22 = mpmath.mpc(z11), mpmath.mpc(z12), mpmath.mpc(z22)
@@ -326,7 +400,8 @@ def siegel_theta(z11, z12, z22, prec):
         shift = float(-y12 / y22)
     P = _fixed_bits(prec + 10, 24 * (2 * S + 1) ** 4)
     stop = 1 << STOP_BITS
-    with mp.workprec(P + 20 + 2 * S.bit_length()):
+    L = P + 20 + 2 * S.bit_length()
+    with mp.workprec(L):
         # the real maximum of row m, exp(-pi m^2 det/y22), is below
         # 2^(STOP_BITS-P) once m^2 > rowcut
         rowcut = (P - STOP_BITS) * mpmath.ln2 * y22 / (mpmath.pi * det)
@@ -335,39 +410,39 @@ def siegel_theta(z11, z12, z22, prec):
         B = mpmath.exp(2j * mpmath.pi * z12)
         C = mpmath.exp(1j * mpmath.pi * z22)
         A2, C2 = A * A, C * C
-        Binv, C2inv = 1 / B, 1 / C2
-        c2r, c2i = _to_fixed(C2, P)
-        # at (m, n): t = t(m, n); up, down and across are t(m, n+1), t(m, n-1)
-        # and t(m+1, n) over t, that is B^m C^(2n+1), B^-m C^(1-2n), A^(2m+1) B^n
-        t, up, down, across = mpmath.mpc(1), C, C, A
-        n = 0
-        sr = si = 0
-        for m in range(rows):
-            n0 = max(-S, min(S, round(m * shift)))
-            while n < n0:
-                t *= up
-                up, down, across = up * C2, down * C2inv, across * B
-                n += 1
-            while n > n0:
-                t *= down
-                up, down, across = up * C2inv, down * C2, across * Binv
-                n -= 1
-            tr, ti = _to_fixed(t, P)
-            rowr, rowi = tr, ti
-            for (rr, ri), steps in ((_to_fixed(up, P), S - n0), (_to_fixed(down, P), S + n0)):
-                ur, ui = tr, ti
-                for _ in range(steps):
-                    ur, ui = (ur * rr - ui * ri) >> P, (ur * ri + ui * rr) >> P
-                    if -stop < ur < stop and -stop < ui < stop:
-                        break
-                    rowr += ur
-                    rowi += ui
-                    rr, ri = (rr * c2r - ri * c2i) >> P, (rr * c2i + ri * c2r) >> P
-            weight = 2 if m else 1
-            sr += weight * rowr
-            si += weight * rowi
-            t *= across
-            up, down, across = up * B, down * Binv, across * A2
+        A, B, C, A2, C2, Binv, C2inv = map(_parts, (A, B, C, A2, C2, 1 / B, 1 / C2))
+    c2r, c2i = _scaled(C2, P)
+    # at (m, n): t = t(m, n); up, down and across are t(m, n+1), t(m, n-1)
+    # and t(m+1, n) over t, that is B^m C^(2n+1), B^-m C^(1-2n), A^(2m+1) B^n
+    t, up, down, across = (1, 0, 0), C, C, A
+    n = 0
+    sr = si = 0
+    for m in range(rows):
+        n0 = max(-S, min(S, round(m * shift)))
+        while n < n0:
+            t = _mul(t, up, L)
+            up, down, across = _mul(up, C2, L), _mul(down, C2inv, L), _mul(across, B, L)
+            n += 1
+        while n > n0:
+            t = _mul(t, down, L)
+            up, down, across = _mul(up, C2inv, L), _mul(down, C2, L), _mul(across, Binv, L)
+            n -= 1
+        tr, ti = _scaled(t, P)
+        rowr, rowi = tr, ti
+        for (rr, ri), steps in ((_scaled(up, P), S - n0), (_scaled(down, P), S + n0)):
+            ur, ui = tr, ti
+            for _ in range(steps):
+                ur, ui = (ur * rr - ui * ri) >> P, (ur * ri + ui * rr) >> P
+                if -stop < ur < stop and -stop < ui < stop:
+                    break
+                rowr += ur
+                rowi += ui
+                rr, ri = (rr * c2r - ri * c2i) >> P, (rr * c2i + ri * c2r) >> P
+        weight = 2 if m else 1
+        sr += weight * rowr
+        si += weight * rowi
+        t = _mul(t, across, L)
+        up, down, across = _mul(up, B, L), _mul(down, Binv, L), _mul(across, A2, L)
     return _from_fixed(sr, si, P, prec)
 
 

@@ -244,17 +244,84 @@ def test_siegel_theta_diagonal_product():
 def test_siegel_theta_with_growing_off_diagonal_factor():
     # Im z12 < 0, so |e^(2 pi i z12)| = e^(0.9 pi) > 1 and the powers
     # e^(2 pi i z12 m n) grow along the rows; -y12/y22 = 1.5 also moves each
-    # row's largest term and pushes it out of the box for large m
+    # row's largest term to n0 = round(1.5 m), away from the row's middle.
+    # The row starts come from a walk on integer mantissas rounded to
+    # L = P + 20 + 2 bitlen(S) bits; at 300 digits it feeds 22 rows while
+    # |B^m| grows to e^(0.9 pi m).  The form's least eigenvalue exceeds
+    # 0.11, so the terms with |x|_inf > 50 add below 10^-380.
     z11, z12, z22 = mpmath.mpc("0.3", "1.2"), mpmath.mpc("0.17", "-0.45"), mpmath.mpc("-0.2", "0.3")
-    prec = 60
-    v = siegel_theta(z11, z12, z22, prec)
-    with mpmath.workdps(prec + 30):
-        want = mpmath.fsum(
-            mpmath.exp(1j * mpmath.pi * (z11 * m * m + 2 * z12 * m * n + z22 * n * n))
-            for m in range(-30, 31)
-            for n in range(-30, 31)
-        )
-        assert abs(v.to_mpc() - want) < mpf(10) ** -(prec + 5)
+    for prec, radius in ((60, 30), (300, 50)):
+        v = siegel_theta(z11, z12, z22, prec)
+        with mpmath.workdps(prec + 30):
+            want = mpmath.fsum(
+                mpmath.exp(1j * mpmath.pi * (z11 * m * m + 2 * z12 * m * n + z22 * n * n))
+                for m in range(-radius, radius + 1)
+                for n in range(-radius, radius + 1)
+            )
+            assert abs(v.to_mpc() - want) < mpf(10) ** -(prec + 5), prec
+
+
+def _box_bound(lam, S):
+    # _siegel_box's tail bound for the box |x|_inf < S
+    t = mpmath.exp(-mpmath.pi * lam)
+    u = t ** (2 * S)
+    return 8 * t ** (S * S) * (S / (1 - u) + u / (1 - u) ** 2)
+
+
+def test_siegel_box_float_gate_never_moves_S():
+    # the exact-bound scan that _siegel_box replaces, kept as the reference
+    def exact_box(lam, prec):
+        S = 4
+        while _box_bound(lam, S) >= mpf(10) ** (-prec - 10):
+            S = S + S // 2 + 1
+        return S
+
+    crossings = 0
+    for prec in (20, 80, 600):
+        with mpmath.workdps(prec + GUARD_DIGITS + 5):
+            target = mpf(10) ** (-prec - 10)
+            lams = [5 * mpf(10) ** (k / mpf(8)) for k in range(-24, 1)]
+            # each candidate S whose bound crosses the target inside
+            # [0.005, 5] adds the crossing lam*, found by bisection, and
+            # points around it whose log bound lies within 10^-6 of the
+            # target's, where the float log alone may not decide
+            S = 4
+            while S * S <= theta.MAX_TAIL_TERMS:
+                lo, hi = mpf("0.005"), mpf(5)
+                if _box_bound(lo, S) >= target > _box_bound(hi, S):
+                    for _ in range(100):
+                        mid = (lo + hi) / 2
+                        lo, hi = (mid, hi) if _box_bound(mid, S) >= target else (lo, mid)
+                    eps = (0, 1e-16, -1e-16, 1e-13, -1e-13, 1e-9, -1e-9)
+                    lams += [lo] + [hi * (1 + mpf(e)) for e in eps]
+                    crossings += 1
+                S = S + S // 2 + 1
+            for lam in lams:
+                assert theta._siegel_box(lam, prec) == exact_box(lam, prec), (prec, lam)
+    assert crossings >= 15
+
+
+def test_siegel_theta_mpmath_products_do_not_grow_with_the_rows(monkeypatch):
+    # the row starts walk on integer mantissas, so a call multiplies the
+    # same few mpmath values however many rows it walks: 18 rows at
+    # (-7, 11) and 73 at (-7, 191) for the form [1, 1, (N+1)/4]
+    calls = []
+    mul = mpmath.mpc.__mul__
+
+    def counting(x, y):
+        calls[-1] += 1
+        return mul(x, y)
+
+    for D, N in [(-7, 11), (-7, 191)]:
+        ctx = HeckeContext(D, N, prec=80)
+        pt = heegner_point(ctx, ctx.class_rep)
+        with mpmath.workdps(80 + GUARD_DIGITS + 5):
+            z = SplitCMPoint(QuadForm(1, 1, (N + 1) // 4), pt).z_matrix()
+        calls.append(0)
+        monkeypatch.setattr(mpmath.mpc, "__mul__", counting)
+        siegel_theta(*z, 80)
+        monkeypatch.undo()
+    assert calls[0] == calls[1], calls
 
 
 def test_siegel_theta_does_not_use_the_q_series(monkeypatch):
