@@ -36,6 +36,7 @@ from .errors import InputError, InternalError, ResourceError
 from .linalg import gram_schmidt, hnf_rows, lll_reduce_gram, mat_det
 
 INVARIANT_DEPTH = 12
+MAX_ENUMERATION_NODES = 4 * 10**6
 
 
 @dataclass(frozen=True)
@@ -247,7 +248,7 @@ class Order:
         return OrderInvariants(
             disc=self.disc,
             norm_counts=_norm_counts(gram),
-            gross_counts=_norm_counts(_reduced_gram(gross.gram)),
+            gross_counts=_norm_counts(gross.gram),
             gram=gram,
             gross=gross,
         )
@@ -308,19 +309,46 @@ def is_maximal(O):
 def short_vectors(gram, bound2):
     """(x, x G x^T) for all x in Z^n, x != 0, with x G x^T <= bound2, up to sign.
 
-    bound2 is an integer, and one of x, -x is returned.
+    bound2 is an integer, and one of x, -x is returned: the one whose
+    first (lowest-index) nonzero coordinate is positive.  The vectors come
+    in the order of _cone_vectors' walk.
+    """
+    return _cone_vectors(gram, bound2, False)
 
-    Exact enumeration over the LDL cone (Fincke-Pohst); coordinates are
-    filled from the last index down, and the kept representative has its
-    first nonzero coordinate positive.  The cone is the LDL form
-    Q(x) = sum_i diag_i (x_i + off_i)^2, off_i = sum_{j>i} L[j][i] x_j, read
-    from the integer Gram-Schmidt data: diag_i = dets[i+1]/dets[i] and
-    L[j][i] = lam[j][i]/dets[i+1].  These are scaled by their common
-    denominator s, so the arithmetic is on integers and each level's range
-    is exact: with t = s x_i + s off_i, the term diag_i (x_i + off_i)^2 is
-    (s diag_i) t^2 / s^3, and it fits in what is left of bound2 (scaled by
-    s^3, as rem) exactly when |t| <= isqrt(rem // (s diag_i)).  So at a leaf
-    the budget spent, top - rem with top = bound2 s^3, is s^3 x G x^T.
+
+def _cone_vectors(gram, bound2, exact):
+    """short_vectors' enumeration; with exact, only the vectors of x G x^T = bound2.
+
+    Exact enumeration over the LDL cone (Fincke-Pohst; Cohen, GTM 138,
+    section 2.7).  The cone is Q(x) = sum_i diag_i (x_i + off_i)^2 with
+    off_i = sum_{j>i} L[j][i] x_j, read from the integer Gram-Schmidt data:
+    diag_i = dets[i+1]/dets[i] and L[j][i] = lam[j][i]/dets[i+1].  These are
+    scaled by their common denominator s, so the arithmetic is on integers
+    and each level's range is exact: with t = s x_i + s off_i, the term
+    diag_i (x_i + off_i)^2 is (s diag_i) t^2 / s^3 = d_i t^2 / s^3, and it fits
+    in what is left of bound2 (scaled by s^3, as rem) exactly when
+    |t| <= isqrt(rem // d_i).
+
+    Coordinates are filled from the last index down to x_1, each level
+    running its range in ascending order.  Each level passes down the sign
+    of the lowest-index nonzero coordinate set so far (0 while all are
+    zero); the kept representative has its first nonzero coordinate
+    positive, so x_0 decides the sign pair unless it is 0.  The last
+    coordinate is no level of its own:
+    - the leaf range: every x_0 >= 1 in range, and x_0 = 0 too when the sign
+      passed down is positive, each with x G x^T = (top - rem + d_0 t^2)/s^3,
+      top = bound2 s^3;
+    - the exact solve: x G x^T = bound2 exactly when d_0 t^2 = rem, so t is
+      0 or +-isqrt(rem / d_0), and x_0 = (t - s off_0)/s must be an integer;
+      at most two x_0 remain, in ascending order, under the same sign rule.
+
+    Before walking, the node count of the levels that are walked is
+    bounded from d and bound2: level i runs at most 2 isqrt(top // d_i) // s + 1
+    values per node above it.  The bound also counts the leaf range in
+    the inexact mode, where each leaf is a returned vector, and not the
+    exact solve, which costs one isqrt per node above it.  Over
+    MAX_ENUMERATION_NODES, ResourceError names the bound and the cap
+    before any work is done.
     """
     n = len(gram)
     if bound2 < 0:
@@ -335,31 +363,57 @@ def short_vectors(gram, bound2):
     )
     d = [s * dets[i + 1] // dets[i] for i in range(n)]
     Ls = [[s * lam[j][i] // dets[i + 1] for i in range(j)] for j in range(n)]
-    out = []
-    budget = [0]
-    coords = [0] * n
-
-    def rec(i, rem, partial):
-        off = partial[i]
-        r = isqrt(rem // d[i])
-        for xi in range(-((off + r) // s), (r - off) // s + 1):
-            t = xi * s + off
-            budget[0] += 1
-            if budget[0] > 4 * 10**6:
-                raise ResourceError("short-vector enumeration budget exceeded")
-            coords[i] = xi
-            if i == 0:
-                first = next((c for c in coords if c), 0)
-                if first > 0:
-                    out.append((tuple(coords), (top - rem + d[0] * t * t) // s3))
-            else:
-                new_partial = [partial[k] + Ls[i][k] * xi for k in range(i)]
-                rec(i - 1, rem - d[i] * t * t, new_partial)
-        coords[i] = 0
-
     s3 = s**3
     top = bound2 * s3
-    rec(n - 1, top, [0] * n)
+    nodes, level = 0, 1
+    for i in range(n - 1, 0 if exact else -1, -1):
+        level *= 2 * isqrt(top // d[i]) // s + 1
+        nodes += level
+    if nodes > MAX_ENUMERATION_NODES:
+        raise ResourceError(
+            "short-vector enumeration bounded by %d nodes, over the cap of %d"
+            % (nodes, MAX_ENUMERATION_NODES)
+        )
+    d0 = d[0]
+    out = []
+    coords = [0] * n
+
+    def leaf(rem, off, sign):
+        tail = tuple(coords[1:])
+        low = 0 if sign > 0 else 1
+        if exact:
+            q, r = divmod(rem, d0)
+            t = isqrt(q)
+            if r or t * t != q:
+                return
+            for u in (-t, t) if t else (0,):
+                x0, r = divmod(u - off, s)
+                if not r and x0 >= low:
+                    out.append(((x0,) + tail, bound2))
+            return
+        r = isqrt(rem // d0)
+        spent = top - rem
+        for x0 in range(max(low, -((off + r) // s)), (r - off) // s + 1):
+            t = x0 * s + off
+            out.append(((x0,) + tail, (spent + d0 * t * t) // s3))
+
+    def rec(i, rem, partial, sign):
+        off, di, Li = partial[i], d[i], Ls[i]
+        r = isqrt(rem // di)
+        for xi in range(-((off + r) // s), (r - off) // s + 1):
+            t = xi * s + off
+            coords[i] = xi
+            below = [partial[k] + Li[k] * xi for k in range(i)]
+            if i == 1:
+                leaf(rem - di * t * t, below[0], xi or sign)
+            else:
+                rec(i - 1, rem - di * t * t, below, xi or sign)
+        coords[i] = 0
+
+    if n == 1:
+        leaf(top, 0, 0)
+    else:
+        rec(n - 1, top, [0] * n, 0)
     return out
 
 
@@ -373,8 +427,8 @@ def count_lattice_norm(gram, n):
 
 
 def _half_norm_vectors(gram, n):
-    """The vectors of norm n > 0, one of each sign pair."""
-    return [x for x, q in short_vectors(gram, 2 * n) if q == 2 * n]
+    """The vectors of norm n > 0, one of each sign pair, by the exact solve."""
+    return [x for x, _ in _cone_vectors(gram, 2 * n, True)]
 
 
 def unit_count(O):
@@ -386,7 +440,8 @@ def unit_count(O):
 class GrossLattice:
     """Trace-zero part of Z + 2R: rank 3, with its integer Gram (diag 2 nrd).
 
-    basis holds integer numerators over the order's lattice.den.
+    basis is LLL-reduced and holds integer numerators over the order's
+    lattice.den.
     """
 
     basis: tuple
@@ -394,10 +449,13 @@ class GrossLattice:
 
 
 def gross_lattice(O):
-    """The trace-zero part of Z + 2R: the last three rows of the HNF of Z + 2R.
+    """The trace-zero part of Z + 2R: the last three rows of the HNF of Z + 2R, LLL-reduced.
 
     trd(x) = 2 x0 over den, and the HNF is upper triangular, so its row 0 is
-    the only one nonzero in column 0.
+    the only one nonzero in column 0.  Those rows' Gram has entries that
+    grow with N; the cone enumerations behind gross_counts and
+    embedding_count run on the reduced Gram, where they walk far fewer
+    nodes (at (-7, 60083) the exact solve runs about 5 times faster).
     """
     L = O.lattice
     h = hnf_rows([[L.den, 0, 0, 0]] + [[2 * x for x in r] for r in L.rows])
@@ -406,7 +464,8 @@ def gross_lattice(O):
     basis = tuple(tuple(r) for r in h[1:])
     if any(r[0] for r in basis):
         raise InternalError("trace-zero rows of Z + 2R have a nonzero trace")
-    gram = _int_gram(O.alg.D, O.alg.N, basis, L.den)
+    gram, U = lll_reduce_gram(_int_gram(O.alg.D, O.alg.N, basis, L.den))
+    basis = tuple(_combine(u, basis) for u in U)
     return GrossLattice(basis, tuple(tuple(r) for r in gram))
 
 

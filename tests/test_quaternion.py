@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -11,10 +12,10 @@ from hypothesis import strategies as st
 
 from splitcm import quaternion
 from splitcm.central import admissible_levels, discover_classes
-from splitcm.errors import InputError
+from splitcm.errors import InputError, ResourceError
 from splitcm.hecke import HeckeContext
-from splitcm.linalg import hnf_rows, lll_reduce_gram, mat_det
-from splitcm.quadratic import reduced_forms
+from splitcm.linalg import gram_schmidt, hnf_rows, lll_reduce_gram, mat_det
+from splitcm.quadratic import class_number, reduced_forms
 from splitcm.quaternion import (
     Order,
     QuatAlgebra,
@@ -254,18 +255,83 @@ def brute_short_vectors(gram, top):
     return out
 
 
+# 1x1 to 3x3 Grams; all but [[2]], [[4]] and [[2, 0], [0, 4]] have
+# non-integral LDL data, so the cone runs with a common denominator s > 1
+SHORT_VECTOR_GRAMS = (
+    [[2]],
+    [[4]],
+    [[2, 1], [1, 2]],
+    [[2, 0], [0, 4]],
+    [[4, 1], [1, 6]],
+    [[6, 3], [3, 4]],
+    [[8, -4, 0], [-4, 16, 0], [0, 0, 14]],
+    [[8, -4, 1], [-4, 16, 3], [1, 3, 14]],
+)
+
+
+def _first_nonzero(x):
+    return next(c for c in x if c)
+
+
 def test_short_vectors_brute_force():
-    for gram in ([[2, 1], [1, 2]], [[2, 0], [0, 4]], [[4, 1], [1, 6]], [[8, -4, 1], [-4, 16, 3], [1, 3, 14]]):
+    assert any(
+        dets[i + 1] % dets[i] or lam[j][i] % dets[i + 1]
+        for dets, lam in map(gram_schmidt, SHORT_VECTOR_GRAMS)
+        for j in range(len(dets) - 1)
+        for i in range(j + 1)
+    )
+    for gram in SHORT_VECTOR_GRAMS:
         brute = brute_short_vectors(gram, 8)
+        kept = {x: q for x, q in brute.items() if _first_nonzero(x) > 0}
+        # the leaf range: one of each sign pair, first nonzero coordinate
+        # positive, each with its exact norm x G x^T
+        got = short_vectors(gram, 16)
+        assert dict(got) == kept and len(got) == len(kept), gram
         for n in range(1, 9):
+            # the exact solve returns the norm-n vectors in the leaf range's order
+            halves = quaternion._half_norm_vectors(gram, n)
+            assert halves == [x for x, q in got if q == 2 * n], (gram, n)
             assert count_lattice_norm(gram, n) == sum(q == 2 * n for q in brute.values()), (gram, n)
         assert count_lattice_norm(gram, 0) == 1
         assert count_lattice_norm(gram, -3) == 0
-        # the vectors up to sign, each with its exact norm x G x^T
-        got = short_vectors(gram, 16)
-        assert len(got) == len(brute) // 2
-        for x, q in got:
-            assert q == brute[x] == brute[tuple(-c for c in x)], (gram, x)
+        if len(gram) > 1:
+            # x_0 = 0 is kept under a positive tail and dropped under a negative one
+            tails = [x for x in brute if x[0] == 0]
+            assert any(_first_nonzero(x) > 0 for x in tails)
+            assert any(_first_nonzero(x) < 0 for x in tails)
+    assert short_vectors([[4]], 8) == [((1,), 4)]
+    assert short_vectors([[2]], 18) == [((1,), 2), ((2,), 8), ((3,), 18)]
+    assert quaternion._half_norm_vectors([[4]], 2) == [(1,)]
+    assert quaternion._half_norm_vectors([[4]], 3) == []
+    # x0^2 + x0 x1 + x1^2 = 7: both roots kept, ascending, at x1 = -3; one
+    # root kept at x1 = -2, -1, 1, 2; none at x1 = 3, where both are negative
+    assert quaternion._half_norm_vectors([[2, 1], [1, 2]], 7) == [
+        (1, -3), (2, -3), (3, -2), (3, -1), (2, 1), (1, 2)
+    ]
+
+
+def test_short_vectors_refuses_a_huge_bound_at_once():
+    gram = [[2, 1, 0], [1, 2, 1], [0, 1, 2]]
+    for enumerate_ in (lambda: short_vectors(gram, 10**12), lambda: count_lattice_norm(gram, 10**12)):
+        start = time.perf_counter()
+        with pytest.raises(ResourceError, match="over the cap of 4000000"):
+            enumerate_()
+        assert time.perf_counter() - start < 0.1
+
+
+def test_embedding_count_at_a_large_level():
+    # the exact solve at (-7, 60083), where enumerating every norm up to N
+    # used to exceed the node cap
+    order = discover_classes(-7).classes[0].order
+    assert embedding_count(order, 60083) == 2 * class_number(-60083) == 106
+
+
+def test_embedding_counts_sum_to_the_class_number_above_ten_thousand():
+    # sum over classes of k h_R(-N) = 2 h(-N), at one level of D = -163
+    N = 20047
+    classes = discover_classes(-163).classes
+    assert len(classes) == 8
+    assert sum(info.k * embedding_count(info.order, N) for info in classes) == 2 * class_number(-N)
 
 
 def test_lll_reduce_gram_is_an_exact_unimodular_change():
@@ -531,13 +597,13 @@ def test_invariant_record_is_computed_once_per_order(monkeypatch):
     O = right_order(build_Iz(ctx, info.witness_form))
     assert is_maximal(O) and O.disc == 121
     calls = []
-    real = quaternion.short_vectors
+    real = quaternion._cone_vectors
 
-    def counting(gram, bound2):
+    def counting(gram, bound2, exact):
         calls.append(bound2)
-        return real(gram, bound2)
+        return real(gram, bound2, exact)
 
-    monkeypatch.setattr(quaternion, "short_vectors", counting)
+    monkeypatch.setattr(quaternion, "_cone_vectors", counting)
     assert store.match(O) == info.class_id
     assert len(calls) == 2  # one pass for the norm lattice, one for the Gross lattice
     assert store.match(O) == info.class_id
