@@ -379,7 +379,6 @@ def _cone_vectors(gram, bound2, exact):
     coords = [0] * n
 
     def leaf(rem, off, sign):
-        tail = tuple(coords[1:])
         low = 0 if sign > 0 else 1
         if exact:
             q, r = divmod(rem, d0)
@@ -389,10 +388,11 @@ def _cone_vectors(gram, bound2, exact):
             for u in (-t, t) if t else (0,):
                 x0, r = divmod(u - off, s)
                 if not r and x0 >= low:
-                    out.append(((x0,) + tail, bound2))
+                    out.append(((x0, *coords[1:]), bound2))
             return
         r = isqrt(rem // d0)
         spent = top - rem
+        tail = tuple(coords[1:])
         for x0 in range(max(low, -((off + r) // s)), (r - off) // s + 1):
             t = x0 * s + off
             out.append(((x0,) + tail, (spent + d0 * t * t) // s3))

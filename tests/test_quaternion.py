@@ -382,6 +382,15 @@ def _lll_recomputing(gram, delta=Fraction(3, 4)):
     return g, U
 
 
+def _hnf_gross_gram(O):
+    """The Gram of the trace-zero HNF rows of Z + 2R, before gross_lattice reduces it."""
+    L = O.lattice
+    h = hnf_rows([[L.den, 0, 0, 0]] + [[2 * x for x in r] for r in L.rows])
+    gram = quaternion._int_gram(O.alg.D, O.alg.N, h[1:], L.den)
+    assert mat_det(gram) == mat_det(gross_lattice(O).gram)
+    return gram
+
+
 def test_lll_reduce_gram_matches_the_recomputing_reference():
     # in-place Gram-Schmidt updates are exact, so the result is identical
     grams = [[[82, 56, 51, 112], [56, 42, 35, 77], [51, 35, 32, 70], [112, 77, 70, 154]],
@@ -390,11 +399,12 @@ def test_lll_reduce_gram_matches_the_recomputing_reference():
         ctx = HeckeContext(D, N, prec=50)
         for Q in reduced_forms(-N):
             O = right_order(build_Iz(ctx, Q))
-            grams += [O.lattice.scaled_gram(), gross_lattice(O).gram]
-    # every class order's norm and Gross Grams, whose reductions orders_isometric searches
+            grams += [O.lattice.scaled_gram(), _hnf_gross_gram(O)]
+    # every class order's norm Gram, whose reduction orders_isometric
+    # searches, and its unreduced Gross Gram, which gross_lattice reduces
     for D in (-19, -43, -67, -163):
         for info in discover_classes(D).classes:
-            grams += [info.order.gram, info.order.invariants.gross.gram]
+            grams += [info.order.gram, _hnf_gross_gram(info.order)]
     for gram in grams:
         assert lll_reduce_gram(gram) == _lll_recomputing(gram), gram
 
@@ -578,7 +588,8 @@ def test_invariant_record_matches_norm_counts():
             assert record.disc == O.disc == mat_det(O.lattice.scaled_gram())
             g = O.gram
             assert record.norm_counts == tuple(count_lattice_norm(g, n) for n in range(1, 13))
-            g = gross_lattice(O).gram
+            # gross_counts reads the reduced Gram; count on the HNF basis
+            g = _hnf_gross_gram(O)
             assert record.gross_counts == tuple(count_lattice_norm(g, n) for n in range(1, 13))
 
 
