@@ -64,7 +64,6 @@ from .quaternion import (
     is_maximal,
     orders_isometric,
     right_order,
-    unit_count,
 )
 from .theta import (
     SplitCMPoint,
@@ -124,5 +123,4 @@ __all__ = [
     "siegel_theta",
     "symplectic_theta_splitcm",
     "theta_form",
-    "unit_count",
 ]

@@ -56,12 +56,11 @@ from .quadratic import (
 from .quaternion import (
     Order,
     build_Iz,
-    count_lattice_norm,
     embedding_count,
     is_maximal,
     orders_isometric,
     right_order,
-    unit_count,
+    short_vectors,
 )
 
 OMEGA_N = 2
@@ -167,10 +166,10 @@ def _ideal_class_count(order, D):
     when O has an element of reduced norm |D| (Voight, Quaternion
     Algebras, ch. 18), and two otherwise.
     """
-    return 1 if count_lattice_norm(order.invariants.gram, -D) else 2
+    return 1 if short_vectors(order.reduced_gram, -2 * D, True) else 2
 
 
-def discover_classes(D, levels=None):
+def discover_classes(D):
     """Scan levels until the mass identity certifies every class was seen.
 
     Each class weighs k/(2 omega), k = _ideal_class_count(order, D).
@@ -180,13 +179,12 @@ def discover_classes(D, levels=None):
     reported in tables even at levels where the class has no points.  Theta
     is computed for the witness forms only, at the default 80 digits: the
     store holds integers and orders, so nothing in it depends on the
-    precision.  With an explicit level list only those levels are scanned;
-    otherwise all admissible levels up to DISCOVERY_CAP.
+    precision.  It scans the admissible levels up to DISCOVERY_CAP.
     """
     validate_field_disc(D)
     target = Fraction(-D - 1, 24)
     store = ClassStore(D, ())
-    scan = admissible_levels(D, DISCOVERY_CAP) if levels is None else list(levels)
+    scan = admissible_levels(D, DISCOVERY_CAP)
     last = scan[-1] if scan else 0
     for N in scan:
         ctx = HeckeContext(D, N)
@@ -198,7 +196,7 @@ def discover_classes(D, levels=None):
             info = ClassInfo(
                 class_id=len(store.classes),
                 order=order,
-                omega=unit_count(order),
+                omega=order.omega,
                 k=_ideal_class_count(order, D),
                 theta_abs=abs(_snap(ctx, raw)),
                 witness_level=N,

@@ -115,16 +115,20 @@ def cache_read(path):
 
 
 def cache_write(path, entries):
-    """Merge entries into the file as it is now, under its lock."""
+    """Merge entries into the file as it is now, under its lock; a failed write leaves no PATH.tmp."""
+    tmp = path + ".tmp"
     with open(path + ".lock", "a+", encoding="utf-8") as lock:
         fcntl.flock(lock, fcntl.LOCK_EX)
         try:
             data, _ = _load_cache(path)
             data["entries"].update(entries)
-            tmp = path + ".tmp"
             with open(tmp, "w", encoding="utf-8") as fh:
                 json.dump(data, fh, sort_keys=True)
             os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+            raise
         finally:
             fcntl.flock(lock, fcntl.LOCK_UN)
 

@@ -186,6 +186,8 @@ def prime_ideal_above(D, N):
     validate_disc(D)
     if not is_prime(N):
         raise InputError("level N = %d is not prime" % N)
+    if N == 2:  # the one even prime, where the Jacobi symbol is undefined
+        raise InputError("level N = 2 is not 3 mod 4")
     if jacobi(D % N, N) != 1:
         raise SplitError("N = %d does not split in discriminant %d" % (N, D))
     if N % 4 != 3:

@@ -21,10 +21,10 @@ over den den'.  Rational results that are not coordinates
 
 The module provides the ideal attached to a split-CM point, its
 right order (by the one formula conj(I) I / nrd(I) for invertible I),
-discriminants, unit counts, the trace-zero Gross lattice with its
-embedding numbers, and isometry testing of orders via their norm Gram
-matrices and a per-order record of isometry invariants.  Each Order
-computes its norm Gram and discriminant once and keeps them.
+discriminants, units, the trace-zero Gross lattice with its embedding
+numbers, and isometry testing of orders.  Each Order computes what is
+derived from it once and keeps it; every lattice count runs through the
+one cone enumeration, short_vectors.
 """
 
 from dataclasses import dataclass, field
@@ -241,62 +241,47 @@ class Order:
         return mat_det(self.gram)
 
     @cached_property
+    def reduced_gram(self):
+        """The LLL-reduced gram, which orders_isometric searches on."""
+        g, _ = lll_reduce_gram(self.gram)
+        return tuple(tuple(row) for row in g)
+
+    @cached_property
+    def gross(self):
+        """This order's GrossLattice, which embedding_count enumerates on."""
+        return gross_lattice(self)
+
+    @cached_property
     def invariants(self):
-        """This order's OrderInvariants, computed on first use and kept."""
-        gram = _reduced_gram(self.gram)
-        gross = gross_lattice(self)
-        return OrderInvariants(
-            disc=self.disc,
-            norm_counts=_norm_counts(gram),
-            gross_counts=_norm_counts(gross.gram),
-            gram=gram,
-            gross=gross,
-        )
+        """(disc, norm_counts, gross_counts), equal for isometric orders.
+
+        norm_counts[n-1] counts the elements of reduced norm n, gross_counts[n-1]
+        those of the Gross lattice, n = 1..INVARIANT_DEPTH.
+        """
+        return (self.disc, _norm_counts(self.reduced_gram), _norm_counts(self.gross.gram))
+
+    @cached_property
+    def omega(self):
+        """|O^x| / 2: the count of norm-1 elements over the sign pair."""
+        return self.invariants[1][0] // 2
 
     @cached_property
     def units(self):
-        """The units up to sign, as numerators s over lattice.den: omega = unit_count of them.
+        """The omega units up to sign, as numerators s over lattice.den; s^-1 = conj(s).
 
-        nrd(s) = 1, so s^-1 = conj(s).  Enumerated on the norm Gram in this
-        order's own basis, apart from the reduced enumeration behind
-        unit_count, so the count checks it.
+        Found by the exact solve on gram, apart from the reduced enumeration
+        behind omega, which they check.
         """
-        units = tuple(_combine(c, self.lattice.rows) for c in _half_norm_vectors(self.gram, 1))
-        if len(units) != unit_count(self):
-            raise InternalError(
-                "%d units up to sign, but omega is %d" % (len(units), unit_count(self))
-            )
+        units = tuple(_combine(c, self.lattice.rows) for c, _ in short_vectors(self.gram, 2, True))
+        if len(units) != self.omega:
+            raise InternalError("%d units up to sign, but omega is %d" % (len(units), self.omega))
         return units
-
-
-@dataclass(frozen=True)
-class OrderInvariants:
-    """Isometry invariants of an order's norm lattice, and what they were read from.
-
-    Records compare on disc and the two histograms only; isometric orders
-    always have equal records.  norm_counts[n-1] is the number of order
-    elements of reduced norm n, gross_counts[n-1] the same for the Gross
-    lattice, n = 1..INVARIANT_DEPTH.  gram is the LLL-reduced integer norm
-    Gram that orders_isometric searches on; gross is the Gross lattice
-    that embedding_count reuses.
-    """
-
-    disc: int
-    norm_counts: tuple
-    gross_counts: tuple
-    gram: tuple = field(compare=False)
-    gross: "GrossLattice" = field(compare=False)
-
-
-def _reduced_gram(gram):
-    g, _ = lll_reduce_gram(gram)
-    return tuple(tuple(row) for row in g)
 
 
 def _norm_counts(gram):
     """Counts of vectors with x G x^T / 2 = n, n = 1..INVARIANT_DEPTH, from one enumeration."""
     counts = [0] * INVARIANT_DEPTH
-    for _, q in short_vectors(gram, 2 * INVARIANT_DEPTH):
+    for _, q in short_vectors(gram, 2 * INVARIANT_DEPTH, False):
         if q % 2 == 0:
             counts[q // 2 - 1] += 2
     return tuple(counts)
@@ -306,18 +291,12 @@ def is_maximal(O):
     return O.disc == O.alg.D * O.alg.D
 
 
-def short_vectors(gram, bound2):
+def short_vectors(gram, bound2, exact):
     """(x, x G x^T) for all x in Z^n, x != 0, with x G x^T <= bound2, up to sign.
 
-    bound2 is an integer, and one of x, -x is returned: the one whose
-    first (lowest-index) nonzero coordinate is positive.  The vectors come
-    in the order of _cone_vectors' walk.
-    """
-    return _cone_vectors(gram, bound2, False)
-
-
-def _cone_vectors(gram, bound2, exact):
-    """short_vectors' enumeration; with exact, only the vectors of x G x^T = bound2.
+    With exact, only the vectors of x G x^T = bound2.  bound2 is an integer,
+    and one of x, -x is returned: the one whose first (lowest-index) nonzero
+    coordinate is positive.
 
     Exact enumeration over the LDL cone (Fincke-Pohst; Cohen, GTM 138,
     section 2.7).  The cone is Q(x) = sum_i diag_i (x_i + off_i)^2 with
@@ -417,25 +396,6 @@ def _cone_vectors(gram, bound2, exact):
     return out
 
 
-def count_lattice_norm(gram, n):
-    """Number of lattice vectors with norm n, where norm(x) = x G x^T / 2."""
-    if n < 0:
-        return 0
-    if n == 0:
-        return 1
-    return 2 * len(_half_norm_vectors(gram, n))
-
-
-def _half_norm_vectors(gram, n):
-    """The vectors of norm n > 0, one of each sign pair, by the exact solve."""
-    return [x for x, _ in _cone_vectors(gram, 2 * n, True)]
-
-
-def unit_count(O):
-    """omega = |O^x| / 2: count of norm-1 vectors over the sign pair."""
-    return O.invariants.norm_counts[0] // 2
-
-
 @dataclass(frozen=True)
 class GrossLattice:
     """Trace-zero part of Z + 2R: rank 3, with its integer Gram (diag 2 nrd).
@@ -478,10 +438,10 @@ def embedding_count(O, N):
     """
     if N <= 3 or N % 4 != 3:
         raise InputError("level must be a prime 3 mod 4 greater than 3")
-    gl = O.invariants.gross
-    halves = _half_norm_vectors(gl.gram, N)
+    gl = O.gross
+    halves = [x for x, _ in short_vectors(gl.gram, 2 * N, True)]
     raw = 2 * len(halves)
-    omega = unit_count(O)
+    omega = O.omega
     if raw % omega:
         raise InternalError("vector count %d not divisible by omega %d" % (raw, omega))
     by_mass = raw // omega
@@ -538,20 +498,19 @@ def orders_isometric(O1, O2):
     relied on for classification and is cross-checked globally by the mass
     identity.  The two orders' cached invariant records are compared first
     (discriminant and the norm-1..12 vector counts of the order and of its
-    Gross lattice, see OrderInvariants); different records settle the answer
-    as False.  Equal records never settle it alone: they go to an exact
-    backtracking search for U with U G1 U^T = G2 on the records' LLL-reduced
-    Gram matrices.
+    Gross lattice, see Order.invariants); different records settle the
+    answer as False.  Equal records never settle it alone: they go to an
+    exact backtracking search for U with U G1 U^T = G2 on the orders'
+    reduced_gram.
     """
-    r1, r2 = O1.invariants, O2.invariants
-    if r1 != r2:
+    if O1.invariants != O2.invariants:
         return False
-    g1, g2 = r1.gram, r2.gram
+    g1, g2 = O1.reduced_gram, O2.reduced_gram
     if g1 == g2:
         return True
     maxd = max(g1[i][i] for i in range(4))
     cand = {}
-    for x, q in short_vectors(g2, maxd):
+    for x, q in short_vectors(g2, maxd, False):
         cand.setdefault(q, []).extend((x, tuple(-c for c in x)))
 
     def pair(x, y):

@@ -96,10 +96,11 @@ def test_l_value_d43_matches_the_oracle(store43):
     assert got.distance(want) < mpf(10) ** -85
 
 
-def test_discover_classes_incomplete_scan():
+def test_discover_classes_incomplete_scan(monkeypatch):
     # a single level where only one of the two classes has points
+    monkeypatch.setattr(central, "admissible_levels", lambda D, n_max: [67])
     with pytest.raises(IncompleteClassListError) as exc:
-        discover_classes(-11, levels=[67])
+        discover_classes(-11)
     assert "mass" in str(exc.value)
 
 

@@ -300,6 +300,26 @@ def test_cache_unwritable_file_is_a_warning(tmp_path, capsys):
         assert len(warnings) == 1 and "unwritable" in warnings[0] and path in warnings[0], warnings
 
 
+def test_cache_path_that_is_a_directory_leaves_no_tmp_file(tmp_path, capsys):
+    # the merged file cannot replace a directory: the run still prints its
+    # rows, and the failed write removes its PATH.tmp (the .lock file stays)
+    path = tmp_path / "D"
+    path.mkdir()
+    code, text = run(["classify", "--disc", "-7", "--level", "11", "--prec", "50", "--cache", str(path)])
+    assert code == 0 and text.splitlines()[-1] == "11,1,1,-1,2"
+    warnings = [json.loads(line)["warning"] for line in capsys.readouterr().err.splitlines()]
+    assert any("unwritable" in w for w in warnings), warnings
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["D", "D.lock"]
+
+
+def test_level_two_is_refused_before_the_jacobi_symbol(capsys):
+    for command in ("lvalue", "oracle"):
+        code, text = run([command, "--disc", "-7", "--level", "2", "--prec", "50"])
+        assert code == 2 and text == ""
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == {"code": 2, "type": "InputError", "message": "level N = 2 is not 3 mod 4"}
+
+
 def test_b1_is_printed_and_cached_reduced_mod_2n(tmp_path):
     # 31 = 9 mod 22 names the default prime over 11: the same b1, the same
     # output and the same cache entry as the default

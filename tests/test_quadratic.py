@@ -172,6 +172,8 @@ def test_prime_ideal_above_errors():
         prime_ideal_above(-7, 15)  # composite
     with pytest.raises(InputError):
         prime_ideal_above(-7, 3)
+    with pytest.raises(InputError, match="level N = 2 is not 3 mod 4"):
+        prime_ideal_above(-7, 2)  # the even prime, before any Jacobi symbol
     ideal = prime_ideal_above(-7, 11)
     assert ideal.norm == 11 and ideal.b == 9
 

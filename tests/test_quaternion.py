@@ -25,7 +25,6 @@ from splitcm.quaternion import (
     _nrd,
     _pair,
     build_Iz,
-    count_lattice_norm,
     embedding_count,
     gross_lattice,
     is_maximal,
@@ -33,7 +32,6 @@ from splitcm.quaternion import (
     right_order,
     short_vectors,
     symplectic_gram,
-    unit_count,
 )
 
 # elements are coordinate tuples; the kernels take ints or Fractions alike
@@ -192,7 +190,7 @@ def test_free_order_invariants():
     O = Order(lattice(ALG, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]))
     assert O.disc == (4 * ALG.D * ALG.N) ** 2
     assert not is_maximal(O)
-    assert unit_count(O) == 1  # only +-1
+    assert O.omega == 1  # only +-1
 
 
 def test_hamilton_maximal_order():
@@ -205,7 +203,7 @@ def test_hamilton_maximal_order():
         )
     )
     assert O.disc == 4
-    assert unit_count(O) == 12
+    assert O.omega == 12
     # units are numerators over the lattice's denominator
     dd = O.lattice.den ** 2
     assert len(set(O.units) | {scale(s, -1) for s in O.units}) == 24
@@ -223,7 +221,7 @@ def test_class_order_units_are_inverted_by_conjugation():
             for s in O.units:
                 assert mul(_conj(s), s, O.alg) == (dd, 0, 0, 0), (D, s)
             signed = set(O.units) | {scale(s, -1) for s in O.units}
-            assert len(signed) == 2 * unit_count(O), D
+            assert len(signed) == 2 * O.omega, D
             checked += len(O.units)
     assert checked == 28
 
@@ -273,6 +271,13 @@ def _first_nonzero(x):
     return next(c for c in x if c)
 
 
+def _halves(gram, n):
+    """The norm-n vectors x G x^T / 2 = n, one of each sign pair, by the exact solve."""
+    found = short_vectors(gram, 2 * n, True)
+    assert all(q == 2 * n for _, q in found)
+    return [x for x, _ in found]
+
+
 def test_short_vectors_brute_force():
     assert any(
         dets[i + 1] % dets[i] or lam[j][i] % dets[i + 1]
@@ -285,37 +290,36 @@ def test_short_vectors_brute_force():
         kept = {x: q for x, q in brute.items() if _first_nonzero(x) > 0}
         # the leaf range: one of each sign pair, first nonzero coordinate
         # positive, each with its exact norm x G x^T
-        got = short_vectors(gram, 16)
+        got = short_vectors(gram, 16, False)
         assert dict(got) == kept and len(got) == len(kept), gram
         for n in range(1, 9):
             # the exact solve returns the norm-n vectors in the leaf range's order
-            halves = quaternion._half_norm_vectors(gram, n)
+            halves = _halves(gram, n)
             assert halves == [x for x, q in got if q == 2 * n], (gram, n)
-            assert count_lattice_norm(gram, n) == sum(q == 2 * n for q in brute.values()), (gram, n)
-        assert count_lattice_norm(gram, 0) == 1
-        assert count_lattice_norm(gram, -3) == 0
+            assert 2 * len(halves) == sum(q == 2 * n for q in brute.values()), (gram, n)
+        assert short_vectors(gram, -3, True) == short_vectors(gram, -3, False) == []
         if len(gram) > 1:
             # x_0 = 0 is kept under a positive tail and dropped under a negative one
             tails = [x for x in brute if x[0] == 0]
             assert any(_first_nonzero(x) > 0 for x in tails)
             assert any(_first_nonzero(x) < 0 for x in tails)
-    assert short_vectors([[4]], 8) == [((1,), 4)]
-    assert short_vectors([[2]], 18) == [((1,), 2), ((2,), 8), ((3,), 18)]
-    assert quaternion._half_norm_vectors([[4]], 2) == [(1,)]
-    assert quaternion._half_norm_vectors([[4]], 3) == []
+    assert short_vectors([[4]], 8, False) == [((1,), 4)]
+    assert short_vectors([[2]], 18, False) == [((1,), 2), ((2,), 8), ((3,), 18)]
+    assert short_vectors([[4]], 4, True) == [((1,), 4)]
+    assert short_vectors([[4]], 6, True) == []
     # x0^2 + x0 x1 + x1^2 = 7: both roots kept, ascending, at x1 = -3; one
     # root kept at x1 = -2, -1, 1, 2; none at x1 = 3, where both are negative
-    assert quaternion._half_norm_vectors([[2, 1], [1, 2]], 7) == [
+    assert _halves([[2, 1], [1, 2]], 7) == [
         (1, -3), (2, -3), (3, -2), (3, -1), (2, 1), (1, 2)
     ]
 
 
 def test_short_vectors_refuses_a_huge_bound_at_once():
     gram = [[2, 1, 0], [1, 2, 1], [0, 1, 2]]
-    for enumerate_ in (lambda: short_vectors(gram, 10**12), lambda: count_lattice_norm(gram, 10**12)):
+    for exact in (False, True):
         start = time.perf_counter()
         with pytest.raises(ResourceError, match="over the cap of 4000000"):
-            enumerate_()
+            short_vectors(gram, 10**12, exact)
         assert time.perf_counter() - start < 0.1
 
 
@@ -410,7 +414,7 @@ def test_lll_reduce_gram_matches_the_recomputing_reference():
 
 
 def test_short_vectors_sign_representatives():
-    vecs = short_vectors([[2, 1], [1, 2]], 2)
+    vecs = short_vectors([[2, 1], [1, 2]], 2, False)
     assert len(vecs) == 3  # hexagonal minimal vectors up to sign
     for v, q in vecs:
         first = next(c for c in v if c)
@@ -539,12 +543,12 @@ def test_gross_lattice_shape():
 def test_embedding_count_table_values():
     ctx = HeckeContext(-7, 11, prec=50)
     O = right_order(build_Iz(ctx, reduced_forms(-11)[0]))
-    assert unit_count(O) == 2
+    assert O.omega == 2
     assert embedding_count(O, 11) == 2
 
     ctx = HeckeContext(-11, 23, prec=50)
     pairs = sorted(
-        (unit_count(O), embedding_count(O, 23))
+        (O.omega, embedding_count(O, 23))
         for O in (right_order(build_Iz(ctx, Q)) for Q in reduced_forms(-23))
     )
     assert pairs == [(2, 4), (2, 4), (3, 2)]
@@ -562,7 +566,7 @@ def test_embedding_count_level_guard():
 def test_isometry_classes():
     ctx = HeckeContext(-11, 23, prec=50)
     orders = [right_order(build_Iz(ctx, Q)) for Q in reduced_forms(-23)]
-    omegas = [unit_count(O) for O in orders]
+    omegas = [O.omega for O in orders]
     assert sorted(omegas) == [2, 2, 3]
     i3 = omegas.index(3)
     i2 = [i for i in range(3) if i != i3]
@@ -584,13 +588,13 @@ def test_invariant_record_matches_norm_counts():
         ctx = HeckeContext(D, N, prec=50)
         for Q in reduced_forms(-N):
             O = right_order(build_Iz(ctx, Q))
-            record = O.invariants
-            assert record.disc == O.disc == mat_det(O.lattice.scaled_gram())
+            disc, norm_counts, gross_counts = O.invariants
+            assert disc == O.disc == mat_det(O.lattice.scaled_gram())
             g = O.gram
-            assert record.norm_counts == tuple(count_lattice_norm(g, n) for n in range(1, 13))
+            assert norm_counts == tuple(2 * len(_halves(g, n)) for n in range(1, 13))
             # gross_counts reads the reduced Gram; count on the HNF basis
             g = _hnf_gross_gram(O)
-            assert record.gross_counts == tuple(count_lattice_norm(g, n) for n in range(1, 13))
+            assert gross_counts == tuple(2 * len(_halves(g, n)) for n in range(1, 13))
 
 
 def test_invariant_record_is_computed_once_per_order(monkeypatch):
@@ -608,17 +612,17 @@ def test_invariant_record_is_computed_once_per_order(monkeypatch):
     O = right_order(build_Iz(ctx, info.witness_form))
     assert is_maximal(O) and O.disc == 121
     calls = []
-    real = quaternion._cone_vectors
+    real = quaternion.short_vectors
 
     def counting(gram, bound2, exact):
         calls.append(bound2)
         return real(gram, bound2, exact)
 
-    monkeypatch.setattr(quaternion, "_cone_vectors", counting)
+    monkeypatch.setattr(quaternion, "short_vectors", counting)
     assert store.match(O) == info.class_id
     assert len(calls) == 2  # one pass for the norm lattice, one for the Gross lattice
     assert store.match(O) == info.class_id
-    assert unit_count(O) == info.omega
+    assert O.omega == info.omega
     assert len(calls) == 2
     for _ in range(2):
         embedding_count(O, info.witness_level)

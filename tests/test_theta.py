@@ -261,6 +261,29 @@ def test_siegel_theta_with_growing_off_diagonal_factor():
             assert abs(v.to_mpc() - want) < mpf(10) ** -(prec + 5), prec
 
 
+def test_siegel_theta_clamps_row_starts_at_the_box_edge():
+    # y12/y22 = -6, so row m peaks at n = 6m, and det = 0.0005 makes the
+    # rows fall slowly: at 20 digits the box is S = 314 and rows m = 0..54
+    # are walked, so rows 53 and 54 (6m = 318, 324) start clamped at n0 = S.
+    # The reference sums each row in closed form with jtheta, independent of
+    # the box, until a row falls below 10^-50.
+    z11, z12, z22 = mpmath.mpc("0.1", "1.81"), mpmath.mpc("0.2", "-0.3"), mpmath.mpc("0.3", "0.05")
+    with mpmath.workdps(20 + GUARD_DIGITS + 5):
+        lam = (z11.imag * z22.imag - z12.imag**2) / (z11.imag + z22.imag)
+        assert theta._siegel_box(lam, 20) == 314
+    v = siegel_theta(z11, z12, z22, 20)
+    with mpmath.workdps(60):
+        q = mpmath.exp(1j * mpmath.pi * z22)
+        want, m = 0, 0
+        while True:
+            row = mpmath.exp(1j * mpmath.pi * z11 * m * m) * mpmath.jtheta(3, mpmath.pi * z12 * m, q)
+            want += row if m == 0 else 2 * row
+            if abs(row) < mpf(10) ** -50:
+                break
+            m += 1
+        assert abs(v.to_mpc() - want) < mpf(10) ** -25
+
+
 def _box_bound(lam, S):
     # _siegel_box's tail bound for the box |x|_inf < S
     t = mpmath.exp(-mpmath.pi * lam)
