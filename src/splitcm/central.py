@@ -19,7 +19,7 @@ series are summed by its own fixed-point kernel on Python integers
 (_oracle_series): Horner's rule over the nonzero coefficients, at the
 scale that can still reach 2^-P, within a written rounding bound of
 4 sqrt|D| (T + 1)^2 2^-P for T nonzero terms.  The kernel repeats the
-block loop of theta.theta_form instead of sharing it, so that the oracle
+block loop of theta._q_series instead of sharing it, so that the oracle
 stays independent of the theta code it checks.
 
 omega_N (units of the order of discriminant -N modulo sign) is 2 throughout
@@ -429,7 +429,7 @@ def _oracle_series(terms, gap, D, N, t, P):
     last one, to n = 0, adds no c_n), each part of H is off by less than
     (T + 1)(4T + 2) 2^-P, so the sum is off by less than
     (1 + sqrt|D|)/2 (T + 1)(4T + 2) 2^-P < 4 sqrt|D| (T + 1)^2 2^-P.
-    The kernel repeats theta_form's block loop on purpose: the oracle
+    The kernel repeats theta._q_series' block loop on purpose: the oracle
     calls nothing in splitcm.theta, so that a fault there cannot pass
     both paths.
     """

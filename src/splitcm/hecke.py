@@ -9,9 +9,12 @@ All complex embeddings use sqrt(D) = +i*sqrt(|D|).
 
 HeckeContext computes each level quantity once, on first use: the reduced
 forms of discriminant -N, the class point, the eta factor at prec, and the
-theta series of every form.  Theta enters the central value only through
-integers, so it is computed at S = min(prec, THETA_DIGITS) digits; the
-eta factor is also a factor of the period, so it is computed at prec.
+theta series of every form.  Every form is evaluated at the class point,
+so their theta series come from one pass (theta.theta_forms) that shares
+one fixed-point scale and one table of q-powers.  Theta enters the
+central value only through integers, so it is computed at
+S = min(prec, THETA_DIGITS) digits; the eta factor is also a factor of
+the period, so it is computed at prec.
 """
 
 from dataclasses import dataclass
@@ -114,9 +117,9 @@ class HeckeContext:
 
     @cached_property
     def thetas(self):
-        """theta_form of each of forms at class_point, at min(prec, THETA_DIGITS) digits."""
+        """theta_forms of forms at class_point, at min(prec, THETA_DIGITS) digits."""
         digits = min(self.prec, THETA_DIGITS)
-        return tuple(theta.theta_form(Q, self.class_point, digits) for Q in self.forms)
+        return theta.theta_forms(self.forms, self.class_point, digits)
 
 
 def find_generator(ideal):

@@ -3,9 +3,10 @@
 Two independent evaluation paths are kept on purpose, each with its own
 fixed-point kernel:
 
-* theta_form collects integer representation numbers of the form and sums
-  a single q-power series by Horner's rule (_q_series, which also sums
-  dedekind_eta's pentagonal series);
+* theta_forms collects the integer representation numbers of each form
+  and sums one q-power series per form by Horner's rule (_q_series, which
+  also sums dedekind_eta's pentagonal series), all forms of a level from
+  one table of q-powers (_q_table); theta_form is theta_forms of one form;
 * siegel_theta sums exp(pi*i*x^t z x) over a 2d box, row by row, walking
   outward from each row's largest term.
 
@@ -28,14 +29,20 @@ tail target:
 
 * _q_series: 2 T (R + 1) 2^-P, for the Horner steps up to the top power T
   of a q-series whose integer coefficients have absolute sum R.
-  theta_form and dedekind_eta both sum through it: theta_form over the
-  representation numbers up to the least cutoff T (at least 16) that passes
-  the tail bound, dedekind_eta over its +-1 pentagonal terms.
+  theta_forms and dedekind_eta both sum through it: theta_forms over the
+  nonzero representation numbers up to each form's least cutoff T (at
+  least 16) that passes the tail bound, dedekind_eta over its +-1
+  pentagonal terms.
   An error made at power k is later multiplied by |q|^k, so the step at k
   needs only a scale 2^-p with p >= P - k log2(1/|q|): Horner keeps only
   the bits that can still reach 2^-P.  The scale rises by SCALE_STEP = 64
   bits from one block of powers to the next, and the table of q-powers,
-  truncated toward zero at each block's scale, stays within the same bound;
+  truncated toward zero at each block's scale, stays within the same bound.
+  The bound depends on a series only through its T and R, and an entry of
+  the table only on the gap, z, P and the block, whose boundaries follow
+  from P and |q| alone.  So theta_forms sums every form of a level at one
+  P, the largest any of them needs, from one table over the union of
+  their gaps: each form's bound 2 T (R + 1) 2^-P then only shrinks;
 * siegel_theta: 24 (2S+1)^4 2^-P.  Of this, 3 (2S+1)^4 is the rounding of
   the (2S+1)^2 box terms, each at most 2S steps from the start of its row.
   The rest bounds the terms that the walks skip once they fall below
@@ -44,18 +51,27 @@ tail target:
   start terms and first ratios come from a walk on integer mantissas
   (x + i y) 2^e rounded to L = P + 20 + 2 bitlen(S) bits, within relative
   (pi max|z_ij| + 4) 2^(-15-P), which the same bound covers while
-  pi max|z_ij| + 4 < 2^15.  _siegel_box sizes S on the log of its tail
-  bound in floats.
+  pi max|z_ij| + 4 < 2^15.
+
+Both tail cutoffs, theta's T (_form_tail_cutoff) and the Siegel box S
+(_siegel_box), are decided on the log of their tail bound in floats, and
+on the bound itself, in mpmath, only where that log lies within a
+relative 10^-6 of the target's, so they are the ones the exact bounds
+give.  The representation numbers come from the lattice points of one
+half plane, each counted with its negative (representation_counts).  A
+form whose ellipse may hold more than MAX_TAIL_TERMS lattice points is
+refused with ResourceError before any point is visited.
 
 The error of a product of fixed-point values stays within these bounds only
 because no value or step factor exceeds 1 in modulus.
 """
 
+from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import expm1, isqrt, log, log1p, pi
+from math import expm1, isqrt, log, log1p, pi, sqrt
 
 import mpmath
 from mpmath import mp, mpf
@@ -64,10 +80,11 @@ from .errors import InputError, ResourceError
 from .numeric import GUARD_DIGITS, BigComplex
 from .quadratic import HeegnerPoint, QuadForm, reduce_form
 
+# the most lattice points of one theta form, points of a Siegel box, or eta exponents
 MAX_TAIL_TERMS = 5 * 10**6
 # a Siegel walk stops at its first fixed-point term below 2^STOP_BITS units
 STOP_BITS = 8
-# theta_form's Horner scale rises by SCALE_STEP bits from one block of powers to the next
+# _q_series' Horner scale rises by SCALE_STEP bits from one block of powers to the next
 SCALE_STEP = 64
 
 
@@ -109,38 +126,66 @@ def _form_tail(Q, absq, T):
     return (9 / lam) * (T + 2) * absq ** (T + 1) / (1 - absq) ** 2
 
 
+def _lattice_points(Q, T):
+    """An upper bound on the number of (m, n) with Q(m, n) <= T.
+
+    The ellipse Q(m, n) <= T has area 2 pi T/sqrt|disc Q| and spans the
+    2 mmax + 1 rows |m| <= mmax.  Row m holds at most L_m + 1 points for
+    its length L_m, and the L_m, unimodal in m, sum to at most the area
+    plus the longest, L_0 = 2 sqrt(T/c).
+    """
+    return int(2 * pi * T / sqrt(-Q.disc) + 2 * sqrt(T / Q.c)) + 2 * isqrt(4 * Q.c * T // -Q.disc) + 2
+
+
 def _form_tail_cutoff(Q, y, prec):
     """Least T >= 16 with _form_tail(Q, |q|, T) < 10^(-prec-10), |q| = e^(-2 pi y).
 
-    The log of the bound, log(bound at T = -1) + log(T + 2) + (T + 1) log|q|,
-    is concave in T, so when T = 16 fails, the T >= 16 that pass form one
-    interval [T0, oo).  Doubling and bisection on that log in floats, with
-    log|q| = -2 pi y, put a T near T0, and the exact bound then settles T0
-    itself.
+    The log of the bound over the target, base + log(T + 2) + (T + 1) log|q|
+    with log|q| = -2 pi y, is concave in T, so when T = 16 fails, the
+    T >= 16 that pass form one interval [T0, oo).  Doubling and bisection
+    on that log in floats put a T near T0, and steps of one settle T0.
+    Each step decides on the float log, and on the bound itself, in mpmath
+    at the caller's precision, only where that log lies within a relative
+    10^-6 of the target's, as _siegel_box does.  The float log's terms are
+    each within a few multiples of the target's log, so its rounding is
+    far inside that window and T is the one the exact bound gives.
+
+    Raises ResourceError when the ellipse Q(m, n) <= T may hold more than
+    MAX_TAIL_TERMS lattice points (_lattice_points), before any is visited;
+    the doubling checks each T it steps past, so that a tiny y, whose T the
+    float log no longer resolves to one step, is refused at once.
     """
-    absq = mpmath.exp(-2 * mpmath.pi * y)
-    target = mpf(10) ** (-prec - 10)
+    ltarget = (prec + 10) * log(10)
+    lq = -2 * pi * float(y)
+    # log(bound at T = -1) - log(target) = log(9/lam) - 2 log(1 - |q|) + (prec + 10) log 10
+    base = log(9 * 4 * (Q.a + Q.c) / -Q.disc) - 2 * log(-expm1(lq)) + ltarget
+
+    def excess(T):
+        return base + log(T + 2) + (T + 1) * lq
 
     def passes(T):
-        return _form_tail(Q, absq, T) < target
+        if abs(excess(T)) <= 1e-6 * ltarget:
+            return _form_tail(Q, mpmath.exp(-2 * mpmath.pi * y), T) < mpf(10) ** (-prec - 10)
+        return excess(T) < 0
+
+    def check_points(T):
+        # called with T no larger than the cutoff
+        points = _lattice_points(Q, T)
+        if points > MAX_TAIL_TERMS:
+            raise ResourceError(
+                "theta of %s needs a cutoff T >= %d, where up to %d lattice points lie, more than %d"
+                % (Q, T, points, MAX_TAIL_TERMS)
+            )
 
     if passes(16):
         return 16
-    lq = -2 * pi * float(y)
-    # log(bound at T = -1 / target) = log(9/lam) - 2 log(1 - |q|) + (prec + 10) log 10
-    base = log(9 * 4 * (Q.a + Q.c) / -Q.disc) - 2 * log(-expm1(lq)) + (prec + 10) * log(10)
-
-    def guess_passes(T):
-        return base + log(T + 2) + (T + 1) * lq < 0
-
     lo, hi = 16, 32
-    while not guess_passes(hi):
+    while not excess(hi) < 0:
         lo, hi = hi, 2 * hi
-        if hi > MAX_TAIL_TERMS:
-            raise ResourceError("theta tail needs more than %d terms" % MAX_TAIL_TERMS)
+        check_points(lo)
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if guess_passes(mid):
+        if excess(mid) < 0:
             hi = mid
         else:
             lo = mid
@@ -149,31 +194,31 @@ def _form_tail_cutoff(Q, y, prec):
         T += 1
     while T > 16 and passes(T - 1):
         T -= 1
+    check_points(T)
     return T
 
 
 def representation_counts(Q, T):
-    """r_Q(k) for 0 <= k <= T by ellipse enumeration (exact integers).
+    """The nonzero r_Q(k), 0 <= k <= T, as {k: r_Q(k)}, by ellipse enumeration.
 
-    Along each row m, Q(m, n) is stepped by its first difference
+    Q(-m, -n) = Q(m, n), so only the half plane m > 0, or m = 0 and n > 0,
+    is enumerated, each point counting twice, and r_Q(0) = 1.  Along each
+    row m, Q(m, n) is stepped by its first difference
     Q(m, n + 1) - Q(m, n) = b m + c (2n + 1), which grows by 2c per step.
     """
-    r = [0] * (T + 1)
     a, b, c, d = Q.a, Q.b, Q.c, Q.disc
-    mmax = isqrt(4 * c * T // -d)
-    for m in range(-mmax, mmax + 1):
+    r = {0: 1}
+    get = r.get
+    for m in range(isqrt(4 * c * T // -d) + 1):
         # c n^2 + b m n + (a m^2 - T) <= 0
-        disc_n = 4 * c * T + d * m * m
-        if disc_n < 0:
-            continue
-        s = isqrt(disc_n)
-        lo = -(s + b * m) // (2 * c) - 1
+        s = isqrt(4 * c * T + d * m * m)
+        lo = -(s + b * m) // (2 * c) - 1 if m else 1
         hi = (s - b * m) // (2 * c) + 1
         k = Q.value(m, lo)
         step = b * m + c * (2 * lo + 1)
         for _ in range(hi - lo + 1):
             if k <= T:
-                r[k] += 1
+                r[k] = get(k, 0) + 2
             k += step
             step += 2 * c
     return r
@@ -184,41 +229,61 @@ def _truncate(x, bits):
     return x >> bits if x >= 0 else -(-x >> bits)
 
 
-def _q_series(ks, c, z, P):
-    """The Gaussian integer 2^P sum_k c[k] q^k, q = e^(2 pi i z), Im z > 0.
+def _q_table(gaps, z, P, top):
+    """The q-power tables of _q_series, q = e^(2 pi i z), for sums up to the power top.
 
-    ks are the increasing exponents, from ks[0] = 0, and c[k] the integer
-    coefficient at k, of either sign.  Horner's rule in Gaussian fixed point:
-    from one k to the next lower one k', h becomes h q^(k-k') + c[k'], with
-    q^(k-k') from a table of powers truncated toward zero, so that no entry
-    exceeds |q|^(k-k') in modulus.  The table holds only the gaps k - k'
-    that occur in ks.
+    Returns (P, beta, blocks): blocks[j] maps each gap g in gaps, and 0, to
+    2^(P - j SCALE_STEP) q^g, truncated toward zero, for the Horner block j
+    (see _q_series), and beta is a float lower bound on -log2 |q| =
+    2 pi Im z / ln 2, with a relative margin of 10^-9 for its rounding,
+    capped at P.  The powers come from q^(g-1) q in mpmath at P + 20 bits,
+    truncated toward zero once to 2^-P; blocks[j] truncates that entry again
+    by j SCALE_STEP bits, which equals truncating q^g itself at
+    2^-(P - j SCALE_STEP).  Every entry depends only on (g, z, P, j), so
+    one table serves every series summed at the same z and P.
+    """
+    with mp.workprec(P + 20):
+        q = mpmath.exp(2j * mpmath.pi * z)
+        power = mpmath.mpc(1)
+        qpow = {0: (1 << P, 0)}
+        for g in range(1, max(gaps, default=0) + 1):
+            power *= q
+            if g in gaps:
+                qpow[g] = _to_fixed(power, P)
+        beta = min(float(2 * mpmath.pi * z.imag / mpmath.ln2) * (1 - 1e-9), P)
+    blocks = [
+        {g: (_truncate(x, j * SCALE_STEP), _truncate(y, j * SCALE_STEP)) for g, (x, y) in qpow.items()}
+        for j in range(int(min(P, top * beta)) // SCALE_STEP + 1)
+    ]
+    return P, beta, blocks
+
+
+def _q_series(ks, cs, table):
+    """The Gaussian integer 2^P sum_k c_k q^k, from a _q_table at scale P.
+
+    ks are the increasing exponents, from ks[0] = 0, and cs[i] the integer
+    coefficient c_k at k = ks[i], of either sign; the table must hold every
+    gap of ks and reach ks[-1].  Horner's rule in Gaussian fixed point: from
+    one k to the next lower one k', h becomes h q^(k-k') + c_k', with
+    q^(k-k') from the table, truncated toward zero, so that no entry exceeds
+    |q|^(k-k') in modulus.
 
     An error made at power k reaches the sum multiplied by at most |q|^k =
     2^(-k beta), so at power k, h need only be held at a scale 2^-p with
     p >= P - k beta.
     Going down from the top k, the powers fall into blocks whose scale is
-    P - j SCALE_STEP (never below 0) for the block of k >= j SCALE_STEP /
-    beta; at each block boundary h is shifted left, which is exact, and the
-    table is truncated once from 2^-P to the block's 2^-p, which equals
-    truncating q^(k-k') itself at 2^-p.  Here beta is a float lower bound
-    on -log2 |q| = 2 pi Im z / ln 2, with a relative margin of 10^-9 for
-    its rounding and capped at P.  A step at scale p adds below
+    P - j SCALE_STEP (never below 0) for the block j of k >= j SCALE_STEP /
+    beta; at each block boundary h is shifted left, which is exact, and
+    the steps read the table's block j.  A step at scale p adds below
     sqrt(2) 2^-p of rounding and |h| sqrt(2) 2^-p from the truncated table
-    entry, with |h| <= R = sum_k |c[k]|; the later steps multiply both by at
+    entry, with |h| <= R = sum_k |c_k|; the later steps multiply both by at
     most |q|^k <= 2^(p-P).  Over the at most T = ks[-1] steps that multiply,
-    the error is below sqrt(2) T (R + 1) 2^-P < 2 T (R + 1) 2^-P.
+    the error is below sqrt(2) T (R + 1) 2^-P < 2 T (R + 1) 2^-P.  The
+    bound depends on the series only through T and R, so series that share
+    one table at the largest P any of them needs each stay within their
+    own bound, which only shrinks as P grows.
     """
-    gaps = {0, *(b - a for a, b in zip(ks, ks[1:]))}
-    with mp.workprec(P + 20):
-        q = mpmath.exp(2j * mpmath.pi * z)
-        power = mpmath.mpc(1)
-        qpow = {0: (1 << P, 0)}
-        for g in range(1, max(gaps) + 1):
-            power *= q
-            if g in gaps:
-                qpow[g] = _to_fixed(power, P)
-        beta = min(float(2 * mpmath.pi * z.imag / mpmath.ln2) * (1 - 1e-9), P)
+    P, beta, blocks = table
     hr = hi = p = 0
     above = ks[-1]
     top = len(ks)
@@ -229,13 +294,43 @@ def _q_series(ks, c, z, P):
         scale = P - j * SCALE_STEP
         hr, hi = hr << (scale - p), hi << (scale - p)
         p = scale
-        table = {g: (_truncate(x, P - p), _truncate(y, P - p)) for g, (x, y) in qpow.items()}
-        for k in reversed(ks[bottom:top]):
-            qr, qi = table[above - k]
-            hr, hi = ((hr * qr - hi * qi) >> p) + (c[k] << p), (hr * qi + hi * qr) >> p
+        block = blocks[j]
+        for k, ck in zip(reversed(ks[bottom:top]), reversed(cs[bottom:top])):
+            qr, qi = block[above - k]
+            hr, hi = ((hr * qr - hi * qi) >> p) + (ck << p), (hr * qi + hi * qr) >> p
             above = k
         top = bottom
     return hr, hi
+
+
+def _gaps(ks):
+    """The differences of consecutive exponents ks."""
+    return {b - a for a, b in zip(ks, ks[1:])}
+
+
+def theta_forms(forms, tau, prec):
+    """theta_form of each of forms at one point tau, in one pass.
+
+    Each form has its own cutoff T and nonzero counts r_Q(k), k <= T, with
+    R = sum r_Q(k).  All are summed at the largest P = _fixed_bits(prec + 10,
+    2 T (R + 1)) over the forms, from one _q_table over the union of their
+    gaps; _q_series says why each form stays within its own bound.
+    """
+    with mp.workdps(prec + GUARD_DIGITS + 5):
+        z = _point_to_mpc(tau)
+        if z.imag <= 0:
+            raise InputError("theta needs a point in the upper half plane")
+        cutoffs = [_form_tail_cutoff(Q, z.imag, prec) for Q in forms]
+    # every form's terms are held until P is known; arrays keep a term at
+    # 16 bytes, where the dict of counts takes about 100
+    series, P = [], 0
+    for Q, T in zip(forms, cutoffs):
+        r = representation_counts(Q, T)
+        ks = sorted(r)
+        series.append((array("q", ks), array("q", map(r.__getitem__, ks))))
+        P = max(P, _fixed_bits(prec + 10, 2 * T * (sum(r.values()) + 1)))
+    table = _q_table(set().union(*(_gaps(ks) for ks, _ in series)), z, P, max(ks[-1] for ks, _ in series))
+    return tuple(_from_fixed(*_q_series(ks, cs, table), P, prec) for ks, cs in series)
 
 
 def theta_form(Q, tau, prec):
@@ -244,15 +339,7 @@ def theta_form(Q, tau, prec):
     The q-series of the nonzero representation numbers r_Q(k), k <= T,
     summed by _q_series within 2 T (R + 1) 2^-P, R = sum r_Q(k).
     """
-    with mp.workdps(prec + GUARD_DIGITS + 5):
-        z = _point_to_mpc(tau)
-        if z.imag <= 0:
-            raise InputError("theta needs a point in the upper half plane")
-        T = _form_tail_cutoff(Q, z.imag, prec)
-    r = representation_counts(Q, T)
-    ks = [k for k, rk in enumerate(r) if rk]
-    P = _fixed_bits(prec + 10, 2 * T * (sum(r) + 1))
-    return _from_fixed(*_q_series(ks, r, z, P), P, prec)
+    return theta_forms((Q,), tau, prec)[0]
 
 
 @dataclass(frozen=True)
@@ -479,7 +566,7 @@ def dedekind_eta(z, prec):
         c[e1] = c[e1 + k] = (-1) ** k
     ks = list(c)
     P = _fixed_bits(prec + 12, 2 * ks[-1] * (len(ks) + 1))
-    sr, si = _q_series(ks, c, z, P)
+    sr, si = _q_series(ks, list(c.values()), _q_table(_gaps(ks), z, P, ks[-1]))
     with mp.workprec(P + 20):
         total = mpmath.mpc(mpf((sr, -P)), mpf((si, -P))) * mpmath.exp(2j * mpmath.pi * z / 24)
     return BigComplex.from_mpc(total, prec)

@@ -208,20 +208,20 @@ def test_l_value_at_600_digits_matches_the_oracle(store7):
 
 def test_l_value_at_600_digits_runs_theta_at_80(store7, monkeypatch):
     # the digits of L beyond THETA_DIGITS come from the period alone:
-    # theta_form runs at no more than THETA_DIGITS, and dedekind_eta only at
+    # theta_forms runs at no more than THETA_DIGITS, and dedekind_eta only at
     # tau0 = (-1 + sqrt(-7))/2, never at the level point tau_N
     theta_precs, eta_heights = [], []
-    theta_form, dedekind_eta = theta.theta_form, theta.dedekind_eta
+    theta_forms, dedekind_eta = theta.theta_forms, theta.dedekind_eta
 
-    def spy_theta_form(Q, tau, prec):
+    def spy_theta_forms(forms, tau, prec):
         theta_precs.append(prec)
-        return theta_form(Q, tau, prec)
+        return theta_forms(forms, tau, prec)
 
     def spy_dedekind_eta(z, prec):
         eta_heights.append(float(mpmath.mpc(z).imag))
         return dedekind_eta(z, prec)
 
-    monkeypatch.setattr(theta, "theta_form", spy_theta_form)
+    monkeypatch.setattr(theta, "theta_forms", spy_theta_forms)
     monkeypatch.setattr(theta, "dedekind_eta", spy_dedekind_eta)
     theta._eta_tau0.cache_clear()
     got = l_value(HeckeContext(-7, 43, prec=600), store7)
@@ -254,13 +254,13 @@ def test_classify_at_600_digits_runs_theta_at_80(store7, monkeypatch):
     # gives the records of the default precision from theta at THETA_DIGITS
     want = classify(HeckeContext(-7, 43), store7)
     precs = []
-    theta_form = theta.theta_form
+    theta_forms = theta.theta_forms
 
-    def spy(Q, tau, prec):
+    def spy(forms, tau, prec):
         precs.append(prec)
-        return theta_form(Q, tau, prec)
+        return theta_forms(forms, tau, prec)
 
-    monkeypatch.setattr(theta, "theta_form", spy)
+    monkeypatch.setattr(theta, "theta_forms", spy)
     assert classify(HeckeContext(-7, 43, prec=600), store7) == want
     assert precs and max(precs) <= 80  # THETA_DIGITS
 

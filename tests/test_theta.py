@@ -1,16 +1,19 @@
 """Theta series and eta: classical constants, functional equations, identity
 of the two evaluation paths at split-CM points."""
 
+import time
+from math import expm1, log, pi
+
 import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mpf
 
-from splitcm import theta
+from splitcm import hecke, theta
 from splitcm.arith import jacobi
 from splitcm.central import admissible_levels
-from splitcm.errors import InputError
+from splitcm.errors import InputError, ResourceError
 from splitcm.hecke import HeckeContext
 from splitcm.numeric import GUARD_DIGITS, BigComplex
 from splitcm.quadratic import QuadForm, heegner_point, reduced_forms
@@ -60,13 +63,16 @@ def test_representation_counts_brute_force():
     forms = [QuadForm(*abc) for abc in ((1, 1, 2), (2, 1, 3), (3, -1, 5), (1, 1, 48), (3, 11, 12))]
     for Q in forms:
         r = representation_counts(Q, 50)
-        brute = [0] * 51
+        brute = {}
         for m in range(-40, 41):
             for n in range(-40, 41):
                 k = Q.value(m, n)
                 if k <= 50:
-                    brute[k] += 1
+                    brute[k] = brute.get(k, 0) + 1
         assert r == brute, Q
+        # the half-plane enumeration counts each point with its negative
+        assert all(rk % 2 == 0 for k, rk in r.items() if k > 0), Q
+        assert sum(r.values()) <= theta._lattice_points(Q, 50), Q
 
 
 def test_form_tail_cutoff_is_least():
@@ -85,7 +91,7 @@ def test_form_tail_cutoff_is_least():
         assert T == want, (D, N, Q, T)
 
 
-def _full_scale_horner(ks, c, z, P):
+def _full_scale_horner(ks, cs, z, P):
     """(hr, hi): _q_series' Horner at the single scale 2^-P, every step."""
     with mpmath.workprec(P + 20):
         q = mpmath.exp(2j * mpmath.pi * z)
@@ -96,61 +102,73 @@ def _full_scale_horner(ks, c, z, P):
             qpow.append(theta._to_fixed(power, P))
     hr = hi = 0
     above = ks[-1]
-    for k in reversed(ks):
+    for k, ck in zip(reversed(ks), reversed(cs)):
         qr, qi = qpow[above - k]
-        hr, hi = ((hr * qr - hi * qi) >> P) + (c[k] << P), (hr * qi + hi * qr) >> P
+        hr, hi = ((hr * qr - hi * qi) >> P) + (ck << P), (hr * qi + hi * qr) >> P
         above = k
     return hr, hi
 
 
 def test_theta_form_within_its_bound_of_the_full_scale_horner(monkeypatch):
-    # theta_form and dedekind_eta sum through _q_series, which holds the
-    # power-k step at a scale of about P - k beta bits; its fixed-point sum
+    # theta_forms and dedekind_eta sum through _q_series, which holds the
+    # power-k step at a scale of about P - k beta bits; each fixed-point sum
     # must stay within its written bound 2 T (R + 1) 2^-P of the value, for
-    # T = ks[-1] and R = sum |c_k|.  The reference is the full-scale Horner
-    # run `extra` bits finer, itself within 2 T (R + 1) 2^-(P + extra) of
-    # the value.
+    # T = ks[-1] and R = sum |cs_i|, also when one table at the level's P
+    # serves forms whose own P is smaller.  The reference is the full-scale
+    # Horner run `extra` bits finer, itself within 2 T (R + 1) 2^-(P + extra)
+    # of the value.
     extra = 32
-    calls = []
-    q_series = theta._q_series
+    tables, sums = [], []
+    q_table, q_series = theta._q_table, theta._q_series
 
-    def record(ks, c, z, P):
-        result = q_series(ks, c, z, P)
-        calls.append((ks, c, z, P, result))
+    def record_table(gaps, z, P, top):
+        table = q_table(gaps, z, P, top)
+        tables.append((z, P, table))
+        return table
+
+    def record(ks, cs, table):
+        result = q_series(ks, cs, table)
+        sums.append((ks, cs, table, result))
         return result
 
-    def sum_within_bound():
-        ((ks, c, z, P, (x, y)),) = calls
-        calls.clear()
-        T, R = ks[-1], sum(abs(c[k]) for k in ks)
-        hr, hi = _full_scale_horner(ks, c, z, P + extra)
-        # both sides in units of 2^-(P + extra), exactly
-        gap = abs(mpmath.mpc((x << extra) - hr, (y << extra) - hi))
-        assert gap < 2 * T * (R + 1) * (2**extra - 1), (z, P, gap)
-        return ks, c, z, P
+    def sums_within_bound():
+        ((z, P, table),) = tables
+        for ks, cs, used, (x, y) in sums:
+            assert used is table
+            T, R = ks[-1], sum(map(abs, cs))
+            hr, hi = _full_scale_horner(ks, cs, z, P + extra)
+            # both sides in units of 2^-(P + extra), exactly
+            gap = abs(mpmath.mpc((x << extra) - hr, (y << extra) - hi))
+            assert gap < 2 * T * (R + 1) * (2**extra - 1), (z, P, gap)
+        done = [(ks, cs) for ks, cs, _, _ in sums]
+        tables.clear()
+        sums.clear()
+        return z, P, done
 
+    monkeypatch.setattr(theta, "_q_table", record_table)
     monkeypatch.setattr(theta, "_q_series", record)
-    points = [
-        (QuadForm(*abc), HeckeContext(D, N, prec=prec).class_point, prec)
-        for D, N, abc, prec in [
-            (-7, 43, (1, 1, 11), 600),
-            (-7, 191, (1, 1, 48), 600),
-            (-11, 47, (2, 1, 6), 600),
-            (-11, 47, (3, 1, 4), 600),
-            (-7, 43, (1, 1, 11), 80),
-        ]
+    # at (-7, 151) two of the seven forms ask for P = 323 and the level sums at 324
+    levels = [
+        (HeckeContext(D, N, prec=prec), prec)
+        for D, N, prec in [(-7, 43, 600), (-7, 191, 600), (-11, 47, 600), (-7, 43, 80), (-7, 151, 80)]
     ]
+    points = [(ctx.forms, ctx.class_point, prec) for ctx, prec in levels]
     # |q| = e^(-6 pi) keeps T at its floor of 16 and spreads the powers
     # over several blocks
-    points.append((QuadForm(1, 1, 2), mpmath.mpc("0.1", 3), 80))
-    for Q, tau, prec in points:
-        theta_form(Q, tau, prec)
-        _, r, z, P = sum_within_bound()
-        # theta_form sizes P from its cutoff T >= ks[-1]
+    points.append(((QuadForm(1, 1, 2),), mpmath.mpc("0.1", 3), 80))
+    below_level_P = 0
+    for forms, tau, prec in points:
+        theta.theta_forms(forms, tau, prec)
+        z, P, done = sums_within_bound()
+        assert len(done) == len(forms)
+        # the level's P is the largest a form's cutoff T >= ks[-1] asks for
         with mpmath.workdps(prec + GUARD_DIGITS + 5):
-            T = theta._form_tail_cutoff(Q, z.imag, prec)
-        assert P == theta._fixed_bits(prec + 10, 2 * T * (sum(r) + 1))
-    assert T == 16
+            cutoffs = [theta._form_tail_cutoff(Q, z.imag, prec) for Q in forms]
+        own = [theta._fixed_bits(prec + 10, 2 * T * (sum(cs) + 1)) for T, (_, cs) in zip(cutoffs, done)]
+        assert P == max(own)
+        below_level_P += sum(p < P for p in own)
+    assert cutoffs == [16]
+    assert below_level_P > 0
     # eta at tau0 of -7 and -163, the only points the product uses, and at
     # a point of small height with many pentagonal terms
     with mpmath.workdps(620):
@@ -158,10 +176,59 @@ def test_theta_form_within_its_bound_of_the_full_scale_horner(monkeypatch):
     for z in etas:
         for prec in (80, 600):
             dedekind_eta(z, prec)
-            ks, c, _, P = sum_within_bound()
+            _, P, ((ks, cs),) = sums_within_bound()
             K = (len(ks) - 1) // 2
-            assert ks[-1] == K * (3 * K + 1) // 2 and c[ks[-1]] == (-1) ** K
+            assert ks[-1] == K * (3 * K + 1) // 2 and cs[-1] == (-1) ** K
             assert P == theta._fixed_bits(prec + 12, 2 * ks[-1] * (2 * K + 2))
+
+
+def test_level_thetas_share_one_q_table(monkeypatch):
+    # every form of a level is evaluated at the class point, so
+    # HeckeContext.thetas builds one q-power table for all of them, at the
+    # largest P any form needs; each value stays within 10^-(S+5) of the
+    # form's own pass, also at (-19, 239), where the level's P exceeds the
+    # forms' own
+    tables = []
+    q_table = theta._q_table
+
+    def spy(*args):
+        tables.append(args)
+        return q_table(*args)
+
+    monkeypatch.setattr(theta, "_q_table", spy)
+    ctx = HeckeContext(-11, 47)
+    values = ctx.thetas
+    assert len(tables) == 1 and len(values) == len(ctx.forms) == 5
+    monkeypatch.undo()
+    for ctx in (ctx, HeckeContext(-7, 191), HeckeContext(-19, 239, prec=40)):
+        S = min(ctx.prec, hecke.THETA_DIGITS)
+        for Q, v in zip(ctx.forms, ctx.thetas):
+            assert v.distance(theta_form(Q, ctx.class_point, S)) < mpf(10) ** -(S + 5), (ctx.N, Q)
+
+
+def test_theta_refuses_too_many_lattice_points_before_enumerating(monkeypatch):
+    # the cap is on the lattice points of the cutoff's ellipse, not on T:
+    # at Im tau = 1e-9, T ~ 10^11, the doubling refuses at once; at (-7, 43)
+    # the form [1, 1, 11] has T = 1138 at 80 digits, is refused under a cap
+    # one below its point bound and runs under a cap of exactly that bound.
+    # No refusal visits a point
+    def refuse(*args):
+        raise AssertionError("representation_counts ran")
+
+    monkeypatch.setattr(theta, "representation_counts", refuse)
+    start = time.perf_counter()
+    with pytest.raises(ResourceError, match="lattice points lie, more than 5000000"):
+        theta_form(QuadForm(1, 1, 2), mpmath.mpc("0.1", "1e-9"), 80)
+    assert time.perf_counter() - start < 1.0
+    Q = QuadForm(1, 1, 11)
+    pt = HeckeContext(-7, 43).class_point
+    bound = theta._lattice_points(Q, 1138)
+    monkeypatch.setattr(theta, "MAX_TAIL_TERMS", bound - 1)
+    with pytest.raises(ResourceError, match="T >= 1138, where up to %d lattice points lie" % bound):
+        theta_form(Q, pt, 80)
+    monkeypatch.undo()
+    monkeypatch.setattr(theta, "MAX_TAIL_TERMS", bound)
+    theta_form(Q, pt, 80)
 
 
 def test_theta_rejects_lower_half_plane():
@@ -322,6 +389,67 @@ def test_siegel_box_float_gate_never_moves_S():
             for lam in lams:
                 assert theta._siegel_box(lam, prec) == exact_box(lam, prec), (prec, lam)
     assert crossings >= 15
+
+
+def _exact_cutoff(Q, y, prec):
+    # the cutoff search that _form_tail_cutoff's float gate replaces, kept as
+    # the reference: a float guess, then every step on the exact bound
+    absq = mpmath.exp(-2 * mpmath.pi * y)
+    target = mpf(10) ** (-prec - 10)
+
+    def passes(T):
+        return theta._form_tail(Q, absq, T) < target
+
+    if passes(16):
+        return 16
+    lq = -2 * pi * float(y)
+    base = log(9 * 4 * (Q.a + Q.c) / -Q.disc) - 2 * log(-expm1(lq)) + (prec + 10) * log(10)
+
+    def guess_passes(T):
+        return base + log(T + 2) + (T + 1) * lq < 0
+
+    lo, hi = 16, 32
+    while not guess_passes(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if guess_passes(mid) else (mid, hi)
+    T = hi
+    while not passes(T):
+        T += 1
+    while T > 16 and passes(T - 1):
+        T -= 1
+    return T
+
+
+def test_form_tail_cutoff_float_gate_never_moves_T():
+    # every form of the levels up to 400 of D = -7 and -11, at its class
+    # point, and points y where the exact bound at a given T crosses the
+    # target, found by bisection, with y (1 +- 1e-16, 1e-13, 1e-9) around
+    # them, where the float log alone may not decide
+    crossings = 0
+    for prec in (20, 80, 600):
+        with mpmath.workdps(prec + GUARD_DIGITS + 5):
+            target = mpf(10) ** (-prec - 10)
+            cases = []
+            for D in (-7, -11):
+                for N in admissible_levels(D, 400):
+                    ctx = HeckeContext(D, N, prec=prec)
+                    y = theta._point_to_mpc(ctx.class_point).imag
+                    cases += [(Q, y) for Q in ctx.forms]
+            for Q in (QuadForm(1, 1, 2), QuadForm(1, 1, 48), QuadForm(7, 1, 9)):
+                for T in (16, 17, 250, 4000, 60000):
+                    lo, hi = mpf("1e-6"), mpf(10)
+                    for _ in range(110):
+                        mid = (lo + hi) / 2
+                        tail = theta._form_tail(Q, mpmath.exp(-2 * mpmath.pi * mid), T)
+                        lo, hi = (mid, hi) if tail >= target else (lo, mid)
+                    eps = (0, 1e-16, -1e-16, 1e-13, -1e-13, 1e-9, -1e-9)
+                    cases += [(Q, lo)] + [(Q, hi * (1 + mpf(e))) for e in eps]
+                    crossings += 1
+            for Q, y in cases:
+                assert theta._form_tail_cutoff(Q, y, prec) == _exact_cutoff(Q, y, prec), (prec, Q, y)
+    assert crossings == 45
 
 
 def test_siegel_theta_mpmath_products_do_not_grow_with_the_rows(monkeypatch):
