@@ -7,8 +7,9 @@ fixed-point kernel:
   and sums one q-power series per form by Horner's rule (_q_series, which
   also sums dedekind_eta's pentagonal series), all forms of a level from
   one table of q-powers (_q_table); theta_form is theta_forms of one form;
-* siegel_theta sums exp(pi*i*x^t z x) over a 2d box, row by row, walking
-  outward from each row's largest term.
+* siegel_theta sums exp(pi*i*x^t z x) over a 2d box, row by row, by
+  Horner's rule outward from each row's largest term, over a range of each
+  row solved in closed form.
 
 They must agree to working precision on every split-CM point; the
 normalized value divides by the eta factor of the level, which
@@ -37,21 +38,28 @@ tail target:
   needs only a scale 2^-p with p >= P - k log2(1/|q|): Horner keeps only
   the bits that can still reach 2^-P.  The scale rises by SCALE_STEP = 64
   bits from one block of powers to the next, and the table of q-powers,
-  truncated toward zero at each block's scale, stays within the same bound.
+  stepped in Gaussian fixed point a little finer than 2^-P and truncated
+  toward zero at each block's scale, stays within the same bound.
   The bound depends on a series only through its T and R, and an entry of
   the table only on the gap, z, P and the block, whose boundaries follow
   from P and |q| alone.  So theta_forms sums every form of a level at one
   P, the largest any of them needs, from one table over the union of
   their gaps: each form's bound 2 T (R + 1) 2^-P then only shrinks;
-* siegel_theta: 24 (2S+1)^4 2^-P.  Of this, 3 (2S+1)^4 is the rounding of
-  the (2S+1)^2 box terms, each at most 2S steps from the start of its row.
-  The rest bounds the terms that the walks skip once they fall below
-  2^(8-P): the rest of a walk after its first such term, and every row
-  whose largest term is below 2^(8-P) (see siegel_theta).  The rows'
-  start terms and first ratios come from a walk on integer mantissas
-  (x + i y) 2^e rounded to L = P + 20 + 2 bitlen(S) bits, within relative
-  (pi max|z_ij| + 4) 2^(-15-P), which the same bound covers while
-  pi max|z_ij| + 4 < 2^15.
+* siegel_theta: 24 (2S+1)^4 2^-P, of which it uses less than 4 (2S+1)^4.
+  A row's terms t(m, n0 +- j) are t(m, n0) rho^j G_j, rho the row's first
+  ratio up or down and G_j = (C^2)^(j (j-1)/2) from one table per call,
+  so each direction is one Horner sum at one product per term.  The
+  Horner steps, the G table (stepped at L bits and truncated once to
+  2^-P) and the start values keep each row within 2 (2S+1)^2 units of
+  2^-P, the 2S + 1 rows with their mirrors within 2 (2S+1)^3.  Each
+  direction's length is solved in floats from the Gaussian |t(m, n)| at
+  2^(7-P), one bit below the 2^(8-P) allowed a dropped term, and the rows
+  stop once a row's largest term is below 2^(8-P): the at most (2S+1)^2
+  dropped terms add less than 2^8 (2S+1)^2 units (see siegel_theta).
+  The rows' start terms and first ratios come from a walk on integer
+  mantissas (x + i y) 2^e rounded to L = P + 20 + 2 bitlen(S) bits,
+  within relative (pi max|z_ij| + 4) 2^(-15-P), which the same bound
+  covers while pi max|z_ij| + 4 < 2^15.
 
 Both tail cutoffs, theta's T (_form_tail_cutoff) and the Siegel box S
 (_siegel_box), are decided on the log of their tail bound in floats, and
@@ -63,7 +71,8 @@ form whose ellipse may hold more than MAX_TAIL_TERMS lattice points is
 refused with ResourceError before any point is visited.
 
 The error of a product of fixed-point values stays within these bounds only
-because no value or step factor exceeds 1 in modulus.
+because no table entry or step factor exceeds 1 in modulus, and each bound
+counts the size of the partial sums that its steps multiply.
 """
 
 from array import array
@@ -71,7 +80,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import expm1, isqrt, log, log1p, pi, sqrt
+from math import ceil, expm1, floor, isqrt, log, log1p, pi, sqrt
 
 import mpmath
 from mpmath import mp, mpf
@@ -82,7 +91,7 @@ from .quadratic import HeegnerPoint, QuadForm, reduce_form
 
 # the most lattice points of one theta form, points of a Siegel box, or eta exponents
 MAX_TAIL_TERMS = 5 * 10**6
-# a Siegel walk stops at its first fixed-point term below 2^STOP_BITS units
+# a Siegel box sum may drop terms below 2^STOP_BITS units
 STOP_BITS = 8
 # _q_series' Horner scale rises by SCALE_STEP bits from one block of powers to the next
 SCALE_STEP = 64
@@ -153,10 +162,15 @@ def _form_tail_cutoff(Q, y, prec):
     Raises ResourceError when the ellipse Q(m, n) <= T may hold more than
     MAX_TAIL_TERMS lattice points (_lattice_points), before any is visited;
     the doubling checks each T it steps past, so that a tiny y, whose T the
-    float log no longer resolves to one step, is refused at once.
+    float log no longer resolves to one step, is refused at once.  A y
+    whose log|q| underflows to 0 in floats is refused before the search.
     """
     ltarget = (prec + 10) * log(10)
     lq = -2 * pi * float(y)
+    if lq == 0:
+        raise ResourceError(
+            "theta of %s: Im tau = %s is below the float range that sizes the cutoff T" % (Q, mpmath.nstr(y, 3))
+        )
     # log(bound at T = -1) - log(target) = log(9/lam) - 2 log(1 - |q|) + (prec + 10) log 10
     base = log(9 * 4 * (Q.a + Q.c) / -Q.disc) - 2 * log(-expm1(lq)) + ltarget
 
@@ -236,21 +250,35 @@ def _q_table(gaps, z, P, top):
     2^(P - j SCALE_STEP) q^g, truncated toward zero, for the Horner block j
     (see _q_series), and beta is a float lower bound on -log2 |q| =
     2 pi Im z / ln 2, with a relative margin of 10^-9 for its rounding,
-    capped at P.  The powers come from q^(g-1) q in mpmath at P + 20 bits,
-    truncated toward zero once to 2^-P; blocks[j] truncates that entry again
-    by j SCALE_STEP bits, which equals truncating q^g itself at
-    2^-(P - j SCALE_STEP).  Every entry depends only on (g, z, P, j), so
-    one table serves every series summed at the same z and P.
+    capped at P.
+
+    q comes from one mpmath exp at W = P + 20 + bitlen(G) bits, G the
+    largest gap, and its powers q^g = q^(g-1) q are stepped in Gaussian
+    fixed point at scale 2^-W, each product shifted back by W bits.  With
+    w = |2 pi z|, the exponent 2 pi i z is rounded within 3 w 2^-W and the
+    exp within relative (3 w + 1) 2^-W, so 2^W q is within 3 w + 3 units,
+    and each step adds at most that error of q plus sqrt(2) for its shift:
+    q^g is within g (3 w + 5) units of 2^-W, below (3 w + 5) 2^-20 of 2^-P
+    for g <= G.  Each entry is truncated toward zero once to 2^-P, so it is
+    within (sqrt(2) + (3 w + 5) 2^-20) 2^-P of q^g; while 3 w + 5 < 2^19,
+    the excess over sqrt(2) lies inside the slack of _q_series' bound,
+    sqrt(2) T (R + 1) < 2 T (R + 1).  blocks[j]
+    truncates that entry again by j SCALE_STEP bits, which equals
+    truncating it at 2^-(P - j SCALE_STEP).  Every entry depends only on
+    (g, z, P, j), so one table serves every series summed at the same z
+    and P.
     """
-    with mp.workprec(P + 20):
-        q = mpmath.exp(2j * mpmath.pi * z)
-        power = mpmath.mpc(1)
-        qpow = {0: (1 << P, 0)}
-        for g in range(1, max(gaps, default=0) + 1):
-            power *= q
-            if g in gaps:
-                qpow[g] = _to_fixed(power, P)
+    top_gap = max(gaps, default=0)
+    W = P + 20 + top_gap.bit_length()
+    with mp.workprec(W):
+        qr, qi = _to_fixed(mpmath.exp(2j * mpmath.pi * z), W)
         beta = min(float(2 * mpmath.pi * z.imag / mpmath.ln2) * (1 - 1e-9), P)
+    xr, xi = 1 << W, 0
+    qpow = {0: (1 << P, 0)}
+    for g in range(1, top_gap + 1):
+        xr, xi = (xr * qr - xi * qi) >> W, (xr * qi + xi * qr) >> W
+        if g in gaps:
+            qpow[g] = _truncate(xr, W - P), _truncate(xi, W - P)
     blocks = [
         {g: (_truncate(x, j * SCALE_STEP), _truncate(y, j * SCALE_STEP)) for g, (x, y) in qpow.items()}
         for j in range(int(min(P, top * beta)) // SCALE_STEP + 1)
@@ -369,15 +397,23 @@ def _siegel_box(lam, prec):
     in floats; only where that log lies within a relative 10^-6 of the
     target's is the bound itself evaluated, in mpmath at the caller's
     precision, so S is the one the exact bound gives.
+
+    Every S within the cap, S^2 <= MAX_TAIL_TERMS, leaves a bound above
+    8 t^MAX_TAIL_TERMS.  Where t^MAX_TAIL_TERMS alone exceeds the target,
+    no S passes, and ResourceError is raised before any S is tried; this
+    also refuses a lam that underflows in floats, where u = 1.
     """
     ltarget = -(prec + 10) * log(10)
     lt = -pi * float(lam)
+    if MAX_TAIL_TERMS * lt > ltarget:
+        raise ResourceError(
+            "siegel box needs more than %d points for lam = %s" % (MAX_TAIL_TERMS, mpmath.nstr(lam, 3))
+        )
     S = 4
     while True:
-        # with v = 1 - u, log(S/(1-u) + u/(1-u)^2) = log(1 + (S-1) v) - 2 log v;
-        # v is 0 only when lam underflows in floats, and the exact bound decides
+        # with v = 1 - u, log(S/(1-u) + u/(1-u)^2) = log(1 + (S-1) v) - 2 log v
         v = -expm1(2 * S * lt)
-        ltail = log(8) + S * S * lt + log1p((S - 1) * v) - 2 * log(v) if v > 0 else ltarget
+        ltail = log(8) + S * S * lt + log1p((S - 1) * v) - 2 * log(v)
         if abs(ltail - ltarget) <= 1e-6 * -ltarget:
             t = mpmath.exp(-mpmath.pi * lam)
             u = t ** (2 * S)
@@ -427,35 +463,79 @@ def _scaled(u, P):
     return _truncate(x, -e - P), _truncate(y, -e - P)
 
 
+def _siegel_rows(y12, y22, det, S, P):
+    """(n0, down, up) for each row m = 0, 1, ... that siegel_theta sums.
+
+    In n, |t(m, n)| = exp(-pi (y22 (n - c)^2 + m^2 det/y22)) is a Gaussian
+    centred at c = -m y12/y22.  The row starts at n0 = round(c), clamped
+    to the box, and sums n0 - down .. n0 + up: n0 and the integers of the
+    box whose term is at least 2^(STOP_BITS - 1 - P), that is
+    y22 (n - c)^2 + m^2 det/y22 <= (P - STOP_BITS + 1) ln 2/pi.  The rows
+    stop at the first m > 0 whose real maximum exp(-pi m^2 det/y22) is
+    below 2^(STOP_BITS - P).  Both are solved in floats; their rounding,
+    relative 10^-13 or so of the exponents, lies far inside the one bit
+    between the solved 2^(STOP_BITS - 1 - P) and the 2^(STOP_BITS - P)
+    that siegel_theta allows a dropped term, so every term the sum leaves
+    out is below 2^(STOP_BITS - P).
+    """
+    shift, width, fall = float(-y12 / y22), float(y22), float(det / y22)
+    cut = (P - STOP_BITS) * log(2) / pi
+    bound = cut + log(2) / pi
+    spans = []
+    for m in range(min(S, int(sqrt(cut / fall))) + 1):
+        c = m * shift
+        # m = 0 is kept off fall, which overflows to inf for a huge y11
+        r = sqrt((bound - m * m * fall if m else bound) / width)
+        n0 = max(-S, min(S, round(c)))
+        spans.append((n0, max(0, n0 - max(-S, ceil(c - r))), max(0, min(S, floor(c + r)) - n0)))
+    return spans
+
+
 def siegel_theta(z11, z12, z22, prec):
     """theta(z) = sum exp(pi i (z11 m^2 + 2 z12 m n + z22 n^2)) over Z^2.
 
     Box sum over |m|, |n| <= S in Gaussian fixed point.  The term t(m, n)
     is even in (m, n), so row -m repeats row m and only rows m = 0..S are
-    walked.  Row m starts at its largest term, n0 = round(-m y12/y22)
-    clamped to the box, and walks outward with the ratio t(n +- 1)/t(n),
-    which gains the factor C^2 = e^(2 pi i z22) after each step.  Every
-    term and every ratio on such a walk has modulus <= 1, whatever the sign
-    of Im z12.  A term j steps from n0 carries at most 3 (j+1)^2 2^-P of
-    rounding: sqrt(2) 2^-P per product, and 4 (i+1) 2^-P in the i-th ratio.
-    Over the (2S+1)^2 box terms, each within 2S steps, the rounding is below
-    3 (2S+1)^4 2^-P.
+    summed.  Row m starts at its largest term, n0 = round(-m y12/y22)
+    clamped to the box.  With rho = t(m, n0 +- 1)/t(m, n0), the ratio one
+    step up or down, the ratio of each next step gains the factor
+    C^2 = e^(2 pi i z22), so the term j steps out is
+    t(m, n0 +- j) = t(m, n0) rho^j G_j, G_j = (C^2)^(j (j-1)/2), in either
+    direction.  The row is t(m, n0) (1 + rho+ H+ + rho- H-), where a
+    direction of J terms has H = G_1 + rho G_2 + ... + rho^(J-1) G_J,
+    summed by Horner's rule at one complex product per term.  The G_j
+    come from one table per call that every row and both directions share.
+    In n, |t(m, n)| is a Gaussian centred at -m y12/y22, which lies within
+    1/2 of n0 or beyond the box edge n0, so |t| falls from n0 outward:
+    every term, rho and G_j that a sum uses has modulus <= 1, whatever the
+    sign of Im z12, and |H| <= J.  Each direction's J is solved in closed
+    form (_siegel_rows): the row sums n0 and every term of the box of at
+    least 2^(7-P), one bit below 2^(STOP_BITS-P) = 2^(8-P), and the rows
+    stop at the first m > 0 whose largest term is below 2^(8-P).
 
-    No work is spent below the resolution.  In n, |t(m, n)| is a Gaussian
-    centred at -m y12/y22, which lies within 1/2 of n0 or beyond the box
-    edge n0, so |t| falls along each walk from its first step on.
-    * A walk stops at its first fixed-point term whose parts are both below
-      2^STOP_BITS = 2^8 units.  That term and the rest of its walk, at most 2S terms, are
-      each below (sqrt(2) 2^8 + 3 (2S+1)^2) 2^-P.  The walks, 2 (2S+1) of
-      them counted with the mirror rows, drop less than
-      (726 (2S+1)^2 + 6 (2S+1)^4) 2^-P.
-    * The rows stop at the first m > 0 whose real maximum
-      exp(-pi m^2 det/y22) is below 2^(8-P).  These maxima fall with m,
-      while the start terms t(m, n0) need not.  The at most 2S skipped rows,
-      counted with their mirrors, of at most 2S+1 terms each, drop less
-      than 2^8 (2S+1)^2 2^-P.
+    The bound, in units of 2^-P, with w = pi max |z_ij|:
+    * A start term t(m, n0) or ratio rho, truncated from the mantissa walk
+      below, is within sqrt(2) + (w + 4) 2^-15 < 2.5 while w + 4 < 2^15.
+    * G_(j+1) = G_j (C^2)^j is stepped at scale 2^-L from C^2, itself
+      within 4 (w + 4) units of 2^-L, so G_j is within 3 j^2 (w + 4)
+      units of 2^-L; for j <= 2S, 2^(L-P) > 2^20 S^2 makes that below
+      (w + 4) 2^-16, and the entry, truncated once to 2^-P, is within 2.5.
+    * A Horner step multiplies h, |h| <= J, by rho: with rho's 2.5, the
+      step's sqrt(2) and G_j's 2.5, H is within 1.25 J^2 + 4 J and rho H
+      within 1.25 J^2 + 6.5 J + 1.5.  The two directions have
+      J+ + J- <= 2S, so 1 + rho+ H+ + rho- H-, of modulus <= 2S + 1, is
+      within 5 S^2 + 13 S + 3, and the row, times t(m, n0), within
+      5 S^2 + 18 S + 7 <= 2 (2S+1)^2 for S >= 4.  The 2S + 1 rows, counted
+      with their mirrors, are within 2 (2S+1)^3.
+    * The dropped terms: up to the float rounding of _siegel_rows, which
+      the one-bit margin absorbs, every term left out of a summed row is
+      below 2^(7-P), and every term of a row past the last is below
+      2^(8-P) (their maxima fall with m, while the start terms need not).
+      At most (2S+1)^2 terms, each below 2^(8-P), drop less than
+      2^8 (2S+1)^2.
     With S >= 4, so (2S+1)^2 >= 81, rounding and dropped terms together
-    stay below 24 (2S+1)^4 2^-P, and P is sized from that.
+    stay below 4 (2S+1)^4 2^-P, inside the 24 (2S+1)^4 2^-P that P is
+    sized from.
 
     The start values t(m, n0) and the first ratios of each row come from a
     walk along the path (m, n0(m)) on integer mantissas: a value is
@@ -466,15 +546,13 @@ def siegel_theta(z11, z12, z22, prec):
     becomes.  Only the seven constants A, B, C, A^2, C^2, B^-1 and C^-2 come
     from mpmath at L bits.  A product's rounding has relative size below
     2^-L.  A, B and C are exponentials of exponents rounded at L bits, so
-    with w = pi max |z_ij| each constant is within relative (w + 3) 2^(2-L).
+    each constant is within relative (w + 3) 2^(2-L).
     Each of up, down and across is a constant times at most 2S step
     factors, and t is at most 2S products of these, so a value's relative
     errors add up to at most (2S+1)^2 (w + 4) 2^(2-L), and the value is
     within relative (2S+1)^2 (w + 4) 2^(3-L) < (w + 4) 2^(-15-P) of exact.
     Truncated to 2^-P, a start term or first ratio, of modulus <= 1, is
-    within (sqrt(2) + (w + 4) 2^-15) 2^-P.  While w + 4 < 2^15, that is
-    below (sqrt(2) + 1) 2^-P, which the step count above, 3 (j+1)^2 per term
-    and 4 (i+1) per ratio, already allows, so P does not change.
+    within (sqrt(2) + (w + 4) 2^-15) 2^-P, the 2.5 units used above.
     """
     with mp.workdps(prec + GUARD_DIGITS + 5):
         z11, z12, z22 = mpmath.mpc(z11), mpmath.mpc(z12), mpmath.mpc(z22)
@@ -484,28 +562,30 @@ def siegel_theta(z11, z12, z22, prec):
             raise InputError("imaginary part is not positive definite")
         lam = det / (y11 + y22)
         S = _siegel_box(lam, prec)
-        shift = float(-y12 / y22)
-    P = _fixed_bits(prec + 10, 24 * (2 * S + 1) ** 4)
-    stop = 1 << STOP_BITS
+        P = _fixed_bits(prec + 10, 24 * (2 * S + 1) ** 4)
+        spans = _siegel_rows(y12, y22, det, S, P)
     L = P + 20 + 2 * S.bit_length()
     with mp.workprec(L):
-        # the real maximum of row m, exp(-pi m^2 det/y22), is below
-        # 2^(STOP_BITS-P) once m^2 > rowcut
-        rowcut = (P - STOP_BITS) * mpmath.ln2 * y22 / (mpmath.pi * det)
-        rows = min(S, int(mpmath.sqrt(rowcut))) + 1
         A = mpmath.exp(1j * mpmath.pi * z11)
         B = mpmath.exp(2j * mpmath.pi * z12)
         C = mpmath.exp(1j * mpmath.pi * z22)
         A2, C2 = A * A, C * C
         A, B, C, A2, C2, Binv, C2inv = map(_parts, (A, B, C, A2, C2, 1 / B, 1 / C2))
-    c2r, c2i = _scaled(C2, P)
+    # G[j] = 2^P G_j for j = 0 .. the longest direction, G_0 = G_1 = 1
+    # G_(j+1) = G_j (C^2)^j, stepped at scale 2^-L and truncated once to 2^-P
+    c2r, c2i = _scaled(C2, L)
+    xr, xi, cr, ci = 1 << L, 0, c2r, c2i
+    G = [(1 << P, 0), (1 << P, 0)]
+    for _ in range(1, max(max(down, up) for _, down, up in spans)):
+        xr, xi = (xr * cr - xi * ci) >> L, (xr * ci + xi * cr) >> L
+        cr, ci = (cr * c2r - ci * c2i) >> L, (cr * c2i + ci * c2r) >> L
+        G.append((_truncate(xr, L - P), _truncate(xi, L - P)))
     # at (m, n): t = t(m, n); up, down and across are t(m, n+1), t(m, n-1)
     # and t(m+1, n) over t, that is B^m C^(2n+1), B^-m C^(1-2n), A^(2m+1) B^n
     t, up, down, across = (1, 0, 0), C, C, A
     n = 0
     sr = si = 0
-    for m in range(rows):
-        n0 = max(-S, min(S, round(m * shift)))
+    for m, (n0, below, above) in enumerate(spans):
         while n < n0:
             t = _mul(t, up, L)
             up, down, across = _mul(up, C2, L), _mul(down, C2inv, L), _mul(across, B, L)
@@ -514,20 +594,20 @@ def siegel_theta(z11, z12, z22, prec):
             t = _mul(t, down, L)
             up, down, across = _mul(up, C2inv, L), _mul(down, C2, L), _mul(across, Binv, L)
             n -= 1
+        # f = 1 + rho+ H+ + rho- H-
+        fr, fi = 1 << P, 0
+        for ratio, J in ((up, above), (down, below)):
+            if J:
+                rr, ri = _scaled(ratio, P)
+                hr, hi = G[J]
+                for gr, gi in G[J - 1 : 0 : -1]:
+                    hr, hi = ((hr * rr - hi * ri) >> P) + gr, ((hr * ri + hi * rr) >> P) + gi
+                fr += (hr * rr - hi * ri) >> P
+                fi += (hr * ri + hi * rr) >> P
         tr, ti = _scaled(t, P)
-        rowr, rowi = tr, ti
-        for (rr, ri), steps in ((_scaled(up, P), S - n0), (_scaled(down, P), S + n0)):
-            ur, ui = tr, ti
-            for _ in range(steps):
-                ur, ui = (ur * rr - ui * ri) >> P, (ur * ri + ui * rr) >> P
-                if -stop < ur < stop and -stop < ui < stop:
-                    break
-                rowr += ur
-                rowi += ui
-                rr, ri = (rr * c2r - ri * c2i) >> P, (rr * c2i + ri * c2r) >> P
         weight = 2 if m else 1
-        sr += weight * rowr
-        si += weight * rowi
+        sr += weight * ((tr * fr - ti * fi) >> P)
+        si += weight * ((tr * fi + ti * fr) >> P)
         t = _mul(t, across, L)
         up, down, across = _mul(up, B, L), _mul(down, Binv, L), _mul(across, A2, L)
     return _from_fixed(sr, si, P, prec)

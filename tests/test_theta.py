@@ -231,6 +231,23 @@ def test_theta_refuses_too_many_lattice_points_before_enumerating(monkeypatch):
     theta_form(Q, pt, 80)
 
 
+def test_theta_kernels_refuse_heights_below_the_float_range():
+    # Im tau = 1e-330 is 0 in floats, where both tail cutoffs are sized;
+    # each kernel names the cause at once, with no untyped error from the
+    # float log or the exact box bound
+    for call, message in [
+        (lambda: theta_form(QuadForm(1, 1, 2), mpmath.mpc("0.1", "1e-330"), 80), "below the float range"),
+        (
+            lambda: siegel_theta(mpmath.mpc(0, "1e-330"), 0, mpmath.mpc(0, "1e-330"), 80),
+            "siegel box needs more than 5000000 points for lam = 5.0e-331",
+        ),
+    ]:
+        start = time.perf_counter()
+        with pytest.raises(ResourceError, match=message):
+            call()
+        assert time.perf_counter() - start < 1.0, message
+
+
 def test_theta_rejects_lower_half_plane():
     with pytest.raises(InputError):
         theta_form(QuadForm(1, 1, 2), mpmath.mpc(0, -1), 40)
@@ -328,6 +345,25 @@ def test_siegel_theta_with_growing_off_diagonal_factor():
             assert abs(v.to_mpc() - want) < mpf(10) ** -(prec + 5), prec
 
 
+def _jtheta_rows(z11, z12, z22, below):
+    """Sum of the rows exp(pi i z11 m^2) jtheta(3, pi z12 m, q), q = e^(pi i z22),
+    m in Z, in closed form and independent of any box, until a row falls
+    below `below`.  Each jtheta(3, w, q) is taken as
+    q^(k^2) e^(2 i k w) jtheta(3, w + k pi z22, q) with k = round(-Im w/(pi Im z22)),
+    which brings Im w near 0, where mpmath sums it fastest."""
+    q = mpmath.exp(1j * mpmath.pi * z22)
+    total, m = 0, 0
+    while True:
+        w = mpmath.pi * z12 * m
+        k = int(mpmath.nint(-w.imag / (mpmath.pi * z22.imag)))
+        row = q ** (k * k) * mpmath.expj(2 * k * w) * mpmath.jtheta(3, w + k * mpmath.pi * z22, q)
+        row *= mpmath.exp(1j * mpmath.pi * z11 * m * m)
+        total += row if m == 0 else 2 * row
+        if abs(row) < below:
+            return total
+        m += 1
+
+
 def test_siegel_theta_clamps_row_starts_at_the_box_edge():
     # y12/y22 = -6, so row m peaks at n = 6m, and det = 0.0005 makes the
     # rows fall slowly: at 20 digits the box is S = 314 and rows m = 0..54
@@ -340,15 +376,90 @@ def test_siegel_theta_clamps_row_starts_at_the_box_edge():
         assert theta._siegel_box(lam, 20) == 314
     v = siegel_theta(z11, z12, z22, 20)
     with mpmath.workdps(60):
-        q = mpmath.exp(1j * mpmath.pi * z22)
-        want, m = 0, 0
-        while True:
-            row = mpmath.exp(1j * mpmath.pi * z11 * m * m) * mpmath.jtheta(3, mpmath.pi * z12 * m, q)
-            want += row if m == 0 else 2 * row
-            if abs(row) < mpf(10) ** -50:
-                break
-            m += 1
-        assert abs(v.to_mpc() - want) < mpf(10) ** -25
+        assert abs(v.to_mpc() - _jtheta_rows(z11, z12, z22, mpf(10) ** -50)) < mpf(10) ** -25
+
+
+def test_siegel_theta_within_its_bound_at_600_digits():
+    # the Horner steps, the G table and the dropped terms must stay within
+    # the written budget 24 (2S+1)^4 2^-P, and the box tail within
+    # 10^-(prec+10), also at 600 digits; the growing off-diagonal Z and the
+    # split-CM point ((-7, 43), [1, 1, 11]), against the rows in closed form
+    # at 630 digits
+    prec = 600
+    ctx = HeckeContext(-7, 43, prec=prec)
+    with mpmath.workdps(prec + GUARD_DIGITS + 5):
+        split_cm = SplitCMPoint(QuadForm(1, 1, 11), heegner_point(ctx, ctx.class_rep)).z_matrix()
+    growing = (mpmath.mpc("0.3", "1.2"), mpmath.mpc("0.17", "-0.45"), mpmath.mpc("-0.2", "0.3"))
+    for z in (growing, split_cm):
+        v = siegel_theta(*z, prec)
+        with mpmath.workdps(prec + GUARD_DIGITS + 5):
+            y11, y12, y22 = (x.imag for x in z)
+            S = theta._siegel_box((y11 * y22 - y12 * y12) / (y11 + y22), prec)
+        P = theta._fixed_bits(prec + 10, 24 * (2 * S + 1) ** 4)
+        with mpmath.workdps(630):
+            want = _jtheta_rows(*z, mpf(10) ** -650)
+            gap = abs(v.to_mpc() - want)
+            assert gap < 24 * (2 * S + 1) ** 4 * mpf(2) ** -P + mpf(10) ** -(prec + 10), (S, P, gap)
+
+
+def _as_integers(ys):
+    """Integers Y_i and one exponent e with y_i = Y_i 2^e, for mpf y_i."""
+    pairs = [(-man if y < 0 else man, exp) for y, (man, exp) in ((y, y.man_exp) for y in ys)]
+    e = min(exp for _, exp in pairs)
+    return [man << (exp - e) for man, exp in pairs], e
+
+
+def test_siegel_rows_hold_every_term_above_the_resolution(monkeypatch):
+    # _siegel_rows solves each row's summed range n0 - down .. n0 + up in
+    # closed form.  A brute-force scan of the box, on the exponent
+    # x^t Y x as an exact integer over a power of two, checks it: every term
+    # of modulus at least 2^(7-P) (with a relative 10^-6 for the float
+    # solve) lies in its row's range, no row past the last holds a term of
+    # 2^(8-P), and a range runs past the terms of at least 2^(8-P), or past
+    # n0 where there are none, by at most two at each end
+    calls = []
+    rows = theta._siegel_rows
+
+    def spy(*args):
+        spans = rows(*args)
+        calls.append((args, spans))
+        return spans
+
+    monkeypatch.setattr(theta, "_siegel_rows", spy)
+    points = [
+        ((mpmath.mpc("0.2", "1.1"), 0, mpmath.mpc("-0.4", "0.7")), 60),
+        ((mpmath.mpc("0.3", "1.2"), mpmath.mpc("0.17", "-0.45"), mpmath.mpc("-0.2", "0.3")), 60),
+        ((mpmath.mpc("0.1", "1.81"), mpmath.mpc("0.2", "-0.3"), mpmath.mpc("0.3", "0.05")), 20),
+    ]
+    for D, N in [(-7, 43), (-11, 47)]:
+        ctx = HeckeContext(D, N, prec=80)
+        pt = heegner_point(ctx, ctx.class_rep)
+        with mpmath.workdps(80 + GUARD_DIGITS + 5):
+            points += [(SplitCMPoint(Q, pt).z_matrix(), 80) for Q in reduced_forms(-N)]
+    clamped = 0
+    for z, prec in points:
+        siegel_theta(*z, prec)
+        ((_, _, _, S, P), spans) = calls.pop()
+        (Y11, Y12, Y22), e = _as_integers([mpmath.mpc(x).imag for x in z])
+        with mpmath.workprec(P - e + 64):
+            # modulus >= 2^(s-P) (1 + d) exactly when the integer exponent
+            # Y11 m^2 + 2 Y12 m n + Y22 n^2 is at most this floor
+            def level(s, d=0):
+                return int(mpmath.floor(((P - s) * mpmath.ln2 - mpmath.log1p(d)) / (mpmath.pi * mpf(2) ** e)))
+
+            held, above = level(7, mpf("1e-6")), level(8)
+        for m in range(S + 1):
+            exps = [(n, Y11 * m * m + 2 * Y12 * m * n + Y22 * n * n) for n in range(-S, S + 1)]
+            if m >= len(spans):
+                assert all(x > above for _, x in exps), (z, m)
+                continue
+            n0, down, up = spans[m]
+            clamped += abs(n0) == S
+            lo, hi = n0 - down, n0 + up
+            assert all(lo <= n <= hi for n, x in exps if x <= held), (z, m)
+            big = [n for n, x in exps if x <= above] or [n0]
+            assert min(big) - 2 <= lo and hi <= max(big) + 2, (z, m, lo, hi, big)
+    assert not calls and clamped >= 2
 
 
 def _box_bound(lam, S):
