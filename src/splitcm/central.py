@@ -117,8 +117,9 @@ class ClassStore:
     D: int
     classes: tuple
 
-    def match(self, order):
-        for info in self.classes:
+    def match(self, order, theta_abs=None):
+        """The class_id whose order is isometric to order, or None; classes of the given theta_abs go first."""
+        for info in sorted(self.classes, key=lambda info: info.theta_abs != theta_abs):
             if orders_isometric(order, info.order):
                 return info.class_id
         return None
@@ -215,17 +216,17 @@ def discover_classes(D):
 
 
 def classify(ctx, store):
-    """All theta records at ctx's level plus one table row per known class."""
+    """All theta records at ctx's level and a row per known class; each |theta| picks the class tried first."""
     if store.D != ctx.D:
         raise InputError("class store was built for D = %d, not %d" % (store.D, ctx.D))
     records = []
     for Q, raw in zip(ctx.forms, ctx.thetas):
-        cid = store.match(_maximal_order(ctx, Q))
+        snapped = _snap(ctx, raw)
+        cid = store.match(_maximal_order(ctx, Q), abs(snapped))
         if cid is None:
             raise IncompleteClassListError(
                 "order class of %s at N=%d is missing from the store" % (Q, ctx.N)
             )
-        snapped = _snap(ctx, raw)
         info = store.classes[cid]
         if abs(snapped) != info.theta_abs:
             raise InternalError(

@@ -174,11 +174,16 @@ def unit_ideal(d):
 
 
 def smallest_odd_root(D, N):
-    """Smallest positive odd b with b^2 = D mod 4N; requires D square mod 4N."""
-    for b in range(1, 2 * N, 2):
-        if (b * b - D) % (4 * N) == 0:
-            return b
-    raise SplitError("D = %d is not an odd square mod 4N for N = %d" % (D, N))
+    """Smallest positive odd b with b^2 = D mod 4N, for N a prime 3 mod 4 (else b may be wrong).
+
+    r = D^((N+1)/4) mod N squares to D mod N if anything does; b is the smaller
+    odd lift of r or N - r into [1, 2N), and SplitError if it is no root.
+    """
+    r = pow(D % N, (N + 1) // 4, N)
+    b = min(x if x % 2 else x + N for x in (r, N - r))
+    if (b * b - D) % (4 * N):
+        raise SplitError("D = %d is not an odd square mod 4N for N = %d" % (D, N))
+    return b
 
 
 def prime_ideal_above(D, N):

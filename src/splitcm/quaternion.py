@@ -22,9 +22,10 @@ over den den'.  Rational results that are not coordinates
 The module provides the ideal attached to a split-CM point, its
 right order (by the one formula conj(I) I / nrd(I) for invertible I),
 discriminants, units, the trace-zero Gross lattice with its embedding
-numbers, and isometry testing of orders.  Each Order computes what is
-derived from it once and keeps it; every lattice count runs through the
-one cone enumeration, short_vectors.
+numbers, and isometry testing of orders by an exact search.  Each Order
+computes what is derived from it once and keeps it, the search's
+candidate vectors included; every lattice count runs through the one
+cone enumeration, short_vectors.
 """
 
 from dataclasses import dataclass, field
@@ -35,7 +36,6 @@ from math import gcd, isqrt, lcm
 from .errors import InputError, InternalError, ResourceError
 from .linalg import gram_schmidt, hnf_rows, lll_reduce_gram, mat_det
 
-INVARIANT_DEPTH = 12
 MAX_ENUMERATION_NODES = 4 * 10**6
 
 
@@ -252,24 +252,15 @@ class Order:
         return gross_lattice(self)
 
     @cached_property
-    def invariants(self):
-        """(disc, norm_counts, gross_counts), equal for isometric orders.
-
-        norm_counts[n-1] counts the elements of reduced norm n, gross_counts[n-1]
-        those of the Gross lattice, n = 1..INVARIANT_DEPTH.
-        """
-        return (self.disc, _norm_counts(self.reduced_gram), _norm_counts(self.gross.gram))
-
-    @cached_property
     def omega(self):
-        """|O^x| / 2: the count of norm-1 elements over the sign pair."""
-        return self.invariants[1][0] // 2
+        """|O^x| / 2: the norm-1 elements up to sign, by the exact solve at 2 on reduced_gram."""
+        return len(short_vectors(self.reduced_gram, 2, True))
 
     @cached_property
     def units(self):
         """The omega units up to sign, as numerators s over lattice.den; s^-1 = conj(s).
 
-        Found by the exact solve on gram, apart from the reduced enumeration
+        Found by the exact solve on gram, apart from the one on reduced_gram
         behind omega, which they check.
         """
         units = tuple(_combine(c, self.lattice.rows) for c, _ in short_vectors(self.gram, 2, True))
@@ -277,14 +268,10 @@ class Order:
             raise InternalError("%d units up to sign, but omega is %d" % (len(units), self.omega))
         return units
 
-
-def _norm_counts(gram):
-    """Counts of vectors with x G x^T / 2 = n, n = 1..INVARIANT_DEPTH, from one enumeration."""
-    counts = [0] * INVARIANT_DEPTH
-    for _, q in short_vectors(gram, 2 * INVARIANT_DEPTH, False):
-        if q % 2 == 0:
-            counts[q // 2 - 1] += 2
-    return tuple(counts)
+    @cached_property
+    def _by_norm(self):
+        """bound2 -> {q: the vectors of norm q <= bound2 of reduced_gram, and their negatives}."""
+        return {}
 
 
 def is_maximal(O):
@@ -413,9 +400,9 @@ def gross_lattice(O):
 
     trd(x) = 2 x0 over den, and the HNF is upper triangular, so its row 0 is
     the only one nonzero in column 0.  Those rows' Gram has entries that
-    grow with N; the cone enumerations behind gross_counts and
-    embedding_count run on the reduced Gram, where they walk far fewer
-    nodes (at (-7, 60083) the exact solve runs about 5 times faster).
+    grow with N; the exact solve behind embedding_count runs on the
+    reduced Gram, where it walks far fewer nodes (at (-7, 60083) it runs
+    about 5 times faster).
     """
     L = O.lattice
     h = hnf_rows([[L.den, 0, 0, 0]] + [[2 * x for x in r] for r in L.rows])
@@ -496,22 +483,24 @@ def orders_isometric(O1, O2):
 
     Conjugate orders are always isometric; at this scale the converse is
     relied on for classification and is cross-checked globally by the mass
-    identity.  The two orders' cached invariant records are compared first
-    (discriminant and the norm-1..12 vector counts of the order and of its
-    Gross lattice, see Order.invariants); different records settle the
-    answer as False.  Equal records never settle it alone: they go to an
-    exact backtracking search for U with U G1 U^T = G2 on the orders'
-    reduced_gram.
+    identity.  Different discriminants answer False, equal reduced_gram
+    True; otherwise a backtracking search (Plesken-Souvignier) looks for U
+    with U G2 U^T = G1 on the reduced_gram G1 of O1 and G2 of O2.  Its
+    candidates are O2's vectors up to G1's largest diagonal entry, which O2
+    keeps per bound (_by_norm): a class order is enumerated once per bound
+    for all the orders matched against it, and O1 is never enumerated.
     """
-    if O1.invariants != O2.invariants:
+    if O1.disc != O2.disc:
         return False
     g1, g2 = O1.reduced_gram, O2.reduced_gram
     if g1 == g2:
         return True
     maxd = max(g1[i][i] for i in range(4))
-    cand = {}
-    for x, q in short_vectors(g2, maxd, False):
-        cand.setdefault(q, []).extend((x, tuple(-c for c in x)))
+    cand = O2._by_norm.get(maxd)
+    if cand is None:
+        cand = O2._by_norm[maxd] = {}
+        for x, q in short_vectors(g2, maxd, False):
+            cand.setdefault(q, []).extend((x, tuple(-c for c in x)))
 
     def pair(x, y):
         return sum(g2[i][j] * x[i] * y[j] for i in range(4) for j in range(4))

@@ -43,8 +43,8 @@ tail target:
   The bound depends on a series only through its T and R, and an entry of
   the table only on the gap, z, P and the block, whose boundaries follow
   from P and |q| alone.  So theta_forms sums every form of a level at one
-  P, the largest any of them needs, from one table over the union of
-  their gaps: each form's bound 2 T (R + 1) 2^-P then only shrinks;
+  P, the largest any of them needs, from one table up to their largest
+  gap: each form's bound 2 T (R + 1) 2^-P then only shrinks;
 * siegel_theta: 24 (2S+1)^4 2^-P, of which it uses less than 4 (2S+1)^4.
   A row's terms t(m, n0 +- j) are t(m, n0) rho^j G_j, rho the row's first
   ratio up or down and G_j = (C^2)^(j (j-1)/2) from one table per call,
@@ -67,8 +67,9 @@ on the bound itself, in mpmath, only where that log lies within a
 relative 10^-6 of the target's, so they are the ones the exact bounds
 give.  The representation numbers come from the lattice points of one
 half plane, each counted with its negative (representation_counts).  A
-form whose ellipse may hold more than MAX_TAIL_TERMS lattice points is
-refused with ResourceError before any point is visited.
+form whose ellipse may hold more than MAX_TAIL_TERMS lattice points, or
+a level whose forms' ellipses may hold more than MAX_LEVEL_POINTS
+together, is refused with ResourceError before any point is visited.
 
 The error of a product of fixed-point values stays within these bounds only
 because no table entry or step factor exceeds 1 in modulus, and each bound
@@ -91,6 +92,8 @@ from .quadratic import HeegnerPoint, QuadForm, reduce_form
 
 # the most lattice points of one theta form, points of a Siegel box, or eta exponents
 MAX_TAIL_TERMS = 5 * 10**6
+# the most lattice points summed over the forms of one theta_forms call, a whole level
+MAX_LEVEL_POINTS = 10**8
 # a Siegel box sum may drop terms below 2^STOP_BITS units
 STOP_BITS = 8
 # _q_series' Horner scale rises by SCALE_STEP bits from one block of powers to the next
@@ -243,47 +246,39 @@ def _truncate(x, bits):
     return x >> bits if x >= 0 else -(-x >> bits)
 
 
-def _q_table(gaps, z, P, top):
-    """The q-power tables of _q_series, q = e^(2 pi i z), for sums up to the power top.
+def _q_table(kss, z, P):
+    """The q-power table of _q_series, q = e^(2 pi i z), for the exponent sequences kss.
 
-    Returns (P, beta, blocks): blocks[j] maps each gap g in gaps, and 0, to
-    2^(P - j SCALE_STEP) q^g, truncated toward zero, for the Horner block j
-    (see _q_series), and beta is a float lower bound on -log2 |q| =
-    2 pi Im z / ln 2, with a relative margin of 10^-9 for its rounding,
-    capped at P.
+    Returns (P, W, beta, qpow, blocks).  qpow[g] is 2^W q^g for g up to G,
+    the largest gap between consecutive exponents of any sequence; blocks,
+    empty here, maps each Horner block j of _q_series to the entries its
+    steps have read.  beta is a float lower bound on -log2 |q| =
+    2 pi Im z / ln 2, with a relative margin of 10^-9, capped at P.
 
-    q comes from one mpmath exp at W = P + 20 + bitlen(G) bits, G the
-    largest gap, and its powers q^g = q^(g-1) q are stepped in Gaussian
-    fixed point at scale 2^-W, each product shifted back by W bits.  With
-    w = |2 pi z|, the exponent 2 pi i z is rounded within 3 w 2^-W and the
-    exp within relative (3 w + 1) 2^-W, so 2^W q is within 3 w + 3 units,
-    and each step adds at most that error of q plus sqrt(2) for its shift:
-    q^g is within g (3 w + 5) units of 2^-W, below (3 w + 5) 2^-20 of 2^-P
-    for g <= G.  Each entry is truncated toward zero once to 2^-P, so it is
-    within (sqrt(2) + (3 w + 5) 2^-20) 2^-P of q^g; while 3 w + 5 < 2^19,
-    the excess over sqrt(2) lies inside the slack of _q_series' bound,
-    sqrt(2) T (R + 1) < 2 T (R + 1).  blocks[j]
-    truncates that entry again by j SCALE_STEP bits, which equals
-    truncating it at 2^-(P - j SCALE_STEP).  Every entry depends only on
-    (g, z, P, j), so one table serves every series summed at the same z
-    and P.
+    q comes from one mpmath exp at W = P + 20 + bitlen(G) bits, and its
+    powers q^g = q^(g-1) q are stepped in Gaussian fixed point at scale
+    2^-W, each product shifted back by W bits.  With w = |2 pi z|, the
+    exponent 2 pi i z is rounded within 3 w 2^-W and the exp within
+    relative (3 w + 1) 2^-W, so 2^W q is within 3 w + 3 units, and each
+    step adds at most that error of q plus sqrt(2) for its shift: q^g is
+    within g (3 w + 5) units of 2^-W, below (3 w + 5) 2^-20 of 2^-P for
+    g <= G.  A block at scale 2^-p, p <= P, truncates an entry toward zero
+    once to 2^-p, so it is within (sqrt(2) + (3 w + 5) 2^-20) 2^-p of q^g;
+    while 3 w + 5 < 2^19, the excess over sqrt(2) lies inside the slack of
+    _q_series' bound, sqrt(2) T (R + 1) < 2 T (R + 1).  Every entry depends
+    only on (g, z, P, j), so one table serves every series summed at the
+    same z and P.
     """
-    top_gap = max(gaps, default=0)
+    top_gap = max((b - a for ks in kss for a, b in zip(ks, ks[1:])), default=0)
     W = P + 20 + top_gap.bit_length()
     with mp.workprec(W):
         qr, qi = _to_fixed(mpmath.exp(2j * mpmath.pi * z), W)
         beta = min(float(2 * mpmath.pi * z.imag / mpmath.ln2) * (1 - 1e-9), P)
-    xr, xi = 1 << W, 0
-    qpow = {0: (1 << P, 0)}
-    for g in range(1, top_gap + 1):
-        xr, xi = (xr * qr - xi * qi) >> W, (xr * qi + xi * qr) >> W
-        if g in gaps:
-            qpow[g] = _truncate(xr, W - P), _truncate(xi, W - P)
-    blocks = [
-        {g: (_truncate(x, j * SCALE_STEP), _truncate(y, j * SCALE_STEP)) for g, (x, y) in qpow.items()}
-        for j in range(int(min(P, top * beta)) // SCALE_STEP + 1)
-    ]
-    return P, beta, blocks
+    qpow = [(1 << W, 0)]
+    for _ in range(top_gap):
+        xr, xi = qpow[-1]
+        qpow.append(((xr * qr - xi * qi) >> W, (xr * qi + xi * qr) >> W))
+    return P, W, beta, qpow, {}
 
 
 def _q_series(ks, cs, table):
@@ -302,7 +297,8 @@ def _q_series(ks, cs, table):
     Going down from the top k, the powers fall into blocks whose scale is
     P - j SCALE_STEP (never below 0) for the block j of k >= j SCALE_STEP /
     beta; at each block boundary h is shifted left, which is exact, and
-    the steps read the table's block j.  A step at scale p adds below
+    the steps read the table's block j, into which an entry is truncated
+    on its first use.  A step at scale p adds below
     sqrt(2) 2^-p of rounding and |h| sqrt(2) 2^-p from the truncated table
     entry, with |h| <= R = sum_k |c_k|; the later steps multiply both by at
     most |q|^k <= 2^(p-P).  Over the at most T = ks[-1] steps that multiply,
@@ -311,7 +307,7 @@ def _q_series(ks, cs, table):
     one table at the largest P any of them needs each stay within their
     own bound, which only shrinks as P grows.
     """
-    P, beta, blocks = table
+    P, W, beta, qpow, blocks = table
     hr = hi = p = 0
     above = ks[-1]
     top = len(ks)
@@ -322,18 +318,17 @@ def _q_series(ks, cs, table):
         scale = P - j * SCALE_STEP
         hr, hi = hr << (scale - p), hi << (scale - p)
         p = scale
-        block = blocks[j]
+        block = blocks.setdefault(j, {})
         for k, ck in zip(reversed(ks[bottom:top]), reversed(cs[bottom:top])):
-            qr, qi = block[above - k]
+            entry = block.get(above - k)
+            if entry is None:
+                x, y = qpow[above - k]
+                entry = block[above - k] = _truncate(x, W - p), _truncate(y, W - p)
+            qr, qi = entry
             hr, hi = ((hr * qr - hi * qi) >> p) + (ck << p), (hr * qi + hi * qr) >> p
             above = k
         top = bottom
     return hr, hi
-
-
-def _gaps(ks):
-    """The differences of consecutive exponents ks."""
-    return {b - a for a, b in zip(ks, ks[1:])}
 
 
 def theta_forms(forms, tau, prec):
@@ -341,14 +336,21 @@ def theta_forms(forms, tau, prec):
 
     Each form has its own cutoff T and nonzero counts r_Q(k), k <= T, with
     R = sum r_Q(k).  All are summed at the largest P = _fixed_bits(prec + 10,
-    2 T (R + 1)) over the forms, from one _q_table over the union of their
-    gaps; _q_series says why each form stays within its own bound.
+    2 T (R + 1)) over the forms, from one _q_table; _q_series says why each
+    form stays within its own bound.  Over MAX_LEVEL_POINTS summed point
+    bounds (_lattice_points) at the cutoffs, ResourceError before any point.
     """
     with mp.workdps(prec + GUARD_DIGITS + 5):
         z = _point_to_mpc(tau)
         if z.imag <= 0:
             raise InputError("theta needs a point in the upper half plane")
         cutoffs = [_form_tail_cutoff(Q, z.imag, prec) for Q in forms]
+    points = sum(_lattice_points(Q, T) for Q, T in zip(forms, cutoffs))
+    if points > MAX_LEVEL_POINTS:
+        raise ResourceError(
+            "theta of %d forms needs up to %d lattice points, more than the cap of %d for one level"
+            % (len(forms), points, MAX_LEVEL_POINTS)
+        )
     # every form's terms are held until P is known; arrays keep a term at
     # 16 bytes, where the dict of counts takes about 100
     series, P = [], 0
@@ -357,7 +359,7 @@ def theta_forms(forms, tau, prec):
         ks = sorted(r)
         series.append((array("q", ks), array("q", map(r.__getitem__, ks))))
         P = max(P, _fixed_bits(prec + 10, 2 * T * (sum(r.values()) + 1)))
-    table = _q_table(set().union(*(_gaps(ks) for ks, _ in series)), z, P, max(ks[-1] for ks, _ in series))
+    table = _q_table([ks for ks, _ in series], z, P)
     return tuple(_from_fixed(*_q_series(ks, cs, table), P, prec) for ks, cs in series)
 
 
@@ -646,7 +648,7 @@ def dedekind_eta(z, prec):
         c[e1] = c[e1 + k] = (-1) ** k
     ks = list(c)
     P = _fixed_bits(prec + 12, 2 * ks[-1] * (len(ks) + 1))
-    sr, si = _q_series(ks, list(c.values()), _q_table(_gaps(ks), z, P, ks[-1]))
+    sr, si = _q_series(ks, list(c.values()), _q_table([ks], z, P))
     with mp.workprec(P + 20):
         total = mpmath.mpc(mpf((sr, -P)), mpf((si, -P))) * mpmath.exp(2j * mpmath.pi * z / 24)
     return BigComplex.from_mpc(total, prec)

@@ -1,6 +1,7 @@
 """Command line behavior: formats, exit codes, cache, determinism."""
 
 import json
+import time
 
 import pytest
 
@@ -310,6 +311,19 @@ def test_cache_path_that_is_a_directory_leaves_no_tmp_file(tmp_path, capsys):
     warnings = [json.loads(line)["warning"] for line in capsys.readouterr().err.splitlines()]
     assert any("unwritable" in w for w in warnings), warnings
     assert sorted(p.name for p in tmp_path.iterdir()) == ["D", "D.lock"]
+
+
+def test_level_of_too_many_theta_points_is_refused_at_once(capsys):
+    # (-7, 10000019): each of the 1275 forms passes the per-form point cap,
+    # but their bounds sum to 7.7e8, over the level cap of 10^8
+    start = time.perf_counter()
+    code, text = run(["classify", "--disc", "-7", "--level", "10000019"])
+    assert time.perf_counter() - start < 5
+    assert code == 3 and text == ""
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"]["message"] == (
+        "theta of 1275 forms needs up to 767512002 lattice points, more than the cap of 100000000 for one level"
+    )
 
 
 def test_level_two_is_refused_before_the_jacobi_symbol(capsys):

@@ -1,11 +1,13 @@
 """Binary quadratic forms, ideals, and Heegner points."""
 
+import time
 from math import isqrt
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from splitcm.arith import is_prime, jacobi
 from splitcm.errors import InputError, SplitError
 from splitcm.hecke import HeckeContext
 from splitcm.quadratic import (
@@ -161,6 +163,24 @@ def test_smallest_odd_root():
         b1 = smallest_odd_root(D, N)
         assert b1 % 2 == 1 and 0 < b1 < 2 * N
         assert (b1 * b1 - D) % (4 * N) == 0
+    with pytest.raises(SplitError):
+        smallest_odd_root(-7, 19)  # 19 is inert in discriminant -7
+
+
+def test_smallest_odd_root_equals_the_scan_of_odd_b():
+    # the closed form picks the scan's root on every split level below 3000
+    checked = 0
+    for D in (-7, -11, -19, -43, -67, -163):
+        for N in range(7, 3000, 4):
+            if is_prime(N) and jacobi(D % N, N) == 1:
+                scan = next(b for b in range(1, 2 * N, 2) if (b * b - D) % (4 * N) == 0)
+                assert smallest_odd_root(D, N) == scan, (D, N)
+                checked += 1
+    assert checked > 600
+    # at N = 100000007 the scan of odd b took seconds before any other work
+    start = time.perf_counter()
+    assert prime_ideal_above(-7, 100000007).b == 99990007
+    assert time.perf_counter() - start < 0.5
 
 
 def test_prime_ideal_above_errors():

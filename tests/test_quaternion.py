@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from splitcm import quaternion
-from splitcm.central import admissible_levels, discover_classes
+from splitcm.central import ClassStore, _maximal_order, _snap, admissible_levels, discover_classes
 from splitcm.errors import InputError, ResourceError
 from splitcm.hecke import HeckeContext
 from splitcm.linalg import gram_schmidt, hnf_rows, lll_reduce_gram, mat_det
@@ -583,21 +584,63 @@ def test_isometry_invariant_under_conjugation():
         assert orders_isometric(O, conjugate_order(O, x))
 
 
-def test_invariant_record_matches_norm_counts():
+def test_omega_matches_the_unit_count_on_the_hnf_gram():
+    # omega reads the exact solve on reduced_gram; count again on the HNF basis
     for D, N in [(-7, 11), (-7, 23), (-11, 23), (-11, 31)]:
         ctx = HeckeContext(D, N, prec=50)
         for Q in reduced_forms(-N):
             O = right_order(build_Iz(ctx, Q))
-            disc, norm_counts, gross_counts = O.invariants
-            assert disc == O.disc == mat_det(O.lattice.scaled_gram())
-            g = O.gram
-            assert norm_counts == tuple(2 * len(_halves(g, n)) for n in range(1, 13))
-            # gross_counts reads the reduced Gram; count on the HNF basis
-            g = _hnf_gross_gram(O)
-            assert gross_counts == tuple(2 * len(_halves(g, n)) for n in range(1, 13))
+            assert O.disc == mat_det(O.lattice.scaled_gram())
+            assert O.omega == len(_halves(O.gram, 1))
+    for D in (-7, -11, -19, -43, -67, -163):
+        for info in discover_classes(D).classes:
+            assert info.omega == len(_halves(info.order.gram, 1)), D
 
 
-def test_invariant_record_is_computed_once_per_order(monkeypatch):
+def _fresh_store(store):
+    """store with every class order rebuilt, so that no derived data is cached yet."""
+    return ClassStore(store.D, tuple(replace(info, order=Order(info.order.lattice)) for info in store.classes))
+
+
+def test_matching_enumerates_each_class_order_once_per_bound(monkeypatch):
+    store = _fresh_store(discover_classes(-11))
+    class_grams = [info.order.reduced_gram for info in store.classes]
+    forms = []
+    for N in admissible_levels(-11, 200):
+        ctx = HeckeContext(-11, N)
+        forms += [(_maximal_order(ctx, Q), abs(_snap(ctx, raw))) for Q, raw in zip(ctx.forms, ctx.thetas)]
+    enumerated, reductions = [], []
+    real_short, real_lll = quaternion.short_vectors, quaternion.lll_reduce_gram
+
+    def counting_short(gram, bound2, exact):
+        enumerated.append((gram, bound2, exact))
+        return real_short(gram, bound2, exact)
+
+    def counting_lll(gram):
+        reductions.append(gram)
+        return real_lll(gram)
+
+    monkeypatch.setattr(quaternion, "short_vectors", counting_short)
+    monkeypatch.setattr(quaternion, "lll_reduce_gram", counting_lll)
+    searched = 0
+    for O, theta_abs in forms:
+        before = len(reductions)
+        cid = store.match(O, theta_abs)
+        assert store.classes[cid].theta_abs == theta_abs
+        # one LLL for the form order's reduced_gram, and no Gross lattice
+        assert len(reductions) == before + 1
+        searched += O.reduced_gram not in class_grams
+        assert store.match(O, theta_abs) == cid and len(reductions) == before + 1
+    # every enumeration is of a class order, in inexact mode, once per bound
+    assert all(any(g is c for c in class_grams) and not exact for g, _, exact in enumerated)
+    keys = [(class_grams.index(g), bound2) for g, bound2, _ in enumerated]
+    assert len(set(keys)) == len(keys)
+    assert searched > 2 * len(keys) > 0
+    for info, g in zip(store.classes, class_grams):
+        assert sorted(info.order._by_norm) == sorted(b for i, b in keys if class_grams[i] is g)
+
+
+def test_order_counts_its_units_once(monkeypatch):
     store = discover_classes(-11)
     info = store.classes[-1]
     ctx = HeckeContext(-11, info.witness_level, prec=50)
@@ -615,19 +658,42 @@ def test_invariant_record_is_computed_once_per_order(monkeypatch):
     real = quaternion.short_vectors
 
     def counting(gram, bound2, exact):
-        calls.append(bound2)
+        calls.append((gram, bound2, exact))
         return real(gram, bound2, exact)
 
     monkeypatch.setattr(quaternion, "short_vectors", counting)
-    assert store.match(O) == info.class_id
-    assert len(calls) == 2  # one pass for the norm lattice, one for the Gross lattice
-    assert store.match(O) == info.class_id
-    assert O.omega == info.omega
-    assert len(calls) == 2
+    assert O.omega == O.omega == info.omega
+    assert calls == [(O.reduced_gram, 2, True)]
+    assert len(O.units) == len(O.units) == info.omega
+    assert calls[1:] == [(O.gram, 2, True)]
     for _ in range(2):
         embedding_count(O, info.witness_level)
-    assert calls.count(2) == 1  # the unit group, enumerated once
+    assert [c[1] for c in calls].count(2) == 2  # omega and the units, each solved once
     assert grams == [O.lattice]  # one norm Gram for the order's whole life
+
+
+def test_every_form_order_matches_one_class_in_any_order():
+    searched = 0
+    for D in (-7, -11, -19, -43, -67, -163):
+        store = discover_classes(D)
+        flipped = ClassStore(D, store.classes[::-1])
+        for N in admissible_levels(D, 200):
+            ctx = HeckeContext(D, N)
+            for Q, raw in zip(ctx.forms, ctx.thetas):
+                O = _maximal_order(ctx, Q)
+                theta_abs = abs(_snap(ctx, raw))
+                cid = store.match(O, theta_abs)
+                assert store.classes[cid].theta_abs == theta_abs, (D, N, Q)
+                assert store.match(O) == flipped.match(O) == flipped.match(O, theta_abs) == cid, (D, N, Q)
+        orders = [info.order for info in store.classes]
+        for O1, O2 in itertools.permutations(orders, 2):
+            assert not orders_isometric(O1, O2), D
+        for O in orders:
+            C = conjugate_order(O, (1, 2, 0, 1))
+            assert C.lattice != O.lattice
+            assert orders_isometric(O, C) and orders_isometric(C, O), D
+            searched += C.reduced_gram != O.reduced_gram
+    assert searched > 0
 
 
 def test_pair_trd_is_symmetric_bilinear():

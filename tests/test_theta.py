@@ -121,8 +121,8 @@ def test_theta_form_within_its_bound_of_the_full_scale_horner(monkeypatch):
     tables, sums = [], []
     q_table, q_series = theta._q_table, theta._q_series
 
-    def record_table(gaps, z, P, top):
-        table = q_table(gaps, z, P, top)
+    def record_table(kss, z, P):
+        table = q_table(kss, z, P)
         tables.append((z, P, table))
         return table
 
@@ -206,6 +206,36 @@ def test_level_thetas_share_one_q_table(monkeypatch):
             assert v.distance(theta_form(Q, ctx.class_point, S)) < mpf(10) ** -(S + 5), (ctx.N, Q)
 
 
+def test_q_table_truncates_an_entry_only_for_the_blocks_that_read_it(monkeypatch):
+    # eta(tau0) at D = -7 and 600 digits spreads 23 pentagonal terms, with
+    # gaps up to 21, over 33 blocks; each block holds only the gaps its own
+    # steps read, each the entry of truncating 2^W q^g to 2^-P and then once
+    # more to the block's scale, as a table truncated up front held
+    tables = []
+    q_table = theta._q_table
+
+    def spy(*args):
+        tables.append(q_table(*args))
+        return tables[-1]
+
+    monkeypatch.setattr(theta, "_q_table", spy)
+    with mpmath.workdps(630):
+        tau0 = (mpmath.sqrt(-7) - 1) / 2
+    dedekind_eta(tau0, 600)
+    ctx = HeckeContext(-11, 47)
+    ctx.thetas
+    for P, W, beta, qpow, blocks in tables:
+        for j, block in blocks.items():
+            for g, entry in block.items():
+                assert entry == tuple(theta._truncate(theta._truncate(x, W - P), j * theta.SCALE_STEP) for x in qpow[g])
+    (_, _, _, qpow, blocks), level = tables
+    assert len(qpow) == 22 and max(blocks) == 32
+    assert sum(map(len, blocks.values())) <= 23  # at most one entry per step, of 33 * 22
+    # the forms of a level share one table, and still leave some pairs of
+    # block and gap unread
+    assert sum(map(len, level[4].values())) < len(level[4]) * len(level[3])
+
+
 def test_theta_refuses_too_many_lattice_points_before_enumerating(monkeypatch):
     # the cap is on the lattice points of the cutoff's ellipse, not on T:
     # at Im tau = 1e-9, T ~ 10^11, the doubling refuses at once; at (-7, 43)
@@ -229,6 +259,29 @@ def test_theta_refuses_too_many_lattice_points_before_enumerating(monkeypatch):
     monkeypatch.undo()
     monkeypatch.setattr(theta, "MAX_TAIL_TERMS", bound)
     theta_form(Q, pt, 80)
+
+
+def test_theta_refuses_a_level_of_too_many_lattice_points_before_enumerating(monkeypatch):
+    # the level cap is on the sum of the forms' point bounds at their
+    # cutoffs: at (-11, 47) the five forms are refused under a cap one below
+    # that sum and run under a cap of exactly that sum; no refusal visits a point
+    ctx = HeckeContext(-11, 47)
+    with mpmath.workdps(ctx.prec + GUARD_DIGITS + 5):
+        y = theta._point_to_mpc(ctx.class_point).imag
+        total = sum(theta._lattice_points(Q, theta._form_tail_cutoff(Q, y, 80)) for Q in ctx.forms)
+    counts = theta.representation_counts
+
+    def refuse(*args):
+        raise AssertionError("representation_counts ran")
+
+    monkeypatch.setattr(theta, "representation_counts", refuse)
+    monkeypatch.setattr(theta, "MAX_LEVEL_POINTS", total - 1)
+    message = "theta of 5 forms needs up to %d lattice points, more than the cap of %d" % (total, total - 1)
+    with pytest.raises(ResourceError, match=message):
+        theta.theta_forms(ctx.forms, ctx.class_point, 80)
+    monkeypatch.setattr(theta, "representation_counts", counts)
+    monkeypatch.setattr(theta, "MAX_LEVEL_POINTS", total)
+    assert len(theta.theta_forms(ctx.forms, ctx.class_point, 80)) == 5
 
 
 def test_theta_kernels_refuse_heights_below_the_float_range():
