@@ -10,9 +10,9 @@ L(psi_N, 1) as an explicit finite sum.
 
 Main entry points: `HeckeContext` fixes (D, N, b1, precision), where the
 root b1 picks the prime over N and with it psi_N; `classify` produces
-per-form theta integers and per-class table rows from one pass over the
-level's theta series; `l_value` the central value, whose two internal
-paths share that pass; `oracle_central_value` an independent evaluation,
+per-form theta integers and per-class table rows from the level's theta
+values, each from its form's Sp4(Z)-reduced point; `l_value` the central
+value, whose two internal paths share those values; `oracle_central_value` an independent evaluation,
 with its root number, from the functional equation alone; `make_table`
 the one loop over the levels of a table, with a per-level hook for
 callers that cache rows.

@@ -9,9 +9,20 @@ class, and the signed count h_eps.  The central value is then
 
 which must match the direct unnormalized sum over forms.  Both read the
 level's data from its HeckeContext, which computes it once: the theta
-series at S = min(prec, THETA_DIGITS) digits, since theta enters L only
+values at S = min(prec, THETA_DIGITS) digits, since theta enters L only
 through the integer A(N), and the eta factor at prec, since it also enters
-P(N).  The two paths are compared at S digits.  An oracle evaluates
+P(N).  The two paths are compared at S digits.
+
+The theta values come from each form's split-CM point reduced by Sp4(Z)
+(theta.reduce_splitcm), and the reduced point also names the form's
+class: forms whose points reduce to the same Z' lie in one Sp4(Z) orbit,
+and so in one maximal-order class.  ClassStore keeps a map from reduced
+point to class, so the order of a form (build_Iz, right_order) is built
+and matched only for a reduced point not seen before.  Two checks stay
+independent of the reduction: each snapped |theta| must equal its class's
+invariant, which discover_classes takes from the q-series (theta_form),
+and each class's count must equal k h_R / 2, with h_R from the Gross
+lattice.  An oracle evaluates
 the same L-value with no theta machinery at all: the smoothed functional
 equation of L(psi_N, s), summed over coefficients counted exactly in O_K,
 which also solves for the root number W and certifies |W| = 1.  Its three
@@ -28,7 +39,7 @@ because N > 4; levels are primes N = 3 mod 4 that split in Q(sqrt(D)).
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
 from operator import itemgetter
@@ -112,10 +123,18 @@ class ClassStore:
     Completeness is certified by the Eichler mass identity over left ideal
     classes, sum over classes of k/(2 omega) = (|D| - 1)/24 (see
     _ideal_class_count for k).
+
+    keys maps a reduced point (ReducedPoint.key) to its class_id: points
+    that are equal lie in one Sp4(Z) orbit, and so in one class.
+    discover_classes fills it and classify adds to it, each taking a new
+    point's class from its form's order (right_order, then match).  A D has
+    a few dozen reduced points at most (27 for D = -163 up to N = 3000), so
+    most levels build no order at all.
     """
 
     D: int
     classes: tuple
+    keys: dict = field(default_factory=dict, compare=False, repr=False)
 
     def match(self, order, theta_abs=None):
         """The class_id whose order is isometric to order, or None; classes of the given theta_abs go first."""
@@ -178,9 +197,12 @@ def discover_classes(D):
     Each new class stores a witness: the level and form where it first
     appeared and the snapped |theta| there, which is the class invariant
     reported in tables even at levels where the class has no points.  Theta
-    is computed for the witness forms only, at the default 80 digits: the
-    store holds integers and orders, so nothing in it depends on the
-    precision.  It scans the admissible levels up to DISCOVERY_CAP.
+    is computed for the witness forms only, by the q-series (theta_form) at
+    the default 80 digits, so that classify's comparison with it checks the
+    reduced path: the store holds integers and orders, so nothing in it
+    depends on the precision.  Only a form whose reduced point is new has
+    its order built and matched; the store's keys record the class of every
+    point seen.  It scans the admissible levels up to DISCOVERY_CAP.
     """
     validate_field_disc(D)
     target = Fraction(-D - 1, 24)
@@ -189,21 +211,25 @@ def discover_classes(D):
     last = scan[-1] if scan else 0
     for N in scan:
         ctx = HeckeContext(D, N)
-        for Q in ctx.forms:
-            order = _maximal_order(ctx, Q)
-            if store.match(order) is not None:
+        for Q, red in zip(ctx.forms, ctx.reduced_points):
+            if red.key in store.keys:
                 continue
-            raw = theta.theta_form(Q, ctx.class_point, ctx.prec)
-            info = ClassInfo(
-                class_id=len(store.classes),
-                order=order,
-                omega=order.omega,
-                k=_ideal_class_count(order, D),
-                theta_abs=abs(_snap(ctx, raw)),
-                witness_level=N,
-                witness_form=Q,
-            )
-            store = ClassStore(D, store.classes + (info,))
+            order = _maximal_order(ctx, Q)
+            cid = store.match(order)
+            if cid is None:
+                raw = theta.theta_form(Q, ctx.class_point, ctx.prec)
+                cid = len(store.classes)
+                info = ClassInfo(
+                    class_id=cid,
+                    order=order,
+                    omega=order.omega,
+                    k=_ideal_class_count(order, D),
+                    theta_abs=abs(_snap(ctx, raw)),
+                    witness_level=N,
+                    witness_form=Q,
+                )
+                store = ClassStore(D, store.classes + (info,), store.keys)
+            store.keys[red.key] = cid
         mass = store.mass()
         if mass > target:
             raise InternalError("class mass %s exceeded the target %s: classification is wrong"
@@ -216,17 +242,28 @@ def discover_classes(D):
 
 
 def classify(ctx, store):
-    """All theta records at ctx's level and a row per known class; each |theta| picks the class tried first."""
+    """All theta records at ctx's level and a row per known class.
+
+    Each class's h_R = embedding_count comes first, so that a level past
+    its node cap is refused before any per-form work.  A form takes the
+    class of its reduced point from store.keys; for a point not seen
+    before, its order is matched with the class of its |theta| tried first,
+    and the point is added to the keys.
+    """
     if store.D != ctx.D:
         raise InputError("class store was built for D = %d, not %d" % (store.D, ctx.D))
+    h_rs = [embedding_count(info.order, ctx.N) for info in store.classes]
     records = []
-    for Q, raw in zip(ctx.forms, ctx.thetas):
+    for Q, red, raw in zip(ctx.forms, ctx.reduced_points, ctx.thetas):
         snapped = _snap(ctx, raw)
-        cid = store.match(_maximal_order(ctx, Q), abs(snapped))
+        cid = store.keys.get(red.key)
         if cid is None:
-            raise IncompleteClassListError(
-                "order class of %s at N=%d is missing from the store" % (Q, ctx.N)
-            )
+            cid = store.match(_maximal_order(ctx, Q), abs(snapped))
+            if cid is None:
+                raise IncompleteClassListError(
+                    "order class of %s at N=%d is missing from the store" % (Q, ctx.N)
+                )
+            store.keys[red.key] = cid
         info = store.classes[cid]
         if abs(snapped) != info.theta_abs:
             raise InternalError(
@@ -242,9 +279,8 @@ def classify(ctx, store):
             )
         )
     rows = []
-    for info in store.classes:
+    for info, h_r in zip(store.classes, h_rs):
         members = [r for r in records if r.class_id == info.class_id]
-        h_r = embedding_count(info.order, ctx.N)
         if 2 * len(members) != info.k * h_r:
             raise InternalError(
                 "class %d has %d points at N=%d but k h_R = %d * %d"
@@ -277,6 +313,8 @@ def l_value_paths(ctx, store):
     over N, not Galois-stable, so the functional equation only makes
     L^2 * conj(i*pi/|pi|) real, with pi a generator of ctx.level_ideal.
     """
+    # classify first: it refuses a level past embedding_count's cap before any per-form work
+    _, rows = classify(ctx, store)
     total = BigComplex.make(0, 0, ctx.prec)
     for raw in ctx.thetas:
         total = total + raw
@@ -284,7 +322,6 @@ def l_value_paths(ctx, store):
         pref = BigComplex.make(2 * mpmath.pi / (OMEGA_N * mpmath.sqrt(ctx.N)), 0, ctx.prec)
     direct = pref * total
 
-    _, rows = classify(ctx, store)
     weighted = sum(row.abs_theta * row.h_eps for row in rows)
     structured = pref * ctx.eta_factor * weighted
     return direct, structured, weighted

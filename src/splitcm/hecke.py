@@ -1,4 +1,4 @@
-"""The level's fixed data: field, level ideal, precision, and one pass of theta.
+"""The level's fixed data: field, level ideal, precision, and each form's reduced point.
 
 The setting: K = Q(sqrt(D)) imaginary quadratic with |D| prime and h(D) = 1,
 N a prime that is 3 mod 4 and splits in K, and a prime ideal (N, b1) over
@@ -8,13 +8,14 @@ N.  The root b1 is the one convention of the package: the conjugate root
 All complex embeddings use sqrt(D) = +i*sqrt(|D|).
 
 HeckeContext computes each level quantity once, on first use: the reduced
-forms of discriminant -N, the class point, the eta factor at prec, and the
-theta series of every form.  Every form is evaluated at the class point,
-so their theta series come from one pass (theta.theta_forms) that shares
-one fixed-point scale and one table of q-powers.  Theta enters the
-central value only through integers, so it is computed at
-S = min(prec, THETA_DIGITS) digits; the eta factor is also a factor of
-the period, so it is computed at prec.
+forms of discriminant -N, the class point, the eta factor at prec, each
+form's split-CM point reduced by Sp4(Z), and the theta values.  The
+reduced points (theta.reduce_splitcm) are exact, and two readers share
+them: thetas, through theta.reduced_theta, which evaluates siegel_theta
+once per reduced point and digits and sums no q-series, and the class
+keys of central.ClassStore.  Theta enters the central value only through
+integers, so it is computed at S = min(prec, THETA_DIGITS) digits; the eta
+factor is also a factor of the period, so it is computed at prec.
 """
 
 from dataclasses import dataclass
@@ -116,10 +117,15 @@ class HeckeContext:
         return theta.eta_norm_factor(self)
 
     @cached_property
+    def reduced_points(self):
+        """theta.reduce_splitcm of each form at class_point: its reduced point, phase and inverted entries."""
+        return tuple(theta.reduce_splitcm(Q, self.class_point) for Q in self.forms)
+
+    @cached_property
     def thetas(self):
-        """theta_forms of forms at class_point, at min(prec, THETA_DIGITS) digits."""
+        """theta.reduced_theta of each form's reduced point, at min(prec, THETA_DIGITS) digits."""
         digits = min(self.prec, THETA_DIGITS)
-        return theta.theta_forms(self.forms, self.class_point, digits)
+        return tuple(theta.reduced_theta(self.D, red, digits) for red in self.reduced_points)
 
 
 def find_generator(ideal):

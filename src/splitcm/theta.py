@@ -1,18 +1,28 @@
 """Dedekind eta, binary theta series, symplectic theta at split-CM points.
 
-Two independent evaluation paths are kept on purpose, each with its own
-fixed-point kernel:
+A form Q = [a, b, c] of discriminant -N has the split-CM point
+Z = tau [[2a, b], [b, 2c]] at the level's class point tau, and
+theta(Z) = sum exp(pi i x^t Z x) = sum_x q^Q(x), q = e^(2 pi i tau).  Three
+evaluations of it are kept on purpose, each with its own kernel:
 
-* theta_forms collects the integer representation numbers of each form
-  and sums one q-power series per form by Horner's rule (_q_series, which
-  also sums dedekind_eta's pentagonal series), all forms of a level from
-  one table of q-powers (_q_table); theta_form is theta_forms of one form;
-* siegel_theta sums exp(pi*i*x^t z x) over a 2d box, row by row, by
-  Horner's rule outward from each row's largest term, over a range of each
-  row solved in closed form.
+* the reduced path, which the product reads (HeckeContext.thetas):
+  reduce_splitcm moves Z by Sp4(Z) into the Siegel fundamental domain in
+  exact integer arithmetic, and reduced_theta multiplies siegel_theta at
+  the reduced point, evaluated once per (D, point, digits), by a root of
+  unity and the roots of the entries that the reduction inverted.  Its
+  cost does not grow with N;
+* theta_form sums the q-series of one form's integer representation
+  numbers by Horner's rule (_q_series, which also sums dedekind_eta's
+  pentagonal series) from a table of q-powers (_q_table);
+* siegel_theta at Z itself (symplectic_theta_splitcm) sums
+  exp(pi*i*x^t z x) over a 2d box, row by row, by Horner's rule outward
+  from each row's largest term, over a range of each row solved in closed
+  form.
 
-They must agree to working precision on every split-CM point; the
-normalized value divides by the eta factor of the level, which
+The last two are independent of the reduction and stay as its checks:
+the class invariant that classify compares every reduced value with comes
+from theta_form (discover_classes), and the tests compare the three paths.
+The normalized value divides by the eta factor of the level, which
 HeckeContext.eta_factor computes once per level.
 
 That factor (eta_norm_factor) takes eta at the level point gamma tau0 from
@@ -30,8 +40,8 @@ tail target:
 
 * _q_series: 2 T (R + 1) 2^-P, for the Horner steps up to the top power T
   of a q-series whose integer coefficients have absolute sum R.
-  theta_forms and dedekind_eta both sum through it: theta_forms over the
-  nonzero representation numbers up to each form's least cutoff T (at
+  theta_form and dedekind_eta both sum through it: theta_form over the
+  nonzero representation numbers up to the form's least cutoff T (at
   least 16) that passes the tail bound, dedekind_eta over its +-1
   pentagonal terms.
   An error made at power k is later multiplied by |q|^k, so the step at k
@@ -39,12 +49,7 @@ tail target:
   the bits that can still reach 2^-P.  The scale rises by SCALE_STEP = 64
   bits from one block of powers to the next, and the table of q-powers,
   stepped in Gaussian fixed point a little finer than 2^-P and truncated
-  toward zero at each block's scale, stays within the same bound.
-  The bound depends on a series only through its T and R, and an entry of
-  the table only on the gap, z, P and the block, whose boundaries follow
-  from P and |q| alone.  So theta_forms sums every form of a level at one
-  P, the largest any of them needs, from one table up to their largest
-  gap: each form's bound 2 T (R + 1) 2^-P then only shrinks;
+  toward zero at each block's scale, stays within the same bound;
 * siegel_theta: 24 (2S+1)^4 2^-P, of which it uses less than 4 (2S+1)^4.
   A row's terms t(m, n0 +- j) are t(m, n0) rho^j G_j, rho the row's first
   ratio up or down and G_j = (C^2)^(j (j-1)/2) from one table per call,
@@ -59,7 +64,10 @@ tail target:
   The rows' start terms and first ratios come from a walk on integer
   mantissas (x + i y) 2^e rounded to L = P + 20 + 2 bitlen(S) bits,
   within relative (pi max|z_ij| + 4) 2^(-15-P), which the same bound
-  covers while pi max|z_ij| + 4 < 2^15.
+  covers while pi max|z_ij| + 4 < 2^15;
+* reduced_theta: M times siegel_theta's bound at the reduced point, with
+  M = prod_j |w_j|^(-1/2) over the inverted entries w_j, exact from their
+  norms, plus the rounding of its few mpmath operations (see there).
 
 Both tail cutoffs, theta's T (_form_tail_cutoff) and the Siegel box S
 (_siegel_box), are decided on the log of their tail bound in floats, and
@@ -67,33 +75,30 @@ on the bound itself, in mpmath, only where that log lies within a
 relative 10^-6 of the target's, so they are the ones the exact bounds
 give.  The representation numbers come from the lattice points of one
 half plane, each counted with its negative (representation_counts).  A
-form whose ellipse may hold more than MAX_TAIL_TERMS lattice points, or
-a level whose forms' ellipses may hold more than MAX_LEVEL_POINTS
-together, is refused with ResourceError before any point is visited.
+form whose ellipse may hold more than MAX_TAIL_TERMS lattice points is
+refused with ResourceError before any point is visited.
 
 The error of a product of fixed-point values stays within these bounds only
 because no table entry or step factor exceeds 1 in modulus, and each bound
 counts the size of the partial sums that its steps multiply.
 """
 
-from array import array
+import cmath
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import ceil, expm1, floor, isqrt, log, log1p, pi, sqrt
+from math import ceil, expm1, floor, gcd, isqrt, log, log1p, pi, sqrt
 
 import mpmath
 from mpmath import mp, mpf
 
-from .errors import InputError, ResourceError
+from .errors import InputError, InternalError, ResourceError
 from .numeric import GUARD_DIGITS, BigComplex
 from .quadratic import HeegnerPoint, QuadForm, reduce_form
 
 # the most lattice points of one theta form, points of a Siegel box, or eta exponents
 MAX_TAIL_TERMS = 5 * 10**6
-# the most lattice points summed over the forms of one theta_forms call, a whole level
-MAX_LEVEL_POINTS = 10**8
 # a Siegel box sum may drop terms below 2^STOP_BITS units
 STOP_BITS = 8
 # _q_series' Horner scale rises by SCALE_STEP bits from one block of powers to the next
@@ -246,14 +251,13 @@ def _truncate(x, bits):
     return x >> bits if x >= 0 else -(-x >> bits)
 
 
-def _q_table(kss, z, P):
-    """The q-power table of _q_series, q = e^(2 pi i z), for the exponent sequences kss.
+def _q_table(ks, z, P):
+    """The q-power table of _q_series, q = e^(2 pi i z), for the increasing exponents ks.
 
-    Returns (P, W, beta, qpow, blocks).  qpow[g] is 2^W q^g for g up to G,
-    the largest gap between consecutive exponents of any sequence; blocks,
-    empty here, maps each Horner block j of _q_series to the entries its
-    steps have read.  beta is a float lower bound on -log2 |q| =
-    2 pi Im z / ln 2, with a relative margin of 10^-9, capped at P.
+    Returns (P, W, beta, qpow).  qpow[g] is 2^W q^g for g up to G, the
+    largest gap between consecutive exponents of ks.  beta is a float lower
+    bound on -log2 |q| = 2 pi Im z / ln 2, with a relative margin of 10^-9,
+    capped at P.
 
     q comes from one mpmath exp at W = P + 20 + bitlen(G) bits, and its
     powers q^g = q^(g-1) q are stepped in Gaussian fixed point at scale
@@ -265,11 +269,9 @@ def _q_table(kss, z, P):
     g <= G.  A block at scale 2^-p, p <= P, truncates an entry toward zero
     once to 2^-p, so it is within (sqrt(2) + (3 w + 5) 2^-20) 2^-p of q^g;
     while 3 w + 5 < 2^19, the excess over sqrt(2) lies inside the slack of
-    _q_series' bound, sqrt(2) T (R + 1) < 2 T (R + 1).  Every entry depends
-    only on (g, z, P, j), so one table serves every series summed at the
-    same z and P.
+    _q_series' bound, sqrt(2) T (R + 1) < 2 T (R + 1).
     """
-    top_gap = max((b - a for ks in kss for a, b in zip(ks, ks[1:])), default=0)
+    top_gap = max((b - a for a, b in zip(ks, ks[1:])), default=0)
     W = P + 20 + top_gap.bit_length()
     with mp.workprec(W):
         qr, qi = _to_fixed(mpmath.exp(2j * mpmath.pi * z), W)
@@ -278,36 +280,32 @@ def _q_table(kss, z, P):
     for _ in range(top_gap):
         xr, xi = qpow[-1]
         qpow.append(((xr * qr - xi * qi) >> W, (xr * qi + xi * qr) >> W))
-    return P, W, beta, qpow, {}
+    return P, W, beta, qpow
 
 
 def _q_series(ks, cs, table):
-    """The Gaussian integer 2^P sum_k c_k q^k, from a _q_table at scale P.
+    """The Gaussian integer 2^P sum_k c_k q^k, from the _q_table of ks at scale P.
 
     ks are the increasing exponents, from ks[0] = 0, and cs[i] the integer
-    coefficient c_k at k = ks[i], of either sign; the table must hold every
-    gap of ks and reach ks[-1].  Horner's rule in Gaussian fixed point: from
-    one k to the next lower one k', h becomes h q^(k-k') + c_k', with
-    q^(k-k') from the table, truncated toward zero, so that no entry exceeds
-    |q|^(k-k') in modulus.
+    coefficient c_k at k = ks[i], of either sign.  Horner's rule in
+    Gaussian fixed point: from one k to the next lower one k', h becomes
+    h q^(k-k') + c_k', with q^(k-k') from the table, truncated toward zero,
+    so that no entry exceeds |q|^(k-k') in modulus.
 
     An error made at power k reaches the sum multiplied by at most |q|^k =
     2^(-k beta), so at power k, h need only be held at a scale 2^-p with
     p >= P - k beta.
     Going down from the top k, the powers fall into blocks whose scale is
     P - j SCALE_STEP (never below 0) for the block j of k >= j SCALE_STEP /
-    beta; at each block boundary h is shifted left, which is exact, and
-    the steps read the table's block j, into which an entry is truncated
-    on its first use.  A step at scale p adds below
+    beta; at each block boundary h is shifted left, which is exact, and a
+    table entry is truncated to the block's scale on its first use in the
+    block.  A step at scale p adds below
     sqrt(2) 2^-p of rounding and |h| sqrt(2) 2^-p from the truncated table
     entry, with |h| <= R = sum_k |c_k|; the later steps multiply both by at
     most |q|^k <= 2^(p-P).  Over the at most T = ks[-1] steps that multiply,
-    the error is below sqrt(2) T (R + 1) 2^-P < 2 T (R + 1) 2^-P.  The
-    bound depends on the series only through T and R, so series that share
-    one table at the largest P any of them needs each stay within their
-    own bound, which only shrinks as P grows.
+    the error is below sqrt(2) T (R + 1) 2^-P < 2 T (R + 1) 2^-P.
     """
-    P, W, beta, qpow, blocks = table
+    P, W, beta, qpow = table
     hr = hi = p = 0
     above = ks[-1]
     top = len(ks)
@@ -318,7 +316,7 @@ def _q_series(ks, cs, table):
         scale = P - j * SCALE_STEP
         hr, hi = hr << (scale - p), hi << (scale - p)
         p = scale
-        block = blocks.setdefault(j, {})
+        block = {}
         for k, ck in zip(reversed(ks[bottom:top]), reversed(cs[bottom:top])):
             entry = block.get(above - k)
             if entry is None:
@@ -331,45 +329,22 @@ def _q_series(ks, cs, table):
     return hr, hi
 
 
-def theta_forms(forms, tau, prec):
-    """theta_form of each of forms at one point tau, in one pass.
+def theta_form(Q, tau, prec):
+    """Sum of q^Q(m,n) over the integer lattice, q = e^(2 pi i tau).
 
-    Each form has its own cutoff T and nonzero counts r_Q(k), k <= T, with
-    R = sum r_Q(k).  All are summed at the largest P = _fixed_bits(prec + 10,
-    2 T (R + 1)) over the forms, from one _q_table; _q_series says why each
-    form stays within its own bound.  Over MAX_LEVEL_POINTS summed point
-    bounds (_lattice_points) at the cutoffs, ResourceError before any point.
+    The q-series of the nonzero representation numbers r_Q(k), k <= T, for
+    the form's cutoff T, summed by _q_series at P = _fixed_bits(prec + 10,
+    2 T (R + 1)), R = sum r_Q(k), within its bound 2 T (R + 1) 2^-P.
     """
     with mp.workdps(prec + GUARD_DIGITS + 5):
         z = _point_to_mpc(tau)
         if z.imag <= 0:
             raise InputError("theta needs a point in the upper half plane")
-        cutoffs = [_form_tail_cutoff(Q, z.imag, prec) for Q in forms]
-    points = sum(_lattice_points(Q, T) for Q, T in zip(forms, cutoffs))
-    if points > MAX_LEVEL_POINTS:
-        raise ResourceError(
-            "theta of %d forms needs up to %d lattice points, more than the cap of %d for one level"
-            % (len(forms), points, MAX_LEVEL_POINTS)
-        )
-    # every form's terms are held until P is known; arrays keep a term at
-    # 16 bytes, where the dict of counts takes about 100
-    series, P = [], 0
-    for Q, T in zip(forms, cutoffs):
-        r = representation_counts(Q, T)
-        ks = sorted(r)
-        series.append((array("q", ks), array("q", map(r.__getitem__, ks))))
-        P = max(P, _fixed_bits(prec + 10, 2 * T * (sum(r.values()) + 1)))
-    table = _q_table([ks for ks, _ in series], z, P)
-    return tuple(_from_fixed(*_q_series(ks, cs, table), P, prec) for ks, cs in series)
-
-
-def theta_form(Q, tau, prec):
-    """Sum of q^Q(m,n) over the integer lattice, q = e^(2 pi i tau).
-
-    The q-series of the nonzero representation numbers r_Q(k), k <= T,
-    summed by _q_series within 2 T (R + 1) 2^-P, R = sum r_Q(k).
-    """
-    return theta_forms((Q,), tau, prec)[0]
+        T = _form_tail_cutoff(Q, z.imag, prec)
+    r = representation_counts(Q, T)
+    ks = sorted(r)
+    P = _fixed_bits(prec + 10, 2 * T * (sum(r.values()) + 1))
+    return _from_fixed(*_q_series(ks, [r[k] for k in ks], _q_table(ks, z, P)), P, prec)
 
 
 @dataclass(frozen=True)
@@ -622,6 +597,203 @@ def symplectic_theta_splitcm(point, prec):
     return siegel_theta(z11, z12, z22, prec)
 
 
+@dataclass(frozen=True)
+class ReducedPoint:
+    """A form's split-CM point Z, reduced by Sp4(Z) (reduce_splitcm).
+
+    theta(Z) = e(eighths/8) prod_j (-i w_j)^(-1/2) theta(point), with
+    e(x) = exp(2 pi i x) and principal roots.  A point is the seven
+    integers (x11, x12, x22, y11, y12, y22, d) of Z = (X + Y sqrt(D))/d,
+    X and Y symmetric and d > 0, with no common factor.  key is the
+    reduced Z' in the Siegel fundamental domain, which names the Sp4(Z)
+    orbit of Z; point is Z'' = Z' after the moves that take its
+    characteristic to 0; inverted holds each inverted entry
+    w_j = (x + y sqrt(D))/d as (x, y, d).
+    """
+
+    key: tuple
+    point: tuple
+    eighths: int
+    inverted: tuple
+
+
+def _gauss(z, ch):
+    """Z -> U Z U^t for U = M^t, M the matrix of reduce_form on Y's form [y11, 2 y12, y22].
+
+    reduce_form's g(w) = f(M w) means M^t Y M is Gauss-reduced.  The doubled
+    characteristic (A, B) = (2a, 2b) goes to (U^-t A, U B) = (M^-1 A, M^t B).
+    """
+    x11, x12, x22, y11, y12, y22, d = z
+    A1, A2, B1, B2 = ch
+    g = gcd(y11, 2 * y12, y22)
+    _, (p, q, r, s) = reduce_form(QuadForm(y11 // g, 2 * y12 // g, y22 // g))
+
+    def congruent(u11, u12, u22):
+        # the entries of M^t [[u11, u12], [u12, u22]] M
+        return (
+            u11 * p * p + 2 * u12 * p * r + u22 * r * r,
+            u11 * p * q + u12 * (p * s + q * r) + u22 * r * s,
+            u11 * q * q + 2 * u12 * q * s + u22 * s * s,
+        )
+
+    ch = s * A1 - q * A2, p * A2 - r * A1, p * B1 + r * B2, q * B1 + s * B2
+    return congruent(x11, x12, x22) + congruent(y11, y12, y22) + (d,), ch
+
+
+def _translate(z, ch, eighths, s11, s12, s22):
+    """Z -> Z - S for the integer symmetric S = [[s11, s12], [s12, s22]], and its phase.
+
+    theta[a,b](Z' + S) = e(-a^t S a/2 - a.diag(S)/2) theta[a, b + S a + diag(S)/2](Z'),
+    in eighths and doubled characteristics, then _normalized.
+    """
+    x11, x12, x22, y11, y12, y22, d = z
+    A1, A2, B1, B2 = ch
+    eighths -= s11 * A1 * (A1 + 2) + 2 * s12 * A1 * A2 + s22 * A2 * (A2 + 2)
+    ch = A1, A2, B1 + s11 * (A1 + 1) + s12 * A2, B2 + s12 * A1 + s22 * (A2 + 1)
+    return ((x11 - s11 * d, x12 - s12 * d, x22 - s22 * d, y11, y12, y22, d),) + _normalized(ch, eighths)
+
+
+def _invert(z, ch, eighths, D, inverted):
+    """The partial inversion J1: z11 -> -1/z11, z12 -> z12/z11, z22 -> z22 - z12^2/z11.
+
+    Poisson summation over the first coordinate gives
+    theta[a,b](Z) = (-i z11)^(-1/2) e(a1 b1) theta[(-b1, a2), (a1, b2)](J1 Z).
+    With n = x11^2 - D y11^2 = d^2 |z11|^2, the new point has denominator
+    d n before the seven integers are divided by their gcd.  Appends z11,
+    as (x11, y11, d), to inverted.
+    """
+    x11, x12, x22, y11, y12, y22, d = z
+    A1, A2, B1, B2 = ch
+    n = x11 * x11 - D * y11 * y11
+    # z12^2 = (p + q sqrt(D))/d^2, and d^3 z12^2 conj(z11) = (p x11 - D q y11) + (q x11 - p y11) sqrt(D)
+    p, q = x12 * x12 + D * y12 * y12, 2 * x12 * y12
+    w = (
+        -d * d * x11,
+        d * (x12 * x11 - D * y12 * y11),
+        n * x22 - p * x11 + D * q * y11,
+        d * d * y11,
+        d * (y12 * x11 - x12 * y11),
+        n * y22 - q * x11 + p * y11,
+        d * n,
+    )
+    g = gcd(*w)
+    inverted.append((x11, y11, d))
+    return (tuple(v // g for v in w),) + _normalized((-B1, A2, A1, B2), eighths + 2 * A1 * B1)
+
+
+def _swap(z, ch):
+    """Z -> P Z P, P = [[0, 1], [1, 0]] = P^-t: the two coordinates exchanged."""
+    x11, x12, x22, y11, y12, y22, d = z
+    A1, A2, B1, B2 = ch
+    return (x22, x12, x11, y22, y12, y11, d), (A2, A1, B2, B1)
+
+
+def _normalized(ch, eighths):
+    """(a, b) into {0, 1/2}^4: theta[a + j, b] = theta[a, b], theta[a, b + k] = e(a.k) theta[a, b]."""
+    A1, A2, B1, B2 = ch
+    a1, a2 = A1 % 2, A2 % 2
+    eighths += 2 * (a1 * (B1 - B1 % 2) + a2 * (B2 - B2 % 2))
+    return (a1, a2, B1 % 2, B2 % 2), eighths % 8
+
+
+def reduce_splitcm(Q, tau):
+    """The ReducedPoint of Q's split-CM point Z = tau [[2a, b], [b, 2c]], exactly.
+
+    Gottschling's genus-2 reduction (Deconinck, Heil, Bobenko, van Hoeij
+    and Schmies, "Computing Riemann theta functions", Math. Comp. 73
+    (2004), Sec. 3): Gauss-reduce Y, which is Im Z up to the factor
+    sqrt|D|/d; subtract the rounded real part S = round(X/d); stop when
+    |z11| >= 1, that is x11^2 - D y11^2 >= d^2; otherwise apply J1 and
+    repeat.  tau lies in Q(sqrt(D)), so every step is integer arithmetic
+    on the seven integers of Z.  The characteristic (a, b), from 0, and
+    the phase r follow each move by the rules of the helpers above, as in
+    theta[a,b](Z) = theta[U^-t a, U b](U Z U^t) for U in GL2(Z) (Mumford,
+    Tata Lectures on Theta I, II.5), with a and b kept in {0, 1/2}, doubled,
+    and r in eighths.
+
+    The characteristic stays even.  It is taken to 0 by the same moves:
+    if a1 = b1 = 1/2, a translation by s12 = +-1 (evenness then forces
+    a2 = b2 = 1/2, and b becomes 0); if then a1 = 1/2 and b1 = 0, J1; if
+    a2 = 1/2, and so b2 = 0, J2, which is J1 on the exchanged coordinates;
+    finally theta[0, b](Z') = theta(Z' + diag(2b)).
+    """
+    D, B = tau.D, tau.b
+    # tau = (-B + sqrt(D))/d, so X = -B M and Y = M for M = [[2a, b], [b, 2c]]
+    z = (-2 * B * Q.a, -B * Q.b, -2 * B * Q.c, 2 * Q.a, Q.b, 2 * Q.c, 2 * tau.a1 * tau.N)
+    g = gcd(*z)
+    z, ch, eighths, inverted = tuple(v // g for v in z), (0, 0, 0, 0), 0, []
+    while True:
+        z, ch = _gauss(z, ch)
+        d = z[6]
+        z, ch, eighths = _translate(z, ch, eighths, *((2 * x + d) // (2 * d) for x in z[:3]))
+        if z[0] * z[0] - D * z[3] * z[3] >= d * d:
+            break
+        z, ch, eighths = _invert(z, ch, eighths, D, inverted)
+    key = z
+    if ch[0] and ch[2]:
+        z, ch, eighths = _translate(z, ch, eighths, 0, 1 if z[1] >= 0 else -1, 0)
+    if ch[0] and not ch[2]:
+        z, ch, eighths = _invert(z, ch, eighths, D, inverted)
+    if ch[1]:
+        z, ch, eighths = _invert(*_swap(z, ch), eighths, D, inverted)
+        z, ch = _swap(z, ch)
+    if ch[0] or ch[1]:
+        raise InternalError("characteristic %s of %s did not reach a = 0" % (ch, Q))
+    x11, x12, x22, y11, y12, y22, d = z
+    point = (x11 + ch[2] * d, x12, x22 + ch[3] * d, y11, y12, y22, d)
+    return ReducedPoint(key, point, eighths, tuple(inverted))
+
+
+@lru_cache(maxsize=32)
+def _phase_constants(D, prec):
+    """The eighth roots of unity e(k/8), k = 0..7, and sqrt|D|, at prec + GUARD_DIGITS + 5 digits."""
+    with mp.workdps(prec + GUARD_DIGITS + 5):
+        return tuple(mpmath.expjpi(mpf(k) / 4) for k in range(8)), mpmath.sqrt(-D)
+
+
+@lru_cache(maxsize=None)
+def _reduced_siegel(D, point, prec):
+    """siegel_theta at a reduced point as an mpc, once per (D, point, prec); each D has a few dozen points."""
+    x11, x12, x22, y11, y12, y22, d = point
+    _, root_d = _phase_constants(D, prec)
+    with mp.workdps(prec + GUARD_DIGITS + 5):
+        z11, z12, z22 = (mpmath.mpc(x, y * root_d) / d for x, y in ((x11, y11), (x12, y12), (x22, y22)))
+    return siegel_theta(z11, z12, z22, prec).to_mpc()
+
+
+def reduced_theta(D, red, prec):
+    """theta(Z) at prec digits from Z's ReducedPoint red: no q-series at all.
+
+    theta(Z) = e(r) prod_j (-i w_j)^(-1/2) theta(Z''), with theta(Z'') from
+    siegel_theta, once per (D, Z'', prec).  The J roots take one complex
+    square root: of (-i)^J W, with W = prod_j w_j exact in Q(sqrt(D)).  The
+    product of the principal roots is that root times +-1, and the sign is
+    read from the product of the principal roots in floats.
+
+    Bound: siegel_theta is within 10^-(prec+10) of theta at the entries of
+    Z'' it is given, and the factor e(r)/root has modulus
+    M = prod_j |w_j|^(-1/2), exactly prod_j (d_j^2/(x_j^2 - D y_j^2))^(1/4)
+    from the norms, so the value is within M 10^-(prec+10) of theta(Z).
+    To that add the rounding of the entries of Z'', of W's value, its root,
+    one product and one quotient: at most about eight operations at
+    prec + GUARD_DIGITS + 5 digits, each within a relative
+    10^-(prec+GUARD_DIGITS+4) of the value it makes.
+    """
+    roots, root_d = _phase_constants(D, prec)
+    x, y, d = 1, 0, 1
+    floats = 1
+    for wx, wy, wd in red.inverted:
+        x, y, d = x * wx + D * y * wy, x * wy + y * wx, d * wd
+        # -i w = (y sqrt|D| - i x)/d
+        floats *= cmath.sqrt(complex(wy / wd * sqrt(-D), -wx / wd))
+    with mp.workdps(prec + GUARD_DIGITS + 5):
+        root = mpmath.sqrt(mpmath.mpc(x, y * root_d) / d * (-1j) ** len(red.inverted))
+        if (floats * complex(root).conjugate()).real < 0:
+            root = -root
+        value = roots[red.eighths] * _reduced_siegel(D, red.point, prec) / root
+    return BigComplex.from_mpc(value, prec)
+
+
 def dedekind_eta(z, prec):
     """eta(z) = e^(2 pi i z/24) * prod (1 - e^(2 pi i n z)), Im z > 0.
 
@@ -648,7 +820,7 @@ def dedekind_eta(z, prec):
         c[e1] = c[e1 + k] = (-1) ** k
     ks = list(c)
     P = _fixed_bits(prec + 12, 2 * ks[-1] * (len(ks) + 1))
-    sr, si = _q_series(ks, list(c.values()), _q_table([ks], z, P))
+    sr, si = _q_series(ks, list(c.values()), _q_table(ks, z, P))
     with mp.workprec(P + 20):
         total = mpmath.mpc(mpf((sr, -P)), mpf((si, -P))) * mpmath.exp(2j * mpmath.pi * z / 24)
     return BigComplex.from_mpc(total, prec)

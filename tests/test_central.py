@@ -111,6 +111,49 @@ def test_store_matches_orders_from_other_levels(store7):
         assert store7.match(order) == 0
 
 
+def test_class_keys_equal_the_order_match():
+    # every form at every admissible level <= 400 of the six D, under both
+    # primes over N: the class that classify takes from the reduced point
+    # is the class of the form's own right order under match; no reduced
+    # point lies in two classes, and every class is reached
+    for D in (-7, -11, -19, -43, -67, -163):
+        store = discover_classes(D)
+        seen = {}
+        for N in admissible_levels(D, 400):
+            b1 = HeckeContext(D, N).b1
+            for root in (b1, 2 * N - b1):
+                ctx = HeckeContext(D, N, b1=root, prec=30)
+                records, _ = classify(ctx, store)
+                for r, red in zip(records, ctx.reduced_points):
+                    cid = store.match(right_order(build_Iz(ctx, r.form)))
+                    assert r.class_id == cid == store.keys[red.key], (D, N, root, r.form)
+                    assert seen.setdefault(red.key, cid) == cid, (D, N, root, r.form)
+        assert set(seen.values()) == set(range(len(store.classes))), D
+
+
+def test_a_level_of_known_points_builds_no_order(monkeypatch):
+    # discovery at D = -11 meets two of its reduced points; (-11, 59) has
+    # one more, so classify builds one order there, and none at (-11, 67),
+    # whose points are all known by then
+    built = []
+    order_of = central.right_order
+
+    def spy(I):
+        built.append(I)
+        return order_of(I)
+
+    store = discover_classes(-11)
+    monkeypatch.setattr(central, "right_order", spy)
+    first, second = HeckeContext(-11, 59), HeckeContext(-11, 67)
+    assert len({red.key for red in first.reduced_points} - set(store.keys)) == 1
+    classify(first, store)
+    assert len(built) == 1
+    built.clear()
+    assert {red.key for red in second.reduced_points} <= set(store.keys)
+    records, rows = classify(second, store)
+    assert built == [] and len(records) == len(second.forms)
+
+
 def test_classify_known_rows(store7, store11):
     ctx = HeckeContext(-7, 11, prec=60)
     records, rows = classify(ctx, store7)
@@ -208,20 +251,20 @@ def test_l_value_at_600_digits_matches_the_oracle(store7):
 
 def test_l_value_at_600_digits_runs_theta_at_80(store7, monkeypatch):
     # the digits of L beyond THETA_DIGITS come from the period alone:
-    # theta_forms runs at no more than THETA_DIGITS, and dedekind_eta only at
+    # reduced_theta runs at no more than THETA_DIGITS, and dedekind_eta only at
     # tau0 = (-1 + sqrt(-7))/2, never at the level point tau_N
     theta_precs, eta_heights = [], []
-    theta_forms, dedekind_eta = theta.theta_forms, theta.dedekind_eta
+    reduced_theta, dedekind_eta = theta.reduced_theta, theta.dedekind_eta
 
-    def spy_theta_forms(forms, tau, prec):
+    def spy_reduced_theta(D, red, prec):
         theta_precs.append(prec)
-        return theta_forms(forms, tau, prec)
+        return reduced_theta(D, red, prec)
 
     def spy_dedekind_eta(z, prec):
         eta_heights.append(float(mpmath.mpc(z).imag))
         return dedekind_eta(z, prec)
 
-    monkeypatch.setattr(theta, "theta_forms", spy_theta_forms)
+    monkeypatch.setattr(theta, "reduced_theta", spy_reduced_theta)
     monkeypatch.setattr(theta, "dedekind_eta", spy_dedekind_eta)
     theta._eta_tau0.cache_clear()
     got = l_value(HeckeContext(-7, 43, prec=600), store7)
@@ -254,13 +297,13 @@ def test_classify_at_600_digits_runs_theta_at_80(store7, monkeypatch):
     # gives the records of the default precision from theta at THETA_DIGITS
     want = classify(HeckeContext(-7, 43), store7)
     precs = []
-    theta_forms = theta.theta_forms
+    reduced_theta = theta.reduced_theta
 
-    def spy(forms, tau, prec):
+    def spy(D, red, prec):
         precs.append(prec)
-        return theta_forms(forms, tau, prec)
+        return reduced_theta(D, red, prec)
 
-    monkeypatch.setattr(theta, "theta_forms", spy)
+    monkeypatch.setattr(theta, "reduced_theta", spy)
     assert classify(HeckeContext(-7, 43, prec=600), store7) == want
     assert precs and max(precs) <= 80  # THETA_DIGITS
 

@@ -313,17 +313,17 @@ def test_cache_path_that_is_a_directory_leaves_no_tmp_file(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["D", "D.lock"]
 
 
-def test_level_of_too_many_theta_points_is_refused_at_once(capsys):
-    # (-7, 10000019): each of the 1275 forms passes the per-form point cap,
-    # but their bounds sum to 7.7e8, over the level cap of 10^8
-    start = time.perf_counter()
-    code, text = run(["classify", "--disc", "-7", "--level", "10000019"])
-    assert time.perf_counter() - start < 5
-    assert code == 3 and text == ""
-    err = json.loads(capsys.readouterr().err.strip())
-    assert err["error"]["message"] == (
-        "theta of 1275 forms needs up to 767512002 lattice points, more than the cap of 100000000 for one level"
-    )
+def test_level_past_the_embedding_node_cap_is_refused_at_once(capsys):
+    # (-7, 10000019): classify, and l_value through it, count h_R for each
+    # class before any per-form work, and the Gross lattice's short-vector
+    # enumeration at that norm is bounded by more nodes than its cap
+    for command in ("classify", "lvalue"):
+        start = time.perf_counter()
+        code, text = run([command, "--disc", "-7", "--level", "10000019"])
+        assert time.perf_counter() - start < 5, command
+        assert code == 3 and text == "", command
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"]["message"] == "short-vector enumeration bounded by 5719272 nodes, over the cap of 4000000"
 
 
 def test_level_two_is_refused_before_the_jacobi_symbol(capsys):

@@ -16,7 +16,7 @@ from splitcm.central import admissible_levels
 from splitcm.errors import InputError, ResourceError
 from splitcm.hecke import HeckeContext
 from splitcm.numeric import GUARD_DIGITS, BigComplex
-from splitcm.quadratic import QuadForm, heegner_point, reduced_forms
+from splitcm.quadratic import QuadForm, class_number, heegner_point, reduced_forms
 from splitcm.theta import (
     SplitCMPoint,
     dedekind_eta,
@@ -110,19 +110,18 @@ def _full_scale_horner(ks, cs, z, P):
 
 
 def test_theta_form_within_its_bound_of_the_full_scale_horner(monkeypatch):
-    # theta_forms and dedekind_eta sum through _q_series, which holds the
+    # theta_form and dedekind_eta sum through _q_series, which holds the
     # power-k step at a scale of about P - k beta bits; each fixed-point sum
     # must stay within its written bound 2 T (R + 1) 2^-P of the value, for
-    # T = ks[-1] and R = sum |cs_i|, also when one table at the level's P
-    # serves forms whose own P is smaller.  The reference is the full-scale
+    # T = ks[-1] and R = sum |cs_i|.  The reference is the full-scale
     # Horner run `extra` bits finer, itself within 2 T (R + 1) 2^-(P + extra)
     # of the value.
     extra = 32
     tables, sums = [], []
     q_table, q_series = theta._q_table, theta._q_series
 
-    def record_table(kss, z, P):
-        table = q_table(kss, z, P)
+    def record_table(ks, z, P):
+        table = q_table(ks, z, P)
         tables.append((z, P, table))
         return table
 
@@ -131,44 +130,36 @@ def test_theta_form_within_its_bound_of_the_full_scale_horner(monkeypatch):
         sums.append((ks, cs, table, result))
         return result
 
-    def sums_within_bound():
+    def sum_within_bound():
         ((z, P, table),) = tables
-        for ks, cs, used, (x, y) in sums:
-            assert used is table
-            T, R = ks[-1], sum(map(abs, cs))
-            hr, hi = _full_scale_horner(ks, cs, z, P + extra)
-            # both sides in units of 2^-(P + extra), exactly
-            gap = abs(mpmath.mpc((x << extra) - hr, (y << extra) - hi))
-            assert gap < 2 * T * (R + 1) * (2**extra - 1), (z, P, gap)
-        done = [(ks, cs) for ks, cs, _, _ in sums]
+        ((ks, cs, used, (x, y)),) = sums
+        assert used is table
+        T, R = ks[-1], sum(map(abs, cs))
+        hr, hi = _full_scale_horner(ks, cs, z, P + extra)
+        # both sides in units of 2^-(P + extra), exactly
+        gap = abs(mpmath.mpc((x << extra) - hr, (y << extra) - hi))
+        assert gap < 2 * T * (R + 1) * (2**extra - 1), (z, P, gap)
         tables.clear()
         sums.clear()
-        return z, P, done
+        return z, P, ks, cs
 
     monkeypatch.setattr(theta, "_q_table", record_table)
     monkeypatch.setattr(theta, "_q_series", record)
-    # at (-7, 151) two of the seven forms ask for P = 323 and the level sums at 324
-    levels = [
-        (HeckeContext(D, N, prec=prec), prec)
-        for D, N, prec in [(-7, 43, 600), (-7, 191, 600), (-11, 47, 600), (-7, 43, 80), (-7, 151, 80)]
-    ]
-    points = [(ctx.forms, ctx.class_point, prec) for ctx, prec in levels]
+    points = []
+    for D, N, prec in [(-7, 43, 600), (-7, 191, 600), (-11, 47, 600), (-7, 43, 80), (-7, 151, 80)]:
+        ctx = HeckeContext(D, N, prec=prec)
+        points += [(Q, ctx.class_point, prec) for Q in ctx.forms]
     # |q| = e^(-6 pi) keeps T at its floor of 16 and spreads the powers
     # over several blocks
-    points.append(((QuadForm(1, 1, 2),), mpmath.mpc("0.1", 3), 80))
-    below_level_P = 0
-    for forms, tau, prec in points:
-        theta.theta_forms(forms, tau, prec)
-        z, P, done = sums_within_bound()
-        assert len(done) == len(forms)
-        # the level's P is the largest a form's cutoff T >= ks[-1] asks for
+    points.append((QuadForm(1, 1, 2), mpmath.mpc("0.1", 3), 80))
+    for Q, tau, prec in points:
+        theta_form(Q, tau, prec)
+        z, P, ks, cs = sum_within_bound()
+        # each form's P is the one its own cutoff T >= ks[-1] asks for
         with mpmath.workdps(prec + GUARD_DIGITS + 5):
-            cutoffs = [theta._form_tail_cutoff(Q, z.imag, prec) for Q in forms]
-        own = [theta._fixed_bits(prec + 10, 2 * T * (sum(cs) + 1)) for T, (_, cs) in zip(cutoffs, done)]
-        assert P == max(own)
-        below_level_P += sum(p < P for p in own)
-    assert cutoffs == [16]
-    assert below_level_P > 0
+            T = theta._form_tail_cutoff(Q, z.imag, prec)
+        assert ks[-1] <= T and P == theta._fixed_bits(prec + 10, 2 * T * (sum(cs) + 1)), Q
+    assert T == 16
     # eta at tau0 of -7 and -163, the only points the product uses, and at
     # a point of small height with many pentagonal terms
     with mpmath.workdps(620):
@@ -176,64 +167,104 @@ def test_theta_form_within_its_bound_of_the_full_scale_horner(monkeypatch):
     for z in etas:
         for prec in (80, 600):
             dedekind_eta(z, prec)
-            _, P, ((ks, cs),) = sums_within_bound()
+            _, P, ks, cs = sum_within_bound()
             K = (len(ks) - 1) // 2
             assert ks[-1] == K * (3 * K + 1) // 2 and cs[-1] == (-1) ** K
             assert P == theta._fixed_bits(prec + 12, 2 * ks[-1] * (2 * K + 2))
 
 
-def test_level_thetas_share_one_q_table(monkeypatch):
-    # every form of a level is evaluated at the class point, so
-    # HeckeContext.thetas builds one q-power table for all of them, at the
-    # largest P any form needs; each value stays within 10^-(S+5) of the
-    # form's own pass, also at (-19, 239), where the level's P exceeds the
-    # forms' own
-    tables = []
-    q_table = theta._q_table
+@pytest.mark.parametrize(
+    "D, N, prec",
+    [(-7, 1031, 80), (-11, 199, 80), (-163, 1019, 80), (-11, 47, 80), (-7, 191, 80), (-19, 239, 40)],
+)
+def test_level_thetas_within_their_bound_of_the_q_series(D, N, prec):
+    # HeckeContext.thetas, from the reduced points, phase and sign included,
+    # against each form's q-series at the same S digits: within 10^-(S+5)
+    ctx = HeckeContext(D, N, prec=prec)
+    S = min(ctx.prec, hecke.THETA_DIGITS)
+    for Q, v in zip(ctx.forms, ctx.thetas):
+        assert v.prec == S
+        assert v.distance(theta_form(Q, ctx.class_point, S)) < mpf(10) ** -(S + 5), (N, Q)
 
-    def spy(*args):
-        tables.append(args)
-        return q_table(*args)
 
-    monkeypatch.setattr(theta, "_q_table", spy)
-    ctx = HeckeContext(-11, 47)
-    values = ctx.thetas
-    assert len(tables) == 1 and len(values) == len(ctx.forms) == 5
-    monkeypatch.undo()
-    for ctx in (ctx, HeckeContext(-7, 191), HeckeContext(-19, 239, prec=40)):
-        S = min(ctx.prec, hecke.THETA_DIGITS)
-        for Q, v in zip(ctx.forms, ctx.thetas):
-            assert v.distance(theta_form(Q, ctx.class_point, S)) < mpf(10) ** -(S + 5), (ctx.N, Q)
+def test_level_thetas_sum_no_q_series(monkeypatch):
+    # the product path evaluates siegel_theta at reduced points only: no
+    # q-power table and no q-series, at any level
+    def refuse(*args):
+        raise AssertionError("HeckeContext.thetas reached the q-series code")
+
+    monkeypatch.setattr(theta, "_q_table", refuse)
+    monkeypatch.setattr(theta, "_q_series", refuse)
+    for D, N in [(-7, 11), (-11, 47), (-163, 1019), (-7, 20063)]:
+        assert len(HeckeContext(D, N).thetas) == class_number(-N)
+
+
+def test_reduced_thetas_snap_to_the_q_series_integers(monkeypatch):
+    # at every admissible level <= 1000 of the six D, at 30 digits, the
+    # reduced path and the q-series snap to the same integers.  Every key
+    # is Gauss-reduced with |Re| <= 1/2 and |z11| >= 1; siegel_theta runs
+    # once per (D, reduced point, digits), at no more than 27 points per D
+    calls = []
+    siegel = theta.siegel_theta
+
+    def spy(z11, z12, z22, prec):
+        calls.append(prec)
+        return siegel(z11, z12, z22, prec)
+
+    monkeypatch.setattr(theta, "siegel_theta", spy)
+    theta._reduced_siegel.cache_clear()
+    for D in (-7, -11, -19, -43, -67, -163):
+        keys, points = set(), set()
+        for N in admissible_levels(D, 1000):
+            ctx = HeckeContext(D, N, prec=30)
+            for Q, red, v in zip(ctx.forms, ctx.reduced_points, ctx.thetas):
+                x11, x12, x22, y11, y12, y22, d = red.key
+                assert abs(2 * y12) <= y11 <= y22 and 2 * max(abs(x11), abs(x12), abs(x22)) <= d, (D, N, Q)
+                assert x11 * x11 - D * y11 * y11 >= d * d, (D, N, Q)
+                want, _ = (theta_form(Q, ctx.class_point, 30) / ctx.eta_factor).nearest_int()
+                got, err = (v / ctx.eta_factor).nearest_int()
+                assert got == want and err < mpf(10) ** -25, (D, N, Q)
+                keys.add(red.key)
+                points.add(red.point)
+        assert len(points) <= len(keys) <= 27, D
+        assert theta._reduced_siegel.cache_info().currsize == len(calls)
+    assert calls == [30] * len(calls)
 
 
 def test_q_table_truncates_an_entry_only_for_the_blocks_that_read_it(monkeypatch):
     # eta(tau0) at D = -7 and 600 digits spreads 23 pentagonal terms, with
-    # gaps up to 21, over 33 blocks; each block holds only the gaps its own
-    # steps read, each the entry of truncating 2^W q^g to 2^-P and then once
-    # more to the block's scale, as a table truncated up front held
-    tables = []
-    q_table = theta._q_table
+    # gaps up to 21, over 33 blocks; each block truncates only the gaps its
+    # own steps read, each to the entry of truncating 2^W q^g to 2^-P and
+    # then once more to the block's scale, as a table truncated up front held
+    tables, cuts = [], []
+    q_table, truncate = theta._q_table, theta._truncate
 
-    def spy(*args):
+    def spy_table(*args):
         tables.append(q_table(*args))
         return tables[-1]
 
-    monkeypatch.setattr(theta, "_q_table", spy)
+    def spy_truncate(x, bits):
+        cuts.append((x, bits))
+        return truncate(x, bits)
+
+    monkeypatch.setattr(theta, "_q_table", spy_table)
+    monkeypatch.setattr(theta, "_truncate", spy_truncate)
     with mpmath.workdps(630):
         tau0 = (mpmath.sqrt(-7) - 1) / 2
     dedekind_eta(tau0, 600)
-    ctx = HeckeContext(-11, 47)
-    ctx.thetas
-    for P, W, beta, qpow, blocks in tables:
-        for j, block in blocks.items():
-            for g, entry in block.items():
-                assert entry == tuple(theta._truncate(theta._truncate(x, W - P), j * theta.SCALE_STEP) for x in qpow[g])
-    (_, _, _, qpow, blocks), level = tables
-    assert len(qpow) == 22 and max(blocks) == 32
-    assert sum(map(len, blocks.values())) <= 23  # at most one entry per step, of 33 * 22
-    # the forms of a level share one table, and still leave some pairs of
-    # block and gap unread
-    assert sum(map(len, level[4].values())) < len(level[4]) * len(level[3])
+    ((P, W, beta, qpow),) = tables
+    assert len(qpow) == 22
+    parts = {x for entry in qpow for x in entry}
+    blocks = set()
+    for x, bits in cuts:
+        j, rest = divmod(bits - (W - P), theta.SCALE_STEP)
+        assert x in parts and rest == 0 and j >= 0, bits
+        assert truncate(x, bits) == truncate(truncate(x, W - P), j * theta.SCALE_STEP)
+        blocks.add(j)
+    assert max(blocks) == 32
+    # an entry is two truncations, one per part, and a step makes at most one
+    # entry: at most 23 entries, of the 33 * 22 pairs of block and gap
+    assert len(cuts) <= 2 * 23
 
 
 def test_theta_refuses_too_many_lattice_points_before_enumerating(monkeypatch):
@@ -259,29 +290,6 @@ def test_theta_refuses_too_many_lattice_points_before_enumerating(monkeypatch):
     monkeypatch.undo()
     monkeypatch.setattr(theta, "MAX_TAIL_TERMS", bound)
     theta_form(Q, pt, 80)
-
-
-def test_theta_refuses_a_level_of_too_many_lattice_points_before_enumerating(monkeypatch):
-    # the level cap is on the sum of the forms' point bounds at their
-    # cutoffs: at (-11, 47) the five forms are refused under a cap one below
-    # that sum and run under a cap of exactly that sum; no refusal visits a point
-    ctx = HeckeContext(-11, 47)
-    with mpmath.workdps(ctx.prec + GUARD_DIGITS + 5):
-        y = theta._point_to_mpc(ctx.class_point).imag
-        total = sum(theta._lattice_points(Q, theta._form_tail_cutoff(Q, y, 80)) for Q in ctx.forms)
-    counts = theta.representation_counts
-
-    def refuse(*args):
-        raise AssertionError("representation_counts ran")
-
-    monkeypatch.setattr(theta, "representation_counts", refuse)
-    monkeypatch.setattr(theta, "MAX_LEVEL_POINTS", total - 1)
-    message = "theta of 5 forms needs up to %d lattice points, more than the cap of %d" % (total, total - 1)
-    with pytest.raises(ResourceError, match=message):
-        theta.theta_forms(ctx.forms, ctx.class_point, 80)
-    monkeypatch.setattr(theta, "representation_counts", counts)
-    monkeypatch.setattr(theta, "MAX_LEVEL_POINTS", total)
-    assert len(theta.theta_forms(ctx.forms, ctx.class_point, 80)) == 5
 
 
 def test_theta_kernels_refuse_heights_below_the_float_range():
@@ -386,15 +394,18 @@ def test_siegel_theta_with_growing_off_diagonal_factor():
     # L = P + 20 + 2 bitlen(S) bits; at 300 digits it feeds 22 rows while
     # |B^m| grows to e^(0.9 pi m).  The form's least eigenvalue exceeds
     # 0.11, so the terms with |x|_inf > 50 add below 10^-380.
+    # The reference sums every term of the box, each the product
+    # e^(pi i z11 m^2) e^(2 pi i z12 mn) e^(pi i z22 n^2) of three
+    # exponentials, one per distinct m^2, mn and n^2, at 30 guard digits.
     z11, z12, z22 = mpmath.mpc("0.3", "1.2"), mpmath.mpc("0.17", "-0.45"), mpmath.mpc("-0.2", "0.3")
     for prec, radius in ((60, 30), (300, 50)):
         v = siegel_theta(z11, z12, z22, prec)
         with mpmath.workdps(prec + 30):
-            want = mpmath.fsum(
-                mpmath.exp(1j * mpmath.pi * (z11 * m * m + 2 * z12 * m * n + z22 * n * n))
-                for m in range(-radius, radius + 1)
-                for n in range(-radius, radius + 1)
-            )
+            box = range(-radius, radius + 1)
+            first = {m: mpmath.exp(1j * mpmath.pi * z11 * m * m) for m in box}
+            last = {n: mpmath.exp(1j * mpmath.pi * z22 * n * n) for n in box}
+            cross = {k: mpmath.exp(2j * mpmath.pi * z12 * k) for k in {m * n for m in box for n in box}}
+            want = mpmath.fsum(first[m] * cross[m * n] * last[n] for m in box for n in box)
             assert abs(v.to_mpc() - want) < mpf(10) ** -(prec + 5), prec
 
 
