@@ -17,7 +17,7 @@ evaluations of it are kept on purpose, each with its own kernel:
 * siegel_theta at Z itself (symplectic_theta_splitcm) sums
   exp(pi*i*x^t z x) over a 2d box, row by row, by Horner's rule outward
   from each row's largest term, over a range of each row solved in closed
-  form.
+  form, along the axis of the smaller Im diagonal entry (few long rows).
 
 The last two are independent of the reduction and stay as its checks:
 the class invariant that classify compares every reduced value with comes
@@ -33,8 +33,9 @@ Truncation and rounding policy: every series drops only terms whose
 rigorously bounded tail is below 10^(-prec-10) (10^(-prec-12) for eta).
 The kernels then sum in Gaussian fixed point: a complex value x is held as
 the integer pair 2^P x, truncated, and each product of two such values is
-shifted back by P bits, which costs at most sqrt(2) 2^-P per product.  Each
-kernel writes its rounding bound, (terms) x (steps) x 2^-P, next to its tail
+shifted back by P bits, which costs at most sqrt(2) 2^-P per product.
+(a + i b)(c + i d) is k - b (c + d) + i (k + a (d - c)), k = c (a + b):
+three integer products, the four-product form's integers.  Each kernel writes its rounding bound, (terms) x (steps) x 2^-P, next to its tail
 bound and takes P from _fixed_bits, so that the bound is also below the
 tail target:
 
@@ -62,9 +63,8 @@ tail target:
   stop once a row's largest term is below 2^(8-P): the at most (2S+1)^2
   dropped terms add less than 2^8 (2S+1)^2 units (see siegel_theta).
   The rows' start terms and first ratios come from a walk on integer
-  mantissas (x + i y) 2^e rounded to L = P + 20 + 2 bitlen(S) bits,
-  within relative (pi max|z_ij| + 4) 2^(-15-P), which the same bound
-  covers while pi max|z_ij| + 4 < 2^15;
+  mantissas, each product shifted down to L = P + 22 + 2 bitlen(S) bits
+  within relative sqrt(2) 2^(1-L), which the same bound covers;
 * reduced_theta: M times siegel_theta's bound at the reduced point, with
   M = prod_j |w_j|^(-1/2) over the inverted entries w_j, exact from their
   norms, plus the rounding of its few mpmath operations (see there).
@@ -227,7 +227,10 @@ def representation_counts(Q, T):
     is enumerated, each point counting twice, and r_Q(0) = 1.  Along each
     row m, Q(m, n) is stepped by its first difference
     Q(m, n + 1) - Q(m, n) = b m + c (2n + 1), which grows by 2c per step.
+    Q(n, m) = [c, b, a], of the same r_Q(k), is enumerated when a < c: fewer rows.
     """
+    if Q.a < Q.c:
+        Q = QuadForm(Q.c, Q.b, Q.a)
     a, b, c, d = Q.a, Q.b, Q.c, Q.disc
     r = {0: 1}
     get = r.get
@@ -276,10 +279,12 @@ def _q_table(ks, z, P):
     with mp.workprec(W):
         qr, qi = _to_fixed(mpmath.exp(2j * mpmath.pi * z), W)
         beta = min(float(2 * mpmath.pi * z.imag / mpmath.ln2) * (1 - 1e-9), P)
+    qs, qd = qr + qi, qi - qr
     qpow = [(1 << W, 0)]
     for _ in range(top_gap):
         xr, xi = qpow[-1]
-        qpow.append(((xr * qr - xi * qi) >> W, (xr * qi + xi * qr) >> W))
+        k = qr * (xr + xi)
+        qpow.append(((k - xi * qs) >> W, (k + xr * qd) >> W))
     return P, W, beta, qpow
 
 
@@ -321,9 +326,11 @@ def _q_series(ks, cs, table):
             entry = block.get(above - k)
             if entry is None:
                 x, y = qpow[above - k]
-                entry = block[above - k] = _truncate(x, W - p), _truncate(y, W - p)
-            qr, qi = entry
-            hr, hi = ((hr * qr - hi * qi) >> p) + (ck << p), (hr * qi + hi * qr) >> p
+                qr, qi = _truncate(x, W - p), _truncate(y, W - p)
+                entry = block[above - k] = qr, qr + qi, qi - qr
+            qr, qs, qd = entry
+            g = qr * (hr + hi)
+            hr, hi = ((g - hi * qs) >> p) + (ck << p), (g + hr * qd) >> p
             above = k
         top = bottom
     return hr, hi
@@ -411,25 +418,23 @@ def _parts(v):
     return (-x if v.real < 0 else x) << (ex - e), (-y if v.imag < 0 else y) << (ey - e), e
 
 
-def _round(x, s):
-    """x / 2^s rounded to the nearest integer, ties to even."""
-    if s <= 0:
-        return x
-    m = abs(x)
-    # t ends in the bit just below the kept ones; round up past half, or at
-    # half when the kept part is odd
-    t = m >> (s - 1)
-    m = (t + 1) >> 1 if t & 1 and (t & 2 or m & ((1 << (s - 1)) - 1)) else t >> 1
-    return m if x > 0 else -m
-
-
 def _mul(u, v, L):
-    """The product of (x + i y) 2^e values, each part rounded to L bits by _round."""
+    """The product of (x + i y) 2^e values, both parts shifted by one count s down to L bits:
+    within relative sqrt(2) 2^(1-L), as a part loses below 2^s and the larger keeps 2^(L+s-1)."""
     (a, b, e), (c, d, f) = u, v
-    x, y = a * c - b * d, a * d + b * c
-    sx, sy = max(x.bit_length() - L, 0), max(y.bit_length() - L, 0)
-    s = min(sx, sy)
-    return _round(x, sx) << (sx - s), _round(y, sy) << (sy - s), e + f + s
+    k = c * (a + b)
+    x, y = k - b * (c + d), k + a * (d - c)
+    s = max(x.bit_length(), y.bit_length(), L) - L
+    return x >> s, y >> s, e + f + s
+
+
+def _inverse(u, L):
+    """1/u = (x - i y) 2^k/(x^2 + y^2) at 2^(-e-k) for u = (x + i y) 2^e, each part
+    floored: of modulus >= 2^(L+1), so within relative 2^-L."""
+    x, y, e = u
+    n = x * x + y * y
+    k = L + 1 + (n.bit_length() + 1) // 2
+    return (x << k) // n, (-y << k) // n, -e - k
 
 
 def _scaled(u, P):
@@ -471,9 +476,11 @@ def _siegel_rows(y12, y22, det, S, P):
 def siegel_theta(z11, z12, z22, prec):
     """theta(z) = sum exp(pi i (z11 m^2 + 2 z12 m n + z22 n^2)) over Z^2.
 
-    Box sum over |m|, |n| <= S in Gaussian fixed point.  The term t(m, n)
-    is even in (m, n), so row -m repeats row m and only rows m = 0..S are
-    summed.  Row m starts at its largest term, n0 = round(-m y12/y22)
+    Box sum over |m|, |n| <= S in Gaussian fixed point.  When y11 < y22,
+    z11 and z22 are exchanged, as theta(PzP) = theta(z), P = [[0, 1], [1, 0]],
+    so rows run along the smaller y22: about sqrt(y22/det) of them.  The
+    term t(m, n) is even in (m, n), so row -m repeats row m and only rows
+    m = 0..S are summed.  Row m starts at its largest term, n0 = round(-m y12/y22)
     clamped to the box.  With rho = t(m, n0 +- 1)/t(m, n0), the ratio one
     step up or down, the ratio of each next step gains the factor
     C^2 = e^(2 pi i z22), so the term j steps out is
@@ -492,11 +499,11 @@ def siegel_theta(z11, z12, z22, prec):
 
     The bound, in units of 2^-P, with w = pi max |z_ij|:
     * A start term t(m, n0) or ratio rho, truncated from the mantissa walk
-      below, is within sqrt(2) + (w + 4) 2^-15 < 2.5 while w + 4 < 2^15.
+      below, is within sqrt(2) + (w + 7) 2^-18 < 2.5 while w + 7 < 2^18.
     * G_(j+1) = G_j (C^2)^j is stepped at scale 2^-L from C^2, itself
       within 4 (w + 4) units of 2^-L, so G_j is within 3 j^2 (w + 4)
-      units of 2^-L; for j <= 2S, 2^(L-P) > 2^20 S^2 makes that below
-      (w + 4) 2^-16, and the entry, truncated once to 2^-P, is within 2.5.
+      units of 2^-L; for j <= 2S, 2^(L-P) > 2^22 S^2 makes that below
+      (w + 4) 2^-18, and the entry, truncated once to 2^-P, is within 2.5.
     * A Horner step multiplies h, |h| <= J, by rho: with rho's 2.5, the
       step's sqrt(2) and G_j's 2.5, H is within 1.25 J^2 + 4 J and rho H
       within 1.25 J^2 + 6.5 J + 1.5.  The two directions have
@@ -515,24 +522,24 @@ def siegel_theta(z11, z12, z22, prec):
     sized from.
 
     The start values t(m, n0) and the first ratios of each row come from a
-    walk along the path (m, n0(m)) on integer mantissas: a value is
-    (x + i y) 2^e, and _mul rounds each part of a product to nearest at
-    L = P + 20 + 2 bitlen(S) significant bits, as mpmath rounds an mpc
-    product at L bits, so the walk gives the same values bit for bit.  The
-    exponent keeps relative precision however large B^m = e^(2 pi i z12 m)
-    becomes.  Only the seven constants A, B, C, A^2, C^2, B^-1 and C^-2 come
-    from mpmath at L bits.  A product's rounding has relative size below
-    2^-L.  A, B and C are exponentials of exponents rounded at L bits, so
-    each constant is within relative (w + 3) 2^(2-L).
+    walk along the path (m, n0(m)) on integer mantissas (x + i y) 2^e,
+    which keep relative precision however large B^m = e^(2 pi i z12 m)
+    becomes.  _mul shifts a product down to L = P + 22 + 2 bitlen(S) bits,
+    within relative sqrt(2) 2^(1-L).  A, B and C, mpmath.expjpi of z11,
+    2 z12 and z22 at L bits, are within relative (w + 3) 2^(1-L), the
+    rounding of 2 z12 included, and A^2, C^2 (_mul), B^-1 and C^-2
+    (_inverse) within (w + 5) 2^(1-L).
     Each of up, down and across is a constant times at most 2S step
     factors, and t is at most 2S products of these, so a value's relative
-    errors add up to at most (2S+1)^2 (w + 4) 2^(2-L), and the value is
-    within relative (2S+1)^2 (w + 4) 2^(3-L) < (w + 4) 2^(-15-P) of exact.
+    errors add up to at most (2S+1)^2 (w + 7) 2^(1-L), and the value is
+    within relative (2S+1)^2 (w + 7) 2^(2-L) < (w + 7) 2^(-18-P) of exact.
     Truncated to 2^-P, a start term or first ratio, of modulus <= 1, is
-    within (sqrt(2) + (w + 4) 2^-15) 2^-P, the 2.5 units used above.
+    within (sqrt(2) + (w + 7) 2^-18) 2^-P, the 2.5 units used above.
     """
     with mp.workdps(prec + GUARD_DIGITS + 5):
         z11, z12, z22 = mpmath.mpc(z11), mpmath.mpc(z12), mpmath.mpc(z22)
+        if z11.imag < z22.imag:
+            z11, z22 = z22, z11
         y11, y12, y22 = z11.imag, z12.imag, z22.imag
         det = y11 * y22 - y12 * y12
         if y11 <= 0 or det <= 0:
@@ -541,21 +548,22 @@ def siegel_theta(z11, z12, z22, prec):
         S = _siegel_box(lam, prec)
         P = _fixed_bits(prec + 10, 24 * (2 * S + 1) ** 4)
         spans = _siegel_rows(y12, y22, det, S, P)
-    L = P + 20 + 2 * S.bit_length()
+    L = P + 22 + 2 * S.bit_length()
     with mp.workprec(L):
-        A = mpmath.exp(1j * mpmath.pi * z11)
-        B = mpmath.exp(2j * mpmath.pi * z12)
-        C = mpmath.exp(1j * mpmath.pi * z22)
-        A2, C2 = A * A, C * C
-        A, B, C, A2, C2, Binv, C2inv = map(_parts, (A, B, C, A2, C2, 1 / B, 1 / C2))
+        A, B, C = (_parts(mpmath.expjpi(z)) for z in (z11, 2 * z12, z22))
+    A2, C2 = _mul(A, A, L), _mul(C, C, L)
+    Binv, C2inv = _inverse(B, L), _inverse(C2, L)
     # G[j] = 2^P G_j for j = 0 .. the longest direction, G_0 = G_1 = 1
     # G_(j+1) = G_j (C^2)^j, stepped at scale 2^-L and truncated once to 2^-P
     c2r, c2i = _scaled(C2, L)
+    c2s, c2d = c2r + c2i, c2i - c2r
     xr, xi, cr, ci = 1 << L, 0, c2r, c2i
     G = [(1 << P, 0), (1 << P, 0)]
     for _ in range(1, max(max(down, up) for _, down, up in spans)):
-        xr, xi = (xr * cr - xi * ci) >> L, (xr * ci + xi * cr) >> L
-        cr, ci = (cr * c2r - ci * c2i) >> L, (cr * c2i + ci * c2r) >> L
+        k = cr * (xr + xi)
+        xr, xi = (k - xi * (cr + ci)) >> L, (k + xr * (ci - cr)) >> L
+        k = c2r * (cr + ci)
+        cr, ci = (k - ci * c2s) >> L, (k + cr * c2d) >> L
         G.append((_truncate(xr, L - P), _truncate(xi, L - P)))
     # at (m, n): t = t(m, n); up, down and across are t(m, n+1), t(m, n-1)
     # and t(m+1, n) over t, that is B^m C^(2n+1), B^-m C^(1-2n), A^(2m+1) B^n
@@ -571,20 +579,22 @@ def siegel_theta(z11, z12, z22, prec):
             t = _mul(t, down, L)
             up, down, across = _mul(up, C2inv, L), _mul(down, C2, L), _mul(across, Binv, L)
             n -= 1
-        # f = 1 + rho+ H+ + rho- H-
+        # f = 1 + rho+ H+ + rho- H-, each 1 + rho H by Horner down to G_0 = 1
         fr, fi = 1 << P, 0
         for ratio, J in ((up, above), (down, below)):
             if J:
                 rr, ri = _scaled(ratio, P)
+                rs, rd = rr + ri, ri - rr
                 hr, hi = G[J]
-                for gr, gi in G[J - 1 : 0 : -1]:
-                    hr, hi = ((hr * rr - hi * ri) >> P) + gr, ((hr * ri + hi * rr) >> P) + gi
-                fr += (hr * rr - hi * ri) >> P
-                fi += (hr * ri + hi * rr) >> P
+                for gr, gi in G[J - 1 :: -1]:
+                    k = rr * (hr + hi)
+                    hr, hi = ((k - hi * rs) >> P) + gr, ((k + hr * rd) >> P) + gi
+                fr, fi = fr + hr - (1 << P), fi + hi
         tr, ti = _scaled(t, P)
+        k = tr * (fr + fi)
         weight = 2 if m else 1
-        sr += weight * ((tr * fr - ti * fi) >> P)
-        si += weight * ((tr * fi + ti * fr) >> P)
+        sr += weight * ((k - fi * (tr + ti)) >> P)
+        si += weight * ((k + fr * (ti - tr)) >> P)
         t = _mul(t, across, L)
         up, down, across = _mul(up, B, L), _mul(down, Binv, L), _mul(across, A2, L)
     return _from_fixed(sr, si, P, prec)

@@ -59,8 +59,11 @@ def test_theta_form_with_no_value_below_the_cutoff():
 
 
 def test_representation_counts_brute_force():
-    # [1, 1, 48] and the unreduced [3, 11, 12] have long, skewed ellipses
-    forms = [QuadForm(*abc) for abc in ((1, 1, 2), (2, 1, 3), (3, -1, 5), (1, 1, 48), (3, 11, 12))]
+    # [1, 1, 48] and the unreduced [3, 11, 12] have long, skewed ellipses;
+    # [5, -1, 3] and [48, 1, 1], with c < a, are enumerated as given, the
+    # others, with a < c, as Q(n, m)
+    abcs = ((1, 1, 2), (2, 1, 3), (3, -1, 5), (1, 1, 48), (3, 11, 12), (5, -1, 3), (48, 1, 1))
+    forms = [QuadForm(*abc) for abc in abcs]
     for Q in forms:
         r = representation_counts(Q, 50)
         brute = {}
@@ -390,8 +393,8 @@ def test_siegel_theta_with_growing_off_diagonal_factor():
     # Im z12 < 0, so |e^(2 pi i z12)| = e^(0.9 pi) > 1 and the powers
     # e^(2 pi i z12 m n) grow along the rows; -y12/y22 = 1.5 also moves each
     # row's largest term to n0 = round(1.5 m), away from the row's middle.
-    # The row starts come from a walk on integer mantissas rounded to
-    # L = P + 20 + 2 bitlen(S) bits; at 300 digits it feeds 22 rows while
+    # The row starts come from a walk on integer mantissas shifted down to
+    # L = P + 22 + 2 bitlen(S) bits; at 300 digits it feeds 22 rows while
     # |B^m| grows to e^(0.9 pi m).  The form's least eigenvalue exceeds
     # 0.11, so the terms with |x|_inf > 50 add below 10^-380.
     # The reference sums every term of the box, each the product
@@ -443,6 +446,16 @@ def test_siegel_theta_clamps_row_starts_at_the_box_edge():
         assert abs(v.to_mpc() - _jtheta_rows(z11, z12, z22, mpf(10) ** -50)) < mpf(10) ** -25
 
 
+def _siegel_bound(z, prec):
+    """siegel_theta's written bound at z: 24 (2S+1)^4 2^-P for the rounding
+    and dropped terms, and 10^-(prec+10) for the box tail."""
+    with mpmath.workdps(prec + GUARD_DIGITS + 5):
+        y11, y12, y22 = (mpmath.mpc(x).imag for x in z)
+        S = theta._siegel_box((y11 * y22 - y12 * y12) / (y11 + y22), prec)
+    P = theta._fixed_bits(prec + 10, 24 * (2 * S + 1) ** 4)
+    return 24 * (2 * S + 1) ** 4 * mpf(2) ** -P + mpf(10) ** -(prec + 10)
+
+
 def test_siegel_theta_within_its_bound_at_600_digits():
     # the Horner steps, the G table and the dropped terms must stay within
     # the written budget 24 (2S+1)^4 2^-P, and the box tail within
@@ -456,14 +469,10 @@ def test_siegel_theta_within_its_bound_at_600_digits():
     growing = (mpmath.mpc("0.3", "1.2"), mpmath.mpc("0.17", "-0.45"), mpmath.mpc("-0.2", "0.3"))
     for z in (growing, split_cm):
         v = siegel_theta(*z, prec)
-        with mpmath.workdps(prec + GUARD_DIGITS + 5):
-            y11, y12, y22 = (x.imag for x in z)
-            S = theta._siegel_box((y11 * y22 - y12 * y12) / (y11 + y22), prec)
-        P = theta._fixed_bits(prec + 10, 24 * (2 * S + 1) ** 4)
         with mpmath.workdps(630):
             want = _jtheta_rows(*z, mpf(10) ** -650)
             gap = abs(v.to_mpc() - want)
-            assert gap < 24 * (2 * S + 1) ** 4 * mpf(2) ** -P + mpf(10) ** -(prec + 10), (S, P, gap)
+            assert gap < _siegel_bound(z, prec), gap
 
 
 def _as_integers(ys):
@@ -480,7 +489,9 @@ def test_siegel_rows_hold_every_term_above_the_resolution(monkeypatch):
     # of modulus at least 2^(7-P) (with a relative 10^-6 for the float
     # solve) lies in its row's range, no row past the last holds a term of
     # 2^(8-P), and a range runs past the terms of at least 2^(8-P), or past
-    # n0 where there are none, by at most two at each end
+    # n0 where there are none, by at most two at each end.  The box is
+    # scanned in the orientation the kernel summed, read from the y22 it
+    # passed: the split-CM points, with y11 < y22, are summed exchanged
     calls = []
     rows = theta._siegel_rows
 
@@ -500,11 +511,17 @@ def test_siegel_rows_hold_every_term_above_the_resolution(monkeypatch):
         pt = heegner_point(ctx, ctx.class_rep)
         with mpmath.workdps(80 + GUARD_DIGITS + 5):
             points += [(SplitCMPoint(Q, pt).z_matrix(), 80) for Q in reduced_forms(-N)]
-    clamped = 0
+    clamped = swapped = 0
     for z, prec in points:
         siegel_theta(*z, prec)
-        ((_, _, _, S, P), spans) = calls.pop()
-        (Y11, Y12, Y22), e = _as_integers([mpmath.mpc(x).imag for x in z])
+        ((y12, y22, _, S, P), spans) = calls.pop()
+        with mpmath.workdps(prec + GUARD_DIGITS + 5):
+            ys = [mpmath.mpc(x).imag for x in z]
+        if y22 != ys[2]:
+            ys.reverse()
+            swapped += 1
+        assert ys[1:] == [y12, y22], z
+        (Y11, Y12, Y22), e = _as_integers(ys)
         with mpmath.workprec(P - e + 64):
             # modulus >= 2^(s-P) (1 + d) exactly when the integer exponent
             # Y11 m^2 + 2 Y12 m n + Y22 n^2 is at most this floor
@@ -523,7 +540,7 @@ def test_siegel_rows_hold_every_term_above_the_resolution(monkeypatch):
             assert all(lo <= n <= hi for n, x in exps if x <= held), (z, m)
             big = [n for n, x in exps if x <= above] or [n0]
             assert min(big) - 2 <= lo and hi <= max(big) + 2, (z, m, lo, hi, big)
-    assert not calls and clamped >= 2
+    assert not calls and clamped >= 2 and swapped == 6
 
 
 def _box_bound(lam, S):
@@ -628,26 +645,102 @@ def test_form_tail_cutoff_float_gate_never_moves_T():
 
 
 def test_siegel_theta_mpmath_products_do_not_grow_with_the_rows(monkeypatch):
-    # the row starts walk on integer mantissas, so a call multiplies the
-    # same few mpmath values however many rows it walks: 18 rows at
-    # (-7, 11) and 73 at (-7, 191) for the form [1, 1, (N+1)/4]
-    calls = []
-    mul = mpmath.mpc.__mul__
+    # the row starts walk on integer mantissas, so a call makes the same
+    # few mpmath values however many rows it walks: 11 rows at (-7, 11) for
+    # [1, 1, 3] and 26 at (-7, 191) for [6, 1, 8]; the mpmath calls counted
+    # are its exponentials and complex products
+    calls, rows = [], []
+    mul, rmul, expjpi, siegel_rows = mpmath.mpc.__mul__, mpmath.mpc.__rmul__, mpmath.expjpi, theta._siegel_rows
 
-    def counting(x, y):
-        calls[-1] += 1
-        return mul(x, y)
+    def counting(f):
+        def counted(*args):
+            calls[-1] += 1
+            return f(*args)
 
-    for D, N in [(-7, 11), (-7, 191)]:
+        return counted
+
+    def spy_rows(*args):
+        spans = siegel_rows(*args)
+        rows.append(len(spans))
+        return spans
+
+    for D, N, abc in [(-7, 11, (1, 1, 3)), (-7, 191, (6, 1, 8))]:
         ctx = HeckeContext(D, N, prec=80)
         pt = heegner_point(ctx, ctx.class_rep)
         with mpmath.workdps(80 + GUARD_DIGITS + 5):
-            z = SplitCMPoint(QuadForm(1, 1, (N + 1) // 4), pt).z_matrix()
+            z = SplitCMPoint(QuadForm(*abc), pt).z_matrix()
         calls.append(0)
-        monkeypatch.setattr(mpmath.mpc, "__mul__", counting)
+        monkeypatch.setattr(mpmath.mpc, "__mul__", counting(mul))
+        monkeypatch.setattr(mpmath.mpc, "__rmul__", counting(rmul))
+        monkeypatch.setattr(mpmath, "expjpi", counting(expjpi))
+        monkeypatch.setattr(theta, "_siegel_rows", spy_rows)
         siegel_theta(*z, 80)
         monkeypatch.undo()
-    assert calls[0] == calls[1], calls
+    assert rows == [11, 26] and calls[0] == calls[1] <= 4, (rows, calls)
+
+
+def test_siegel_theta_walks_the_long_axis(monkeypatch):
+    # at (-7, 43), [1, 1, 11] has y22 = 11 y11: summed with z11 and z22
+    # exchanged, its rows run along the coordinate of the smaller entry,
+    # 11 rows instead of the 35 along the other one
+    rows = []
+    siegel_rows = theta._siegel_rows
+
+    def spy(*args):
+        rows.append(siegel_rows(*args))
+        return rows[-1]
+
+    monkeypatch.setattr(theta, "_siegel_rows", spy)
+    ctx = HeckeContext(-7, 43, prec=80)
+    symplectic_theta_splitcm(SplitCMPoint(QuadForm(1, 1, 11), heegner_point(ctx, ctx.class_rep)), 80)
+    (spans,) = rows
+    assert len(spans) <= 12, len(spans)
+
+
+def test_siegel_theta_is_invariant_under_the_exchange(monkeypatch):
+    # theta(P Z P) = theta(Z) for P = [[0, 1], [1, 0]]: siegel_theta at Z
+    # and at Z with z11 and z22 exchanged agree within the sum of their
+    # written bounds, at the 16 points of the benchmark's theta check (the
+    # split-CM points of D = -7 at levels <= 43 and of D = -11 at levels
+    # <= 47), the diagonal, growing off-diagonal and clamped-edge points,
+    # and two points with y11 = y22, which the kernel sums in the given
+    # orientation, so that the two calls sum along different axes
+    axes = []
+    siegel_rows = theta._siegel_rows
+
+    def spy(*args):
+        axes.append(args[1])
+        return siegel_rows(*args)
+
+    monkeypatch.setattr(theta, "_siegel_rows", spy)
+    points = [
+        ((mpmath.mpc("0.2", "1.1"), 0, mpmath.mpc("-0.4", "0.7")), 60),
+        ((mpmath.mpc("0.3", "1.2"), mpmath.mpc("0.17", "-0.45"), mpmath.mpc("-0.2", "0.3")), 60),
+        ((mpmath.mpc("0.1", "1.81"), mpmath.mpc("0.2", "-0.3"), mpmath.mpc("0.3", "0.05")), 20),
+    ]
+    tied = [
+        ((mpmath.mpc("0.2", "1.1"), mpmath.mpc("0.3", "-0.2"), mpmath.mpc("-0.4", "1.1")), 60),
+        ((mpmath.mpc("0.3", "1.2"), mpmath.mpc("0.17", "-0.45"), mpmath.mpc("-0.2", "1.2")), 60),
+    ]
+    for D, n_max in [(-7, 43), (-11, 47)]:
+        for N in admissible_levels(D, n_max):
+            ctx = HeckeContext(D, N, prec=80)
+            pt = heegner_point(ctx, ctx.class_rep)
+            with mpmath.workdps(80 + GUARD_DIGITS + 5):
+                points += [(SplitCMPoint(Q, pt).z_matrix(), 80) for Q in reduced_forms(-N)]
+    assert len(points) == 3 + 16
+    for z, prec in points + tied:
+        v, w = siegel_theta(*z, prec), siegel_theta(z[2], z[1], z[0], prec)
+        with mpmath.workdps(prec + 30):
+            assert abs(v.to_mpc() - w.to_mpc()) < 2 * _siegel_bound(z, prec), (z, prec)
+            # both calls sum along the axis of the smaller Im diagonal entry,
+            # except where the entries tie
+            y11, y22 = mpmath.mpc(z[0]).imag, mpmath.mpc(z[2]).imag
+            second, first = axes.pop(), axes.pop()
+            if y11 == y22:
+                assert first == y22 and second == y11
+            else:
+                assert first == second == min(y11, y22)
 
 
 def test_siegel_theta_does_not_use_the_q_series(monkeypatch):
