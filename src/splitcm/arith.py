@@ -1,21 +1,39 @@
 """Elementary number-theory helpers: primality, Jacobi symbol."""
 
-from .errors import InputError
+from .errors import InputError, ResourceError
+
+# the 13 primes 2..41: the trial divisors and the Miller-Rabin bases of is_prime
+PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# psi_13, the least strong pseudoprime to all of PRIME_BASES (Sorenson and
+# Webster, Math. Comp. 86 (2017)): below it, those bases decide primality
+PSI_13 = 3317044064679887385961981
 
 
 def is_prime(n):
-    """Deterministic trial-division primality test (intended for n < 10^12)."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0 or n % 3 == 0:
-        return False
-    f = 5
-    while f * f <= n:
-        if n % f == 0 or n % (f + 2) == 0:
+    """Deterministic primality test for n < PSI_13, ResourceError above.
+
+    Trial division by PRIME_BASES decides every n < 43^2; the strong
+    (Miller-Rabin) test to the same bases decides the rest below PSI_13.
+    """
+    if n >= PSI_13:
+        raise ResourceError("primality of %d is decided only below psi_13 = %d" % (n, PSI_13))
+    for p in PRIME_BASES:
+        if n % p == 0:
+            return n == p
+    if n < 43 * 43:
+        return n > 1
+    s = ((n - 1) & -(n - 1)).bit_length() - 1  # n - 1 = d 2^s, d odd
+    d = (n - 1) >> s
+    for a in PRIME_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 6
     return True
 
 

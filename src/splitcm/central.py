@@ -29,8 +29,9 @@ which also solves for the root number W and certifies |W| = 1.  Its three
 series are summed by its own fixed-point kernel on Python integers
 (_oracle_series): Horner's rule over the nonzero coefficients, at the
 scale that can still reach 2^-P, within a written rounding bound of
-4 sqrt|D| (T + 1)^2 2^-P for T nonzero terms.  The kernel repeats the
-block loop of theta._q_series instead of sharing it, so that the oracle
+4 sqrt|D| (T + 1)^2 2^-P for T nonzero terms.  Its block loop is the
+package's only one: at 600 digits a series sums thousands of terms, and
+the kernel is written apart from theta._q_series, so that the oracle
 stays independent of the theta code it checks.
 
 omega_N (units of the order of discriminant -N modulo sign) is 2 throughout
@@ -467,9 +468,9 @@ def _oracle_series(terms, gap, D, N, t, P):
     last one, to n = 0, adds no c_n), each part of H is off by less than
     (T + 1)(4T + 2) 2^-P, so the sum is off by less than
     (1 + sqrt|D|)/2 (T + 1)(4T + 2) 2^-P < 4 sqrt|D| (T + 1)^2 2^-P.
-    The kernel repeats theta._q_series' block loop on purpose: the oracle
-    calls nothing in splitcm.theta, so that a fault there cannot pass
-    both paths.
+    The kernel is written apart from theta._q_series, which sums at the
+    one scale 2^-P, on purpose: the oracle calls nothing in splitcm.theta,
+    so that a fault there cannot pass both paths.
     """
     with mp.workprec(P + 20):
         k = 2 * mpmath.pi * t.numerator / (t.denominator * mpmath.sqrt(-D * N))

@@ -42,6 +42,8 @@ def validate_field_disc(D):
     validate_disc(D)
     if D % 2 == 0:
         cause = "D = %d is even" % D
+    elif D < -163:  # Heegner-Stark: -163 is the least D with h(D) = 1
+        cause = "h(D) > 1 for D = %d < -163 (Heegner-Stark)" % D
     elif not is_prime(-D):
         cause = "|D| = %d is not prime" % -D
     elif class_number(D) != 1:

@@ -12,8 +12,8 @@ evaluations of it are kept on purpose, each with its own kernel:
   unity and the roots of the entries that the reduction inverted.  Its
   cost does not grow with N;
 * theta_form sums the q-series of one form's integer representation
-  numbers by Horner's rule (_q_series, which also sums dedekind_eta's
-  pentagonal series) from a table of q-powers (_q_table);
+  numbers by Horner's rule over a table of q-powers (_q_series, which
+  also sums dedekind_eta's pentagonal series);
 * siegel_theta at Z itself (symplectic_theta_splitcm) sums
   exp(pi*i*x^t z x) over a 2d box, row by row, by Horner's rule outward
   from each row's largest term, over a range of each row solved in closed
@@ -44,13 +44,9 @@ tail target:
   theta_form and dedekind_eta both sum through it: theta_form over the
   nonzero representation numbers up to the form's least cutoff T (at
   least 16) that passes the tail bound, dedekind_eta over its +-1
-  pentagonal terms.
-  An error made at power k is later multiplied by |q|^k, so the step at k
-  needs only a scale 2^-p with p >= P - k log2(1/|q|): Horner keeps only
-  the bits that can still reach 2^-P.  The scale rises by SCALE_STEP = 64
-  bits from one block of powers to the next, and the table of q-powers,
-  stepped in Gaussian fixed point a little finer than 2^-P and truncated
-  toward zero at each block's scale, stays within the same bound;
+  pentagonal terms.  Every step runs at the one scale 2^-P, and the
+  table of q-powers, stepped in Gaussian fixed point a little finer than
+  2^-P and truncated toward zero once to 2^-P, stays within the same bound;
 * siegel_theta: 24 (2S+1)^4 2^-P, of which it uses less than 4 (2S+1)^4.
   A row's terms t(m, n0 +- j) are t(m, n0) rho^j G_j, rho the row's first
   ratio up or down and G_j = (C^2)^(j (j-1)/2) from one table per call,
@@ -84,7 +80,6 @@ counts the size of the partial sums that its steps multiply.
 """
 
 import cmath
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -101,8 +96,6 @@ from .quadratic import HeegnerPoint, QuadForm, reduce_form
 MAX_TAIL_TERMS = 5 * 10**6
 # a Siegel box sum may drop terms below 2^STOP_BITS units
 STOP_BITS = 8
-# _q_series' Horner scale rises by SCALE_STEP bits from one block of powers to the next
-SCALE_STEP = 64
 
 
 def _point_to_mpc(tau):
@@ -254,13 +247,15 @@ def _truncate(x, bits):
     return x >> bits if x >= 0 else -(-x >> bits)
 
 
-def _q_table(ks, z, P):
-    """The q-power table of _q_series, q = e^(2 pi i z), for the increasing exponents ks.
+def _q_series(ks, cs, z, P):
+    """The Gaussian integer 2^P sum_k c_k q^k, q = e^(2 pi i z), within 2 T (R + 1) of it.
 
-    Returns (P, W, beta, qpow).  qpow[g] is 2^W q^g for g up to G, the
-    largest gap between consecutive exponents of ks.  beta is a float lower
-    bound on -log2 |q| = 2 pi Im z / ln 2, with a relative margin of 10^-9,
-    capped at P.
+    ks are the increasing exponents, from ks[0] = 0, and cs[i] the integer
+    coefficient c_k at k = ks[i], of either sign; T = ks[-1] and
+    R = sum_k |c_k|.  Horner's rule in Gaussian fixed point at the one
+    scale 2^-P: from one k to the next lower one k', h becomes
+    h q^(k-k') + c_k', with q^(k-k') from a table of powers up to the
+    largest gap G between consecutive exponents.
 
     q comes from one mpmath exp at W = P + 20 + bitlen(G) bits, and its
     powers q^g = q^(g-1) q are stepped in Gaussian fixed point at scale
@@ -269,70 +264,33 @@ def _q_table(ks, z, P):
     relative (3 w + 1) 2^-W, so 2^W q is within 3 w + 3 units, and each
     step adds at most that error of q plus sqrt(2) for its shift: q^g is
     within g (3 w + 5) units of 2^-W, below (3 w + 5) 2^-20 of 2^-P for
-    g <= G.  A block at scale 2^-p, p <= P, truncates an entry toward zero
-    once to 2^-p, so it is within (sqrt(2) + (3 w + 5) 2^-20) 2^-p of q^g;
-    while 3 w + 5 < 2^19, the excess over sqrt(2) lies inside the slack of
-    _q_series' bound, sqrt(2) T (R + 1) < 2 T (R + 1).
+    g <= G.  Each power is truncated toward zero once to 2^-P, so that it
+    is within (sqrt(2) + (3 w + 5) 2^-20) 2^-P of q^g and no entry exceeds
+    |q|^g in modulus.
+
+    A step adds below sqrt(2) 2^-P of rounding and |h| sqrt(2) 2^-P from
+    the truncated entry, with |h| <= R; the later steps multiply both by
+    at most 1.  Over the at most T steps, the error is below
+    sqrt(2) T (R + 1) 2^-P < 2 T (R + 1) 2^-P; while 3 w + 5 < 2^19, the
+    excess of the entries over sqrt(2) 2^-P lies inside that slack.
     """
     top_gap = max((b - a for a, b in zip(ks, ks[1:])), default=0)
     W = P + 20 + top_gap.bit_length()
     with mp.workprec(W):
         qr, qi = _to_fixed(mpmath.exp(2j * mpmath.pi * z), W)
-        beta = min(float(2 * mpmath.pi * z.imag / mpmath.ln2) * (1 - 1e-9), P)
     qs, qd = qr + qi, qi - qr
-    qpow = [(1 << W, 0)]
+    xr, xi = 1 << W, 0
+    table = [None]
     for _ in range(top_gap):
-        xr, xi = qpow[-1]
-        k = qr * (xr + xi)
-        qpow.append(((k - xi * qs) >> W, (k + xr * qd) >> W))
-    return P, W, beta, qpow
-
-
-def _q_series(ks, cs, table):
-    """The Gaussian integer 2^P sum_k c_k q^k, from the _q_table of ks at scale P.
-
-    ks are the increasing exponents, from ks[0] = 0, and cs[i] the integer
-    coefficient c_k at k = ks[i], of either sign.  Horner's rule in
-    Gaussian fixed point: from one k to the next lower one k', h becomes
-    h q^(k-k') + c_k', with q^(k-k') from the table, truncated toward zero,
-    so that no entry exceeds |q|^(k-k') in modulus.
-
-    An error made at power k reaches the sum multiplied by at most |q|^k =
-    2^(-k beta), so at power k, h need only be held at a scale 2^-p with
-    p >= P - k beta.
-    Going down from the top k, the powers fall into blocks whose scale is
-    P - j SCALE_STEP (never below 0) for the block j of k >= j SCALE_STEP /
-    beta; at each block boundary h is shifted left, which is exact, and a
-    table entry is truncated to the block's scale on its first use in the
-    block.  A step at scale p adds below
-    sqrt(2) 2^-p of rounding and |h| sqrt(2) 2^-p from the truncated table
-    entry, with |h| <= R = sum_k |c_k|; the later steps multiply both by at
-    most |q|^k <= 2^(p-P).  Over the at most T = ks[-1] steps that multiply,
-    the error is below sqrt(2) T (R + 1) 2^-P < 2 T (R + 1) 2^-P.
-    """
-    P, W, beta, qpow = table
-    hr = hi = p = 0
-    above = ks[-1]
-    top = len(ks)
-    for j in range(int(min(P, ks[-1] * beta)) // SCALE_STEP, -1, -1):
-        bottom = bisect_left(ks, j * SCALE_STEP / beta)
-        if bottom == top:
-            continue
-        scale = P - j * SCALE_STEP
-        hr, hi = hr << (scale - p), hi << (scale - p)
-        p = scale
-        block = {}
-        for k, ck in zip(reversed(ks[bottom:top]), reversed(cs[bottom:top])):
-            entry = block.get(above - k)
-            if entry is None:
-                x, y = qpow[above - k]
-                qr, qi = _truncate(x, W - p), _truncate(y, W - p)
-                entry = block[above - k] = qr, qr + qi, qi - qr
-            qr, qs, qd = entry
-            g = qr * (hr + hi)
-            hr, hi = ((g - hi * qs) >> p) + (ck << p), (g + hr * qd) >> p
-            above = k
-        top = bottom
+        g = qr * (xr + xi)
+        xr, xi = (g - xi * qs) >> W, (g + xr * qd) >> W
+        er, ei = _truncate(xr, W - P), _truncate(xi, W - P)
+        table.append((er, er + ei, ei - er))
+    hr, hi = cs[-1] << P, 0
+    for i in range(len(ks) - 2, -1, -1):
+        er, es, ed = table[ks[i + 1] - ks[i]]
+        g = er * (hr + hi)
+        hr, hi = ((g - hi * es) >> P) + (cs[i] << P), (g + hr * ed) >> P
     return hr, hi
 
 
@@ -351,7 +309,7 @@ def theta_form(Q, tau, prec):
     r = representation_counts(Q, T)
     ks = sorted(r)
     P = _fixed_bits(prec + 10, 2 * T * (sum(r.values()) + 1))
-    return _from_fixed(*_q_series(ks, [r[k] for k in ks], _q_table(ks, z, P)), P, prec)
+    return _from_fixed(*_q_series(ks, [r[k] for k in ks], z, P), P, prec)
 
 
 @dataclass(frozen=True)
@@ -830,7 +788,7 @@ def dedekind_eta(z, prec):
         c[e1] = c[e1 + k] = (-1) ** k
     ks = list(c)
     P = _fixed_bits(prec + 12, 2 * ks[-1] * (len(ks) + 1))
-    sr, si = _q_series(ks, list(c.values()), _q_table(ks, z, P))
+    sr, si = _q_series(ks, list(c.values()), z, P)
     with mp.workprec(P + 20):
         total = mpmath.mpc(mpf((sr, -P)), mpf((si, -P))) * mpmath.exp(2j * mpmath.pi * z / 24)
     return BigComplex.from_mpc(total, prec)

@@ -2,10 +2,12 @@
 
 from math import isqrt
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from splitcm.arith import is_prime, jacobi
+from splitcm.arith import PSI_13, is_prime, jacobi
+from splitcm.errors import ResourceError
 
 
 def sieve(limit):
@@ -23,6 +25,15 @@ def test_is_prime_matches_sieve():
     for n in range(2, 5001):
         assert is_prime(n) == flags[n], n
     assert not is_prime(1) and not is_prime(0)
+    # the least strong pseudoprimes to the first 1, 5, 9 and 12 prime bases
+    # (psi_1, psi_5, psi_9, psi_12), all composite
+    for n in (2047, 3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not is_prime(n), n
+    assert is_prime(10**18 + 3) and is_prime(2**61 - 1)
+    # psi_13 is a strong pseudoprime to every base the test uses
+    with pytest.raises(ResourceError, match="psi_13 = 3317044064679887385961981"):
+        is_prime(PSI_13)
+    assert PSI_13 == 1287836182261 * 2575672364521
 
 
 def test_jacobi_euler_criterion():

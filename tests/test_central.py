@@ -1,5 +1,6 @@
 """Classification pipeline, central values, and the functional-equation oracle."""
 
+import time
 from fractions import Fraction
 from math import gcd
 
@@ -458,6 +459,16 @@ def test_unsupported_disc_is_rejected_at_entry(D, cause):
         with pytest.raises(UnsupportedError) as exc:
             enter()
         assert str(exc.value).startswith(cause)
+
+
+def test_disc_below_minus_163_is_refused_at_once():
+    # by Heegner-Stark no D < -163 has h(D) = 1; listing the reduced forms
+    # of D = -1000000007 would take minutes
+    start = time.perf_counter()
+    with pytest.raises(UnsupportedError) as exc:
+        make_table(-1000000007, 50)
+    assert time.perf_counter() - start < 1
+    assert str(exc.value).startswith("h(D) > 1 for D = -1000000007 < -163 (Heegner-Stark)")
 
 
 def test_to_mpc_keeps_the_value_precision_outside_workdps(store7):

@@ -326,6 +326,22 @@ def test_level_past_the_embedding_node_cap_is_refused_at_once(capsys):
         assert err["error"]["message"] == "short-vector enumeration bounded by 5719272 nodes, over the cap of 4000000"
 
 
+def test_huge_level_and_disc_are_refused_at_once(capsys):
+    # a prime level near 10^18 passes is_prime's strong test at once, and
+    # embedding_count's node bound refuses it; a D below -163 is refused
+    # before any class number is computed
+    for argv, code_want in (
+        (["lvalue", "--disc", "-7", "--level", "1000000000000000003"], 3),
+        (["table", "--disc", "-1000000007", "--nmax", "50"], 2),
+    ):
+        start = time.perf_counter()
+        code, text = run(argv)
+        assert time.perf_counter() - start < 2, argv
+        assert code == code_want and text == "", argv
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"]["code"] == code_want, argv
+
+
 def test_level_two_is_refused_before_the_jacobi_symbol(capsys):
     for command in ("lvalue", "oracle"):
         code, text = run([command, "--disc", "-7", "--level", "2", "--prec", "50"])

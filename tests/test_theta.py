@@ -113,47 +113,37 @@ def _full_scale_horner(ks, cs, z, P):
 
 
 def test_theta_form_within_its_bound_of_the_full_scale_horner(monkeypatch):
-    # theta_form and dedekind_eta sum through _q_series, which holds the
-    # power-k step at a scale of about P - k beta bits; each fixed-point sum
-    # must stay within its written bound 2 T (R + 1) 2^-P of the value, for
-    # T = ks[-1] and R = sum |cs_i|.  The reference is the full-scale
-    # Horner run `extra` bits finer, itself within 2 T (R + 1) 2^-(P + extra)
-    # of the value.
+    # theta_form and dedekind_eta sum through _q_series, which steps its
+    # q-powers a little finer than 2^-P and truncates each once to 2^-P;
+    # each fixed-point sum must stay within its written bound
+    # 2 T (R + 1) 2^-P of the value, for T = ks[-1] and R = sum |cs_i|.
+    # The reference is the full-scale Horner run `extra` bits finer, itself
+    # within 2 T (R + 1) 2^-(P + extra) of the value.
     extra = 32
-    tables, sums = [], []
-    q_table, q_series = theta._q_table, theta._q_series
+    sums = []
+    q_series = theta._q_series
 
-    def record_table(ks, z, P):
-        table = q_table(ks, z, P)
-        tables.append((z, P, table))
-        return table
-
-    def record(ks, cs, table):
-        result = q_series(ks, cs, table)
-        sums.append((ks, cs, table, result))
+    def record(ks, cs, z, P):
+        result = q_series(ks, cs, z, P)
+        sums.append((ks, cs, z, P, result))
         return result
 
     def sum_within_bound():
-        ((z, P, table),) = tables
-        ((ks, cs, used, (x, y)),) = sums
-        assert used is table
+        ((ks, cs, z, P, (x, y)),) = sums
         T, R = ks[-1], sum(map(abs, cs))
         hr, hi = _full_scale_horner(ks, cs, z, P + extra)
         # both sides in units of 2^-(P + extra), exactly
         gap = abs(mpmath.mpc((x << extra) - hr, (y << extra) - hi))
         assert gap < 2 * T * (R + 1) * (2**extra - 1), (z, P, gap)
-        tables.clear()
         sums.clear()
         return z, P, ks, cs
 
-    monkeypatch.setattr(theta, "_q_table", record_table)
     monkeypatch.setattr(theta, "_q_series", record)
     points = []
     for D, N, prec in [(-7, 43, 600), (-7, 191, 600), (-11, 47, 600), (-7, 43, 80), (-7, 151, 80)]:
         ctx = HeckeContext(D, N, prec=prec)
         points += [(Q, ctx.class_point, prec) for Q in ctx.forms]
-    # |q| = e^(-6 pi) keeps T at its floor of 16 and spreads the powers
-    # over several blocks
+    # |q| = e^(-6 pi) keeps T at its floor of 16
     points.append((QuadForm(1, 1, 2), mpmath.mpc("0.1", 3), 80))
     for Q, tau, prec in points:
         theta_form(Q, tau, prec)
@@ -192,11 +182,10 @@ def test_level_thetas_within_their_bound_of_the_q_series(D, N, prec):
 
 def test_level_thetas_sum_no_q_series(monkeypatch):
     # the product path evaluates siegel_theta at reduced points only: no
-    # q-power table and no q-series, at any level
+    # q-series, at any level
     def refuse(*args):
         raise AssertionError("HeckeContext.thetas reached the q-series code")
 
-    monkeypatch.setattr(theta, "_q_table", refuse)
     monkeypatch.setattr(theta, "_q_series", refuse)
     for D, N in [(-7, 11), (-11, 47), (-163, 1019), (-7, 20063)]:
         assert len(HeckeContext(D, N).thetas) == class_number(-N)
@@ -232,42 +221,6 @@ def test_reduced_thetas_snap_to_the_q_series_integers(monkeypatch):
         assert len(points) <= len(keys) <= 27, D
         assert theta._reduced_siegel.cache_info().currsize == len(calls)
     assert calls == [30] * len(calls)
-
-
-def test_q_table_truncates_an_entry_only_for_the_blocks_that_read_it(monkeypatch):
-    # eta(tau0) at D = -7 and 600 digits spreads 23 pentagonal terms, with
-    # gaps up to 21, over 33 blocks; each block truncates only the gaps its
-    # own steps read, each to the entry of truncating 2^W q^g to 2^-P and
-    # then once more to the block's scale, as a table truncated up front held
-    tables, cuts = [], []
-    q_table, truncate = theta._q_table, theta._truncate
-
-    def spy_table(*args):
-        tables.append(q_table(*args))
-        return tables[-1]
-
-    def spy_truncate(x, bits):
-        cuts.append((x, bits))
-        return truncate(x, bits)
-
-    monkeypatch.setattr(theta, "_q_table", spy_table)
-    monkeypatch.setattr(theta, "_truncate", spy_truncate)
-    with mpmath.workdps(630):
-        tau0 = (mpmath.sqrt(-7) - 1) / 2
-    dedekind_eta(tau0, 600)
-    ((P, W, beta, qpow),) = tables
-    assert len(qpow) == 22
-    parts = {x for entry in qpow for x in entry}
-    blocks = set()
-    for x, bits in cuts:
-        j, rest = divmod(bits - (W - P), theta.SCALE_STEP)
-        assert x in parts and rest == 0 and j >= 0, bits
-        assert truncate(x, bits) == truncate(truncate(x, W - P), j * theta.SCALE_STEP)
-        blocks.add(j)
-    assert max(blocks) == 32
-    # an entry is two truncations, one per part, and a step makes at most one
-    # entry: at most 23 entries, of the 33 * 22 pairs of block and gap
-    assert len(cuts) <= 2 * 23
 
 
 def test_theta_refuses_too_many_lattice_points_before_enumerating(monkeypatch):
