@@ -12,12 +12,12 @@ evaluations of it are kept on purpose, each with its own kernel:
   unity and the roots of the entries that the reduction inverted.  Its
   cost does not grow with N;
 * theta_form sums the q-series of one form's integer representation
-  numbers by Horner's rule over a table of q-powers (_q_series, which
-  also sums dedekind_eta's pentagonal series);
-* siegel_theta at Z itself (symplectic_theta_splitcm) sums
-  exp(pi*i*x^t z x) over a 2d box, row by row, by Horner's rule outward
-  from each row's largest term, over a range of each row solved in closed
-  form, along the axis of the smaller Im diagonal entry (few long rows).
+  numbers by baby-step giant-step (_q_series, which also sums
+  dedekind_eta's pentagonal series);
+* siegel_theta at Z itself (symplectic_theta_splitcm, on powers of one
+  exp) sums exp(pi*i*x^t z x) over a 2d box, row by row, by Horner's rule
+  outward from each row's largest term, over a range of each row solved in
+  closed form, along the axis of the smaller Im diagonal entry.
 
 The last two are independent of the reduction and stay as its checks:
 the class invariant that classify compares every reduced value with comes
@@ -39,28 +39,19 @@ three integer products, the four-product form's integers.  Each kernel writes it
 bound and takes P from _fixed_bits, so that the bound is also below the
 tail target:
 
-* _q_series: 2 T (R + 1) 2^-P, for the Horner steps up to the top power T
-  of a q-series whose integer coefficients have absolute sum R.
-  theta_form and dedekind_eta both sum through it: theta_form over the
-  nonzero representation numbers up to the form's least cutoff T (at
-  least 16) that passes the tail bound, dedekind_eta over its +-1
-  pentagonal terms.  Every step runs at the one scale 2^-P, and the
-  table of q-powers, stepped in Gaussian fixed point a little finer than
-  2^-P and truncated toward zero once to 2^-P, stays within the same bound;
-* siegel_theta: 24 (2S+1)^4 2^-P, of which it uses less than 4 (2S+1)^4.
-  A row's terms t(m, n0 +- j) are t(m, n0) rho^j G_j, rho the row's first
-  ratio up or down and G_j = (C^2)^(j (j-1)/2) from one table per call,
-  so each direction is one Horner sum at one product per term.  The
-  Horner steps, the G table (stepped at L bits and truncated once to
-  2^-P) and the start values keep each row within 2 (2S+1)^2 units of
-  2^-P, the 2S + 1 rows with their mirrors within 2 (2S+1)^3.  Each
-  direction's length is solved in floats from the Gaussian |t(m, n)| at
-  2^(7-P), one bit below the 2^(8-P) allowed a dropped term, and the rows
-  stop once a row's largest term is below 2^(8-P): the at most (2S+1)^2
-  dropped terms add less than 2^8 (2S+1)^2 units (see siegel_theta).
-  The rows' start terms and first ratios come from a walk on integer
-  mantissas, each product shifted down to L = P + 22 + 2 bitlen(S) bits
-  within relative sqrt(2) 2^(1-L), which the same bound covers;
+* _q_series: 2 T (R + 1) 2^-P, for a q-series up to the top power T
+  whose integer coefficients have absolute sum R: theta_form's nonzero
+  representation numbers up to the form's least passing cutoff T >= 16,
+  or dedekind_eta's +-1 pentagonal terms.  Blocks of s = isqrt(T) powers
+  are exact integer sums over a table of q^r, r <= s, truncated once to
+  2^-P, and Horner's rule in q^s over them runs at 2^-P: about 2 sqrt(T)
+  full-width products;
+* siegel_theta: 24 (2S+1)^4 2^-P, of which it uses less than 4 (2S+1)^4:
+  each row, summed outward from its largest term by Horner's rule over a
+  shared table G_j = (C^2)^(j (j-1)/2), within 2 (2S+1)^2 units of 2^-P,
+  and the at most (2S+1)^2 dropped terms, each below 2^(8-P), within
+  2^8 (2S+1)^2.  Its row walk takes A, B and C from three expjpi, or at
+  a split-CM point from powers of one (see siegel_theta);
 * reduced_theta: M times siegel_theta's bound at the reduced point, with
   M = prod_j |w_j|^(-1/2) over the inverted entries w_j, exact from their
   norms, plus the rounding of its few mpmath operations (see there).
@@ -252,45 +243,51 @@ def _q_series(ks, cs, z, P):
 
     ks are the increasing exponents, from ks[0] = 0, and cs[i] the integer
     coefficient c_k at k = ks[i], of either sign; T = ks[-1] and
-    R = sum_k |c_k|.  Horner's rule in Gaussian fixed point at the one
-    scale 2^-P: from one k to the next lower one k', h becomes
-    h q^(k-k') + c_k', with q^(k-k') from a table of powers up to the
-    largest gap G between consecutive exponents.
+    R = sum_k |c_k|.  Baby-step giant-step (Paterson and Stockmeyer, SIAM
+    J. Comput. 2, 1973), s = max(1, isqrt(T)): block j <= J = T // s,
+    B_j = sum c_k q^(k - js) over k in [js, js + s), is summed exactly from
+    a table of q^r, r <= s, and Horner's rule at 2^-P takes h to h q^s + B_j.
 
-    q comes from one mpmath exp at W = P + 20 + bitlen(G) bits, and its
-    powers q^g = q^(g-1) q are stepped in Gaussian fixed point at scale
-    2^-W, each product shifted back by W bits.  With w = |2 pi z|, the
-    exponent 2 pi i z is rounded within 3 w 2^-W and the exp within
-    relative (3 w + 1) 2^-W, so 2^W q is within 3 w + 3 units, and each
-    step adds at most that error of q plus sqrt(2) for its shift: q^g is
-    within g (3 w + 5) units of 2^-W, below (3 w + 5) 2^-20 of 2^-P for
-    g <= G.  Each power is truncated toward zero once to 2^-P, so that it
-    is within (sqrt(2) + (3 w + 5) 2^-20) 2^-P of q^g and no entry exceeds
-    |q|^g in modulus.
+    q comes from one mpmath exp at W = P + 20 + bitlen(s) bits, and q^r =
+    q^(r-1) q is stepped at scale 2^-W.  With w = |2 pi z|, 2^W q is within
+    3 w + 3 units (the exponent within 3 w 2^-W, the exp within relative
+    (3 w + 1) 2^-W), and each step adds that plus sqrt(2) for its shift, so
+    q^r, r <= s, is within r (3 w + 5) units of 2^-W, below (3 w + 5) 2^-20
+    of 2^-P.  Truncated toward zero once to 2^-P, an entry is within
+    d = sqrt(2) + (3 w + 5) 2^-20 units of 2^-P of q^r and at most |q|^r
+    in modulus; q^0 = 1 is exact.
 
-    A step adds below sqrt(2) 2^-P of rounding and |h| sqrt(2) 2^-P from
-    the truncated entry, with |h| <= R; the later steps multiply both by
-    at most 1.  Over the at most T steps, the error is below
-    sqrt(2) T (R + 1) 2^-P < 2 T (R + 1) 2^-P; while 3 w + 5 < 2^19, the
-    excess of the entries over sqrt(2) 2^-P lies inside that slack.
+    Then B_j is within R_j d, R_j = sum |c_k| over the block (exact for
+    s = 1).  A Horner step adds below sqrt(2) of rounding and |h| d,
+    |h| <= R, from q^s; later steps multiply both by at most 1.  The error
+    is below (J + 1) (R + 1) d for s >= 2, J + 1 <= T/2 + 1 <= T, and
+    J (R + 1) d, J = T, for s = 1: below T (R + 1) d < 2 T (R + 1) units
+    of 2^-P while 3 w + 5 < 2^19.
     """
-    top_gap = max((b - a for a, b in zip(ks, ks[1:])), default=0)
-    W = P + 20 + top_gap.bit_length()
+    s = max(1, isqrt(ks[-1]))
+    W = P + 20 + s.bit_length()
     with mp.workprec(W):
         qr, qi = _to_fixed(mpmath.exp(2j * mpmath.pi * z), W)
     qs, qd = qr + qi, qi - qr
     xr, xi = 1 << W, 0
-    table = [None]
-    for _ in range(top_gap):
+    table = [(1 << P, 0)]
+    for _ in range(s):
         g = qr * (xr + xi)
         xr, xi = (g - xi * qs) >> W, (g + xr * qd) >> W
-        er, ei = _truncate(xr, W - P), _truncate(xi, W - P)
-        table.append((er, er + ei, ei - er))
-    hr, hi = cs[-1] << P, 0
-    for i in range(len(ks) - 2, -1, -1):
-        er, es, ed = table[ks[i + 1] - ks[i]]
-        g = er * (hr + hi)
-        hr, hi = ((g - hi * es) >> P) + (cs[i] << P), (g + hr * ed) >> P
+        table.append((_truncate(xr, W - P), _truncate(xi, W - P)))
+    J = ks[-1] // s
+    br, bi = [0] * (J + 1), [0] * (J + 1)
+    for k, c in zip(ks, cs):
+        j, r = divmod(k, s)
+        er, ei = table[r]
+        br[j] += c * er
+        bi[j] += c * ei
+    gr, gi = table[s]
+    gs, gd = gr + gi, gi - gr
+    hr, hi = br[J], bi[J]
+    for j in range(J - 1, -1, -1):
+        g = gr * (hr + hi)
+        hr, hi = ((g - hi * gs) >> P) + br[j], ((g + hr * gd) >> P) + bi[j]
     return hr, hi
 
 
@@ -445,8 +442,9 @@ def siegel_theta(z11, z12, z22, prec):
     t(m, n0 +- j) = t(m, n0) rho^j G_j, G_j = (C^2)^(j (j-1)/2), in either
     direction.  The row is t(m, n0) (1 + rho+ H+ + rho- H-), where a
     direction of J terms has H = G_1 + rho G_2 + ... + rho^(J-1) G_J,
-    summed by Horner's rule at one complex product per term.  The G_j
-    come from one table per call that every row and both directions share.
+    summed by Horner's rule at one complex product per term, from one table
+    of the G_j per call; row 0, with n0 = 0, rho+ = rho- = C and J+ = J-,
+    sums one direction and doubles it, which carries the error of two.
     In n, |t(m, n)| is a Gaussian centred at -m y12/y22, which lies within
     1/2 of n0 or beyond the box edge n0, so |t| falls from n0 outward:
     every term, rho and G_j that a sum uses has modulus <= 1, whatever the
@@ -457,11 +455,11 @@ def siegel_theta(z11, z12, z22, prec):
 
     The bound, in units of 2^-P, with w = pi max |z_ij|:
     * A start term t(m, n0) or ratio rho, truncated from the mantissa walk
-      below, is within sqrt(2) + (w + 7) 2^-18 < 2.5 while w + 7 < 2^18.
+      below, is within sqrt(2) + (w + 9) 2^-18 < 2.5 while w + 9 < 2^18.
     * G_(j+1) = G_j (C^2)^j is stepped at scale 2^-L from C^2, itself
-      within 4 (w + 4) units of 2^-L, so G_j is within 3 j^2 (w + 4)
+      within 4 (w + 7) units of 2^-L, so G_j is within 3 j^2 (w + 6)
       units of 2^-L; for j <= 2S, 2^(L-P) > 2^22 S^2 makes that below
-      (w + 4) 2^-18, and the entry, truncated once to 2^-P, is within 2.5.
+      (w + 6) 2^-18, and the entry, truncated once to 2^-P, is within 2.5.
     * A Horner step multiplies h, |h| <= J, by rho: with rho's 2.5, the
       step's sqrt(2) and G_j's 2.5, H is within 1.25 J^2 + 4 J and rho H
       within 1.25 J^2 + 6.5 J + 1.5.  The two directions have
@@ -479,36 +477,45 @@ def siegel_theta(z11, z12, z22, prec):
     stay below 4 (2S+1)^4 2^-P, inside the 24 (2S+1)^4 2^-P that P is
     sized from.
 
-    The start values t(m, n0) and the first ratios of each row come from a
-    walk along the path (m, n0(m)) on integer mantissas (x + i y) 2^e,
-    which keep relative precision however large B^m = e^(2 pi i z12 m)
-    becomes.  _mul shifts a product down to L = P + 22 + 2 bitlen(S) bits,
-    within relative sqrt(2) 2^(1-L).  A, B and C, mpmath.expjpi of z11,
-    2 z12 and z22 at L bits, are within relative (w + 3) 2^(1-L), the
-    rounding of 2 z12 included, and A^2, C^2 (_mul), B^-1 and C^-2
-    (_inverse) within (w + 5) 2^(1-L).
-    Each of up, down and across is a constant times at most 2S step
-    factors, and t is at most 2S products of these, so a value's relative
-    errors add up to at most (2S+1)^2 (w + 7) 2^(1-L), and the value is
-    within relative (2S+1)^2 (w + 7) 2^(2-L) < (w + 7) 2^(-18-P) of exact.
-    Truncated to 2^-P, a start term or first ratio, of modulus <= 1, is
-    within (sqrt(2) + (w + 7) 2^-18) 2^-P, the 2.5 units used above.
+    The start values t(m, n0) and first ratios come from a walk along
+    (m, n0(m)) on integer mantissas (x + i y) 2^e, which keep relative
+    precision however large B^m = e^(2 pi i z12 m) becomes; _mul shifts a
+    product down to L = P + 22 + 2 bitlen(S) bits, within relative
+    sqrt(2) 2^(1-L).  The walk needs A, B and C within (w + 5) 2^(1-L):
+    mpmath.expjpi of z11, 2 z12 and z22 at L bits are within (w + 3) 2^(1-L).
+    Then A^2, C^2 and C^-2 (_inverse, within 2^-L) are within
+    (2 w + 13) 2^(1-L), B^-1 within (w + 6) 2^(1-L), and each step factor
+    with its _mul within 2 (w + 8) 2^(1-L).  n0 is monotone in m and
+    |n0| <= S, so up, down and across are each a start value times at most
+    2S step factors, and t is at most 2S products of these: a value is
+    within relative (2S+1)^2 (w + 8) 2^(2-L), with second-order terms
+    (2S+1)^2 (w + 9) 2^(2-L) < (w + 9) 2^(-18-P), and truncated to 2^-P,
+    of modulus <= 1, within the 2.5 units above.
     """
+    _, (z11, z12, z22), spans, P, L = _siegel_frame(z11, z12, z22, prec)
+    with mp.workprec(L):
+        A, B, C = (_parts(mpmath.expjpi(z)) for z in (z11, 2 * z12, z22))
+    return _siegel_sum(A, B, C, spans, P, L, prec)
+
+
+def _siegel_frame(z11, z12, z22, prec):
+    """siegel_theta's (exchanged, (z11, z12, z22), spans, P, L): z as mpc, exchanged when y11 < y22."""
     with mp.workdps(prec + GUARD_DIGITS + 5):
         z11, z12, z22 = mpmath.mpc(z11), mpmath.mpc(z12), mpmath.mpc(z22)
-        if z11.imag < z22.imag:
+        if exchanged := z11.imag < z22.imag:
             z11, z22 = z22, z11
         y11, y12, y22 = z11.imag, z12.imag, z22.imag
         det = y11 * y22 - y12 * y12
         if y11 <= 0 or det <= 0:
             raise InputError("imaginary part is not positive definite")
-        lam = det / (y11 + y22)
-        S = _siegel_box(lam, prec)
+        S = _siegel_box(det / (y11 + y22), prec)
         P = _fixed_bits(prec + 10, 24 * (2 * S + 1) ** 4)
         spans = _siegel_rows(y12, y22, det, S, P)
-    L = P + 22 + 2 * S.bit_length()
-    with mp.workprec(L):
-        A, B, C = (_parts(mpmath.expjpi(z)) for z in (z11, 2 * z12, z22))
+    return exchanged, (z11, z12, z22), spans, P, P + 22 + 2 * S.bit_length()
+
+
+def _siegel_sum(A, B, C, spans, P, L, prec):
+    """siegel_theta's walk and sums from mantissas of A = e^(pi i z11), B = e^(2 pi i z12), C = e^(pi i z22)."""
     A2, C2 = _mul(A, A, L), _mul(C, C, L)
     Binv, C2inv = _inverse(B, L), _inverse(C2, L)
     # G[j] = 2^P G_j for j = 0 .. the longest direction, G_0 = G_1 = 1
@@ -537,9 +544,10 @@ def siegel_theta(z11, z12, z22, prec):
             t = _mul(t, down, L)
             up, down, across = _mul(up, C2inv, L), _mul(down, C2, L), _mul(across, Binv, L)
             n -= 1
-        # f = 1 + rho+ H+ + rho- H-, each 1 + rho H by Horner down to G_0 = 1
+        # f = 1 + rho+ H+ + rho- H-, each 1 + rho H by Horner down to G_0 = 1;
+        # every row counts twice, row 0 as 1 + rho+ H+ (t = 1), and 1 is taken off at the end
         fr, fi = 1 << P, 0
-        for ratio, J in ((up, above), (down, below)):
+        for ratio, J in ((up, above), (down, below))[: 2 if m else 1]:
             if J:
                 rr, ri = _scaled(ratio, P)
                 rs, rd = rr + ri, ri - rr
@@ -550,19 +558,41 @@ def siegel_theta(z11, z12, z22, prec):
                 fr, fi = fr + hr - (1 << P), fi + hi
         tr, ti = _scaled(t, P)
         k = tr * (fr + fi)
-        weight = 2 if m else 1
-        sr += weight * ((k - fi * (tr + ti)) >> P)
-        si += weight * ((k + fr * (ti - tr)) >> P)
+        sr += 2 * ((k - fi * (tr + ti)) >> P)
+        si += 2 * ((k + fr * (ti - tr)) >> P)
         t = _mul(t, across, L)
         up, down, across = _mul(up, B, L), _mul(down, Binv, L), _mul(across, A2, L)
-    return _from_fixed(sr, si, P, prec)
+    return _from_fixed(sr - (1 << P), si, P, prec)
+
+
+def _power(u, e, L):
+    """u^e for a mantissa u by square-and-multiply with _mul at L bits, through _inverse for e < 0."""
+    v = u if e else (1, 0, 0)
+    for bit in bin(abs(e))[3:]:
+        v = _mul(_mul(v, v, L), u, L) if bit == "1" else _mul(v, v, L)
+    return _inverse(v, L) if e < 0 else v
 
 
 def symplectic_theta_splitcm(point, prec):
-    """Direct Siegel-theta evaluation at a split-CM point."""
+    """siegel_theta's sum at the split-CM point Z = tau [[2a, b], [b, 2c]] itself.
+
+    Its A, B and C are q^a, q^b and q^c, q = e^(2 pi i tau), with a and c
+    exchanged where siegel_theta exchanges z11 and z22: one mpmath.expjpi,
+    then _power, at L' = L + bitlen(max(a, |b|, c)) bits.  q is within
+    relative (pi |2 tau| + 3) 2^(1-L'), and q^k, after at most 2 bitlen(k)
+    products, within (k (pi |2 tau| + 3) + 3 bitlen(k)) 2^(1-L'), below
+    (w + 4.5) 2^(1-L) as k < 2^(L'-L), 2 bitlen(k) <= 2^bitlen(k) and
+    pi |2 tau| <= w: with _inverse's 2^-L', within siegel_theta's (w + 5) 2^(1-L).
+    """
     with mp.workdps(prec + GUARD_DIGITS + 5):
-        z11, z12, z22 = point.z_matrix()
-    return siegel_theta(z11, z12, z22, prec)
+        tau = _point_to_mpc(point.tau)
+        exchanged, _, spans, P, L = _siegel_frame(*point.z_matrix(), prec)
+    a, b, c = (point.Q.c, point.Q.b, point.Q.a) if exchanged else (point.Q.a, point.Q.b, point.Q.c)
+    L1 = L + max(a, abs(b), c).bit_length()
+    with mp.workprec(L1):
+        q = _parts(mpmath.expjpi(2 * tau))
+    A, B, C = (_power(q, e, L1) for e in (a, b, c))
+    return _siegel_sum(A, B, C, spans, P, L, prec)
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,7 @@
 of the two evaluation paths at split-CM points."""
 
 import time
-from math import expm1, log, pi
+from math import expm1, isqrt, log, pi
 
 import mpmath
 import pytest
@@ -164,6 +164,54 @@ def test_theta_form_within_its_bound_of_the_full_scale_horner(monkeypatch):
             K = (len(ks) - 1) // 2
             assert ks[-1] == K * (3 * K + 1) // 2 and cs[-1] == (-1) ** K
             assert P == theta._fixed_bits(prec + 12, 2 * ks[-1] * (2 * K + 2))
+
+
+def test_q_series_block_shapes_within_the_bound(monkeypatch):
+    # _q_series sums blocks of s = isqrt(T) powers in exact integers and
+    # runs Horner's rule in q^s over them.  Against the full-scale Horner
+    # `extra` bits finer, it stays within 2 T (R + 1) (2^extra - 1) units
+    # of 2^-(P + extra) for each shape of blocks, and for eta's series at a
+    # high point, T = 2 with coefficients -1
+    extra, P = 32, 300
+    z = mpmath.mpc("0.13", "0.04")
+
+    def within_bound(ks, cs, z, P):
+        x, y = theta._q_series(ks, cs, z, P)
+        hr, hi = _full_scale_horner(ks, cs, z, P + extra)
+        gap = abs(mpmath.mpc((x << extra) - hr, (y << extra) - hi))
+        return gap < 2 * ks[-1] * (sum(map(abs, cs)) + 1) * (2**extra - 1)
+
+    shapes = {
+        "T = 7^2": list(range(50)),
+        "T = 7^2 - 1": list(range(49)),
+        # s = 6: the last block [42, 48) holds 42 alone
+        "last block alone": list(range(0, 40, 3)) + [42],
+        "dense": list(range(401)),
+        # s = 16: every gap is 20
+        "gaps beyond s": list(range(0, 281, 20)),
+    }
+    for name, ks in shapes.items():
+        assert within_bound(ks, [(-1) ** k * (k % 5 + 1) for k in ks], z, P), name
+    ks = shapes["last block alone"]
+    assert [k // isqrt(ks[-1]) for k in ks].count(ks[-1] // isqrt(ks[-1])) == 1
+    ks = shapes["gaps beyond s"]
+    assert min(b - a for a, b in zip(ks, ks[1:])) > isqrt(ks[-1])
+    # ks = [0]: c_0 2^P exactly
+    assert theta._q_series([0], [-7], z, P) == (-7 << P, 0)
+    # eta at Im z = 30, 20 digits: 1 - q - q^2
+    calls = []
+    q_series = theta._q_series
+
+    def record(*args):
+        calls.append(args)
+        return q_series(*args)
+
+    monkeypatch.setattr(theta, "_q_series", record)
+    dedekind_eta(mpmath.mpc("0.2", 30), 20)
+    monkeypatch.undo()
+    ((ks, cs, w, P),) = calls
+    assert ks == [0, 1, 2] and cs == [1, -1, -1]
+    assert within_bound(ks, cs, w, P)
 
 
 @pytest.mark.parametrize(
@@ -694,6 +742,44 @@ def test_siegel_theta_is_invariant_under_the_exchange(monkeypatch):
                 assert first == y22 and second == y11
             else:
                 assert first == second == min(y11, y22)
+
+
+def test_splitcm_theta_takes_one_exponential(monkeypatch):
+    # symplectic_theta_splitcm takes A, B and C as q^a, q^b and q^c of one
+    # mpmath exponential q = e^(2 pi i tau); siegel_theta at the same
+    # entries takes three.  The two agree within the sum of their written
+    # bounds at the 16 points of the benchmark's theta check, which include
+    # b < 0 and the exchange of a and c, at (-7, 191) and (-11, 251), and at
+    # 600 digits at (-7, 43)
+    exponentials = []
+
+    def counting(f):
+        def counted(*args, **kwargs):
+            exponentials[-1] += 1
+            return f(*args, **kwargs)
+
+        return counted
+
+    levels = [(-7, N, 80) for N in admissible_levels(-7, 43)] + [(-11, N, 80) for N in admissible_levels(-11, 47)]
+    points = []
+    for D, N, prec in levels + [(-7, 191, 80), (-11, 251, 80), (-7, 43, 600)]:
+        ctx = HeckeContext(D, N, prec=prec)
+        pt = heegner_point(ctx, ctx.class_rep)
+        points += [(SplitCMPoint(Q, pt), prec) for Q in reduced_forms(-N)]
+    assert len(points) == 16 + 13 + 7 + 1
+    assert any(p.Q.b < 0 for p, _ in points[:16]) and any(p.Q.a < p.Q.c for p, _ in points[:16])
+    for point, prec in points:
+        exponentials.append(0)
+        monkeypatch.setattr(mpmath, "expjpi", counting(mpmath.expjpi))
+        monkeypatch.setattr(mpmath, "exp", counting(mpmath.exp))
+        v = symplectic_theta_splitcm(point, prec)
+        monkeypatch.undo()
+        with mpmath.workdps(prec + GUARD_DIGITS + 5):
+            z = point.z_matrix()
+        w = siegel_theta(*z, prec)
+        with mpmath.workdps(prec + 30):
+            assert abs(v.to_mpc() - w.to_mpc()) < 2 * _siegel_bound(z, prec), (point.Q, prec)
+    assert exponentials == [1] * len(points)
 
 
 def test_siegel_theta_does_not_use_the_q_series(monkeypatch):
