@@ -137,9 +137,9 @@ class ClassStore:
     classes: tuple
     keys: dict = field(default_factory=dict, compare=False, repr=False)
 
-    def match(self, order, theta_abs=None):
-        """The class_id whose order is isometric to order, or None; classes of the given theta_abs go first."""
-        for info in sorted(self.classes, key=lambda info: info.theta_abs != theta_abs):
+    def match(self, order):
+        """The class_id whose order is isometric to order, or None; classes are tried in store order."""
+        for info in self.classes:
             if orders_isometric(order, info.order):
                 return info.class_id
         return None
@@ -248,8 +248,8 @@ def classify(ctx, store):
     Each class's h_R = embedding_count comes first, so that a level past
     its node cap is refused before any per-form work.  A form takes the
     class of its reduced point from store.keys; for a point not seen
-    before, its order is matched with the class of its |theta| tried first,
-    and the point is added to the keys.
+    before, its order is matched against the store, and the point is added
+    to the keys.  Either way its |theta| must equal its class's invariant.
     """
     if store.D != ctx.D:
         raise InputError("class store was built for D = %d, not %d" % (store.D, ctx.D))
@@ -259,7 +259,7 @@ def classify(ctx, store):
         snapped = _snap(ctx, raw)
         cid = store.keys.get(red.key)
         if cid is None:
-            cid = store.match(_maximal_order(ctx, Q), abs(snapped))
+            cid = store.match(_maximal_order(ctx, Q))
             if cid is None:
                 raise IncompleteClassListError(
                     "order class of %s at N=%d is missing from the store" % (Q, ctx.N)

@@ -1,4 +1,4 @@
-"""Exact linear algebra over Z: Hermite forms, determinants, LLL.
+"""Exact linear algebra over Z: Hermite forms, Gram-Schmidt, LLL.
 
 Everything here works on lists of lists of Python ints. Matrices are
 row-major; lattice bases are given as rows. No floating point and no
@@ -46,28 +46,6 @@ def hnf_rows(rows):
                     m[r][c] -= q * m[row][c]
         row += 1
     return [r for r in m[:row] if any(r)]
-
-
-def mat_det(a):
-    """Determinant of a square integer matrix by Bareiss fraction-free elimination.
-
-    Every division is exact: after step k each entry is a (k+1)-minor of a.
-    """
-    m = [list(row) for row in a]
-    n = len(m)
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            piv = next((r for r in range(k + 1, n) if m[r][k] != 0), None)
-            if piv is None:
-                return 0
-            m[k], m[piv] = m[piv], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
 
 
 def gram_schmidt(gram):

@@ -14,7 +14,7 @@ Z-module) is the Hermite normal form of the integer lattice den L, with
 den the least positive integer that makes it integral, so the pair is
 unique.  Products (_mul), conjugates (_conj), norms (_nrd), the pairing
 trd(x conj(y)) (_pair), membership (a triangular solve on the Hermite
-rows), Gram matrices, determinants and LLL all run on those integers; a
+rows), Gram matrices and LLL all run on those integers; a
 product of numerators over den and den' is the numerator of the product
 over den den'.  Rational results that are not coordinates
 (QuatLattice.norm, the symplectic Gram) are returned as Fractions.
@@ -31,10 +31,10 @@ cone enumeration, short_vectors.
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt, lcm, prod
 
 from .errors import InputError, InternalError, ResourceError
-from .linalg import gram_schmidt, hnf_rows, lll_reduce_gram, mat_det
+from .linalg import gram_schmidt, hnf_rows, lll_reduce_gram
 
 MAX_ENUMERATION_NODES = 4 * 10**6
 
@@ -237,8 +237,12 @@ class Order:
 
     @cached_property
     def disc(self):
-        """det of gram; equals (reduced discriminant)^2."""
-        return mat_det(self.gram)
+        """det of gram = (reduced discriminant)^2 = 16 (D N)^2 (prod_i rows[i][i])^2 / den^8.
+
+        gram = B M B^T: B the triangular rows over den, M = diag(2, -2D, 2N, -2DN).
+        """
+        L = self.lattice
+        return 16 * (L.alg.D * L.alg.N * prod(r[i] for i, r in enumerate(L.rows))) ** 2 // L.den**8
 
     @cached_property
     def reduced_gram(self):
@@ -445,7 +449,9 @@ def _root_orbit_count(O, gl, halves):
 
     halves holds the Gross-lattice coordinates of those x, one of each sign
     pair.  Elements are numerators over den = O.lattice.den, so s^(-1) x s
-    = conj(s) x s has numerator conj(s) x s / den^2.
+    = conj(s) x s has numerator conj(s) x s / den^2.  O.units is the whole
+    unit group up to sign, identity included, so the orbit of x is the set
+    of its conjugates by O.units, found in one pass.
     """
     D, N, den = O.alg.D, O.alg.N, O.lattice.den
     dd = den * den
@@ -463,18 +469,11 @@ def _root_orbit_count(O, gl, halves):
         if x in seen:
             continue
         orbits += 1
-        stack = [x]
-        seen.add(x)
-        while stack:
-            y = stack.pop()
-            for t, s in conjugates:
-                z = _mul(D, N, _mul(D, N, t, y), s)
-                if any(a % dd for a in z):
-                    raise InternalError("unit conjugate of a root is not integral over den")
-                z = tuple(a // dd for a in z)
-                if z not in seen:
-                    seen.add(z)
-                    stack.append(z)
+        for t, s in conjugates:
+            z = _mul(D, N, _mul(D, N, t, x), s)
+            if any(a % dd for a in z):
+                raise InternalError("unit conjugate of a root is not integral over den")
+            seen.add(tuple(a // dd for a in z))
     return orbits
 
 

@@ -15,16 +15,18 @@ from splitcm import quaternion
 from splitcm.central import ClassStore, _maximal_order, _snap, admissible_levels, discover_classes
 from splitcm.errors import InputError, ResourceError
 from splitcm.hecke import HeckeContext
-from splitcm.linalg import gram_schmidt, hnf_rows, lll_reduce_gram, mat_det
+from splitcm.linalg import gram_schmidt, hnf_rows, lll_reduce_gram
 from splitcm.quadratic import class_number, reduced_forms
 from splitcm.quaternion import (
     Order,
     QuatAlgebra,
     QuatLattice,
+    _combine,
     _conj,
     _mul,
     _nrd,
     _pair,
+    _root_orbit_count,
     build_Iz,
     embedding_count,
     gross_lattice,
@@ -91,6 +93,11 @@ elems = st.tuples(*[small_fractions] * 4)
 
 def mat_mul(a, b):
     return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def gram_det(gram):
+    """det of a positive definite integer Gram matrix: its last Gram-Schmidt minor."""
+    return gram_schmidt(gram)[0][-1]
 
 
 def mat_inv(a):
@@ -344,7 +351,7 @@ def test_lll_reduce_gram_is_an_exact_unimodular_change():
     gram = [[82, 56, 51, 112], [56, 42, 35, 77], [51, 35, 32, 70], [112, 77, 70, 154]]
     reduced, U = lll_reduce_gram(gram)
     assert mat_mul(mat_mul(U, gram), [list(r) for r in zip(*U)]) == reduced
-    assert abs(mat_det(U)) == 1
+    assert gram_det(mat_mul(U, [list(r) for r in zip(*U)])) == 1
     assert reduced == [[2, 0, -1, 0], [0, 2, 0, -1], [-1, 0, 4, 0], [0, -1, 0, 4]]
 
 
@@ -392,7 +399,7 @@ def _hnf_gross_gram(O):
     L = O.lattice
     h = hnf_rows([[L.den, 0, 0, 0]] + [[2 * x for x in r] for r in L.rows])
     gram = quaternion._int_gram(O.alg.D, O.alg.N, h[1:], L.den)
-    assert mat_det(gram) == mat_det(gross_lattice(O).gram)
+    assert gram_det(gram) == gram_det(gross_lattice(O).gram)
     return gram
 
 
@@ -538,7 +545,7 @@ def test_gross_lattice_shape():
             for i, e in enumerate(gl.basis):
                 assert e[0] == 0
                 assert gl.gram[i][i] * dd == 2 * nrd(e, O.alg)
-            assert mat_det([list(r) for r in gl.gram]) == 32 * D * D
+            assert gram_det(gl.gram) == 32 * D * D
 
 
 def test_embedding_count_table_values():
@@ -590,11 +597,63 @@ def test_omega_matches_the_unit_count_on_the_hnf_gram():
         ctx = HeckeContext(D, N, prec=50)
         for Q in reduced_forms(-N):
             O = right_order(build_Iz(ctx, Q))
-            assert O.disc == mat_det(O.lattice.scaled_gram())
+            assert O.disc == gram_det(O.lattice.scaled_gram())
             assert O.omega == len(_halves(O.gram, 1))
     for D in (-7, -11, -19, -43, -67, -163):
         for info in discover_classes(D).classes:
             assert info.omega == len(_halves(info.order.gram, 1)), D
+
+
+def test_disc_from_the_hermite_diagonal_is_the_gram_determinant():
+    # every class order of the six D and every form order at levels <= 300
+    orders = []
+    for D in (-7, -11, -19, -43, -67, -163):
+        orders += [info.order for info in discover_classes(D).classes]
+        for N in admissible_levels(D, 300):
+            ctx = HeckeContext(D, N, prec=50)
+            orders += [right_order(build_Iz(ctx, Q)) for Q in ctx.forms]
+    assert len(orders) == 537
+    for O in orders:
+        assert O.disc == gram_det(O.gram) == O.alg.D ** 2, (O.alg, O.lattice)
+
+
+def _stack_orbit_count(O, halves):
+    """Reference orbit count: close each root's orbit under conjugation by the units, by a stack search."""
+    D, N, den = O.alg.D, O.alg.N, O.lattice.den
+    vecs = []
+    for c in halves:
+        x = _combine(c, O.gross.basis)
+        vecs += [x, tuple(-a for a in x)]
+    seen, orbits = set(), 0
+    for x in vecs:
+        if x in seen:
+            continue
+        orbits += 1
+        stack = [x]
+        seen.add(x)
+        while stack:
+            y = stack.pop()
+            for s in O.units:
+                z = _mul(D, N, _mul(D, N, _conj(s), y), s)
+                assert not any(a % (den * den) for a in z)
+                z = tuple(a // (den * den) for a in z)
+                if z not in seen:
+                    seen.add(z)
+                    stack.append(z)
+    return orbits
+
+
+def test_root_orbit_count_matches_the_stack_search():
+    omegas = set()
+    for D in (-7, -11, -19, -43, -67, -163):
+        for info in discover_classes(D).classes:
+            O = info.order
+            omegas.add(O.omega)
+            for N in admissible_levels(D, 600):
+                halves = _halves(O.gross.gram, N)
+                count = _root_orbit_count(O, O.gross, halves)
+                assert count == _stack_orbit_count(O, halves) == 2 * len(halves) // O.omega, (D, N)
+    assert omegas == {1, 2, 3}
 
 
 def _fresh_store(store):
@@ -625,12 +684,12 @@ def test_matching_enumerates_each_class_order_once_per_bound(monkeypatch):
     searched = 0
     for O, theta_abs in forms:
         before = len(reductions)
-        cid = store.match(O, theta_abs)
+        cid = store.match(O)
         assert store.classes[cid].theta_abs == theta_abs
         # one LLL for the form order's reduced_gram, and no Gross lattice
         assert len(reductions) == before + 1
         searched += O.reduced_gram not in class_grams
-        assert store.match(O, theta_abs) == cid and len(reductions) == before + 1
+        assert store.match(O) == cid and len(reductions) == before + 1
     # every enumeration is of a class order, in inexact mode, once per bound
     assert all(any(g is c for c in class_grams) and not exact for g, _, exact in enumerated)
     keys = [(class_grams.index(g), bound2) for g, bound2, _ in enumerated]
@@ -682,9 +741,9 @@ def test_every_form_order_matches_one_class_in_any_order():
             for Q, raw in zip(ctx.forms, ctx.thetas):
                 O = _maximal_order(ctx, Q)
                 theta_abs = abs(_snap(ctx, raw))
-                cid = store.match(O, theta_abs)
+                cid = store.match(O)
                 assert store.classes[cid].theta_abs == theta_abs, (D, N, Q)
-                assert store.match(O) == flipped.match(O) == flipped.match(O, theta_abs) == cid, (D, N, Q)
+                assert flipped.match(O) == cid, (D, N, Q)
         orders = [info.order for info in store.classes]
         for O1, O2 in itertools.permutations(orders, 2):
             assert not orders_isometric(O1, O2), D
