@@ -54,6 +54,7 @@ from .errors import (
     IncompleteClassListError,
     InputError,
     InternalError,
+    ResourceError,
     SplitCMError,
 )
 from . import theta
@@ -81,6 +82,7 @@ ORACLE_TAIL_DIGITS = 12  # the oracle's truncation error stays below 10^-(prec +
 ORACLE_MARGIN_DIGITS = 3  # room for the error that solving for W adds
 # the oracle's Horner scale rises by ORACLE_SCALE_STEP bits from one block of powers to the next
 ORACLE_SCALE_STEP = 64
+ORACLE_MAX_TERMS = 5 * 10**6  # the most coefficients a_n, n <= n_max, that the oracle allocates
 
 
 @dataclass(frozen=True)
@@ -397,16 +399,22 @@ def oracle_central_value(D, N, prec=80):
 def _oracle_terms(D, N, b1, digits):
     """([(n, P_n, Q_n)] for n = 0 and every n <= n_max with a_n != 0, gap, P).
 
-    n_max puts each tail of the functional equation below 10^-digits / 2,
-    and the scale P keeps _oracle_series's rounding below 10^-digits / 2.
-    The entry n = 0, with P_0 = Q_0 = 0, ends the Horner sum at x^0.  gap
-    is the largest step between consecutive n, the length of the table of
-    powers that each of the three series needs.
+    n_max puts each tail of the functional equation below 10^-digits / 2;
+    above ORACLE_MAX_TERMS it is refused with ResourceError before any
+    coefficient is allocated.  The scale P keeps _oracle_series's
+    rounding below 10^-digits / 2.  The entry n = 0, with P_0 = Q_0 = 0,
+    ends the Horner sum at x^0.  gap is the largest step between
+    consecutive n, the length of the table of powers that each of the
+    three series needs.
     """
     kappa = 1.6 * math.pi / math.sqrt(-D * N)  # e^(-4cn/5), conj(a_n) at t = 5/4, decays slowest
     # a_n sums psi over at most d(n) ideals with |psi| = sqrt(n), so |a_n|/n <= d(n)/sqrt(n) <= 2
     # and each tail past n_max is at most 2 e^(-kappa (n_max + 1)) / (1 - e^(-kappa)) <= 10^-digits / 2
     n_max = math.ceil((digits * math.log(10) + math.log(4 / -math.expm1(-kappa))) / kappa)
+    if n_max > ORACLE_MAX_TERMS:
+        raise ResourceError(
+            "oracle needs n_max = %d coefficients, over the cap of %d" % (n_max, ORACLE_MAX_TERMS)
+        )
     terms = [(0, 0, 0)] + _oracle_coefficients(D, N, b1, n_max)
     gap = max(b[0] - a[0] for a, b in zip(terms, terms[1:]))
     P = digits * 3322 // 1000 + 2 + (4 * (isqrt(-D) + 1) * len(terms) ** 2).bit_length()
@@ -419,11 +427,13 @@ def _oracle_coefficients(D, N, b1, n_max):
     Each alpha = (p + q sqrt(D))/2 (p = q mod 2) of norm <= n_max is taken
     once up to sign, which absorbs the 1/2 of a_n: the units are +-1 and
     chi(-1) = -1 for N = 3 mod 4.  chi is the Jacobi symbol mod N under
-    sqrt(D) -> b1.  The sums are kept in lists indexed by n: at the
-    benchmarked D = -7 and -11 that is faster than a dict over the n that
-    occur, although two thirds of the entries stay zero.
+    sqrt(D) -> b1, kept for the residues met: one per alpha at most, about
+    pi n_max/sqrt|D| of them, whatever N is.  The sums are kept in lists
+    indexed by n: at the benchmarked D = -7 and -11 that is faster than a
+    dict over the n that occur, although two thirds of the entries stay
+    zero.
     """
-    chi = [jacobi(r, N) for r in range(N)]
+    chi = {}
     inv2 = (N + 1) // 2
     P = [0] * (n_max + 1)
     Q = [0] * (n_max + 1)
@@ -431,7 +441,10 @@ def _oracle_coefficients(D, N, b1, n_max):
         p_max = isqrt(4 * n_max + D * q * q)
         p_min = -p_max if q else 1
         for p in range(p_min + (p_min - q) % 2, p_max + 1, 2):
-            sign = chi[(p + q * b1) * inv2 % N]
+            r = (p + q * b1) * inv2 % N
+            sign = chi.get(r)
+            if sign is None:
+                sign = chi[r] = jacobi(r, N)
             if sign:
                 n = (p * p - D * q * q) >> 2
                 P[n] += sign * p
@@ -507,19 +520,18 @@ class TableResult:
     failures: tuple
 
 
-def make_table(D, n_max, prec=80, store=None, level_rows=None):
+def make_table(D, n_max, prec=80, level_rows=None):
     """Rows for every admissible level up to n_max; failures are collected.
 
     level_rows maps a level's HeckeContext to that level's rows.  By default
-    it classifies against store, which is discovered first when not given
-    (scanning as far as the mass identity requires, independently of n_max).
+    it classifies against a store discovered first (scanning as far as the
+    mass identity requires, independently of n_max).
     A SplitCMError at one level is recorded as (N, message) in failures and
     the other levels still run; any other exception propagates.
     """
     validate_field_disc(D)
     if level_rows is None:
-        if store is None:
-            store = discover_classes(D)
+        store = discover_classes(D)
 
         def level_rows(ctx):
             return classify(ctx, store)[1]

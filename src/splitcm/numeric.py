@@ -1,13 +1,12 @@
 """Arbitrary-precision complex values with an explicit decimal precision tag.
 
 BigComplex wraps a pair of mpmath reals plus the number of decimal digits
-they are good for.  Arithmetic carries the minimum precision of the
-operands and is evaluated with guard digits; comparisons always take an
-explicit tolerance.  Instances are immutable.
+they are good for.  Arithmetic, with another BigComplex or an int, carries
+the minimum precision of the operands and is evaluated with guard digits;
+comparisons always take an explicit tolerance.  Instances are immutable.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import mpmath
 from mpmath import mp, mpf
@@ -15,12 +14,6 @@ from mpmath import mp, mpf
 from .errors import InputError
 
 GUARD_DIGITS = 10
-
-
-def _to_mpf(x):
-    if isinstance(x, Fraction):
-        return mpf(x.numerator) / x.denominator
-    return mpf(x)
 
 
 @dataclass(frozen=True)
@@ -34,7 +27,7 @@ class BigComplex:
         if prec <= 0:
             raise InputError("precision must be positive, got %r" % (prec,))
         with mp.workdps(prec + GUARD_DIGITS):
-            return cls(_to_mpf(re), _to_mpf(im), prec)
+            return cls(mpf(re), mpf(im), prec)
 
     @classmethod
     def from_mpc(cls, z, prec):
@@ -48,10 +41,8 @@ class BigComplex:
     def _coerce(self, other):
         if isinstance(other, BigComplex):
             return other
-        if isinstance(other, (int, float, Fraction)) or isinstance(other, mpf):
+        if isinstance(other, int):
             return BigComplex.make(other, 0, self.prec)
-        if isinstance(other, complex):
-            return BigComplex.make(other.real, other.imag, self.prec)
         return NotImplemented
 
     def _binary(self, other, op):

@@ -8,10 +8,9 @@ Conventions used throughout:
   with b^2 = d mod 4a; b is stored normalized into (-a, a].  The form
   [a, b, c] corresponds to the ideal (a, b) and the conjugate ideal to
   [a, -b, c].
-* A Heegner point of level N is tau = (-b + sqrt(D))/(2*a1*N) with
-  b^2 = D mod 4*a1*N, obtained from an ideal [a1*N, (-b+sqrt(D))/2]: the
-  product of a class representative of norm a1 coprime to N with the
-  prime (N, -b1), whose root b follows from the two factors' roots by CRT.
+* As h(D) = 1, a level N has one Heegner point, tau = (-b + sqrt(D))/(2*N)
+  with b^2 = D mod 4*N: the point of the ideal [N, (-b+sqrt(D))/2], the
+  prime (N, -b1) conjugate to the level ideal (N, b1).
 
 Only fundamental discriminants with h small ever appear; the forms and
 ideals below assume nothing more, the Heegner point assumes D odd.
@@ -206,36 +205,28 @@ def prime_ideal_above(D, N):
 
 @dataclass(frozen=True)
 class HeegnerPoint:
-    """The point tau = (-b + sqrt(D))/(2*a1*N) with b^2 = D mod 4*a1*N."""
+    """The point tau = (-b + sqrt(D))/(2*N) with b^2 = D mod 4*N."""
 
     D: int
     N: int
-    a1: int
     b: int
 
     def __post_init__(self):
         validate_disc(self.D)
-        if self.a1 <= 0 or self.N <= 0:
-            raise InputError("Heegner point needs positive a1 and N")
-        if (self.b * self.b - self.D) % (4 * self.a1 * self.N) != 0:
-            raise InputError(
-                "b = %d is not a root of D = %d mod %d" % (self.b, self.D, 4 * self.a1 * self.N)
-            )
+        if self.N <= 0:
+            raise InputError("Heegner point needs a positive N")
+        if (self.b * self.b - self.D) % (4 * self.N) != 0:
+            raise InputError("b = %d is not a root of D = %d mod %d" % (self.b, self.D, 4 * self.N))
 
     def __str__(self):
-        return "(%d + sqrt(%d))/%d" % (-self.b, self.D, 2 * self.a1 * self.N)
+        return "(%d + sqrt(%d))/%d" % (-self.b, self.D, 2 * self.N)
 
 
 def heegner_point(ctx, a):
-    """Heegner point of the ideal product a * (N, -b1), the conjugate of ctx's level ideal.
+    """The Heegner point of ctx's level: the root of (N, -b1), the conjugate of the level ideal.
 
-    ctx supplies D, N and b1.  The class representative a must have norm
-    a1 coprime to N; the product is then the primitive ideal (a1 N, B) with
-    B = a.b mod 2 a1 and B = -b1 mod 2N (B odd, as D is), by CRT.
+    a names the class, and h(D) = 1 leaves only O_K; any other ideal is an InputError.
     """
-    a1, N = a.norm, ctx.N
-    if gcd(a1, N) != 1:
-        raise InputError("ideal norm %d is not coprime to N = %d" % (a1, N))
-    t = (a.b + ctx.b1) // 2 * pow(N, -1, a1) % a1
-    B = -ctx.b1 + 2 * N * t
-    return HeegnerPoint(ctx.D, N, a1, QuadIdeal(a1 * N, B, ctx.D).b)
+    if a != unit_ideal(ctx.D):
+        raise InputError("the class representative must be O_K, not %s" % (a,))
+    return HeegnerPoint(ctx.D, ctx.N, ctx.level_ideal.conjugate().b)

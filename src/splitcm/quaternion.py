@@ -150,23 +150,22 @@ class QuatLattice:
 def build_Iz(ctx, Q):
     """The rank-4 lattice attached to the split-CM point of Q under ctx.
 
-    With tau = (-b1p + sqrt(D))/(2 a1 N) the context's Heegner point and
+    With tau = (-b1p + sqrt(D))/(2 N) the context's Heegner point and
     Q = [a, b, c] of discriminant -N, the generators are
 
-        x1 = ((b1p - u)/(2 a1 N)) * a v
-        x2 = ((b1p - u)/(2 a1 N)) * (N + b v)/2
+        x1 = ((b1p - u)/(2 N)) * a v
+        x2 = ((b1p - u)/(2 N)) * (N + b v)/2
         y1 = (b - v)/2
         y2 = -a
 
     in that order (a symplectic basis for the twisted trace pairing).  They
-    are kept as gens = (rows, 2m), integer rows over 2m with m = 2 a1 N.
+    are kept as gens = (rows, 2m), integer rows over 2m with m = 2 N.
     """
     if Q.disc != -ctx.N:
         raise InputError("form discriminant %d is not -N = %d" % (Q.disc, -ctx.N))
-    pt = ctx.class_point
     D, N, a, b = ctx.D, ctx.N, Q.a, Q.b
-    m = 2 * pt.a1 * N
-    front = (pt.b, -1, 0, 0)
+    m = 2 * N
+    front = (ctx.class_point.b, -1, 0, 0)
     rows = (
         tuple(2 * c for c in _mul(D, N, front, (0, 0, a, 0))),
         _mul(D, N, front, (N, 0, b, 0)),
@@ -271,11 +270,6 @@ class Order:
         if len(units) != self.omega:
             raise InternalError("%d units up to sign, but omega is %d" % (len(units), self.omega))
         return units
-
-    @cached_property
-    def _by_norm(self):
-        """bound2 -> {q: the vectors of norm q <= bound2 of reduced_gram, and their negatives}."""
-        return {}
 
 
 def is_maximal(O):
@@ -485,21 +479,19 @@ def orders_isometric(O1, O2):
     identity.  Different discriminants answer False, equal reduced_gram
     True; otherwise a backtracking search (Plesken-Souvignier) looks for U
     with U G2 U^T = G1 on the reduced_gram G1 of O1 and G2 of O2.  Its
-    candidates are O2's vectors up to G1's largest diagonal entry, which O2
-    keeps per bound (_by_norm): a class order is enumerated once per bound
-    for all the orders matched against it, and O1 is never enumerated.
+    candidates are O2's vectors up to G1's largest diagonal entry, grouped
+    by norm; O1 is never enumerated.  They are not kept: classes are keyed
+    by reduced point, so few searches run (94 in the discovery for
+    D = -163).
     """
     if O1.disc != O2.disc:
         return False
     g1, g2 = O1.reduced_gram, O2.reduced_gram
     if g1 == g2:
         return True
-    maxd = max(g1[i][i] for i in range(4))
-    cand = O2._by_norm.get(maxd)
-    if cand is None:
-        cand = O2._by_norm[maxd] = {}
-        for x, q in short_vectors(g2, maxd, False):
-            cand.setdefault(q, []).extend((x, tuple(-c for c in x)))
+    cand = {}
+    for x, q in short_vectors(g2, max(g1[i][i] for i in range(4)), False):
+        cand.setdefault(q, []).extend((x, tuple(-c for c in x)))
 
     def pair(x, y):
         return sum(g2[i][j] * x[i] * y[j] for i in range(4) for j in range(4))

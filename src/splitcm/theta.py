@@ -92,7 +92,7 @@ STOP_BITS = 8
 def _point_to_mpc(tau):
     """Upper-half-plane value of a HeegnerPoint or mpc-like."""
     if isinstance(tau, HeegnerPoint):
-        return (-tau.b + mpmath.sqrt(tau.D)) / (2 * tau.a1 * tau.N)
+        return (-tau.b + mpmath.sqrt(tau.D)) / (2 * tau.N)
     return mpmath.mpc(tau)
 
 
@@ -717,7 +717,7 @@ def reduce_splitcm(Q, tau):
     """
     D, B = tau.D, tau.b
     # tau = (-B + sqrt(D))/d, so X = -B M and Y = M for M = [[2a, b], [b, 2c]]
-    z = (-2 * B * Q.a, -B * Q.b, -2 * B * Q.c, 2 * Q.a, Q.b, 2 * Q.c, 2 * tau.a1 * tau.N)
+    z = (-2 * B * Q.a, -B * Q.b, -2 * B * Q.c, 2 * Q.a, Q.b, 2 * Q.c, 2 * tau.N)
     g = gcd(*z)
     z, ch, eighths, inverted = tuple(v // g for v in z), (0, 0, 0, 0), 0, []
     while True:
@@ -847,11 +847,11 @@ def eta_norm_factor(ctx):
     """The eta product normalizing theta at level N.
 
     e48(N (b + 3)) eta(tau_N) for the conjugate (N, b) of the level ideal,
-    times e48(4) eta(tau0) for O_K = (1, 1), tau0 = (-1 + sqrt(D))/2, where
-    e48(k) = exp(2 pi i k/48).  As h(D) = 1, reduce_form maps tau_N's form
-    [N, b, .] to tau0's by a gamma = [[a, .], [c, d]] in SL2(Z) with
-    tau_N = gamma tau0; c != 0 as Im tau_N != Im tau0, and -gamma acts
-    alike, so take c > 0.  Then, with the principal square root and the
+    whose root b is the class point's, times e48(4) eta(tau0) for
+    O_K = (1, 1), tau0 = (-1 + sqrt(D))/2, where e48(k) = exp(2 pi i k/48).
+    As h(D) = 1, reduce_form maps tau_N's form [N, b, .] to tau0's by a
+    gamma = [[a, .], [c, d]] in SL2(Z) with tau_N = gamma tau0; c != 0 as
+    Im tau_N != Im tau0, and -gamma acts alike, so take c > 0.  Then, with the principal square root and the
     Dedekind sum s(d, c) (Apostol, Modular Functions and Dirichlet Series,
     Thm 3.4),
 
@@ -861,7 +861,7 @@ def eta_norm_factor(ctx):
     t = (N (b + 3) + 4)/48 + (a + d)/(24 c) - s(d, c)/2: dedekind_eta runs
     only at tau0, once per (D, prec).
     """
-    N, b = ctx.N, ctx.level_ideal.conjugate().b
+    N, b = ctx.N, ctx.class_point.b
     _, (a, _, c, d) = reduce_form(QuadForm(N, b, (b * b - ctx.D) // (4 * N)))
     a, c, d = (a, c, d) if c > 0 else (-a, -c, -d)
     turns = (Fraction(N * (b + 3) + 4, 48) + Fraction(a + d, 24 * c) - _dedekind_sum(d, c) / 2) % 1

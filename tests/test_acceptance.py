@@ -17,6 +17,7 @@ from scoreboard import CRITERION_LINES
 
 from splitcm.central import (
     admissible_levels,
+    classify,
     discover_classes,
     l_value,
     l_value_paths,
@@ -96,14 +97,14 @@ def store11():
 @pytest.fixture(scope="module")
 def table1(store7):
     start = time.monotonic()
-    result = make_table(-7, 200, prec=PREC, store=store7)
+    result = make_table(-7, 200, prec=PREC, level_rows=lambda ctx: classify(ctx, store7)[1])
     return result, time.monotonic() - start
 
 
 @pytest.fixture(scope="module")
 def table2(store11):
     start = time.monotonic()
-    result = make_table(-11, 250, prec=PREC, store=store11)
+    result = make_table(-11, 250, prec=PREC, level_rows=lambda ctx: classify(ctx, store11)[1])
     return result, time.monotonic() - start
 
 

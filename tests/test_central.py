@@ -434,6 +434,27 @@ def test_oracle_character_vanishes_on_the_level_ideal_only():
                 assert a[ell] == (0, 0), (D, N, ell)
 
 
+def test_oracle_character_is_computed_only_at_the_residues_met(monkeypatch):
+    # one Jacobi symbol per residue met, not per residue mod N: at most one
+    # per alpha up to sign, about pi n_max/sqrt(7) of them at D = -7
+    calls, n_maxes = [], []
+    real_jacobi, real_coefficients = central.jacobi, central._oracle_coefficients
+
+    def counting_jacobi(a, n):
+        calls.append(a)
+        return real_jacobi(a, n)
+
+    def recording_coefficients(D, N, b1, n_max):
+        n_maxes.append(n_max)
+        return real_coefficients(D, N, b1, n_max)
+
+    monkeypatch.setattr(central, "jacobi", counting_jacobi)
+    monkeypatch.setattr(central, "_oracle_coefficients", recording_coefficients)
+    N = 1000003
+    oracle_central_value(-7, N, prec=20)
+    assert len(calls) == len(set(calls)) < 2 * sum(n_maxes) < N / 8
+
+
 def test_oracle_validation():
     with pytest.raises(UnsupportedError):
         oracle_l_value(-15, 47)
@@ -480,7 +501,7 @@ def test_to_mpc_keeps_the_value_precision_outside_workdps(store7):
 
 
 def test_make_table_small(store7):
-    result = make_table(-7, 50, prec=60, store=store7)
+    result = make_table(-7, 50, prec=60, level_rows=lambda ctx: classify(ctx, store7)[1])
     assert result.failures == ()
     assert list(result.rows) == [
         ClassRow(N=11, abs_theta=1, count=1, h_eps=-1, h_r=2),
@@ -506,4 +527,4 @@ def test_make_table_propagates_other_errors(store7, monkeypatch):
 
     monkeypatch.setattr(central, "classify", broken)
     with pytest.raises(TypeError):
-        make_table(-7, 50, prec=60, store=store7)
+        make_table(-7, 50, prec=60, level_rows=lambda ctx: central.classify(ctx, store7)[1])

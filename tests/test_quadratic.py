@@ -201,7 +201,7 @@ def test_prime_ideal_above_errors():
 def test_heegner_point_default_stack():
     ctx = HeckeContext(-7, 11, prec=40)
     pt = heegner_point(ctx, ctx.class_rep)
-    assert pt.a1 == 1 and pt.N == 11 and pt.D == -7
+    assert pt.N == 11 and pt.D == -7
     # conjugate-ideal stack pins the root to -b1 mod 2N
     assert pt.b % 22 == (22 - 9) % 22
 
@@ -217,34 +217,26 @@ def test_heegner_point_class_input():
     ctx = HeckeContext(-11, 23, prec=40)
     for f in reduced_forms(-11):
         pt = heegner_point(ctx, QuadIdeal(f.a, f.b, f.disc))
-        assert (pt.b * pt.b - (-11)) % (4 * pt.a1 * 23) == 0
+        assert (pt.b * pt.b - (-11)) % (4 * 23) == 0
 
 
-def _ideal_generators(ideal):
-    """a and (-b + sqrt(d))/2 as (p, q) with the element (p + q sqrt(d))/2."""
-    return [(2 * ideal.a, 0), (-ideal.b, 1)]
-
-
-def test_heegner_point_is_the_ideal_product():
-    # (a1 N, B) holds the four generator products of a and (N, -b1); both have norm a1 N
+def test_heegner_point_is_the_root_of_the_conjugate_prime():
+    # h(D) = 1: O_K is the only class representative, and the point is that of (N, -b1)
+    ctx = HeckeContext(-7, 11, prec=40)
+    with pytest.raises(InputError, match="must be O_K"):
+        heegner_point(ctx, QuadIdeal(2, 1, -7))
     for D, N in ((-7, 11), (-7, 23), (-11, 23), (-19, 47)):
-        ctx = HeckeContext(D, N, prec=40)
-        level = QuadIdeal(N, -ctx.b1, D)
-        for a1 in range(1, 40):
-            for b in range(-a1 + 1, a1 + 1):
-                if a1 % N == 0 or (b * b - D) % (4 * a1):
-                    continue
-                a = QuadIdeal(a1, b, D)
-                pt = heegner_point(ctx, a)
-                prod = QuadIdeal(pt.a1 * N, pt.b, D)
-                assert pt.a1 == a1 and prod.b == pt.b
-                for p1, q1 in _ideal_generators(a):
-                    for p2, q2 in _ideal_generators(level):
-                        p, q = (p1 * p2 + D * q1 * q2) // 2, (p1 * q2 + p2 * q1) // 2
-                        assert prod.contains(p, q), (D, N, a, pt)
+        roots, b = set(), prime_ideal_above(D, N).b
+        for b1 in (b, 2 * N - b):
+            ctx = HeckeContext(D, N, b1=b1, prec=40)
+            pt = heegner_point(ctx, unit_ideal(D))
+            assert pt == HeegnerPoint(D, N, ctx.level_ideal.conjugate().b)
+            assert (pt.b + b1) % (2 * N) == 0, (D, N, b1)
+            roots.add(pt.b)
+        assert len(roots) == 2
 
 
 def test_heegner_point_validation():
     with pytest.raises(InputError):
-        HeegnerPoint(-7, 11, 1, 2)  # even root
-    HeegnerPoint(-7, 11, 1, 9)  # an odd root is accepted
+        HeegnerPoint(-7, 11, 2)  # even root
+    HeegnerPoint(-7, 11, 9)  # an odd root is accepted

@@ -661,7 +661,7 @@ def _fresh_store(store):
     return ClassStore(store.D, tuple(replace(info, order=Order(info.order.lattice)) for info in store.classes))
 
 
-def test_matching_enumerates_each_class_order_once_per_bound(monkeypatch):
+def test_matching_enumerates_only_class_orders(monkeypatch):
     store = _fresh_store(discover_classes(-11))
     class_grams = [info.order.reduced_gram for info in store.classes]
     forms = []
@@ -690,13 +690,9 @@ def test_matching_enumerates_each_class_order_once_per_bound(monkeypatch):
         assert len(reductions) == before + 1
         searched += O.reduced_gram not in class_grams
         assert store.match(O) == cid and len(reductions) == before + 1
-    # every enumeration is of a class order, in inexact mode, once per bound
+    # every enumeration is of a class order, in inexact mode
+    assert searched > 0 and enumerated
     assert all(any(g is c for c in class_grams) and not exact for g, _, exact in enumerated)
-    keys = [(class_grams.index(g), bound2) for g, bound2, _ in enumerated]
-    assert len(set(keys)) == len(keys)
-    assert searched > 2 * len(keys) > 0
-    for info, g in zip(store.classes, class_grams):
-        assert sorted(info.order._by_norm) == sorted(b for i, b in keys if class_grams[i] is g)
 
 
 def test_order_counts_its_units_once(monkeypatch):
