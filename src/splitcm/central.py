@@ -520,22 +520,16 @@ class TableResult:
     failures: tuple
 
 
-def make_table(D, n_max, prec=80, level_rows=None):
+def make_table(D, n_max, prec=80, *, level_rows):
     """Rows for every admissible level up to n_max; failures are collected.
 
-    level_rows maps a level's HeckeContext to that level's rows.  By default
-    it classifies against a store discovered first (scanning as far as the
-    mass identity requires, independently of n_max).
-    A SplitCMError at one level is recorded as (N, message) in failures and
-    the other levels still run; any other exception propagates.
+    level_rows maps a level's HeckeContext to that level's rows, for
+    instance lambda ctx: classify(ctx, store)[1] for a store from
+    discover_classes(D).  A SplitCMError at one level is recorded as
+    (N, message) in failures and the other levels still run; any other
+    exception propagates.
     """
     validate_field_disc(D)
-    if level_rows is None:
-        store = discover_classes(D)
-
-        def level_rows(ctx):
-            return classify(ctx, store)[1]
-
     rows = []
     failures = []
     for N in admissible_levels(D, n_max):

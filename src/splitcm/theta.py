@@ -57,13 +57,18 @@ tail target:
   norms, plus the rounding of its few mpmath operations (see there).
 
 Both tail cutoffs, theta's T (_form_tail_cutoff) and the Siegel box S
-(_siegel_box), are decided on the log of their tail bound in floats, and
-on the bound itself, in mpmath, only where that log lies within a
-relative 10^-6 of the target's, so they are the ones the exact bounds
-give.  The representation numbers come from the lattice points of one
-half plane, each counted with its negative (representation_counts).  A
-form whose ellipse may hold more than MAX_TAIL_TERMS lattice points is
-refused with ResourceError before any point is visited.
+(_siegel_box), are decided by one rule in floats: a cutoff passes only
+when the float log of its tail bound lies below the target's log by more
+than CUTOFF_WINDOW = 10^-6 of it.  The float log's terms are each within
+a few multiples of the target's log and are rounded to about 10^-15 of
+it, far inside the window, so a cutoff that passes certifies its exact
+bound.  The price is that a cutoff whose exact bound passes inside the
+window is stepped past: each cutoff is the exact least or one step past
+it (see each function for when).  The representation numbers come from
+the lattice points of one half plane, each counted with its negative
+(representation_counts).  A form whose ellipse may hold more than
+MAX_TAIL_TERMS lattice points is refused with ResourceError before any
+point is visited.
 
 The error of a product of fixed-point values stays within these bounds only
 because no table entry or step factor exceeds 1 in modulus, and each bound
@@ -87,6 +92,8 @@ from .quadratic import HeegnerPoint, QuadForm, reduce_form
 MAX_TAIL_TERMS = 5 * 10**6
 # a Siegel box sum may drop terms below 2^STOP_BITS units
 STOP_BITS = 8
+# a tail cutoff passes when the float log of its bound is below the target's by this relative margin
+CUTOFF_WINDOW = 1e-6
 
 
 def _point_to_mpc(tau):
@@ -115,18 +122,6 @@ def _from_fixed(x, y, P, prec):
         return BigComplex(mpf((x, -P)), mpf((y, -P)), prec)
 
 
-def _form_tail(Q, absq, T):
-    """A bound on sum_{k>T} r_Q(k) |q|^k.
-
-    Uses r_Q(k) <= (2 sqrt(k/lam) + 1)^2 <= 9k/lam for k >= lam, where
-    lam = (N/4)/(a+c) bounds the smallest Gram eigenvalue from below, and
-    r_Q(k) = 0 for 0 < k < lam; then sum_{k>T} k |q|^k is at most
-    (T + 2) |q|^(T+1) / (1 - |q|)^2.
-    """
-    lam = mpf(-Q.disc) / (4 * (Q.a + Q.c))
-    return (9 / lam) * (T + 2) * absq ** (T + 1) / (1 - absq) ** 2
-
-
 def _lattice_points(Q, T):
     """An upper bound on the number of (m, n) with Q(m, n) <= T.
 
@@ -139,17 +134,26 @@ def _lattice_points(Q, T):
 
 
 def _form_tail_cutoff(Q, y, prec):
-    """Least T >= 16 with _form_tail(Q, |q|, T) < 10^(-prec-10), |q| = e^(-2 pi y).
+    """Least T >= 16 whose tail bound passes CUTOFF_WINDOW's rule, |q| = e^(-2 pi y).
 
-    The log of the bound over the target, base + log(T + 2) + (T + 1) log|q|
-    with log|q| = -2 pi y, is concave in T, so when T = 16 fails, the
-    T >= 16 that pass form one interval [T0, oo).  Doubling and bisection
-    on that log in floats put a T near T0, and steps of one settle T0.
-    Each step decides on the float log, and on the bound itself, in mpmath
-    at the caller's precision, only where that log lies within a relative
-    10^-6 of the target's, as _siegel_box does.  The float log's terms are
-    each within a few multiples of the target's log, so its rounding is
-    far inside that window and T is the one the exact bound gives.
+    The bound on sum_{k>T} r_Q(k) |q|^k is (9/lam) (T + 2) |q|^(T+1)/(1 - |q|)^2:
+    r_Q(k) <= (2 sqrt(k/lam) + 1)^2 <= 9k/lam for k >= lam, where
+    lam = (N/4)/(a+c) bounds the smallest Gram eigenvalue from below, and
+    r_Q(k) = 0 for 0 < k < lam; then sum_{k>T} k |q|^k is at most
+    (T + 2) |q|^(T+1)/(1 - |q|)^2.  T passes when the float log of the
+    bound over the target 10^(-prec-10), excess(T) = base + log(T + 2) +
+    (T + 1) log|q|, is below -CUTOFF_WINDOW (prec + 10) ln 10.  Each term
+    of excess is within a few multiples of (prec + 10) ln 10 and is rounded
+    to about 10^-15 of it, far inside the window, so a T that passes
+    certifies the exact bound.  excess is concave in T, so when T = 16
+    fails, the T >= 16 that pass form one interval [T0, oo), and doubling
+    and bisection find T0.
+
+    Past the least T* that the exact bound passes, excess falls by at least
+    d = |log|q|| - 1/(T* + 2) a step, so T0 <= T* + 1 wherever d exceeds
+    the window: for every T* below 10^5 at 20 digits or more (there
+    (T* + 1) |log|q|| > (prec + 10) ln 10 + log(9/lam) + log(T* + 2), and
+    lam < 10^28).  Beyond, T0 - T* is at most 1 + window/d.
 
     Raises ResourceError when the ellipse Q(m, n) <= T may hold more than
     MAX_TAIL_TERMS lattice points (_lattice_points), before any is visited;
@@ -166,13 +170,8 @@ def _form_tail_cutoff(Q, y, prec):
     # log(bound at T = -1) - log(target) = log(9/lam) - 2 log(1 - |q|) + (prec + 10) log 10
     base = log(9 * 4 * (Q.a + Q.c) / -Q.disc) - 2 * log(-expm1(lq)) + ltarget
 
-    def excess(T):
-        return base + log(T + 2) + (T + 1) * lq
-
     def passes(T):
-        if abs(excess(T)) <= 1e-6 * ltarget:
-            return _form_tail(Q, mpmath.exp(-2 * mpmath.pi * y), T) < mpf(10) ** (-prec - 10)
-        return excess(T) < 0
+        return base + log(T + 2) + (T + 1) * lq < -CUTOFF_WINDOW * ltarget
 
     def check_points(T):
         # called with T no larger than the cutoff
@@ -186,22 +185,14 @@ def _form_tail_cutoff(Q, y, prec):
     if passes(16):
         return 16
     lo, hi = 16, 32
-    while not excess(hi) < 0:
+    while not passes(hi):
         lo, hi = hi, 2 * hi
         check_points(lo)
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if excess(mid) < 0:
-            hi = mid
-        else:
-            lo = mid
-    T = hi
-    while not passes(T):
-        T += 1
-    while T > 16 and passes(T - 1):
-        T -= 1
-    check_points(T)
-    return T
+        lo, hi = (lo, mid) if passes(mid) else (mid, hi)
+    check_points(hi)
+    return hi
 
 
 def representation_counts(Q, T):
@@ -329,13 +320,18 @@ class SplitCMPoint:
 
 
 def _siegel_box(lam, prec):
-    """Smallest S with sum_{|x|_inf >= S} exp(-pi lam |x|^2) < 10^(-prec-10).
+    """Smallest S of 4, 7, 11, 17, ... whose tail bound passes CUTOFF_WINDOW's rule.
 
-    S runs through 4, 7, 11, 17, ... and is tried on the bound
-    8 t^(S^2) (S/(1-u) + u/(1-u)^2), t = e^(-pi lam), u = t^(2S), by its log
-    in floats; only where that log lies within a relative 10^-6 of the
-    target's is the bound itself evaluated, in mpmath at the caller's
-    precision, so S is the one the exact bound gives.
+    The tail sum_{|x|_inf >= S} exp(-pi lam |x|^2) is below
+    8 t^(S^2) (S/(1-u) + u/(1-u)^2), t = e^(-pi lam), u = t^(2S), and S
+    passes when the float log of that bound lies below the target's,
+    -(prec + 10) ln 10, by more than CUTOFF_WINDOW of it.  The log's terms
+    are each within a few multiples of the target's log and are rounded to
+    about 10^-15 of it, far inside the window, so an S that passes
+    certifies the exact bound.  At the next S after the least S* that the
+    exact bound passes, the log is below the target's by more than
+    1.25 (prec + 10) ln 10 (as S^2 grows at least 2.25-fold), far more
+    than the window, so S is S* or the next one.
 
     Every S within the cap, S^2 <= MAX_TAIL_TERMS, leaves a bound above
     8 t^MAX_TAIL_TERMS.  Where t^MAX_TAIL_TERMS alone exceeds the target,
@@ -352,14 +348,7 @@ def _siegel_box(lam, prec):
     while True:
         # with v = 1 - u, log(S/(1-u) + u/(1-u)^2) = log(1 + (S-1) v) - 2 log v
         v = -expm1(2 * S * lt)
-        ltail = log(8) + S * S * lt + log1p((S - 1) * v) - 2 * log(v)
-        if abs(ltail - ltarget) <= 1e-6 * -ltarget:
-            t = mpmath.exp(-mpmath.pi * lam)
-            u = t ** (2 * S)
-            passes = 8 * t ** (S * S) * (S / (1 - u) + u / (1 - u) ** 2) < mpf(10) ** (-prec - 10)
-        else:
-            passes = ltail < ltarget
-        if passes:
+        if log(8) + S * S * lt + log1p((S - 1) * v) - 2 * log(v) < ltarget * (1 + CUTOFF_WINDOW):
             return S
         S = S + S // 2 + 1
         if S * S > MAX_TAIL_TERMS:

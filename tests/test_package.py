@@ -1,6 +1,7 @@
 """Packaging: what the installed package needs at run time."""
 
 import ast
+import re
 from pathlib import Path
 
 import splitcm
@@ -78,3 +79,12 @@ def test_no_api_that_only_tests_use():
                 if not any(d.name in _names_used(t, skip=d)[how] for t in trees.values()):
                     unused.append("%s:%s" % (module, d.name))
     assert unused == []
+
+
+def test_readme_library_example_runs():
+    # the README's python block runs as written, through the table of -11 to 100
+    readme = Path(splitcm.__file__).parents[2] / "README.md"
+    (block,) = re.findall(r"```python\n(.*?)```", readme.read_text(encoding="utf-8"), re.S)
+    names = {}
+    exec(block, names)
+    assert names["table"].failures == () and len(names["table"].rows) == 12

@@ -89,8 +89,8 @@ def test_form_tail_cutoff_is_least():
             T = theta._form_tail_cutoff(Q, y, prec)
             absq = mpmath.exp(-2 * mpmath.pi * y)
             target = mpf(10) ** (-prec - 10)
-            assert theta._form_tail(Q, absq, T) < target, (D, N, Q)
-            assert not theta._form_tail(Q, absq, T - 1) < target, (D, N, Q)
+            assert _form_tail(Q, absq, T) < target, (D, N, Q)
+            assert not _form_tail(Q, absq, T - 1) < target, (D, N, Q)
         assert T == want, (D, N, Q, T)
 
 
@@ -544,54 +544,87 @@ def test_siegel_rows_hold_every_term_above_the_resolution(monkeypatch):
     assert not calls and clamped >= 2 and swapped == 6
 
 
-def _box_bound(lam, S):
-    # _siegel_box's tail bound for the box |x|_inf < S
-    t = mpmath.exp(-mpmath.pi * lam)
+def _box_bound(t, S):
+    # _siegel_box's tail bound for the box |x|_inf < S, t = e^(-pi lam)
     u = t ** (2 * S)
     return 8 * t ** (S * S) * (S / (1 - u) + u / (1 - u) ** 2)
 
 
-def test_siegel_box_float_gate_never_moves_S():
-    # the exact-bound scan that _siegel_box replaces, kept as the reference
+def _form_tail(Q, absq, T):
+    # _form_tail_cutoff's bound on sum_{k>T} r_Q(k) |q|^k
+    lam = mpf(-Q.disc) / (4 * (Q.a + Q.c))
+    return (9 / lam) * (T + 2) * absq ** (T + 1) / (1 - absq) ** 2
+
+
+def _crossings(bound, lo, hi, target):
+    """Points around the x* in [lo, hi] where the decreasing bound(x) crosses target.
+
+    bound(lo) >= target > bound(hi) must hold.  x* is bracketed within a ratio 1 + 10^-6 by bisection on a log scale
+    at 15 digits, then found by the secant method at 40 digits.
+    x* (1 - 10^-30) fails, as its bound is at least target, and
+    x* (1 + 10^-30) passes; x* (1 + e) for e = +-1e-16, +-1e-13 and
+    +-1e-9 lie around them, where a float log of the bound alone may not
+    decide.
+    """
+
+    def excess(x):
+        return mpmath.log(bound(x)) - mpmath.log(target)
+
+    assert bound(lo) >= target > bound(hi), (lo, hi)
+    with mpmath.workdps(15):
+        while hi > lo * (1 + mpf(10) ** -6):
+            mid = mpmath.sqrt(lo * hi)
+            lo, hi = (mid, hi) if excess(mid) >= 0 else (lo, mid)
+    with mpmath.workdps(40):
+        x = mpmath.findroot(excess, (lo, hi))
+    lo, hi = x * (1 - mpf(10) ** -30), x * (1 + mpf(10) ** -30)
+    assert bound(lo) >= target > bound(hi), x
+    return [lo] + [hi * (1 + mpf(e)) for e in (0, 1e-16, -1e-16, 1e-13, -1e-13, 1e-9, -1e-9)]
+
+
+def test_siegel_box_passes_the_exact_bound_at_most_one_step_late():
+    # the exact-bound scan that _siegel_box's float rule replaces, kept as the reference
     def exact_box(lam, prec):
-        S = 4
-        while _box_bound(lam, S) >= mpf(10) ** (-prec - 10):
+        t, target, S = mpmath.exp(-mpmath.pi * lam), mpf(10) ** (-prec - 10), 4
+        while _box_bound(t, S) >= target:
             S = S + S // 2 + 1
         return S
 
-    crossings = 0
+    crossings, late = 0, 0
     for prec in (20, 80, 600):
         with mpmath.workdps(prec + GUARD_DIGITS + 5):
             target = mpf(10) ** (-prec - 10)
             lams = [5 * mpf(10) ** (k / mpf(8)) for k in range(-24, 1)]
             # each candidate S whose bound crosses the target inside
-            # [0.005, 5] adds the crossing lam*, found by bisection, and
-            # points around it whose log bound lies within 10^-6 of the
-            # target's, where the float log alone may not decide
+            # [0.005, 5] adds points around its crossing lam*
             S = 4
             while S * S <= theta.MAX_TAIL_TERMS:
                 lo, hi = mpf("0.005"), mpf(5)
-                if _box_bound(lo, S) >= target > _box_bound(hi, S):
-                    for _ in range(100):
-                        mid = (lo + hi) / 2
-                        lo, hi = (mid, hi) if _box_bound(mid, S) >= target else (lo, mid)
-                    eps = (0, 1e-16, -1e-16, 1e-13, -1e-13, 1e-9, -1e-9)
-                    lams += [lo] + [hi * (1 + mpf(e)) for e in eps]
+
+                def bound(lam):
+                    return _box_bound(mpmath.exp(-mpmath.pi * lam), S)
+
+                if bound(lo) >= target > bound(hi):
+                    lams += _crossings(bound, lo, hi, target)
                     crossings += 1
                 S = S + S // 2 + 1
             for lam in lams:
-                assert theta._siegel_box(lam, prec) == exact_box(lam, prec), (prec, lam)
-    assert crossings >= 15
+                # S passes the exact bound and is the exact least or the next S
+                S, least = theta._siegel_box(lam, prec), exact_box(lam, prec)
+                assert _box_bound(mpmath.exp(-mpmath.pi * lam), S) < target, (prec, lam, S)
+                assert S in (least, least + least // 2 + 1), (prec, lam, S, least)
+                late += S != least
+    assert crossings >= 15 and late > 0
 
 
 def _exact_cutoff(Q, y, prec):
-    # the cutoff search that _form_tail_cutoff's float gate replaces, kept as
+    # the cutoff search that _form_tail_cutoff's float rule replaces, kept as
     # the reference: a float guess, then every step on the exact bound
     absq = mpmath.exp(-2 * mpmath.pi * y)
     target = mpf(10) ** (-prec - 10)
 
     def passes(T):
-        return theta._form_tail(Q, absq, T) < target
+        return _form_tail(Q, absq, T) < target
 
     if passes(16):
         return 16
@@ -615,12 +648,11 @@ def _exact_cutoff(Q, y, prec):
     return T
 
 
-def test_form_tail_cutoff_float_gate_never_moves_T():
+def test_form_tail_cutoff_passes_the_exact_bound_at_most_one_step_late():
     # every form of the levels up to 400 of D = -7 and -11, at its class
-    # point, and points y where the exact bound at a given T crosses the
-    # target, found by bisection, with y (1 +- 1e-16, 1e-13, 1e-9) around
-    # them, where the float log alone may not decide
-    crossings = 0
+    # point, and points around each y* in [1e-6, 100] where the exact bound
+    # at a given T crosses the target (y* > 13 for T = 16 at 600 digits)
+    crossings, late = 0, 0
     for prec in (20, 80, 600):
         with mpmath.workdps(prec + GUARD_DIGITS + 5):
             target = mpf(10) ** (-prec - 10)
@@ -632,17 +664,18 @@ def test_form_tail_cutoff_float_gate_never_moves_T():
                     cases += [(Q, y) for Q in ctx.forms]
             for Q in (QuadForm(1, 1, 2), QuadForm(1, 1, 48), QuadForm(7, 1, 9)):
                 for T in (16, 17, 250, 4000, 60000):
-                    lo, hi = mpf("1e-6"), mpf(10)
-                    for _ in range(110):
-                        mid = (lo + hi) / 2
-                        tail = theta._form_tail(Q, mpmath.exp(-2 * mpmath.pi * mid), T)
-                        lo, hi = (mid, hi) if tail >= target else (lo, mid)
-                    eps = (0, 1e-16, -1e-16, 1e-13, -1e-13, 1e-9, -1e-9)
-                    cases += [(Q, lo)] + [(Q, hi * (1 + mpf(e))) for e in eps]
+                    ys = _crossings(
+                        lambda y: _form_tail(Q, mpmath.exp(-2 * mpmath.pi * y), T), mpf("1e-6"), mpf(100), target
+                    )
+                    cases += [(Q, y) for y in ys]
                     crossings += 1
             for Q, y in cases:
-                assert theta._form_tail_cutoff(Q, y, prec) == _exact_cutoff(Q, y, prec), (prec, Q, y)
-    assert crossings == 45
+                # T passes the exact bound and is the exact least or one past it
+                T, least = theta._form_tail_cutoff(Q, y, prec), _exact_cutoff(Q, y, prec)
+                assert _form_tail(Q, mpmath.exp(-2 * mpmath.pi * y), T) < target, (prec, Q, y, T)
+                assert T in (least, least + 1), (prec, Q, y, T, least)
+                late += T != least
+    assert crossings == 45 and late > 0
 
 
 def test_siegel_theta_mpmath_products_do_not_grow_with_the_rows(monkeypatch):
