@@ -8,22 +8,27 @@ class, and the signed count h_eps.  The central value is then
     L = P(N) A(N),  P(N) = 2 pi eta_factor / (omega_N sqrt(N)),  A(N) = sum_classes |theta| h_eps
 
 which must match the direct unnormalized sum over forms.  Both read the
-level's data from its HeckeContext, which computes it once: the theta
-values at S = min(prec, THETA_DIGITS) digits, since theta enters L only
-through the integer A(N), and the eta factor at prec, since it also enters
-P(N).  The two paths are compared at S digits.
+level's data from its HeckeContext, which computes it once.  classify
+takes each form's integer from ctx.theta_integers: complex floats from one
+constant per reduced point, accepted only within a written float bound
+(theta.theta_integers), with no mpmath per form.  The direct path sums
+ctx.thetas, the theta values at S = min(prec, THETA_DIGITS) digits, since
+theta enters L only through the integer A(N); the structured path takes
+the eta factor at prec, since it also enters P(N).  The two paths are
+compared to 10^-(S - 15), which also checks the float integers against
+the mpmath theta values, to 65 digits at S = 80.
 
-The theta values come from each form's split-CM point reduced by Sp4(Z)
-(theta.reduce_splitcm), and the reduced point also names the form's
-class: forms whose points reduce to the same Z' lie in one Sp4(Z) orbit,
-and so in one maximal-order class.  ClassStore keeps a map from reduced
+The integers and the theta values both come from each form's split-CM
+point reduced by Sp4(Z) (theta.reduce_splitcm), and the reduced point
+also names the form's class: forms whose points reduce to the same Z' lie
+in one Sp4(Z) orbit, and so in one maximal-order class.  ClassStore keeps a map from reduced
 point to class, so the order of a form (build_Iz, right_order) is built
 and matched only for a reduced point not seen before.  Two checks stay
-independent of the reduction: each snapped |theta| must equal its class's
-invariant, which discover_classes takes from the q-series (theta_form),
-and each class's count must equal k h_R / 2, with h_R from the Gross
-lattice.  An oracle evaluates
-the same L-value with no theta machinery at all: the smoothed functional
+independent of the reduction and of kappa: each integer's |theta| must
+equal its class's invariant, which discover_classes takes from the
+q-series (theta_form) through _snap, and each class's count must equal
+k h_R / 2, with h_R from the Gross lattice.  An oracle evaluates the
+same L-value with no theta machinery at all: the smoothed functional
 equation of L(psi_N, s), summed over coefficients counted exactly in O_K,
 which also solves for the root number W and certifies |W| = 1.  Its three
 series are summed by its own fixed-point kernel on Python integers
@@ -161,7 +166,7 @@ def admissible_levels(D, n_max):
 
 
 def _snap(ctx, raw):
-    """The integer of a theta value raw normalized by ctx's eta factor, or fail loudly."""
+    """The integer of a theta value raw normalized by ctx's eta factor, or fail loudly; for class witnesses."""
     value = raw / ctx.eta_factor
     n, err = value.nearest_int()
     tol = mpf(10) ** (-(value.prec // 2))
@@ -252,13 +257,14 @@ def classify(ctx, store):
     class of its reduced point from store.keys; for a point not seen
     before, its order is matched against the store, and the point is added
     to the keys.  Either way its |theta| must equal its class's invariant.
+    The integers come from ctx.theta_integers, in floats: no mpmath runs
+    per form, and a value off its integer raises ConventionError.
     """
     if store.D != ctx.D:
         raise InputError("class store was built for D = %d, not %d" % (store.D, ctx.D))
     h_rs = [embedding_count(info.order, ctx.N) for info in store.classes]
     records = []
-    for Q, red, raw in zip(ctx.forms, ctx.reduced_points, ctx.thetas):
-        snapped = _snap(ctx, raw)
+    for Q, red, snapped in zip(ctx.forms, ctx.reduced_points, ctx.theta_integers):
         cid = store.keys.get(red.key)
         if cid is None:
             cid = store.match(_maximal_order(ctx, Q))
@@ -308,9 +314,10 @@ def l_value_paths(ctx, store):
     direct     = 2 pi / (omega_N sqrt(N)) * sum_Q theta(Q tau)
     structured = 2 pi eta_factor / (omega_N sqrt(N)) * A(N)
 
-    Both use ctx.thetas, the theta series that classify snaps to integers,
-    so direct holds S = min(prec, THETA_DIGITS) digits and structured,
-    whose theta enters only through A(N), holds prec.
+    direct sums ctx.thetas, the mpmath theta values at
+    S = min(prec, THETA_DIGITS) digits, so it holds S digits; structured
+    takes A(N) from classify's float integers (ctx.theta_integers), so it
+    holds prec, and l_value's comparison of the two checks those integers.
 
     Both values are complex in general: the conductor of psi_N is one prime
     over N, not Galois-stable, so the functional equation only makes

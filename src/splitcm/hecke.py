@@ -9,13 +9,16 @@ All complex embeddings use sqrt(D) = +i*sqrt(|D|).
 
 HeckeContext computes each level quantity once, on first use: the reduced
 forms of discriminant -N, the class point, the eta factor at prec, each
-form's split-CM point reduced by Sp4(Z), and the theta values.  The
-reduced points (theta.reduce_splitcm) are exact, and two readers share
-them: thetas, through theta.reduced_theta, which evaluates siegel_theta
-once per reduced point and digits and sums no q-series, and the class
-keys of central.ClassStore.  Theta enters the central value only through
-integers, so it is computed at S = min(prec, THETA_DIGITS) digits; the eta
-factor is also a factor of the period, so it is computed at prec.
+form's split-CM point reduced by Sp4(Z), the theta integers and the theta
+values.  The reduced points (theta.reduce_splitcm) are exact, and three
+readers share them: theta_integers, through theta.theta_integers, which
+takes each normalized theta's integer in complex floats from one constant
+per reduced point and digits; thetas, through theta.reduced_theta, which
+evaluates siegel_theta once per reduced point and digits and sums no
+q-series, for the direct path of the central value; and the class keys of
+central.ClassStore.  Theta enters the central value only through
+integers, so both are computed at S = min(prec, THETA_DIGITS) digits; the
+eta factor is also a factor of the period, so it is computed at prec.
 """
 
 from dataclasses import dataclass
@@ -120,6 +123,12 @@ class HeckeContext:
     def reduced_points(self):
         """theta.reduce_splitcm of each form at class_point: its reduced point, phase and inverted entries."""
         return tuple(theta.reduce_splitcm(Q, self.class_point) for Q in self.forms)
+
+    @cached_property
+    def theta_integers(self):
+        """theta.theta_integers: each form's theta over the eta factor, in complex floats from one
+        constant per reduced point at min(prec, THETA_DIGITS) digits; ConventionError off an integer."""
+        return theta.theta_integers(self, min(self.prec, THETA_DIGITS))
 
     @cached_property
     def thetas(self):

@@ -23,7 +23,10 @@ The last two are independent of the reduction and stay as its checks:
 the class invariant that classify compares every reduced value with comes
 from theta_form (discover_classes), and the tests compare the three paths.
 The normalized value divides by the eta factor of the level, which
-HeckeContext.eta_factor computes once per level.
+HeckeContext.eta_factor computes once per level.  classify needs only its
+integer, which theta_integers reads in Python complex floats, within a
+written bound, from one constant kappa = theta(Z'')/eta(tau0)^2 per
+reduced point (_reduced_kappa): no mpmath runs per form.
 
 That factor (eta_norm_factor) takes eta at the level point gamma tau0 from
 eta at tau0 = (-1 + sqrt(D))/2 by the modular transformation (c > 0, principal
@@ -57,18 +60,18 @@ tail target:
   norms, plus the rounding of its few mpmath operations (see there).
 
 Both tail cutoffs, theta's T (_form_tail_cutoff) and the Siegel box S
-(_siegel_box), are decided by one rule in floats: a cutoff passes only
-when the float log of its tail bound lies below the target's log by more
-than CUTOFF_WINDOW = 10^-6 of it.  The float log's terms are each within
-a few multiples of the target's log and are rounded to about 10^-15 of
-it, far inside the window, so a cutoff that passes certifies its exact
-bound.  The price is that a cutoff whose exact bound passes inside the
-window is stepped past: each cutoff is the exact least or one step past
-it (see each function for when).  The representation numbers come from
-the lattice points of one half plane, each counted with its negative
-(representation_counts).  A form whose ellipse may hold more than
-MAX_TAIL_TERMS lattice points is refused with ResourceError before any
-point is visited.
+(_siegel_box), are decided by one rule in floats, _cutoff_passes: a
+cutoff passes only when the float log of its tail bound lies below the
+target's log by more than CUTOFF_WINDOW = 10^-6 of it.  The float log's
+terms are each within a few multiples of the target's log and are
+rounded to about 10^-15 of it, far inside the window, so a cutoff that
+passes certifies its exact bound.  The price is that a cutoff whose
+exact bound passes inside the window is stepped past: each cutoff is the
+exact least or one step past it (see each function for when).  The
+representation numbers come from the lattice points of one half plane,
+each counted with its negative (representation_counts).  A form whose
+ellipse may hold more than MAX_TAIL_TERMS lattice points is refused with
+ResourceError before any point is visited.
 
 The error of a product of fixed-point values stays within these bounds only
 because no table entry or step factor exceeds 1 in modulus, and each bound
@@ -84,7 +87,7 @@ from math import ceil, expm1, floor, gcd, isqrt, log, log1p, pi, sqrt
 import mpmath
 from mpmath import mp, mpf
 
-from .errors import InputError, InternalError, ResourceError
+from .errors import ConventionError, InputError, InternalError, ResourceError
 from .numeric import GUARD_DIGITS, BigComplex
 from .quadratic import HeegnerPoint, QuadForm, reduce_form
 
@@ -94,6 +97,8 @@ MAX_TAIL_TERMS = 5 * 10**6
 STOP_BITS = 8
 # a tail cutoff passes when the float log of its bound is below the target's by this relative margin
 CUTOFF_WINDOW = 1e-6
+# the unit roundoff u of a Python float
+ROUNDOFF = 2.0**-53
 
 
 def _point_to_mpc(tau):
@@ -133,6 +138,12 @@ def _lattice_points(Q, T):
     return int(2 * pi * T / sqrt(-Q.disc) + 2 * sqrt(T / Q.c)) + 2 * isqrt(4 * Q.c * T // -Q.disc) + 2
 
 
+def _cutoff_passes(lbound, prec):
+    """The one rule of both tail cutoffs: lbound, the float log of a tail bound,
+    lies below log 10^(-prec-10) by more than CUTOFF_WINDOW of it."""
+    return lbound < -(1 + CUTOFF_WINDOW) * (prec + 10) * log(10)
+
+
 def _form_tail_cutoff(Q, y, prec):
     """Least T >= 16 whose tail bound passes CUTOFF_WINDOW's rule, |q| = e^(-2 pi y).
 
@@ -141,13 +152,12 @@ def _form_tail_cutoff(Q, y, prec):
     lam = (N/4)/(a+c) bounds the smallest Gram eigenvalue from below, and
     r_Q(k) = 0 for 0 < k < lam; then sum_{k>T} k |q|^k is at most
     (T + 2) |q|^(T+1)/(1 - |q|)^2.  T passes when the float log of the
-    bound over the target 10^(-prec-10), excess(T) = base + log(T + 2) +
-    (T + 1) log|q|, is below -CUTOFF_WINDOW (prec + 10) ln 10.  Each term
-    of excess is within a few multiples of (prec + 10) ln 10 and is rounded
-    to about 10^-15 of it, far inside the window, so a T that passes
-    certifies the exact bound.  excess is concave in T, so when T = 16
-    fails, the T >= 16 that pass form one interval [T0, oo), and doubling
-    and bisection find T0.
+    bound, base + log(T + 2) + (T + 1) log|q|, passes _cutoff_passes for
+    the target 10^(-prec-10).  Each of its terms is within a few multiples
+    of (prec + 10) ln 10 and is rounded to about 10^-15 of it, far inside
+    the window, so a T that passes certifies the exact bound.  The log is
+    concave in T, so when T = 16 fails, the T >= 16 that pass form one
+    interval [T0, oo), and doubling and bisection find T0.
 
     Past the least T* that the exact bound passes, excess falls by at least
     d = |log|q|| - 1/(T* + 2) a step, so T0 <= T* + 1 wherever d exceeds
@@ -161,17 +171,16 @@ def _form_tail_cutoff(Q, y, prec):
     float log no longer resolves to one step, is refused at once.  A y
     whose log|q| underflows to 0 in floats is refused before the search.
     """
-    ltarget = (prec + 10) * log(10)
     lq = -2 * pi * float(y)
     if lq == 0:
         raise ResourceError(
             "theta of %s: Im tau = %s is below the float range that sizes the cutoff T" % (Q, mpmath.nstr(y, 3))
         )
-    # log(bound at T = -1) - log(target) = log(9/lam) - 2 log(1 - |q|) + (prec + 10) log 10
-    base = log(9 * 4 * (Q.a + Q.c) / -Q.disc) - 2 * log(-expm1(lq)) + ltarget
+    # log(bound at T = -1) = log(9/lam) - 2 log(1 - |q|)
+    base = log(9 * 4 * (Q.a + Q.c) / -Q.disc) - 2 * log(-expm1(lq))
 
     def passes(T):
-        return base + log(T + 2) + (T + 1) * lq < -CUTOFF_WINDOW * ltarget
+        return _cutoff_passes(base + log(T + 2) + (T + 1) * lq, prec)
 
     def check_points(T):
         # called with T no larger than the cutoff
@@ -324,8 +333,8 @@ def _siegel_box(lam, prec):
 
     The tail sum_{|x|_inf >= S} exp(-pi lam |x|^2) is below
     8 t^(S^2) (S/(1-u) + u/(1-u)^2), t = e^(-pi lam), u = t^(2S), and S
-    passes when the float log of that bound lies below the target's,
-    -(prec + 10) ln 10, by more than CUTOFF_WINDOW of it.  The log's terms
+    passes when the float log of that bound passes _cutoff_passes for the
+    target 10^(-prec-10).  The log's terms
     are each within a few multiples of the target's log and are rounded to
     about 10^-15 of it, far inside the window, so an S that passes
     certifies the exact bound.  At the next S after the least S* that the
@@ -348,7 +357,7 @@ def _siegel_box(lam, prec):
     while True:
         # with v = 1 - u, log(S/(1-u) + u/(1-u)^2) = log(1 + (S-1) v) - 2 log v
         v = -expm1(2 * S * lt)
-        if log(8) + S * S * lt + log1p((S - 1) * v) - 2 * log(v) < ltarget * (1 + CUTOFF_WINDOW):
+        if _cutoff_passes(log(8) + S * S * lt + log1p((S - 1) * v) - 2 * log(v), prec):
             return S
         S = S + S // 2 + 1
         if S * S > MAX_TAIL_TERMS:
@@ -748,6 +757,15 @@ def _reduced_siegel(D, point, prec):
     return siegel_theta(z11, z12, z22, prec).to_mpc()
 
 
+def _root_product(D, inverted):
+    """rho = prod_j (-i w_j)^(1/2) over the inverted entries, principal roots, in Python complex floats."""
+    rho = 1
+    for wx, wy, wd in inverted:
+        # -i w = (y sqrt|D| - i x)/d
+        rho *= cmath.sqrt(complex(wy / wd * sqrt(-D), -wx / wd))
+    return rho
+
+
 def reduced_theta(D, red, prec):
     """theta(Z) at prec digits from Z's ReducedPoint red: no q-series at all.
 
@@ -768,14 +786,11 @@ def reduced_theta(D, red, prec):
     """
     roots, root_d = _phase_constants(D, prec)
     x, y, d = 1, 0, 1
-    floats = 1
     for wx, wy, wd in red.inverted:
         x, y, d = x * wx + D * y * wy, x * wy + y * wx, d * wd
-        # -i w = (y sqrt|D| - i x)/d
-        floats *= cmath.sqrt(complex(wy / wd * sqrt(-D), -wx / wd))
     with mp.workdps(prec + GUARD_DIGITS + 5):
         root = mpmath.sqrt(mpmath.mpc(x, y * root_d) / d * (-1j) ** len(red.inverted))
-        if (floats * complex(root).conjugate()).real < 0:
+        if (_root_product(D, red.inverted) * complex(root).conjugate()).real < 0:
             root = -root
         value = roots[red.eighths] * _reduced_siegel(D, red.point, prec) / root
     return BigComplex.from_mpc(value, prec)
@@ -824,12 +839,30 @@ def _eta_tau0(D, prec):
 def _dedekind_sum(h, k):
     """The Dedekind sum s(h, k), k > 0, gcd(h, k) = 1, by reciprocity: s(h, k) =
     s(h mod k, k), s(0, 1) = 0, s(h, k) + s(k, h) = (h/k + k/h + 1/(hk))/12 - 1/4."""
-    total, sign = Fraction(0), 1
+    num, den, sign = 0, 1, 1
     h %= k
     while h:
-        total += sign * (Fraction(h * h + k * k + 1, 12 * h * k) - Fraction(1, 4))
+        # num/den += sign ((h^2 + k^2 + 1)/(12 h k) - 1/4), in integers
+        step = 12 * h * k
+        num, den = num * step + sign * (h * h + k * k + 1 - 3 * h * k) * den, den * step
         h, k, sign = k % h, h, -sign
-    return total
+    return Fraction(num, den)
+
+
+def _eta_transform(ctx):
+    """(t, c, d): eta_norm_factor's factor is e(t) sqrt(-i (c tau0 + d)) eta(tau0)^2, exactly.
+
+    reduce_form's gamma = [[a, .], [c, d]], with c > 0, and the rational
+    turns t in [0, 1) of the root of unity; see eta_norm_factor.
+    """
+    N, b = ctx.N, ctx.class_point.b
+    _, (a, _, c, d) = reduce_form(QuadForm(N, b, (b * b - ctx.D) // (4 * N)))
+    a, c, d = (a, c, d) if c > 0 else (-a, -c, -d)
+    s = _dedekind_sum(d, c)
+    # t = (N (b + 3) + 4)/48 + (a + d)/(24 c) - s(d, c)/2 over the denominator 48 c
+    num = ((N * (b + 3) + 4) * c + 2 * (a + d)) * s.denominator - 24 * c * s.numerator
+    den = 48 * c * s.denominator
+    return Fraction(num % den, den), c, d
 
 
 def eta_norm_factor(ctx):
@@ -847,15 +880,88 @@ def eta_norm_factor(ctx):
         eta(tau_N) = exp(pi i ((a + d)/(12 c) - s(d, c))) sqrt(-i (c tau0 + d)) eta(tau0),
 
     so the factor is exp(2 pi i t) sqrt(-i (c tau0 + d)) eta(tau0)^2, with
-    t = (N (b + 3) + 4)/48 + (a + d)/(24 c) - s(d, c)/2: dedekind_eta runs
-    only at tau0, once per (D, prec).
+    t = (N (b + 3) + 4)/48 + (a + d)/(24 c) - s(d, c)/2 (_eta_transform,
+    exact): dedekind_eta runs only at tau0, once per (D, prec).
     """
-    N, b = ctx.N, ctx.class_point.b
-    _, (a, _, c, d) = reduce_form(QuadForm(N, b, (b * b - ctx.D) // (4 * N)))
-    a, c, d = (a, c, d) if c > 0 else (-a, -c, -d)
-    turns = (Fraction(N * (b + 3) + 4, 48) + Fraction(a + d, 24 * c) - _dedekind_sum(d, c) / 2) % 1
+    turns, c, d = _eta_transform(ctx)
     with mp.workdps(ctx.prec + GUARD_DIGITS + 5):
         root = mpmath.expjpi(mpf(2 * turns.numerator) / turns.denominator)
         scale = mpmath.sqrt(-1j * (c * (mpmath.sqrt(ctx.D) - 1) / 2 + d))
         value = root * scale * _eta_tau0(ctx.D, ctx.prec).to_mpc() ** 2
         return BigComplex.from_mpc(value, ctx.prec)
+
+
+@lru_cache(maxsize=None)
+def _reduced_kappa(D, point, prec):
+    """(kappa, r) at a reduced point, once per (D, point, prec): kappa = theta(Z'')/eta(tau0)^2, a Python complex.
+
+    kappa is built from the cached _reduced_siegel and _eta_tau0.
+    siegel_theta is within 10^-(prec+10) of theta(Z''), and dedekind_eta
+    within 10^-(prec+12) of eta(tau0).  With the rounding of the entries of
+    Z'', of both values and of the quotient, each at prec + GUARD_DIGITS
+    digits or more, the mpmath quotient is within
+    10^-(prec+9) (|eta(tau0)|^-2 + |kappa|) of kappa; r is ten times that.
+    The rounding to a float is counted in theta_integers.
+    """
+    eta = _eta_tau0(D, prec).to_mpc()
+    with mp.workdps(prec + GUARD_DIGITS + 5):
+        kappa = _reduced_siegel(D, point, prec) / eta**2
+        radius = mpf(10) ** -(prec + 8) * (1 / abs(eta) ** 2 + abs(kappa))
+    return complex(kappa), float(radius)
+
+
+def theta_integers(ctx, digits):
+    """Each form's theta(Z)/eta_norm_factor(ctx), an integer, in Python complex floats.
+
+    From reduced_theta and eta_norm_factor, the normalized value is
+    v = e(r/8 - t) kappa/(rho s): r is the reduced point's phase in
+    eighths, t and s = sqrt(-i (c tau0 + d)) come from _eta_transform, rho
+    is _root_product over the J inverted entries, and kappa is
+    _reduced_kappa at digits, once per reduced point.  No mpmath or
+    BigComplex runs per form; the eight e(k/8 - t)/s are taken once per level.
+
+    Bound (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    2002, ch. 3).  With u = 2^-53, every real float operation is within
+    relative u, a complex product within sqrt(2) gamma_2 < 3u, and CPython's
+    quotient (Smith's method) and principal square root within a few u:
+    allow 16u for each complex operation.  A square root also halves the
+    relative error of its argument.  Then, relative to v:
+    * each root of rho, from an argument within 3u, is within 18u, and the
+      J - 1 products add 16u each;
+    * s: c tau0 + d is within 2u, its root within 17u;
+    * e(x), x = r/8 - t taken exactly into [-1/2, 1/2): 2 pi x is within
+      3 pi u, cos and sin within u each, so 11u; the quotient by s 16u;
+    * kappa rounded to a float: u; v's product and quotient: 16u each.
+    That is at most (34 J + 77) u.  So, with r kappa's radius (_reduced_kappa),
+    E = ((36 J + 96) u |kappa| + r)/|rho s| bounds |v - n| for the true
+    integer n, with room for second-order terms and for |kappa|, |rho| and
+    |s| taken from their floats.  E scales with |kappa|/|rho s|, not |n|,
+    so it also covers n = 0, where kappa is 0 within r.
+
+    n = round(Re v) is accepted only when |v - n| <= E, and so |Im v| <= E,
+    and E + |v - n| < 1/2: then n is the one integer within E of v.
+    Otherwise ConventionError is raised, as a value off its integer is a
+    wrong convention, not a rounding.
+    """
+    turns, c, d = _eta_transform(ctx)
+    scale = cmath.sqrt(-1j * (c * complex(-0.5, sqrt(-ctx.D) / 2) + d))
+    # e(k/8 - t)/s for k = 0..7, with k/8 - t = x/(8 q) taken exactly into [-1/2, 1/2)
+    p, q = turns.numerator, turns.denominator
+    level = []
+    for k in range(8):
+        x = (k * q - 8 * p + 4 * q) % (8 * q) - 4 * q
+        level.append(cmath.rect(1, pi * (x / (4 * q))) / scale)
+    out = []
+    for red in ctx.reduced_points:
+        kappa, radius = _reduced_kappa(ctx.D, red.point, digits)
+        rho = _root_product(ctx.D, red.inverted)
+        v = level[red.eighths] * kappa / rho
+        bound = ((36 * len(red.inverted) + 96) * ROUNDOFF * abs(kappa) + radius) / abs(rho * scale)
+        n = round(v.real)
+        err = abs(v - n)
+        if err > bound or bound + err >= 0.5:
+            raise ConventionError(
+                "normalized theta %r at N=%d is not within its float bound %.3g of an integer" % (v, ctx.N, bound)
+            )
+        out.append(n)
+    return tuple(out)

@@ -1,5 +1,6 @@
 """Classification pipeline, central values, and the functional-equation oracle."""
 
+import cmath
 import time
 from fractions import Fraction
 from math import gcd
@@ -28,6 +29,7 @@ from splitcm.errors import (
     UnsupportedError,
 )
 from splitcm.hecke import HeckeContext, find_generator
+from splitcm.numeric import BigComplex
 from splitcm.quadratic import class_number, reduced_forms, smallest_odd_root
 from splitcm.quaternion import build_Iz, right_order
 
@@ -293,20 +295,40 @@ def test_l_value_computes_the_eta_factor_once(store7, monkeypatch):
         assert calls == [prec]
 
 
-def test_classify_at_600_digits_runs_theta_at_80(store7, monkeypatch):
-    # classify needs only the integers of theta, so a high-precision context
-    # gives the records of the default precision from theta at THETA_DIGITS
+def test_classify_runs_no_mpmath_per_form(store7, monkeypatch):
+    # classify reads each integer from complex floats and one constant per
+    # reduced point: with that constant warm it runs neither reduced_theta
+    # nor eta_norm_factor, and no BigComplex arithmetic, at 80 or at 600
+    # digits, and the records at 600 digits are those of the default precision
     want = classify(HeckeContext(-7, 43), store7)
-    precs = []
-    reduced_theta = theta.reduced_theta
+    misses = theta._reduced_kappa.cache_info().misses
 
-    def spy(D, red, prec):
-        precs.append(prec)
-        return reduced_theta(D, red, prec)
+    def refuse(*args):
+        raise AssertionError("classify ran mpmath for a form")
 
-    monkeypatch.setattr(theta, "reduced_theta", spy)
-    assert classify(HeckeContext(-7, 43, prec=600), store7) == want
-    assert precs and max(precs) <= 80  # THETA_DIGITS
+    monkeypatch.setattr(theta, "reduced_theta", refuse)
+    monkeypatch.setattr(theta, "eta_norm_factor", refuse)
+    for name in ("from_mpc", "to_mpc", "__truediv__", "nearest_int"):
+        monkeypatch.setattr(BigComplex, name, refuse)
+    for prec in (80, 600):
+        assert classify(HeckeContext(-7, 43, prec=prec), store7) == want
+    assert theta._reduced_kappa.cache_info().misses == misses
+
+
+@pytest.mark.parametrize("factor", [cmath.exp(1j * cmath.pi / 8), 1 + 1e-6])
+def test_classify_refuses_a_kappa_off_its_value(store7, monkeypatch, factor):
+    # kappa turned by e(1/16), or off by a relative 1e-6, leaves each value
+    # off its integer by far more than the float bound
+    kappa = theta._reduced_kappa
+
+    def off(D, point, prec):
+        value, radius = kappa(D, point, prec)
+        return value * factor, radius
+
+    monkeypatch.setattr(theta, "_reduced_kappa", off)
+    for N in (11, 43):
+        with pytest.raises(ConventionError):
+            classify(HeckeContext(-7, N), store7)
 
 
 @pytest.mark.parametrize("D, n_classes", [(-7, 1), (-11, 2), (-19, 2), (-43, 3), (-67, 4), (-163, 8)])

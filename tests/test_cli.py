@@ -1,11 +1,12 @@
 """Command line behavior: formats, exit codes, cache, determinism."""
 
+import cmath
 import json
 import time
 
 import pytest
 
-from splitcm import cli
+from splitcm import cli, theta
 from splitcm.cli import (
     CACHE_ENV,
     CACHE_VERSION,
@@ -122,6 +123,21 @@ def test_bad_level_canonical_message(capsys):
 
 def test_sec7_gets_internal_exit_code(sec7_eta, capsys):
     code, text = run(["classify", "--disc", "-7", "--level", "11", "--prec", "50"])
+    assert code == 4 and text == ""
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"]["type"] == "ConventionError"
+
+
+def test_classify_off_its_float_bound_gets_internal_exit_code(monkeypatch, capsys):
+    # a kappa turned by e(1/16) leaves classify's float value off its integer
+    kappa = theta._reduced_kappa
+
+    def off(D, point, prec):
+        value, radius = kappa(D, point, prec)
+        return value * cmath.exp(1j * cmath.pi / 8), radius
+
+    monkeypatch.setattr(theta, "_reduced_kappa", off)
+    code, text = run(["classify", "--disc", "-7", "--level", "11"])
     assert code == 4 and text == ""
     err = json.loads(capsys.readouterr().err.strip())
     assert err["error"]["type"] == "ConventionError"

@@ -2,7 +2,9 @@
 of the two evaluation paths at split-CM points."""
 
 import time
-from math import expm1, isqrt, log, pi
+from fractions import Fraction
+from functools import lru_cache
+from math import expm1, floor, gcd, isqrt, log, pi
 
 import mpmath
 import pytest
@@ -241,9 +243,10 @@ def test_level_thetas_sum_no_q_series(monkeypatch):
 
 def test_reduced_thetas_snap_to_the_q_series_integers(monkeypatch):
     # at every admissible level <= 1000 of the six D, at 30 digits, the
-    # reduced path and the q-series snap to the same integers.  Every key
-    # is Gauss-reduced with |Re| <= 1/2 and |z11| >= 1; siegel_theta runs
-    # once per (D, reduced point, digits), at no more than 27 points per D
+    # reduced path, the q-series and the float integers (theta_integers)
+    # give the same integers.  Every key is Gauss-reduced with |Re| <= 1/2
+    # and |z11| >= 1; siegel_theta runs once per (D, reduced point, digits),
+    # at no more than 27 points per D, and the float integers add no call
     calls = []
     siegel = theta.siegel_theta
 
@@ -257,13 +260,13 @@ def test_reduced_thetas_snap_to_the_q_series_integers(monkeypatch):
         keys, points = set(), set()
         for N in admissible_levels(D, 1000):
             ctx = HeckeContext(D, N, prec=30)
-            for Q, red, v in zip(ctx.forms, ctx.reduced_points, ctx.thetas):
+            for Q, red, v, n in zip(ctx.forms, ctx.reduced_points, ctx.thetas, ctx.theta_integers):
                 x11, x12, x22, y11, y12, y22, d = red.key
                 assert abs(2 * y12) <= y11 <= y22 and 2 * max(abs(x11), abs(x12), abs(x22)) <= d, (D, N, Q)
                 assert x11 * x11 - D * y11 * y11 >= d * d, (D, N, Q)
                 want, _ = (theta_form(Q, ctx.class_point, 30) / ctx.eta_factor).nearest_int()
                 got, err = (v / ctx.eta_factor).nearest_int()
-                assert got == want and err < mpf(10) ** -25, (D, N, Q)
+                assert got == want == n and err < mpf(10) ** -25, (D, N, Q)
                 keys.add(red.key)
                 points.add(red.point)
         assert len(points) <= len(keys) <= 27, D
@@ -582,6 +585,42 @@ def _crossings(bound, lo, hi, target):
     return [lo] + [hi * (1 + mpf(e)) for e in (0, 1e-16, -1e-16, 1e-13, -1e-13, 1e-9, -1e-9)]
 
 
+@lru_cache(maxsize=None)
+def _box_crossings(prec):
+    """For each candidate S whose box bound crosses 10^(-prec-10) inside
+    lam in [0.005, 5], the points around its crossing lam* (_crossings)."""
+    out = []
+    with mpmath.workdps(prec + GUARD_DIGITS + 5):
+        target, S = mpf(10) ** (-prec - 10), 4
+        while S * S <= theta.MAX_TAIL_TERMS:
+            lo, hi = mpf("0.005"), mpf(5)
+
+            def bound(lam):
+                return _box_bound(mpmath.exp(-mpmath.pi * lam), S)
+
+            if bound(lo) >= target > bound(hi):
+                out.append(_crossings(bound, lo, hi, target))
+            S = S + S // 2 + 1
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _tail_crossings(prec):
+    """(Q, ys) for three forms and five T: the points around each y* in
+    [1e-6, 100] where the tail bound at T crosses 10^(-prec-10)
+    (y* > 13 for T = 16 at 600 digits)."""
+    out = []
+    with mpmath.workdps(prec + GUARD_DIGITS + 5):
+        target = mpf(10) ** (-prec - 10)
+        for Q in (QuadForm(1, 1, 2), QuadForm(1, 1, 48), QuadForm(7, 1, 9)):
+            for T in (16, 17, 250, 4000, 60000):
+                ys = _crossings(
+                    lambda y: _form_tail(Q, mpmath.exp(-2 * mpmath.pi * y), T), mpf("1e-6"), mpf(100), target
+                )
+                out.append((Q, ys))
+    return tuple(out)
+
+
 def test_siegel_box_passes_the_exact_bound_at_most_one_step_late():
     # the exact-bound scan that _siegel_box's float rule replaces, kept as the reference
     def exact_box(lam, prec):
@@ -595,19 +634,9 @@ def test_siegel_box_passes_the_exact_bound_at_most_one_step_late():
         with mpmath.workdps(prec + GUARD_DIGITS + 5):
             target = mpf(10) ** (-prec - 10)
             lams = [5 * mpf(10) ** (k / mpf(8)) for k in range(-24, 1)]
-            # each candidate S whose bound crosses the target inside
-            # [0.005, 5] adds points around its crossing lam*
-            S = 4
-            while S * S <= theta.MAX_TAIL_TERMS:
-                lo, hi = mpf("0.005"), mpf(5)
-
-                def bound(lam):
-                    return _box_bound(mpmath.exp(-mpmath.pi * lam), S)
-
-                if bound(lo) >= target > bound(hi):
-                    lams += _crossings(bound, lo, hi, target)
-                    crossings += 1
-                S = S + S // 2 + 1
+            for points in _box_crossings(prec):
+                lams += points
+                crossings += 1
             for lam in lams:
                 # S passes the exact bound and is the exact least or the next S
                 S, least = theta._siegel_box(lam, prec), exact_box(lam, prec)
@@ -650,8 +679,7 @@ def _exact_cutoff(Q, y, prec):
 
 def test_form_tail_cutoff_passes_the_exact_bound_at_most_one_step_late():
     # every form of the levels up to 400 of D = -7 and -11, at its class
-    # point, and points around each y* in [1e-6, 100] where the exact bound
-    # at a given T crosses the target (y* > 13 for T = 16 at 600 digits)
+    # point, and the points around each constructed crossing (_tail_crossings)
     crossings, late = 0, 0
     for prec in (20, 80, 600):
         with mpmath.workdps(prec + GUARD_DIGITS + 5):
@@ -662,13 +690,9 @@ def test_form_tail_cutoff_passes_the_exact_bound_at_most_one_step_late():
                     ctx = HeckeContext(D, N, prec=prec)
                     y = theta._point_to_mpc(ctx.class_point).imag
                     cases += [(Q, y) for Q in ctx.forms]
-            for Q in (QuadForm(1, 1, 2), QuadForm(1, 1, 48), QuadForm(7, 1, 9)):
-                for T in (16, 17, 250, 4000, 60000):
-                    ys = _crossings(
-                        lambda y: _form_tail(Q, mpmath.exp(-2 * mpmath.pi * y), T), mpf("1e-6"), mpf(100), target
-                    )
-                    cases += [(Q, y) for y in ys]
-                    crossings += 1
+            for Q, ys in _tail_crossings(prec):
+                cases += [(Q, y) for y in ys]
+                crossings += 1
             for Q, y in cases:
                 # T passes the exact bound and is the exact least or one past it
                 T, least = theta._form_tail_cutoff(Q, y, prec), _exact_cutoff(Q, y, prec)
@@ -676,6 +700,34 @@ def test_form_tail_cutoff_passes_the_exact_bound_at_most_one_step_late():
                 assert T in (least, least + 1), (prec, Q, y, T, least)
                 late += T != least
     assert crossings == 45 and late > 0
+
+
+def test_cutoff_window_absorbs_a_perturbed_float_log(monkeypatch):
+    # the float log of each tail bound moved by a relative 1e-9 toward
+    # passing, far more than its rounding: at every constructed T and S
+    # crossing the cutoff still certifies its exact bound, and with
+    # CUTOFF_WINDOW = 0 some cutoff does not
+    passes = theta._cutoff_passes
+    monkeypatch.setattr(theta, "_cutoff_passes", lambda lbound, prec: passes(lbound - 1e-9 * abs(lbound), prec))
+
+    def uncertified():
+        count = 0
+        for prec in (20, 80, 600):
+            with mpmath.workdps(prec + GUARD_DIGITS + 5):
+                target = mpf(10) ** (-prec - 10)
+                for points in _box_crossings(prec):
+                    for lam in points:
+                        S = theta._siegel_box(lam, prec)
+                        count += _box_bound(mpmath.exp(-mpmath.pi * lam), S) >= target
+                for Q, ys in _tail_crossings(prec):
+                    for y in ys:
+                        T = theta._form_tail_cutoff(Q, y, prec)
+                        count += _form_tail(Q, mpmath.exp(-2 * mpmath.pi * y), T) >= target
+        return count
+
+    assert uncertified() == 0
+    monkeypatch.setattr(theta, "CUTOFF_WINDOW", 0)
+    assert uncertified() > 0
 
 
 def test_siegel_theta_mpmath_products_do_not_grow_with_the_rows(monkeypatch):
@@ -899,6 +951,19 @@ def test_eta_norm_factor_matches_eta_summed_at_the_level_point(D, N, prec):
         got = eta_norm_factor(level)
         assert got.prec == prec
         assert got.distance(_summed_eta_factor(level)) < mpf(10) ** -(prec + 5), (D, N, b1)
+
+
+def test_dedekind_sum_matches_its_definition():
+    # the reciprocity loop in integers against the defining sum
+    # s(h, k) = sum_{r=1}^{k-1} ((r/k)) ((h r/k)), ((x)) = x - floor(x) - 1/2 off the integers
+    def saw(x):
+        return x - floor(x) - Fraction(1, 2) if x.denominator != 1 else 0
+
+    for k in range(1, 30):
+        for h in range(-k, k):
+            if gcd(h, k) == 1:
+                want = sum(saw(Fraction(r, k)) * saw(Fraction(h * r, k)) for r in range(1, k))
+                assert theta._dedekind_sum(h, k) == want, (h, k)
 
 
 def test_eta_norm_factor_computes_eta_of_o_k_once():
