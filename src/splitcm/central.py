@@ -31,13 +31,18 @@ k h_R / 2, with h_R from the Gross lattice.  An oracle evaluates the
 same L-value with no theta machinery at all: the smoothed functional
 equation of L(psi_N, s), summed over coefficients counted exactly in O_K,
 which also solves for the root number W and certifies |W| = 1.  Its three
-series are summed by its own fixed-point kernel on Python integers
-(_oracle_series): Horner's rule over the nonzero coefficients, at the
-scale that can still reach 2^-P, within a written rounding bound of
-4 sqrt|D| (T + 1)^2 2^-P for T nonzero terms.  Its blocks step the
-scale of a series of thousands of terms at 600 digits; theta._q_series,
-a baby-step giant-step sum whose every step runs at 2^-P, is a separate
-kernel, so that the oracle stays independent of the theta code it checks.
+series S(t), t = 4/5, 1 and 5/4, are summed by its own fixed-point
+kernel on Python integers (_oracle_series): one Horner pass over the
+nonzero coefficients that carries all three sums, divides each
+coefficient once, and stops each sum at its own cutoff n_max(t).  The
+pass holds every step at the scale at which the slowest-decaying series
+(t = 4/5) can still reach 2^-P, and each sum stays within a written
+rounding bound of 4 sqrt|D| (T + 1)^2 2^-P for T nonzero terms.  Its
+blocks step that scale over thousands of terms at 600 digits; its
+tables of powers are stepped in integers from one exp per series.
+theta._q_series, a baby-step giant-step sum whose every step runs at
+2^-P, is a separate kernel, so that the oracle stays independent of the
+theta code it checks.
 
 omega_N (units of the order of discriminant -N modulo sign) is 2 throughout
 because N > 4; levels are primes N = 3 mod 4 that split in Q(sqrt(D)).
@@ -88,6 +93,8 @@ ORACLE_MARGIN_DIGITS = 3  # room for the error that solving for W adds
 # the oracle's Horner scale rises by ORACLE_SCALE_STEP bits from one block of powers to the next
 ORACLE_SCALE_STEP = 64
 ORACLE_MAX_TERMS = 5 * 10**6  # the most coefficients a_n, n <= n_max, that the oracle allocates
+# t of the oracle's three series S(t), slowest-decaying first: their cutoffs n_max(t) fall in this order
+ORACLE_POINTS = (Fraction(4, 5), Fraction(1), Fraction(5, 4))
 
 
 @dataclass(frozen=True)
@@ -371,16 +378,20 @@ def oracle_central_value(D, N, prec=80):
 
     W is solved from t = 1 and t = 5/4, not assumed; |W| != 1 beyond
     10^-(prec-15) raises ConventionError.  The a_n are exact, from this
-    function's own enumeration of alpha and residue character.  Each sum
-    S(t) = sum a_n/n e^(-c n t) is cut at n_max, with a tail below
-    10^-digits / 2, and summed by _oracle_series in fixed point at 2^-P,
-    with a rounding bound of 4 sqrt|D| (T + 1)^2 2^-P for its T nonzero
-    terms; P is sized from that bound to keep the rounding below
-    10^-digits / 2 as well.  With each sum so within 10^-digits of its
-    series, W = num/den is within 2 10^-digits (1 + |W|)/|den| and L =
-    S(1) + W conj(S(1)) within amp 10^-digits, where amp = 2 + 5
-    |S(1)|/|den| for |W| = 1; digits grows until that is below
-    10^-(prec+12).  Returns (L, W) as BigComplex.
+    function's own enumeration of alpha and residue character.  The three
+    sums S(t) = sum a_n/n e^(-c n t), t in ORACLE_POINTS, come from one
+    pass of _oracle_series over the nonzero a_n: each S(t) is cut at its
+    own n_max(t), with a tail below 10^-digits / 2, and summed in fixed
+    point at 2^-P, with a rounding bound of 4 sqrt|D| (T + 1)^2 2^-P for
+    the T nonzero terms of the pass; P is sized from that bound to keep
+    the rounding below 10^-digits / 2 as well.  With each sum so within
+    10^-digits of its series, W = num/den is within 2 10^-digits (1 +
+    |W|)/|den| and L = S(1) + W conj(S(1)) within amp 10^-digits, where
+    amp = 2 + 5 |S(1)|/|den| for |W| = 1; digits grows until that is
+    below 10^-(prec+12).  A part of L within amp 10^-digits of 0 is
+    returned as an exact 0, as at the levels where A(N) = 0: it is then
+    within 2 amp 10^-digits of the true part.  Returns (L, W) as
+    BigComplex.
     """
     validate_field_disc(D)
     if prec < MIN_PREC:
@@ -388,15 +399,17 @@ def oracle_central_value(D, N, prec=80):
     b1 = prime_ideal_above(D, N).b % (2 * N)
     digits = prec + ORACLE_TAIL_DIGITS + ORACLE_MARGIN_DIGITS
     while True:
-        terms, gap, P = _oracle_terms(D, N, b1, digits)
+        terms, cutoffs, P = _oracle_terms(D, N, b1, digits)
         with mp.workdps(digits + GUARD_DIGITS):
-            s1 = _oracle_series(terms, gap, D, N, Fraction(1), P)
-            den = mpmath.conj(s1 - _oracle_series(terms, gap, D, N, Fraction(4, 5), P))
-            root = (_oracle_series(terms, gap, D, N, Fraction(5, 4), P) - s1) / den
+            s45, s1, s54 = _oracle_series(terms, cutoffs, D, N, P)
+            den = mpmath.conj(s1 - s45)
+            root = (s54 - s1) / den
             if abs(abs(root) - 1) > mpf(10) ** -(prec - 15):
                 raise ConventionError("oracle root number has |W| = %s, not 1" % mpmath.nstr(abs(root), 10))
             value = s1 + root * mpmath.conj(s1)
             amp = float(2 + 5 * abs(s1) / abs(den))
+            radius = amp * mpf(10) ** -digits
+            value = mpmath.mpc(*(0 if abs(part) <= radius else part for part in (value.real, value.imag)))
         shortfall = prec + ORACLE_TAIL_DIGITS + math.log10(amp) - digits
         if shortfall <= 0:
             return BigComplex.from_mpc(value, prec), BigComplex.from_mpc(root, prec)
@@ -404,28 +417,29 @@ def oracle_central_value(D, N, prec=80):
 
 
 def _oracle_terms(D, N, b1, digits):
-    """([(n, P_n, Q_n)] for n = 0 and every n <= n_max with a_n != 0, gap, P).
+    """([(n, P_n, Q_n)] for n = 0 and every n <= n_max with a_n != 0, cutoffs, P).
 
-    n_max puts each tail of the functional equation below 10^-digits / 2;
-    above ORACLE_MAX_TERMS it is refused with ResourceError before any
-    coefficient is allocated.  The scale P keeps _oracle_series's
-    rounding below 10^-digits / 2.  The entry n = 0, with P_0 = Q_0 = 0,
-    ends the Horner sum at x^0.  gap is the largest step between
-    consecutive n, the length of the table of powers that each of the
-    three series needs.
+    cutoffs holds n_max(t) for each t of ORACLE_POINTS: S(t) is cut there,
+    so that its tail is below 10^-digits / 2.  n_max is the largest of
+    them, n_max(4/5); above ORACLE_MAX_TERMS it is refused with
+    ResourceError before any coefficient is allocated.  The scale P keeps
+    _oracle_series's rounding below 10^-digits / 2.  The entry n = 0, with
+    P_0 = Q_0 = 0, ends the Horner sum at x^0.
     """
-    kappa = 1.6 * math.pi / math.sqrt(-D * N)  # e^(-4cn/5), conj(a_n) at t = 5/4, decays slowest
-    # a_n sums psi over at most d(n) ideals with |psi| = sqrt(n), so |a_n|/n <= d(n)/sqrt(n) <= 2
-    # and each tail past n_max is at most 2 e^(-kappa (n_max + 1)) / (1 - e^(-kappa)) <= 10^-digits / 2
-    n_max = math.ceil((digits * math.log(10) + math.log(4 / -math.expm1(-kappa))) / kappa)
+    cutoffs = []
+    for t in ORACLE_POINTS:
+        kappa = 2 * math.pi * t / math.sqrt(-D * N)  # x = e^(-kappa) for S(t)
+        # a_n sums psi over at most d(n) ideals with |psi| = sqrt(n), so |a_n|/n <= d(n)/sqrt(n) <= 2
+        # and the tail past n_max(t) is at most 2 e^(-kappa (n_max + 1)) / (1 - e^(-kappa)) <= 10^-digits / 2
+        cutoffs.append(math.ceil((digits * math.log(10) + math.log(4 / -math.expm1(-kappa))) / kappa))
+    n_max = cutoffs[0]
     if n_max > ORACLE_MAX_TERMS:
         raise ResourceError(
             "oracle needs n_max = %d coefficients, over the cap of %d" % (n_max, ORACLE_MAX_TERMS)
         )
     terms = [(0, 0, 0)] + _oracle_coefficients(D, N, b1, n_max)
-    gap = max(b[0] - a[0] for a, b in zip(terms, terms[1:]))
     P = digits * 3322 // 1000 + 2 + (4 * (isqrt(-D) + 1) * len(terms) ** 2).bit_length()
-    return terms, gap, P
+    return terms, tuple(cutoffs), P
 
 
 def _oracle_coefficients(D, N, b1, n_max):
@@ -433,12 +447,14 @@ def _oracle_coefficients(D, N, b1, n_max):
 
     Each alpha = (p + q sqrt(D))/2 (p = q mod 2) of norm <= n_max is taken
     once up to sign, which absorbs the 1/2 of a_n: the units are +-1 and
-    chi(-1) = -1 for N = 3 mod 4.  chi is the Jacobi symbol mod N under
-    sqrt(D) -> b1, kept for the residues met: one per alpha at most, about
-    pi n_max/sqrt|D| of them, whatever N is.  The sums are kept in lists
-    indexed by n: at the benchmarked D = -7 and -11 that is faster than a
-    dict over the n that occur, although two thirds of the entries stay
-    zero.
+    chi(-1) = -1 for N = 3 mod 4.  chi is the Jacobi symbol mod N of the
+    residue r = (p + q b1)/2 of alpha under sqrt(D) -> b1, kept for the
+    residues met: one per alpha at most, about pi n_max/sqrt|D| of them,
+    whatever N is.  Along a row of fixed q, p steps by 2, so r steps by 1
+    mod N and the norm n = (p^2 - D q^2)/4 by p + 1: the walk needs no
+    product.  The sums are kept in lists indexed by n: at the benchmarked
+    D = -7 and -11 that is faster than a dict over the n that occur,
+    although two thirds of the entries stay zero.
     """
     chi = {}
     inv2 = (N + 1) // 2
@@ -447,61 +463,88 @@ def _oracle_coefficients(D, N, b1, n_max):
     for q in range(isqrt(4 * n_max // -D) + 1):
         p_max = isqrt(4 * n_max + D * q * q)
         p_min = -p_max if q else 1
-        for p in range(p_min + (p_min - q) % 2, p_max + 1, 2):
-            r = (p + q * b1) * inv2 % N
+        p_min += (p_min - q) % 2
+        r = (p_min + q * b1) * inv2 % N
+        n = (p_min * p_min - D * q * q) >> 2
+        for p in range(p_min, p_max + 1, 2):
             sign = chi.get(r)
             if sign is None:
                 sign = chi[r] = jacobi(r, N)
             if sign:
-                n = (p * p - D * q * q) >> 2
                 P[n] += sign * p
                 Q[n] += sign * q
+            n += p + 1
+            r += 1
+            if r == N:
+                r = 0
     return [(n, p, q) for n, (p, q) in enumerate(zip(P, Q)) if p or q]
 
 
-def _oracle_series(terms, gap, D, N, t, P):
-    """sum a_n/n x^n, x = e^(-c t), c = 2 pi/sqrt(|D| N), over terms [(n, P_n, Q_n)].
+def _oracle_series(terms, cutoffs, D, N, P):
+    """The sums S(t) = sum a_n/n x_t^n, x_t = e^(-c t), c = 2 pi/sqrt(|D| N), for t in ORACLE_POINTS.
 
-    With c_n = (P_n + i Q_n)/n, the sum is (Re H + i sqrt|D| Im H)/2 for
-    H = sum c_n x^n.  H is summed by Horner's rule over the nonzero n in
-    Gaussian fixed point; x is real, so a step is two products: from one
-    n to the next lower n', h becomes h x^(n-n') + c_n', with x^(n-n')
-    from a table of powers up to x^gap, gap the largest step, truncated
-    toward zero, so that no entry exceeds x^(n-n').
+    S(t) runs over the terms [(n, P_n, Q_n)] with n <= n_max(t), its entry
+    of cutoffs.  With c_n = (P_n + i Q_n)/n, each sum is (Re H + i sqrt|D|
+    Im H)/2 for H = sum c_n x_t^n.  The three H are summed by one Horner
+    pass over the nonzero n in Gaussian fixed point, with one accumulator
+    h each: from one n to the next lower n', h becomes h x_t^(n-n') +
+    c_n', with c_n' divided once for all three.  x_t is real, so a step
+    is two products per series.  A series takes its first step at the
+    largest n <= n_max(t), its h being 0 until then; the cutoffs decrease
+    along ORACLE_POINTS, so the pass tests only whether the second and the
+    third series have started.
 
-    An error made at power n reaches H multiplied by at most x^n =
-    2^(-n beta), so at power n, h need only be held at a scale 2^-p with
+    Scale.  An error made at power n reaches H multiplied by at most x_t^n
+    = 2^(-n beta_t) <= 2^(-n beta), where beta belongs to the slowest-
+    decaying series, t = 4/5, the first of ORACLE_POINTS and the smallest
+    beta_t: so at power n, every h need only be held at a scale 2^-p with
     p >= P - n beta.  Going down from the top n, the powers fall into
     blocks whose scale is P - j ORACLE_SCALE_STEP (never below 0) for the
-    block of n >= j ORACLE_SCALE_STEP / beta; at each block boundary h is
-    shifted left, which is exact, and the table is truncated once to the
-    block's 2^-p.  Here beta is a float lower bound on -log2 x = c t/ln 2,
-    with a relative margin of 10^-9 for its rounding and capped at P.
+    block of n >= j ORACLE_SCALE_STEP / beta; at each block boundary every
+    h is shifted left, which is exact, and the tables are truncated once to
+    the block's 2^-p.  Here beta is a float lower bound on -log2 x_t =
+    c t/ln 2, with a relative margin of 10^-9 for its rounding and capped
+    at P.  The two faster series are so held to more bits than they need.
+
+    Tables.  A series' table of x_t^g, g <= gap (the largest step between
+    consecutive n), is stepped in integers at 2^-W, W = P + 20 +
+    bitlength(gap): from X, one mpmath exp at W + 10 bits truncated and
+    lowered by 1, so that 0 < 2^W x_t - X < 3, each power is the last one
+    times X, shifted right by W.  Each is then a lower bound on 2^W x_t^g
+    that falls short by e_g < 4g, since e_(g+1) < 3 x_t^g + x_t e_g + 1.
+    Truncated toward zero to a block's 2^-p, an entry lies below x_t^g by
+    less than (1 + 2^-18) 2^-p.
 
     Rounding bound.  Each part of c_n is at most 4 in modulus (see
     _oracle_terms: |a_n|/n <= 2 and |D| >= 7), so each part of every
     partial Horner sum is at most sum |c_n| <= 4T over the T nonzero
-    terms.  A step at scale p then adds, in each part, below 2^-p from the
-    product's shift, 2^-p from c_n' rounded down to 2^-p, and 4T 2^-p from
-    the truncated table entry times the partial sum; the later steps
-    multiply this by at most x^n' <= 2^(p-P).  Over the T + 1 steps (the
-    last one, to n = 0, adds no c_n), each part of H is off by less than
-    (T + 1)(4T + 2) 2^-P, so the sum is off by less than
-    (1 + sqrt|D|)/2 (T + 1)(4T + 2) 2^-P < 4 sqrt|D| (T + 1)^2 2^-P.
-    The kernel is written apart from theta._q_series, a baby-step
-    giant-step sum at 2^-P, on purpose: the oracle calls nothing in
-    splitcm.theta, so that a fault there cannot pass both paths.
+    terms of the pass.  A step at scale p then adds, in each part, below
+    2^-p from the product's shift, 2^-p from c_n' rounded down to 2^-p,
+    and 4T (1 + 2^-18) 2^-p from the table entry times the partial sum;
+    the later steps multiply this by at most x_t^n' <= 2^(p-P).  Over at
+    most T + 1 steps (the last one, to n = 0, adds no c_n), each part of
+    H is off by less than (T + 1)(4.0001 T + 2) 2^-P, so each sum is off
+    by less than (1 + sqrt|D|)/2 (T + 1)(4.0001 T + 2) 2^-P <
+    4 sqrt|D| (T + 1)^2 2^-P.  The kernel is written apart from
+    theta._q_series, a baby-step giant-step sum at 2^-P, on purpose: the
+    oracle calls nothing in splitcm.theta, so that a fault there cannot
+    pass both paths.
     """
-    with mp.workprec(P + 20):
-        k = 2 * mpmath.pi * t.numerator / (t.denominator * mpmath.sqrt(-D * N))
-        x = mpmath.exp(-k)
-        power = mpf(1)
-        xpow = [1 << P]
-        for _ in range(gap):
-            power *= x
-            xpow.append(int(mpmath.ldexp(power, P)))
-        beta = min(float(k / mpmath.ln2) * (1 - 1e-9), P)
-    hr = hi = p = 0
+    gap = max(b[0] - a[0] for a, b in zip(terms, terms[1:]))
+    W = P + 20 + gap.bit_length()
+    xpows = []
+    with mp.workprec(W + 10):
+        c = 2 * mpmath.pi / mpmath.sqrt(-D * N)
+        for t in ORACLE_POINTS:
+            X = int(mpmath.ldexp(mpmath.exp(-c * t.numerator / t.denominator), W)) - 1
+            power, xpow = 1 << W, [1 << P]
+            for _ in range(gap):
+                power = power * X >> W
+                xpow.append(power >> (W - P))
+            xpows.append(xpow)
+    beta = min(2 * math.pi * ORACLE_POINTS[0] / (math.sqrt(-D * N) * math.log(2)) * (1 - 1e-9), P)
+    _, cut1, cut2 = cutoffs
+    r0 = i0 = r1 = i1 = r2 = i2 = p = 0
     above = terms[-1][0]
     top = len(terms)
     for j in range(int(min(P, above * beta)) // ORACLE_SCALE_STEP, -1, -1):
@@ -509,16 +552,30 @@ def _oracle_series(terms, gap, D, N, t, P):
         if bottom == top:
             continue
         scale = P - j * ORACLE_SCALE_STEP
-        hr, hi = hr << (scale - p), hi << (scale - p)
+        r0, i0, r1, i1, r2, i2 = (h << (scale - p) for h in (r0, i0, r1, i1, r2, i2))
         p = scale
-        table = [entry >> (P - p) for entry in xpow]
+        x0, x1, x2 = ([entry >> (P - p) for entry in xpow] for xpow in xpows)
         for n, cp, cq in reversed(terms[bottom:top]):
-            step = table[above - n]
-            hr = (hr * step >> p) + (cp and (cp << p) // n)
-            hi = (hi * step >> p) + (cq and (cq << p) // n)
+            g = above - n
+            cr = cp and (cp << p) // n
+            ci = cq and (cq << p) // n
+            s = x0[g]
+            r0 = (r0 * s >> p) + cr
+            i0 = (i0 * s >> p) + ci
+            if n <= cut1:
+                s = x1[g]
+                r1 = (r1 * s >> p) + cr
+                i1 = (i1 * s >> p) + ci
+                if n <= cut2:
+                    s = x2[g]
+                    r2 = (r2 * s >> p) + cr
+                    i2 = (i2 * s >> p) + ci
             above = n
         top = bottom
-    return mpmath.mpc(mpf((hr, -P - 1)), mpmath.sqrt(-D) * mpf((hi, -P - 1)))
+    sqrt_d = mpmath.sqrt(-D)
+    return tuple(
+        mpmath.mpc(mpf((hr, -P - 1)), sqrt_d * mpf((hi, -P - 1))) for hr, hi in ((r0, i0), (r1, i1), (r2, i2))
+    )
 
 
 @dataclass(frozen=True)

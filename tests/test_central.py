@@ -371,35 +371,64 @@ def test_oracle_stabilizes_in_cutoff():
 
 def test_oracle_vanishes_where_the_class_sum_does():
     # A(N) = sum |theta| h_eps is 0 at these levels, so L = 0 and no relative
-    # error can check the oracle there; its error budget is 10^-(prec+12) amp
+    # error can check the oracle there; each part of L within the oracle's
+    # certified error amp 10^-digits is returned as an exact 0, and a level
+    # where L != 0 keeps both parts
     for D, N in VANISHING_LEVELS:
         value, _ = oracle_central_value(D, N, prec=80)
-        assert abs(value.to_mpc()) < mpf(10) ** -90, (D, N)
+        assert value.re == 0 and value.im == 0, (D, N)
+    value, _ = oracle_central_value(-7, 11, prec=80)
+    assert value.re != 0 and value.im != 0
+
+
+def _series_sum(D, N, t, coefficients):
+    """sum a_n/n x^n, x = e^(-2 pi t/sqrt(|D| N)), over [(n, P_n, Q_n)], term by term at the working precision."""
+    x = mpmath.exp(-2 * mpmath.pi * t.numerator / (t.denominator * mpmath.sqrt(-D * N)))
+    root = mpmath.sqrt(-D)
+    return sum((mpmath.mpc(p, root * q) * x**n / (2 * n) for n, p, q in coefficients), mpmath.mpc(0))
 
 
 @pytest.mark.parametrize("D, N, prec", [(-7, 11, 80), (-11, 67, 80), (-163, 47, 80), (-7, 43, 600)])
 def test_oracle_series_within_its_rounding_bound(D, N, prec):
-    # _oracle_series sums in block-scaled fixed point at 2^-P; it must stay
-    # within its written bound 4 sqrt|D| (T + 1)^2 2^-P of the same truncated
-    # sum over the same exact coefficients, summed term by term in mpmath at
-    # prec + 40 digits, and that bound must be below 10^-digits / 2
+    # _oracle_series sums the three series in one block-scaled fixed-point
+    # pass at 2^-P; each must stay within the written bound
+    # 4 sqrt|D| (T + 1)^2 2^-P of the same sum cut at its own n_max(t), over
+    # the same exact coefficients, summed term by term in mpmath at prec + 40
+    # digits, and that bound must be below 10^-digits / 2.  So must each
+    # series' tail past n_max(t), summed here at 20 digits to 2 n_max(4/5),
+    # past which it is below 10^-(2 digits).
     digits = prec + central.ORACLE_TAIL_DIGITS + central.ORACLE_MARGIN_DIGITS
     b1 = smallest_odd_root(D, N)
-    terms, gap, P = central._oracle_terms(D, N, b1, digits)
-    coefficients = central._oracle_coefficients(D, N, b1, terms[-1][0])
+    terms, cutoffs, P = central._oracle_terms(D, N, b1, digits)
+    coefficients = central._oracle_coefficients(D, N, b1, 2 * cutoffs[0])
+    assert terms[1:] == [c for c in coefficients if c[0] <= cutoffs[0]]
     with mpmath.workdps(prec + 40):
         bound = 4 * mpmath.sqrt(-D) * len(terms) ** 2 * mpmath.ldexp(1, -P)
         assert bound < mpf(10) ** -digits / 2
-        for t in (Fraction(1), Fraction(4, 5), Fraction(5, 4)):
-            got = central._oracle_series(terms, gap, D, N, t, P)
-            x = mpmath.exp(-2 * mpmath.pi * t.numerator / (t.denominator * mpmath.sqrt(-D * N)))
-            re, im = mpf(0), mpf(0)
-            for n, p, q in coefficients:
-                xn = x**n
-                re += mpf(p) / n * xn
-                im += mpf(q) / n * xn
-            want = mpmath.mpc(re, mpmath.sqrt(-D) * im) / 2
-            assert abs(got - want) < bound, (D, N, t)
+        sums = central._oracle_series(terms, cutoffs, D, N, P)
+    for t, n_max, got in zip(central.ORACLE_POINTS, cutoffs, sums):
+        with mpmath.workdps(prec + 40):
+            head = _series_sum(D, N, t, [c for c in coefficients if c[0] <= n_max])
+            assert abs(got - head) < bound, (D, N, t)
+        with mpmath.workdps(20):
+            tail = _series_sum(D, N, t, [c for c in coefficients if c[0] > n_max])
+            assert abs(tail) < mpf(10) ** -digits / 2, (D, N, t)
+
+
+def test_oracle_series_stops_each_sum_at_its_cutoff():
+    # with cutoffs far inside the terms, one term more or less in a sum is
+    # far above the rounding bound: the second sum must take the term at its
+    # cutoff, and the third must leave out the term just above its cutoff
+    D, N, digits = -7, 11, 95
+    b1 = smallest_odd_root(D, N)
+    terms, cutoffs, P = central._oracle_terms(D, N, b1, digits)
+    cutoffs = (cutoffs[0], terms[40][0], terms[20][0] - 1)
+    with mpmath.workdps(digits + 20):
+        bound = 4 * mpmath.sqrt(-D) * len(terms) ** 2 * mpmath.ldexp(1, -P)
+        sums = central._oracle_series(terms, cutoffs, D, N, P)
+        for t, n_max, got in zip(central.ORACLE_POINTS, cutoffs, sums):
+            head = _series_sum(D, N, t, [c for c in terms[1:] if c[0] <= n_max])
+            assert abs(got - head) < bound, t
 
 
 def test_oracle_rejects_a_wrong_character(monkeypatch):
@@ -427,6 +456,30 @@ def _coefficient_table(D, N, n_max):
     a = dict.fromkeys(range(1, n_max + 1), (0, 0))
     a.update((n, (p, q)) for n, p, q in sparse)
     return a
+
+
+@pytest.mark.parametrize("D, N", [(-7, 11), (-11, 23), (-163, 47)])
+def test_oracle_coefficients_match_their_definition(D, N):
+    # a_n = (1/2) sum of chi(alpha) alpha over every alpha = (p + q sqrt(D))/2
+    # of norm n, of both signs, with chi(alpha) = jacobi((p + q b1)/2 mod N, N);
+    # with a_n = (P_n + Q_n sqrt(D))/2 that is P_n = (1/2) sum chi p and
+    # Q_n = (1/2) sum chi q.  Here N < n_max, so the walk's residue wraps.
+    n_max = 400
+    b1 = smallest_odd_root(D, N)
+    inv2 = (N + 1) // 2
+    sums = {}
+    for q in range(-40, 41):
+        for p in range(-40, 41):
+            n = (p * p - D * q * q) // 4
+            if (p - q) % 2 or not 0 < n <= n_max:
+                continue
+            sign = jacobi((p + q * b1) * inv2 % N, N)
+            P, Q = sums.get(n, (0, 0))
+            sums[n] = (P + sign * p, Q + sign * q)
+    assert all(P % 2 == 0 and Q % 2 == 0 for P, Q in sums.values())
+    want = [(n, P // 2, Q // 2) for n, (P, Q) in sorted(sums.items()) if P or Q]
+    assert N < n_max and len(want) > 40
+    assert central._oracle_coefficients(D, N, b1, n_max) == want
 
 
 def test_oracle_coefficients_are_multiplicative():

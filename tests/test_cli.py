@@ -92,6 +92,17 @@ def test_oracle_methods_and_formats():
     assert [obj[k] for k in ("re", "im", "w_re", "w_im")] == [re_s, im_s, w_re, w_im]
 
 
+def test_oracle_prints_exact_zeros_where_l_vanishes():
+    # A(N) = 0 at (-19, 163): each part of L within the oracle's certified
+    # error is an exact 0 and prints as 0.0, as lvalue prints it, not as
+    # rounding noise near 1e-97; W is still solved and has |W| = 1
+    code, text = run(["oracle", "--disc", "-19", "--level", "163"])
+    assert code == 0
+    re_s, im_s, w_re, w_im = text.splitlines()[1].split(",")
+    assert (re_s, im_s) == ("0.0", "0.0")
+    assert abs(abs(complex(float(w_re), float(w_im))) - 1) < 1e-15
+
+
 def test_oracle_cutoff_guard(capsys, tmp_path):
     # the cutoff follows from --prec, which has a floor; there is no --cutoff option,
     # the prime over N is chosen by --b1 alone, and lvalue reads no cache
